@@ -3,30 +3,24 @@
 :class:`BatchEngine` runs many (scenario, seed, governor) rollouts in
 one process.  Rollouts whose governor is table-free (see
 :mod:`repro.batch.plans`) take the *fast path*: the per-interval loop
-keeps only what is genuinely sequential — work arrival, scheduling, and
-EDF draining, whose state feeds forward interval to interval — while
-everything the serial engine recomputes per interval around that core
-is hoisted out:
+keeps only the sequential interval core of :mod:`repro.sim.interval` —
+arrival, scheduling, EDF draining and abandonment, whose state feeds
+forward interval to interval — while everything the serial engine
+recomputes per interval around that core is hoisted out:
 
 * governor dispatch and decision clamping collapse to one precomputed
   OPP index per cluster,
-* observation construction (18 fields x clusters x intervals) is
-  skipped entirely — nothing reads it,
+* observation construction is skipped entirely — nothing reads it,
 * per-core utilisation, power, and energy integration move *after* the
-  loop, NumPy-vectorised over the interval axis from a recorded
-  per-interval core-cursor matrix.
+  loop, vectorised over the interval axis from a recorded per-interval
+  core-cursor matrix (:func:`repro.sim.interval.core_power`).
 
 The contract is **bit identity** with :class:`repro.sim.engine.Simulator`
-(version :data:`repro.sim.engine.ENGINE_VERSION`): every floating-point
-operation that contributes to the result is performed in the same order
-with the same operands.  That is why the post-loop power vectorisation
-accumulates cores and clusters as a *sequence of elementwise adds* (the
-serial engine's left-associated ``+=`` order) and why energy integration
-sums interval products in a plain Python loop — ``np.sum`` uses pairwise
-summation, which is faster but rounds differently.  The drain keeps the
-serial engine's exact arithmetic; its single-core branch exploits that
-``a / a == 1.0`` exactly, so the serial ``share = w * (a / total)``
-degenerates to ``w`` with no float op at all.
+(version :data:`repro.sim.engine.ENGINE_VERSION`).  The interval core is
+the serial engine's own code; around it, cores and clusters accumulate
+as a *sequence of elementwise adds* (the serial left-associated ``+=``
+order) and energy integrates interval products in a plain Python loop —
+``np.sum`` uses pairwise summation, which rounds differently.
 
 ``rl-policy`` jobs get their own fast path: training is sequential
 *within* a rollout but independent *across* rollouts, so groups of RL
@@ -47,7 +41,6 @@ arbitrary job lists and is *always* exact.
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -63,42 +56,20 @@ from repro.fleet.spec import JobSpec
 from repro.obs import OBS
 from repro.power.model import PowerModel
 from repro.qos.metrics import evaluate_jobs
+from repro.sim.interval import (
+    GRACE_FACTOR,
+    Lane,
+    column_sum,
+    core_power,
+    drain,
+    n_intervals,
+)
 from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
+from repro.soc.opp import OperatingPoint
 from repro.workload.scenarios import get_scenario
-from repro.workload.task import Job, WorkUnit
 from repro.workload.trace import Trace
-
-_GRACE_FACTOR = 2.0
-"""The reference engine's default lateness grace factor."""
-
-
-def _edf_key(job: Job) -> tuple[float, int]:
-    return (job.unit.deadline_s, job.unit.uid)
-
-
-class _ClusterPlan:
-    """Per-cluster constants of one fixed-OPP rollout."""
-
-    __slots__ = (
-        "name", "n_cores", "freq_hz", "voltage_v", "rate", "ceff_f",
-        "leak_a_per_v", "cursor_log",
-    )
-
-    def __init__(self, name: str, n_cores: int, freq_hz: float,
-                 voltage_v: float, capacity: float, ceff_f: float,
-                 leak_a_per_v: float, n_steps: int) -> None:
-        self.name = name
-        self.n_cores = n_cores
-        self.freq_hz = freq_hz
-        self.voltage_v = voltage_v
-        self.rate = capacity * freq_hz
-        self.ceff_f = ceff_f
-        self.leak_a_per_v = leak_a_per_v
-        # Seconds-of-interval consumed per (interval, core); rows of
-        # intervals whose queue was empty stay zero.
-        self.cursor_log = np.zeros((n_steps, n_cores))
 
 
 def run_fixed_opp(
@@ -122,10 +93,10 @@ def run_fixed_opp(
     """
     model = power_model or PowerModel()
     dt = spec.interval_s
-    n_steps = max(1, math.ceil(trace.duration_s / dt))
+    n_steps = n_intervals(trace.duration_s, dt)
     scheduler = HMPScheduler()
 
-    plans: list[_ClusterPlan] = []
+    opps: list[OperatingPoint] = []
     opp_switches = 0
     for cluster in chip:
         index = fixed_opp_index(spec.governor, cluster.spec.opp_table)
@@ -138,155 +109,37 @@ def run_fixed_opp(
         # interval's decision moves the cluster off its reset index (0).
         if index != 0:
             opp_switches += 1
-        opp = cluster.spec.opp_table[index]
-        plans.append(
-            _ClusterPlan(
-                name=cluster.spec.name,
-                n_cores=cluster.n_cores,
-                freq_hz=opp.freq_hz,
-                voltage_v=opp.voltage_v,
-                capacity=cluster.spec.core.capacity,
-                ceff_f=cluster.spec.core.ceff_f,
-                leak_a_per_v=cluster.spec.core.leak_a_per_v,
-                n_steps=n_steps,
-            )
-        )
+        opps.append(cluster.spec.opp_table[index])
+    # Seconds-of-interval consumed per (interval, core) for each cluster;
+    # rows of intervals whose queue was empty stay zero.
+    cursor_logs = [np.zeros((n_steps, cluster.n_cores)) for cluster in chip]
 
-    units: Sequence[WorkUnit] = trace.units
-    # Arrival schedule, precomputed: the serial engine admits units with
-    # ``release_s < t1`` each interval; searchsorted(side="left") on the
-    # (sorted) release times against the same ``t1 = step*dt + dt``
-    # floats yields exactly that strict-inequality cutoff per step.
-    releases = np.array([u.release_s for u in units])
-    t1_edges = [step * dt + dt for step in range(n_steps)]
-    arrive_until = np.searchsorted(releases, np.array(t1_edges), side="left")
-    # Abandon cutoffs, one float per unit, same expression as the engine.
-    cutoff_by_uid = {
-        u.uid: u.deadline_s + _GRACE_FACTOR * u.slack_s for u in units
-    }
-
-    queues: dict[str, list[Job]] = {plan.name: [] for plan in plans}
-    all_jobs: list[Job] = []
-    unit_idx = 0
-
+    lane = Lane(trace, chip.cluster_names, dt, n_steps)
+    clusters = [
+        (lane.queues[cluster.spec.name], cluster.n_cores,
+         cluster.spec.core.capacity * opp.freq_hz, log)
+        for cluster, opp, log in zip(chip, opps, cursor_logs)
+    ]
     for step in range(n_steps):
         t0 = step * dt
-        t1 = t0 + dt
+        lane.admit(step, t0, scheduler, chip)
+        for queue, n_cores, rate, log in clusters:
+            if queue:
+                log[step] = drain(queue, n_cores, rate, t0, dt, lane.cutoff)[0]
+    qos = evaluate_jobs(lane.all_jobs(), grace_factor=GRACE_FACTOR)
 
-        # Arrivals (backlog recomputed per unit, as in the engine).
-        k = int(arrive_until[step])
-        while unit_idx < k:
-            unit = units[unit_idx]
-            backlog = {
-                name: sum(j.remaining for j in q)
-                for name, q in queues.items()
-            }
-            target = scheduler.assign(unit, chip, backlog, t0)
-            if target not in queues:
-                raise SimulationError(
-                    f"scheduler placed unit {unit.uid} on unknown cluster "
-                    f"{target!r}"
-                )
-            job = Job(unit)
-            queues[target].append(job)
-            all_jobs.append(job)
-            unit_idx += 1
-
-        # Drain each cluster EDF-first; record the core cursors so the
-        # post-loop power pass can reconstruct per-core utilisation.
-        for plan in plans:
-            queue = queues[plan.name]
-            if not queue:
-                continue
-            n_cores = plan.n_cores
-            rate = plan.rate
-            cursors = [0.0] * n_cores
-            if len(queue) > 1:
-                queue.sort(key=_edf_key)
-            if rate > 0:
-                for job in queue:
-                    rem = job.remaining
-                    par = job.unit.min_parallelism
-                    if par >= n_cores:
-                        par = n_cores
-                    if par == 1:
-                        # min-cursor core, earliest index on ties (the
-                        # serial stable sort's first element).
-                        i = 0
-                        low = cursors[0]
-                        for j in range(1, n_cores):
-                            if cursors[j] < low:
-                                i = j
-                                low = cursors[j]
-                        a = (dt - low) * rate
-                        if a <= 0:
-                            continue
-                        # w = min(rem, sum([a])); share = w*(a/a) = w.
-                        w = rem if rem <= a else a
-                        finish = low + w / rate
-                        cursors[i] = finish
-                        job.remaining = rem - w
-                        if job.remaining <= 0:
-                            job.completed_at_s = t0 + finish
-                    else:
-                        order = sorted(
-                            range(n_cores), key=cursors.__getitem__
-                        )[:par]
-                        avail = [(dt - cursors[i]) * rate for i in order]
-                        total_avail = sum(avail)
-                        if total_avail <= 0:
-                            continue
-                        w = rem if rem <= total_avail else total_avail
-                        finish = 0.0
-                        for i, a in zip(order, avail):
-                            share = w * (a / total_avail)
-                            cursors[i] += share / rate
-                            if share > 0:
-                                finish = max(finish, cursors[i])
-                        job.remaining = rem - w
-                        if job.remaining <= 0:
-                            job.completed_at_s = t0 + finish
-            # Done jobs leave; hopelessly late jobs are abandoned
-            # (the engine's drain filter + abandon pass, fused).
-            queues[plan.name] = [
-                j for j in queue
-                if j.remaining > 0 and t1 <= cutoff_by_uid[j.unit.uid]
-            ]
-            plan.cursor_log[step] = cursors
-
-    # Units the horizon never released count as dropped work.
-    for leftover in units[unit_idx:]:
-        all_jobs.append(Job(leftover))
-    qos = evaluate_jobs(all_jobs, grace_factor=_GRACE_FACTOR)
-
-    # Power and energy, vectorised over the interval axis.  Every
-    # elementwise expression mirrors one scalar expression of the serial
-    # per-interval path, and reductions across cores/clusters are
-    # explicit sequential adds so the accumulation order (and therefore
-    # the rounding) is the serial engine's.
-    idle_activity = model.dynamic.idle_activity
+    # Power, vectorised over the interval axis; clusters accumulate in
+    # chip order, as the serial engine's chip-power sum does.
     chip_dyn = np.zeros(n_steps)
     chip_leak = np.zeros(n_steps)
-    for plan in plans:
-        freq = plan.freq_hz
-        v = plan.voltage_v
-        available = freq * dt
-        leak_base = plan.leak_a_per_v * v * v
-        cluster_dyn = np.zeros(n_steps)
-        cluster_leak = np.zeros(n_steps)
-        for core in range(plan.n_cores):
-            if available > 0:
-                used = np.minimum(plan.cursor_log[:, core] * freq, available)
-                util = used / available
-            else:
-                util = np.zeros(n_steps)
-            activity = util + (1.0 - util) * idle_activity * 1.0
-            cluster_dyn = cluster_dyn + activity * plan.ceff_f * v * v * freq
-            cluster_leak = cluster_leak + leak_base * (
-                util + (1.0 - util) * 1.0
-            )
-        chip_dyn = chip_dyn + cluster_dyn
-        chip_leak = chip_leak + cluster_leak
+    for cluster, opp, log in zip(chip, opps, cursor_logs):
+        core = cluster.spec.core
+        _, _, dyn, leak = core_power(
+            log, opp.freq_hz, opp.voltage_v, core.ceff_f, core.leak_a_per_v,
+            model.dynamic.idle_activity, dt,
+        )
+        chip_dyn = chip_dyn + column_sum(dyn)
+        chip_leak = chip_leak + column_sum(leak)
 
     # Energy integration: the meter adds one interval product at a time,
     # so accumulate sequentially (np.sum's pairwise order differs).

@@ -61,42 +61,45 @@ def fixed_opp_index(governor: str, table: OPPTable) -> int | None:
     return table.clamp_index(plan(table))
 
 
-def is_vectorisable(spec: JobSpec) -> bool:
-    """Whether the batch fast path can run this job.
+def _plain_substrate(spec: JobSpec) -> bool:
+    """Whether the job runs on the plain simulation substrate.
 
-    Requires a table-free governor and the plain simulation substrate —
-    no full-system extras (thermals/idle/transition costs change the
-    per-interval coupling), no per-execution artefacts (metric
-    snapshots, trace files), and no non-serialisable escape hatches.
+    Both fast paths need it: full-system extras (thermals, idle states,
+    transition costs) change the per-interval coupling, per-execution
+    artefacts (metric snapshots, trace files) need real engine spans,
+    and an in-memory ``chip_obj`` has no preset to rebuild from.
     """
     return (
-        spec.governor in TABLE_FREE_GOVERNORS
-        and not spec.full_system
+        not spec.full_system
         and not spec.collect_metrics
         and spec.trace_dir is None
         and spec.chip_obj is None
+    )
+
+
+def is_vectorisable(spec: JobSpec) -> bool:
+    """Whether the fixed-OPP fast path can run this job: a table-free
+    governor, no ``policy_config``, on the plain substrate."""
+    return (
+        spec.governor in TABLE_FREE_GOVERNORS
         and spec.policy_config is None
+        and _plain_substrate(spec)
     )
 
 
 def is_rl_vectorisable(spec: JobSpec) -> bool:
     """Whether the lock-step RL trainer can run this job.
 
-    Requires a plain ``rl-policy`` job on a named chip preset with the
-    plain simulation substrate.  Unlike :func:`is_vectorisable` this
-    *allows* a ``policy_config`` (per-job hyperparameters vectorise
-    fine) and a ``learn_log_dir`` (the ledger recorder only reads
-    learner state between episodes); ``full_system`` RL learns inside
-    the full-system simulator and must stay serial, and per-execution
-    artefacts (metric snapshots, trace files) need real engine spans.
+    Requires an ``rl-policy`` job on the plain substrate.  Unlike
+    :func:`is_vectorisable` this *allows* a ``policy_config`` (per-job
+    hyperparameters vectorise fine) and a ``learn_log_dir`` (the ledger
+    recorder only reads learner state between episodes); ``full_system``
+    RL learns inside the full-system simulator and stays serial.
     """
     return (
         spec.is_rl
-        and not spec.full_system
-        and not spec.collect_metrics
-        and spec.trace_dir is None
-        and spec.chip_obj is None
         and spec.train_episodes >= 1
+        and _plain_substrate(spec)
     )
 
 

@@ -7,8 +7,8 @@ everything per-interval that the serial
 featurisation, the TD update, epsilon-greedy selection, power and energy
 integration — is evaluated once across all N lanes with NumPy.  Only the
 genuinely sequential per-lane machinery (work arrival, scheduling, EDF
-draining) stays in Python, exactly as in :mod:`repro.batch.engine`'s
-table-free fast path.
+draining, abandonment) stays in Python, and it is the serial engine's
+own code: the interval core of :mod:`repro.sim.interval`.
 
 The contract is **bit identity** with the serial trainer (engine
 contract :data:`repro.sim.engine.ENGINE_VERSION`): trained Q-tables,
@@ -32,10 +32,12 @@ float.  Three mechanisms carry that guarantee:
   ``integers`` draw — so the generator and the schedule counter end the
   episode in the precise state serial training leaves them.
 
-* **Serial accumulation order.**  Core and cluster power sums, energy
-  integration, and Welford TD statistics are computed as sequences of
-  elementwise operations in the serial engine's left-associated order
-  (never ``np.sum``, whose pairwise rounding differs).
+* **Serial accumulation order.**  Core power
+  (:func:`repro.sim.interval.core_power` along the lane axis), core and
+  cluster power sums, energy integration, and Welford TD statistics are
+  computed as sequences of elementwise operations in the serial
+  engine's left-associated order (never ``np.sum``, whose pairwise
+  rounding differs).
 
 Episode boundaries run the *real* per-lane ``chip.reset()`` and
 ``policy.reset(cluster)`` calls, so episode counters, TD-window resets,
@@ -52,7 +54,6 @@ session (which must see real engine spans) — fall back to
 
 from __future__ import annotations
 
-import math
 from contextlib import ExitStack
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -72,7 +73,7 @@ from repro.core.trainer import (
     make_policies,
     train_policy,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import PolicyConfig
 from repro.errors import SimulationError
@@ -83,18 +84,23 @@ from repro.power.model import PowerModel
 from repro.qos.metrics import evaluate_jobs
 from repro.rl.qlearning import QLearningAgent
 from repro.rl.qtable import QTable
+from repro.sim.interval import (
+    GRACE_FACTOR,
+    Lane,
+    column_sum,
+    core_power,
+    drain,
+    n_intervals,
+    queue_slack,
+)
 from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
 from repro.workload.scenarios import Scenario
-from repro.workload.task import Job
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:
     from repro.obs.learn import LearnRecorder
-
-_GRACE_FACTOR = 2.0
-"""The reference engine's default lateness grace factor."""
 
 
 @dataclass
@@ -202,44 +208,6 @@ def _distinct_objects(
     return True
 
 
-def _queue_slack(queue: list[Job], now_s: float) -> float:
-    """Normalised queue urgency — the serial engine's expression verbatim."""
-    slack = 1.0
-    for job in queue:
-        nominal = job.unit.slack_s
-        if nominal <= 0:
-            return 0.0
-        slack = min(slack, max(0.0, (job.unit.deadline_s - now_s) / nominal))
-    return slack
-
-
-def _edf_key(job: Job) -> tuple[float, int]:
-    return (job.unit.deadline_s, job.unit.uid)
-
-
-class _Lane:
-    """One job's sequential per-episode state (trace, queues, jobs)."""
-
-    __slots__ = ("units", "arrive_until", "cutoff", "queues", "all_jobs",
-                 "unit_idx")
-
-    def __init__(self, trace: Trace, edges: np.ndarray,
-                 cluster_names: list[str]) -> None:
-        self.units = trace.units
-        releases = np.array([u.release_s for u in self.units])
-        # The serial engine admits units with ``release_s < t1`` per
-        # step; searchsorted(side="left") against the same t1 floats is
-        # exactly that strict-inequality cutoff.
-        self.arrive_until = np.searchsorted(releases, edges, side="left")
-        self.cutoff = {
-            u.uid: u.deadline_s + _GRACE_FACTOR * u.slack_s
-            for u in self.units
-        }
-        self.queues: dict[str, list[Job]] = {n: [] for n in cluster_names}
-        self.all_jobs: list[Job] = []
-        self.unit_idx = 0
-
-
 class _ClusterVec:
     """Vectorised state of one cluster across all N lanes.
 
@@ -264,19 +232,6 @@ class _ClusterVec:
         self.max_index = specs[0].opp_table.max_index
         policies = [lane[name] for lane in policies_by_lane]
         cfg0 = policies[0].config
-        if any(
-            s.n_cores != self.n_cores or len(s.opp_table) != self.n_opps
-            for s in specs
-        ) or any(
-            (p.config.util_bins, p.config.trend_bins, p.config.opp_bins,
-             p.config.slack_bins, p.config.n_actions)
-            != (cfg0.util_bins, cfg0.trend_bins, cfg0.opp_bins,
-                cfg0.slack_bins, cfg0.n_actions)
-            for p in policies
-        ):
-            raise SimulationError(
-                f"lock-step lanes disagree on cluster {name!r} structure"
-            )
 
         self.freq_lut = np.array(
             [[opp.freq_hz for opp in s.opp_table] for s in specs]
@@ -286,8 +241,9 @@ class _ClusterVec:
         )
         self.max_freq = np.array([s.opp_table.max_freq_hz for s in specs])
         self.capacity = np.array([s.core.capacity for s in specs])
-        self.ceff = np.array([s.core.ceff_f for s in specs])
-        self.leak_a = np.array([s.core.leak_a_per_v for s in specs])
+        # Per-lane constants of core_power, as (lane, 1) columns.
+        self.ceff = np.array([[s.core.ceff_f] for s in specs])
+        self.leak_a = np.array([[s.core.leak_a_per_v] for s in specs])
 
         self.util_bins = cfg0.util_bins
         self.trend_bins = cfg0.trend_bins
@@ -514,90 +470,26 @@ class _ClusterVec:
         self.freq_now = self.freq_lut[self.lane_idx, new_opp]
         self.volt_now = self.volt_lut[self.lane_idx, new_opp]
 
-    def drain(
-        self, lanes: Sequence[_Lane], t0: float, t1: float, dt: float
-    ) -> None:
-        """EDF-drain every lane's queue; track the obs the policy reads.
+    def drain(self, lanes: Sequence[Lane], t0: float, dt: float) -> None:
+        """EDF-drain every lane's queue; keep the obs the policy reads.
 
-        The per-job arithmetic is the serial ``_drain_cluster`` loop
-        (via the batch engine's proven optimised form); on top of it the
-        RL path also records the observation fields the policy consumes
-        next interval — late completions, abandoned jobs, and
-        post-filter queue slack.
+        The policy consumes next interval each lane's late completions
+        plus abandoned jobs, and the post-abandon queue slack.
         """
         self.cursor_buf.fill(0.0)
-        n_cores = self.n_cores
-        for k, lane in enumerate(lanes):
+        t1 = t0 + dt
+        rates = (self.capacity * self.freq_now).tolist()
+        for k, (lane, rate) in enumerate(zip(lanes, rates)):
             queue = lane.queues[self.name]
             if not queue:
                 self.misses_prev[k] = 0
                 self.slack_prev[k] = 1.0
                 continue
-            rate = self.capacity[k] * self.freq_now[k]
-            cursors = [0.0] * n_cores
-            late = 0
-            if len(queue) > 1:
-                queue.sort(key=_edf_key)
-            if rate > 0:
-                for job in queue:
-                    rem = job.remaining
-                    par = job.unit.min_parallelism
-                    if par >= n_cores:
-                        par = n_cores
-                    if par == 1:
-                        # min-cursor core, earliest index on ties (the
-                        # serial stable sort's first element).
-                        i = 0
-                        low = cursors[0]
-                        for j in range(1, n_cores):
-                            if cursors[j] < low:
-                                i = j
-                                low = cursors[j]
-                        a = (dt - low) * rate
-                        if a <= 0:
-                            continue
-                        # w = min(rem, sum([a])); share = w*(a/a) = w.
-                        w = rem if rem <= a else a
-                        finish = low + w / rate
-                        cursors[i] = finish
-                        job.remaining = rem - w
-                        if job.remaining <= 0:
-                            job.completed_at_s = t0 + finish
-                            if job.completed_at_s > job.unit.deadline_s:
-                                late += 1
-                    else:
-                        order = sorted(
-                            range(n_cores), key=cursors.__getitem__
-                        )[:par]
-                        avail = [(dt - cursors[i]) * rate for i in order]
-                        total_avail = sum(avail)
-                        if total_avail <= 0:
-                            continue
-                        w = rem if rem <= total_avail else total_avail
-                        finish = 0.0
-                        for i, a in zip(order, avail):
-                            share = w * (a / total_avail)
-                            cursors[i] += share / rate
-                            if share > 0:
-                                finish = max(finish, cursors[i])
-                        job.remaining = rem - w
-                        if job.remaining <= 0:
-                            job.completed_at_s = t0 + finish
-                            if job.completed_at_s > job.unit.deadline_s:
-                                late += 1
-            # Done jobs leave; hopelessly late jobs are abandoned and
-            # counted (the engine's drain filter + abandon pass, fused).
-            keep: list[Job] = []
-            extra = 0
-            for job in queue:
-                if job.remaining > 0:
-                    if t1 <= lane.cutoff[job.unit.uid]:
-                        keep.append(job)
-                    else:
-                        extra += 1
-            lane.queues[self.name] = keep
-            self.misses_prev[k] = late + extra
-            self.slack_prev[k] = _queue_slack(keep, t1)
+            cursors, _, _, misses = drain(
+                queue, self.n_cores, rate, t0, dt, lane.cutoff
+            )
+            self.misses_prev[k] = misses
+            self.slack_prev[k] = queue_slack(queue, t1)
             self.cursor_buf[k] = cursors
 
     def power(
@@ -605,36 +497,16 @@ class _ClusterVec:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One interval's cluster power plus the obs fields it feeds.
 
-        Each elementwise expression mirrors one scalar expression of
-        :meth:`repro.power.model.PowerModel.cluster_power` at the
-        current per-lane OPP.  Per-core terms are computed as one
-        (lane, core) matrix — elementwise, so bit-equal to the scalar
-        expressions — while the cross-core accumulation stays a sequence
-        of column adds in the serial left-associated ``+=`` order.
+        :func:`repro.sim.interval.core_power` along the lane axis: one
+        (lane, core) matrix at the current per-lane OPPs, summed across
+        cores in the serial left-associated ``+=`` order.
         """
-        avail = self.freq_now * dt
-        used = np.minimum(
-            self.cursor_buf * self.freq_now[:, None], avail[:, None]
+        used, util, dyn, leak = core_power(
+            self.cursor_buf, self.freq_now[:, None], self.volt_now[:, None],
+            self.ceff, self.leak_a, idle_activity, dt,
         )
-        util = used / avail[:, None]
-        v = self.volt_now
-        f = self.freq_now
-        leak_base = self.leak_a * v * v
-        # ``* 1.0`` (idle scale) is exact whatever the association; the
-        # dynamic product keeps the serial left-associated order
-        # (((activity * ceff) * v) * v) * f — float mul is not
-        # associative, and the contract is bit identity.
-        activity = util + (1.0 - util) * idle_activity[:, None] * 1.0
-        dyn_terms = (
-            activity * self.ceff[:, None] * v[:, None] * v[:, None]
-            * f[:, None]
-        )
-        leak_terms = leak_base[:, None] * (util + (1.0 - util) * 1.0)
-        dyn_c = np.zeros(v.shape)
-        leak_c = np.zeros(v.shape)
-        for c in range(self.n_cores):
-            dyn_c = dyn_c + dyn_terms[:, c]
-            leak_c = leak_c + leak_terms[:, c]
+        dyn_c = column_sum(dyn)
+        leak_c = column_sum(leak)
         self.busy += used
         self.idle_arr = used == 0
         self.peak = np.maximum(self.peak, util)
@@ -695,11 +567,12 @@ class _LockstepRunner:
         if interval_s <= 0:
             raise SimulationError(f"interval must be positive: {interval_s}")
         self.n = len(chips)
+        if len({
+            _structure_key(chip, policies)
+            for chip, policies in zip(chips, policies_by_lane)
+        }) != 1:
+            raise SimulationError("lock-step lanes disagree on structure")
         names = chips[0].cluster_names
-        if any(chip.cluster_names != names for chip in chips):
-            raise SimulationError(
-                "lock-step lanes disagree on cluster names"
-            )
         self.chips = list(chips)
         self.policies_by_lane = list(policies_by_lane)
         self.dt = interval_s
@@ -724,7 +597,7 @@ class _LockstepRunner:
         models = [pm or PowerModel() for pm in power_models]
         self.uncore_w = np.array([m.uncore_w for m in models])
         self.idle_activity = np.array(
-            [m.dynamic.idle_activity for m in models]
+            [[m.dynamic.idle_activity] for m in models]
         )
 
     def detach(self) -> None:
@@ -736,7 +609,7 @@ class _LockstepRunner:
     ) -> list[SimulationResult]:
         """One lock-step episode across all lanes; one result per lane."""
         dt = self.dt
-        steps = [max(1, math.ceil(tr.duration_s / dt)) for tr in traces]
+        steps = [n_intervals(tr.duration_s, dt) for tr in traces]
         n_steps = steps[0]
         if any(s != n_steps for s in steps):
             raise SimulationError(
@@ -756,8 +629,9 @@ class _LockstepRunner:
                 online, n_steps,
             )
 
-        edges = np.array([step * dt + dt for step in range(n_steps)])
-        lanes = [_Lane(tr, edges, self.cluster_names) for tr in traces]
+        lanes = [
+            Lane(tr, self.cluster_names, dt, n_steps) for tr in traces
+        ]
         dyn_j = np.zeros(self.n)
         leak_j = np.zeros(self.n)
         uncore_j = np.zeros(self.n)
@@ -765,35 +639,15 @@ class _LockstepRunner:
 
         for step in range(n_steps):
             t0 = step * dt
-            t1 = t0 + dt
             # 1. Decisions per cluster in chip order (decide + update).
             for vec in self.vecs:
                 vec.decide(step, online, switches)
-            # 3. Release arrivals and place them (sequential per lane;
-            # backlog recomputed per unit, as in the engine).
-            for k, lane in enumerate(lanes):
-                until = int(lane.arrive_until[step])
-                while lane.unit_idx < until:
-                    unit = lane.units[lane.unit_idx]
-                    backlog = {
-                        name: sum(j.remaining for j in q)
-                        for name, q in lane.queues.items()
-                    }
-                    target = self.scheduler.assign(
-                        unit, self.chips[k], backlog, t0
-                    )
-                    if target not in lane.queues:
-                        raise SimulationError(
-                            f"scheduler placed unit {unit.uid} on unknown "
-                            f"cluster {target!r}"
-                        )
-                    job = Job(unit)
-                    lane.queues[target].append(job)
-                    lane.all_jobs.append(job)
-                    lane.unit_idx += 1
-            # 4+5. Drain and abandon per cluster.
+            # 3-5. Per lane: release arrivals and place them, then drain
+            # and abandon per cluster.
+            for chip, lane in zip(self.chips, lanes):
+                lane.admit(step, t0, self.scheduler, chip)
             for vec in self.vecs:
-                vec.drain(lanes, t0, t1, dt)
+                vec.drain(lanes, t0, dt)
             # 6. Power and energy, all lanes at once: clusters accumulate
             # in chip order, intervals integrate sequentially.
             chip_dyn = np.zeros(self.n)
@@ -818,10 +672,7 @@ class _LockstepRunner:
         for k, (lane, policies, trace) in enumerate(
             zip(lanes, self.policies_by_lane, traces)
         ):
-            # Units the horizon never released count as dropped work.
-            for leftover in lane.units[lane.unit_idx:]:
-                lane.all_jobs.append(Job(leftover))
-            qos = evaluate_jobs(lane.all_jobs, grace_factor=_GRACE_FACTOR)
+            qos = evaluate_jobs(lane.all_jobs(), grace_factor=GRACE_FACTOR)
             total_j = float(dyn_j[k]) + float(leak_j[k]) + float(uncore_j[k])
             results.append(SimulationResult(
                 governor="+".join(
@@ -1010,7 +861,7 @@ def evaluate_policies_batch(
             }) == 1
             and _distinct_objects(chips, policies_by_lane)
             and len({
-                max(1, math.ceil(tr.duration_s / interval_s))
+                n_intervals(tr.duration_s, interval_s)
                 for tr in traces
             }) == 1
         )

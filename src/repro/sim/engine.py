@@ -13,12 +13,12 @@ matching cpufreq).  Each interval it:
 
 Work units that blow far past their deadline are abandoned (the frame is
 dropped), like a real compositor would, so a starved system pays in QoS
-rather than queueing unboundedly.
+rather than queueing unboundedly.  Steps 3 and 4 and the abandonment are
+the shared interval core of :mod:`repro.sim.interval`.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Mapping
 
@@ -31,6 +31,13 @@ from repro.mem.dram import DRAMModel
 from repro.power.energy import EnergyMeter
 from repro.power.model import PowerBreakdown, PowerModel
 from repro.qos.metrics import evaluate_jobs
+from repro.sim.interval import (
+    GRACE_FACTOR,
+    Lane,
+    drain,
+    n_intervals,
+    queue_slack,
+)
 from repro.sim.result import IntervalSample, SimulationResult
 from repro.sim.scheduler import HMPScheduler, Scheduler
 from repro.sim.telemetry import ClusterObservation, initial_observation
@@ -39,7 +46,6 @@ from repro.soc.cluster import Cluster
 from repro.soc.transition import DVFSTransitionModel
 from repro.thermal.rc import ThermalModel
 from repro.thermal.throttle import ThermalThrottle
-from repro.workload.task import Job
 from repro.workload.trace import Trace
 
 GovernorFactory = Callable[[Cluster], Governor]
@@ -50,9 +56,11 @@ ENGINE_VERSION = "5.0"
 Bump whenever a change alters the numbers any (chip, trace, governor)
 run produces — power-model arithmetic, drain order, scheduler
 behaviour, QoS scoring.  The run cache (:mod:`repro.cache`) folds this
-into every cache key, so stale results self-invalidate on upgrade; the
-batch backend (:mod:`repro.batch`) replicates exactly this version's
-float-operation sequence."""
+into every cache key, so stale results self-invalidate on upgrade.  The
+batch backend (:mod:`repro.batch`) shares this engine's interval core
+(:mod:`repro.sim.interval`) and reproduces the rest of this version's
+float-operation sequence; ``tests/test_engine_golden.py`` pins the
+numbers per version."""
 
 DECISION_LATENCY_BUCKETS = (
     1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2,
@@ -103,7 +111,7 @@ class Simulator:
         interval_s: float = 0.01,
         thermal: ThermalModel | None = None,
         throttle: ThermalThrottle | None = None,
-        grace_factor: float = 2.0,
+        grace_factor: float = GRACE_FACTOR,
         record_samples: bool = False,
         record_observations: bool = False,
         idle_governor: MenuIdleGovernor | None = None,
@@ -171,8 +179,6 @@ class Simulator:
         for cluster in chip:
             self.governors[cluster.spec.name].reset(cluster)
 
-        queues: dict[str, list[Job]] = {name: [] for name in chip.cluster_names}
-        all_jobs: list[Job] = []
         obs: dict[str, ClusterObservation] = {
             c.spec.name: initial_observation(
                 c.spec.name,
@@ -190,9 +196,10 @@ class Simulator:
             name: [] for name in chip.cluster_names
         }
         opp_switches = 0
-        unit_idx = 0
-        units = self.trace.units
-        n_steps = max(1, math.ceil(self.trace.duration_s / dt))
+        n_steps = n_intervals(self.trace.duration_s, dt)
+        lane = Lane(self.trace, chip.cluster_names, dt, n_steps,
+                    grace_factor=self.grace_factor)
+        queues = lane.queues
 
         # Observability probes: `tracer` is None unless a session is
         # active, so the disabled path costs one local truthiness check
@@ -270,46 +277,25 @@ class Simulator:
                 phase_span = tracer.begin("engine.phase.schedule", cat="engine")
 
             # 3. Release arrivals and place them.
-            arrived: dict[str, float] = {name: 0.0 for name in queues}
-            while unit_idx < len(units) and units[unit_idx].release_s < t1:
-                unit = units[unit_idx]
-                backlog = {
-                    name: sum(j.remaining for j in q) for name, q in queues.items()
-                }
-                target = self.scheduler.assign(unit, chip, backlog, t0)
-                if target not in queues:
-                    raise SimulationError(
-                        f"scheduler placed unit {unit.uid} on unknown cluster "
-                        f"{target!r}"
-                    )
-                job = Job(unit)
-                queues[target].append(job)
-                all_jobs.append(job)
-                arrived[target] += unit.work
-                unit_idx += 1
+            arrived = lane.admit(step, t0, self.scheduler, chip)
             if tracer:
                 tracer.end(phase_span)
                 phase_span = tracer.begin("engine.phase.drain", cat="engine")
 
-            # 4. Drain run queues (a transitioning cluster stalls first).
+            # 4+5. Drain run queues (a transitioning cluster stalls
+            # first) and abandon hopelessly late jobs (dropped frames).
             drained: dict[str, tuple[float, int, int]] = {}
             for cluster in chip:
                 name = cluster.spec.name
-                drained[name] = self._drain_cluster(
-                    cluster, queues[name], t0, dt, stall_s=stall_s[name]
+                freq = cluster.freq_hz
+                cursors, completed, completions, misses = drain(
+                    queues[name], cluster.n_cores,
+                    cluster.spec.core.capacity * freq, t0, dt, lane.cutoff,
+                    start=min(stall_s[name], dt),
                 )
-
-            # 5. Abandon hopelessly late jobs (dropped frames).
-            misses_extra: dict[str, int] = {name: 0 for name in queues}
-            for name, queue in queues.items():
-                keep: list[Job] = []
-                for job in queue:
-                    cutoff = job.unit.deadline_s + self.grace_factor * job.unit.slack_s
-                    if t1 > cutoff:
-                        misses_extra[name] += 1
-                    else:
-                        keep.append(job)
-                queues[name] = keep
+                drained[name] = (completed, completions, misses)
+                for core, cursor in zip(cluster.cores, cursors):
+                    core.record_interval(cursor * freq, freq, dt)
             if tracer:
                 tracer.end(phase_span)
                 phase_span = tracer.begin("engine.phase.power_thermal",
@@ -368,11 +354,11 @@ class Simulator:
                     max_core_utilization=cluster.max_core_utilization,
                     queue_work=sum(j.remaining for j in queue),
                     queue_jobs=len(queue),
-                    arrived_work=arrived[name],
+                    arrived_work=arrived.get(name, 0.0),
                     completed_work=completed_work,
-                    deadline_misses=misses + misses_extra[name],
+                    deadline_misses=misses,
                     completions=completions,
-                    qos_slack=self._queue_slack(queue, t1),
+                    qos_slack=queue_slack(queue, t1),
                     energy_j=cluster_energy[name],
                     temp_c=temps.get(name),
                 )
@@ -393,12 +379,7 @@ class Simulator:
                 tracer.end(phase_span)
                 tracer.end(interval_span)
 
-        # Units the horizon never released (e.g. a release landing exactly
-        # on the final interval edge) still count: they are work the trace
-        # promised, scored as dropped.
-        for leftover in units[unit_idx:]:
-            all_jobs.append(Job(leftover))
-
+        all_jobs = lane.all_jobs()
         if self.qos_classes is not None:
             from repro.qos.classes import evaluate_jobs_weighted
 
@@ -436,70 +417,3 @@ class Simulator:
             samples=samples,
             observations=obs_log if self.record_observations else {},
         )
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _drain_cluster(
-        cluster: Cluster, queue: list[Job], t0: float, dt: float, stall_s: float = 0.0
-    ) -> tuple[float, int, int]:
-        """Serve the queue EDF-first on the cluster's cores for one interval.
-
-        Jobs are offered capacity from their ``min_parallelism`` least-
-        loaded cores; completion times are interpolated inside the
-        interval from the work actually consumed.  A DVFS transition
-        stall consumes the first ``stall_s`` seconds of every core.
-
-        Returns:
-            ``(completed_work, completions, deadline_misses)`` where
-            misses counts jobs that *completed late* this interval.
-        """
-        freq = cluster.freq_hz
-        kappa = cluster.spec.core.capacity
-        n_cores = cluster.n_cores
-        rate = kappa * freq  # work per second per core
-        # Seconds of the interval consumed per core; a transition stall
-        # pre-consumes time on every core (the cluster clock is down).
-        cursors = [min(stall_s, dt)] * n_cores
-
-        queue.sort(key=lambda j: (j.unit.deadline_s, j.unit.uid))
-        completed_work = 0.0
-        completions = 0
-        misses = 0
-        if rate > 0:
-            for job in queue:
-                par = min(job.unit.min_parallelism, n_cores)
-                order = sorted(range(n_cores), key=cursors.__getitem__)[:par]
-                avail = [(dt - cursors[i]) * rate for i in order]
-                total_avail = sum(avail)
-                if total_avail <= 0:
-                    continue
-                w = min(job.remaining, total_avail)
-                finish_off = 0.0
-                for i, a in zip(order, avail):
-                    share = w * (a / total_avail)
-                    cursors[i] += share / rate
-                    if share > 0:
-                        finish_off = max(finish_off, cursors[i])
-                consumed = job.execute(w, t0 + finish_off)
-                completed_work += consumed
-                if job.done:
-                    completions += 1
-                    if job.lateness_s() > 0:
-                        misses += 1
-        queue[:] = [j for j in queue if not j.done]
-
-        for i, core in enumerate(cluster.cores):
-            core.record_interval(cursors[i] * freq, freq, dt)
-        return completed_work, completions, misses
-
-    @staticmethod
-    def _queue_slack(queue: list[Job], now_s: float) -> float:
-        """Normalised urgency of the pending queue, 1.0 (relaxed) to 0.0."""
-        slack = 1.0
-        for job in queue:
-            nominal = job.unit.slack_s
-            if nominal <= 0:
-                return 0.0
-            slack = min(slack, max(0.0, (job.unit.deadline_s - now_s) / nominal))
-        return slack

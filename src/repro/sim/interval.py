@@ -1,0 +1,272 @@
+"""The sequential core of one simulated interval, shared by every engine.
+
+Each DVFS interval, every engine performs the same per-rollout steps
+whose state feeds forward from one interval to the next:
+
+1. **admit** the units released before the interval's end and place
+   each through the scheduler (:meth:`Lane.admit`),
+2. **drain** each cluster's run queue EDF-first across its cores, then
+   drop completed jobs and **abandon** jobs past their lateness cutoff
+   (:func:`drain`),
+3. read the **queue slack** of what is left (:func:`queue_slack`).
+
+The serial :class:`repro.sim.engine.Simulator`, the fixed-OPP fast path
+:func:`repro.batch.engine.run_fixed_opp` and the lock-step RL runner in
+:mod:`repro.batch.rl` all call these functions, so their arithmetic is
+one float-operation sequence by construction rather than by hand
+synchronisation.  Each caller keeps only what differs: the serial
+engine builds observations, thermals and per-core accounting around
+the core; the batch paths price power along an array axis through
+:func:`core_power`, the fixed-OPP path along the interval axis and the
+lock-step runner along the lane axis.
+"""
+
+from __future__ import annotations
+
+import math
+from operator import attrgetter
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.sim.scheduler import Scheduler
+from repro.soc.chip import Chip
+from repro.workload.task import Job, WorkUnit
+from repro.workload.trace import Trace
+
+GRACE_FACTOR = 2.0
+"""Default lateness window, as a multiple of a unit's nominal slack,
+after which a pending unit is abandoned (and a late completion scores
+zero QoS)."""
+
+edf_key = attrgetter("unit.deadline_s", "unit.uid")
+"""Earliest deadline first; the unique uid breaks ties deterministically."""
+
+
+def n_intervals(duration_s: float, dt: float) -> int:
+    """Intervals needed to cover ``duration_s`` (at least one)."""
+    return max(1, math.ceil(duration_s / dt))
+
+
+class Lane:
+    """One rollout's arrival schedule, run queues and jobs.
+
+    Args:
+        trace: The workload trace (units sorted by release time).
+        cluster_names: One run queue per name, in chip order.
+        dt: Interval length in seconds.
+        n_steps: Number of intervals the rollout runs.
+        grace_factor: Abandon window (see :data:`GRACE_FACTOR`).
+    """
+
+    __slots__ = ("units", "arrive_until", "cutoff", "queues", "jobs",
+                 "unit_idx")
+
+    def __init__(self, trace: Trace, cluster_names: Sequence[str],
+                 dt: float, n_steps: int,
+                 grace_factor: float = GRACE_FACTOR) -> None:
+        self.units: Sequence[WorkUnit] = trace.units
+        # A unit arrives in the first interval whose end ``t1 = t0 + dt``
+        # it precedes (``release_s < t1``); searchsorted(side="left") of
+        # the sorted release times against those t1 floats is exactly
+        # that strict-inequality cutoff per step.
+        releases = np.array([u.release_s for u in self.units])
+        edges = np.array([step * dt + dt for step in range(n_steps)])
+        self.arrive_until: list[int] = np.searchsorted(
+            releases, edges, side="left"
+        ).tolist()
+        self.cutoff = {
+            u.uid: u.deadline_s + grace_factor * u.slack_s for u in self.units
+        }
+        self.queues: dict[str, list[Job]] = {n: [] for n in cluster_names}
+        self.jobs: list[Job] = []
+        self.unit_idx = 0
+
+    def admit(self, step: int, t0: float, scheduler: Scheduler,
+              chip: Chip) -> dict[str, float]:
+        """Release interval ``step``'s arrivals and place them.
+
+        The scheduler sees each cluster's backlog recomputed per unit,
+        so a unit's placement accounts for the units placed before it.
+
+        Returns:
+            The work placed per cluster; clusters that received none
+            are absent.
+
+        Raises:
+            SimulationError: If the scheduler names an unknown cluster.
+        """
+        queues = self.queues
+        arrived: dict[str, float] = {}
+        until = self.arrive_until[step]
+        while self.unit_idx < until:
+            unit = self.units[self.unit_idx]
+            backlog = {
+                name: sum(j.remaining for j in q) for name, q in queues.items()
+            }
+            target = scheduler.assign(unit, chip, backlog, t0)
+            if target not in queues:
+                raise SimulationError(
+                    f"scheduler placed unit {unit.uid} on unknown cluster "
+                    f"{target!r}"
+                )
+            job = Job(unit)
+            queues[target].append(job)
+            self.jobs.append(job)
+            arrived[target] = arrived.get(target, 0.0) + unit.work
+            self.unit_idx += 1
+        return arrived
+
+    def all_jobs(self) -> list[Job]:
+        """Every job, plus the units the horizon never released.
+
+        Unreleased units (e.g. a release landing exactly on the final
+        interval edge) still count: they are work the trace promised,
+        scored as dropped.
+        """
+        return self.jobs + [Job(u) for u in self.units[self.unit_idx:]]
+
+
+def drain(
+    queue: list[Job],
+    n_cores: int,
+    rate: float,
+    t0: float,
+    dt: float,
+    cutoff: Mapping[int, float],
+    start: float = 0.0,
+) -> tuple[list[float], float, int, int]:
+    """Serve one cluster's run queue EDF-first for one interval.
+
+    Each job is offered capacity from its ``min_parallelism`` least-
+    loaded cores (lowest index first on ties), and a completion time is
+    interpolated inside the interval from the work actually consumed.
+    Afterwards, in place, completed jobs leave the queue and jobs whose
+    abandon ``cutoff`` (by uid) precedes the interval end are dropped.
+
+    Args:
+        queue: The cluster's pending jobs; sorted and filtered in place.
+        n_cores: Cores in the cluster.
+        rate: Work per second per core (capacity x frequency).
+        t0: Interval start time.
+        dt: Interval length.
+        cutoff: Abandon time per unit uid (:attr:`Lane.cutoff`).
+        start: Seconds of the interval every core has already lost; a
+            DVFS transition stall pre-consumes them (the cluster clock
+            is down).
+
+    Returns:
+        ``(cursors, completed_work, completions, misses)``: seconds of
+        the interval each core consumed, the work consumed, the jobs
+        completed, and the late completions plus abandoned jobs.
+    """
+    cursors = [start] * n_cores
+    completed_work = 0.0
+    completions = 0
+    misses = 0
+    if len(queue) > 1:
+        queue.sort(key=edf_key)
+    if rate > 0:
+        for job in queue:
+            rem = job.remaining
+            par = job.unit.min_parallelism
+            if par >= n_cores:
+                par = n_cores
+            if par == 1:
+                # The min-cursor core, earliest index on ties (a stable
+                # sort's first element).  ``share = w * (a / a)`` is
+                # exactly ``w``, so the single-core case skips the split.
+                i = 0
+                low = cursors[0]
+                for j in range(1, n_cores):
+                    if cursors[j] < low:
+                        i = j
+                        low = cursors[j]
+                a = (dt - low) * rate
+                if a <= 0:
+                    continue
+                w = rem if rem <= a else a
+                finish = low + w / rate
+                cursors[i] = finish
+            else:
+                order = sorted(range(n_cores), key=cursors.__getitem__)[:par]
+                avail = [(dt - cursors[i]) * rate for i in order]
+                total_avail = sum(avail)
+                if total_avail <= 0:
+                    continue
+                w = rem if rem <= total_avail else total_avail
+                finish = 0.0
+                for i, a in zip(order, avail):
+                    share = w * (a / total_avail)
+                    cursors[i] += share / rate
+                    if share > 0:
+                        finish = max(finish, cursors[i])
+            job.remaining = rem - w
+            completed_work += w
+            if job.remaining <= 0:
+                job.completed_at_s = t0 + finish
+                completions += 1
+                if job.completed_at_s > job.unit.deadline_s:
+                    misses += 1
+    t1 = t0 + dt
+    kept = [j for j in queue if j.remaining > 0 and t1 <= cutoff[j.unit.uid]]
+    # Every queued job had work left before the drain, so the jobs that
+    # neither completed nor were kept are the abandoned ones.
+    misses += len(queue) - completions - len(kept)
+    queue[:] = kept
+    return cursors, completed_work, completions, misses
+
+
+def queue_slack(queue: Sequence[Job], now_s: float) -> float:
+    """Normalised urgency of the pending queue, 1.0 (relaxed) to 0.0."""
+    slack = 1.0
+    for job in queue:
+        nominal = job.unit.slack_s
+        if nominal <= 0:
+            return 0.0
+        slack = min(slack, max(0.0, (job.unit.deadline_s - now_s) / nominal))
+    return slack
+
+
+def core_power(
+    cursors: np.ndarray,
+    freq: float | np.ndarray,
+    volt: float | np.ndarray,
+    ceff: float | np.ndarray,
+    leak_a: float | np.ndarray,
+    idle_activity: float | np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-core utilisation and power from drain cursors, elementwise.
+
+    The array form of :meth:`repro.power.model.PowerModel.cluster_power`'s
+    per-core terms (shallow idle, no temperature scaling) at one OPP per
+    row.  ``cursors`` is ``(rows, cores)``; the other operands broadcast
+    against it — scalars along the interval axis, ``(rows, 1)`` columns
+    along the lane axis.  Every product keeps the scalar expression's
+    left-associated order, so each element is bit-equal to it.
+
+    Returns:
+        ``(used_cycles, utilisation, dynamic_w, leakage_w)``, each shaped
+        like ``cursors``; sum the power terms with :func:`column_sum`.
+    """
+    available = freq * dt
+    used = np.minimum(cursors * freq, available)
+    util = used / available
+    # ``* 1.0`` is the shallow-idle scale, exact whatever the order.
+    activity = util + (1.0 - util) * idle_activity * 1.0
+    dynamic = activity * ceff * volt * volt * freq
+    leakage = leak_a * volt * volt * (util + (1.0 - util) * 1.0)
+    return used, util, dynamic, leakage
+
+
+def column_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums as sequential column adds — the serial ``+=`` order.
+
+    ``np.sum`` adds pairwise and rounds differently.
+    """
+    total = np.zeros(terms.shape[0])
+    for c in range(terms.shape[1]):
+        total = total + terms[:, c]
+    return total

@@ -1,0 +1,200 @@
+"""The shared interval core: arrival, EDF drain, abandon, queue slack.
+
+Every engine calls :mod:`repro.sim.interval`, so its invariants are
+checked here on generated queues rather than through one engine.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SimulationError
+from repro.sim.interval import (
+    GRACE_FACTOR,
+    Lane,
+    column_sum,
+    drain,
+    edf_key,
+    n_intervals,
+    queue_slack,
+)
+from repro.sim.scheduler import PinnedScheduler, Scheduler
+from repro.soc.presets import tiny_test_chip
+from repro.workload.task import Job, WorkUnit
+from repro.workload.trace import Trace
+
+# The serial engine's per-core accounting tolerates this relative
+# overshoot of the interval (``Core.record_interval``).
+TOLERANCE = 1e-9
+
+
+@st.composite
+def drain_cases(draw):
+    n_cores = draw(st.integers(1, 4))
+    dt = draw(st.floats(1e-3, 0.1))
+    step = draw(st.integers(0, 1000))
+    t0 = step * dt
+    rate = draw(st.floats(1e3, 1e9))
+    start = min(draw(st.floats(0.0, 2 * dt)), dt)
+    jobs = []
+    for uid in range(draw(st.integers(0, 12))):
+        release = t0 - draw(st.floats(0.0, 5 * dt))
+        release = max(release, 0.0)
+        deadline = release + draw(st.floats(1e-4, 5 * dt))
+        work = draw(st.floats(1.0, 3 * rate * dt))
+        unit = WorkUnit(
+            uid=uid, release_s=release, work=work, deadline_s=deadline,
+            min_parallelism=draw(st.integers(1, n_cores + 1)),
+        )
+        remaining = work * draw(st.floats(0.01, 1.0))
+        jobs.append(Job(unit, remaining=remaining))
+    return n_cores, dt, t0, rate, start, jobs
+
+
+def _cutoff(jobs):
+    return {
+        j.unit.uid: j.unit.deadline_s + GRACE_FACTOR * j.unit.slack_s
+        for j in jobs
+    }
+
+
+class TestDrainInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(drain_cases())
+    def test_invariants(self, case):
+        n_cores, dt, t0, rate, start, jobs = case
+        before = {id(j): j.remaining for j in jobs}
+        cutoff = _cutoff(jobs)
+        queue = list(jobs)
+        cursors, completed_work, completions, misses = drain(
+            queue, n_cores, rate, t0, dt, cutoff, start=start
+        )
+        t1 = t0 + dt
+
+        # Consumed work is the drop in remaining work.
+        dropped = sum(before[id(j)] - j.remaining for j in jobs)
+        assert math.isclose(
+            completed_work, dropped,
+            rel_tol=1e-9, abs_tol=1e-12 * sum(before.values()),
+        )
+        assert all(j.remaining <= before[id(j)] for j in jobs)
+
+        # No core loses time it never had or runs past the interval.
+        assert len(cursors) == n_cores
+        for c in cursors:
+            assert start <= c <= dt * (1 + TOLERANCE)
+
+        # Completions land inside the interval; the counts match them.
+        finished = [j for j in jobs if j.remaining <= 0]
+        for j in finished:
+            assert t0 <= j.completed_at_s <= t0 + dt * (1 + TOLERANCE)
+        for j in jobs:
+            if j.remaining > 0:
+                assert j.completed_at_s is None
+        assert completions == len(finished)
+        late = sum(1 for j in finished if j.completed_at_s > j.unit.deadline_s)
+        pending = [j for j in jobs if j.remaining > 0]
+        abandoned = [j for j in pending if t1 > cutoff[j.unit.uid]]
+        assert misses == late + len(abandoned)
+
+        # The queue keeps exactly the live jobs, in EDF order.
+        assert queue == sorted(
+            (j for j in pending if t1 <= cutoff[j.unit.uid]), key=edf_key
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(drain_cases())
+    def test_full_stall_serves_nothing(self, case):
+        n_cores, dt, t0, rate, _, jobs = case
+        queue = list(jobs)
+        before = [j.remaining for j in jobs]
+        cursors, completed_work, completions, _ = drain(
+            queue, n_cores, rate, t0, dt, _cutoff(jobs), start=dt
+        )
+        assert cursors == [dt] * n_cores
+        assert completed_work == 0.0 and completions == 0
+        assert [j.remaining for j in jobs] == before
+
+    def test_single_core_share_is_exact(self):
+        # One job on one core: the split ``w * (a / a)`` is exactly w.
+        unit = WorkUnit(uid=0, release_s=0.0, work=3.0, deadline_s=1.0)
+        job = Job(unit)
+        queue = [job]
+        cursors, done, completions, misses = drain(
+            queue, 1, 100.0, 0.0, 0.1, {0: 3.0}
+        )
+        assert done == 3.0 and completions == 1 and misses == 0
+        assert cursors == [3.0 / 100.0]
+        assert job.completed_at_s == 0.0 + 3.0 / 100.0
+        assert queue == []
+
+    def test_zero_rate_only_abandons(self):
+        unit = WorkUnit(uid=0, release_s=0.0, work=3.0, deadline_s=0.01)
+        queue = [Job(unit)]
+        cursors, done, completions, misses = drain(
+            queue, 2, 0.0, 0.0, 0.1, {0: 0.03}
+        )
+        assert cursors == [0.0, 0.0]
+        assert (done, completions, misses) == (0.0, 0, 1)
+        assert queue == []
+
+
+class TestLane:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        releases=st.lists(st.floats(0.0, 1.0), max_size=30),
+        dt=st.floats(1e-3, 0.2),
+    )
+    def test_arrivals_match_the_strict_scan(self, releases, dt):
+        units = [
+            WorkUnit(uid=i, release_s=r, work=1.0, deadline_s=r + 0.5)
+            for i, r in enumerate(releases)
+        ]
+        trace = Trace(units, duration_s=1.0)
+        n_steps = n_intervals(trace.duration_s, dt)
+        lane = Lane(trace, ["cpu"], dt, n_steps)
+        chip = tiny_test_chip()
+        scheduler = PinnedScheduler("cpu")
+        admitted = 0
+        for step in range(n_steps):
+            t0 = step * dt
+            lane.admit(step, t0, scheduler, chip)
+            expected = sum(1 for u in trace.units if u.release_s < t0 + dt)
+            assert lane.unit_idx == expected
+            assert len(lane.jobs) == expected
+            admitted = expected
+        all_jobs = lane.all_jobs()
+        assert len(all_jobs) == len(units)
+        assert all(j.completed_at_s is None for j in all_jobs[admitted:])
+
+    def test_unknown_cluster_is_an_error(self):
+        class Stray(Scheduler):
+            def assign(self, unit, chip, backlog_work, now_s):
+                return "gpu"
+
+        unit = WorkUnit(uid=0, release_s=0.0, work=1.0, deadline_s=0.5)
+        lane = Lane(Trace([unit]), ["cpu"], 0.01, 50)
+        with pytest.raises(SimulationError, match="unknown cluster"):
+            lane.admit(0, 0.0, Stray(), tiny_test_chip())
+
+
+class TestHelpers:
+    def test_queue_slack(self):
+        unit = WorkUnit(uid=0, release_s=0.0, work=1.0, deadline_s=1.0)
+        assert queue_slack([], 0.5) == 1.0
+        assert queue_slack([Job(unit)], 0.5) == 0.5
+        assert queue_slack([Job(unit)], 2.0) == 0.0
+
+    def test_n_intervals(self):
+        assert n_intervals(0.0, 0.01) == 1
+        assert n_intervals(1.0, 0.3) == 4
+
+    def test_column_sum_is_sequential(self):
+        terms = np.array([[1e16, 1.0, -1e16, 1.0]])
+        # ((1e16 + 1) - 1e16) + 1 == 1.0 in sequential order.
+        assert column_sum(terms).tolist() == [((1e16 + 1.0) - 1e16) + 1.0]
