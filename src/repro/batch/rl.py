@@ -16,10 +16,11 @@ epsilon trajectories, cumulative rewards, TD statistics, episode history
 records, and evaluation results all compare equal with ``==`` on every
 float.  Three mechanisms carry that guarantee:
 
-* **Population Q-table.**  Each cluster's N per-lane Q-tables become row
-  blocks of one ``(N * n_states, n_actions)`` table; each lane's agent
-  keeps a NumPy *view* of its block, so checkpointing, coverage, and
-  greedy snapshots read through unchanged.  Because blocks are disjoint,
+* **Population Q-table.**  The per-lane Q-tables of every cluster in a
+  group of same-shaped clusters become row blocks of one
+  ``(clusters * N * n_states, n_actions)`` table; each agent keeps a
+  NumPy *view* of its block, so checkpointing, coverage, and greedy
+  snapshots read through unchanged.  Because blocks are disjoint,
   :meth:`repro.rl.qtable.QTable.td_update_many` always takes its
   single-segment fast path, and the batched update is the serial
   per-lane update order verbatim.
@@ -96,6 +97,7 @@ from repro.sim.interval import (
 from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
+from repro.soc.cluster import Cluster
 from repro.workload.scenarios import Scenario
 from repro.workload.trace import Trace
 
@@ -169,6 +171,19 @@ def _lockstep_supported(
     return True
 
 
+def _cluster_shape(
+    cluster: Cluster, policy: RLPowerManagementPolicy
+) -> Hashable:
+    """The shape of one cluster's lock-step rows: core count, state
+    geometry, and action count."""
+    cfg = policy.config
+    return (
+        cluster.spec.n_cores,
+        cfg.util_bins, cfg.trend_bins, cfg.opp_bins, cfg.slack_bins,
+        cfg.n_actions,
+    )
+
+
 def _structure_key(
     chip: Chip, policies: dict[str, RLPowerManagementPolicy]
 ) -> Hashable:
@@ -177,20 +192,13 @@ def _structure_key(
     Per-lane *values* (seeds, learning rates, schedules, electrical
     parameters) may differ freely; the *shape* — cluster layout, OPP
     table sizes, state geometry, action count — must not, because lanes
-    share binner edges, LUT widths, and one population Q-table per
-    cluster.
+    share binner edges, OPP codes, and population Q-tables.
     """
-    key: list[Hashable] = []
-    for cluster in chip:
-        cfg = policies[cluster.spec.name].config
-        key.append((
-            cluster.spec.name,
-            cluster.spec.n_cores,
-            len(cluster.spec.opp_table),
-            cfg.util_bins, cfg.trend_bins, cfg.opp_bins, cfg.slack_bins,
-            cfg.n_actions,
-        ))
-    return tuple(key)
+    return tuple(
+        (cluster.spec.name, len(cluster.spec.opp_table),
+         _cluster_shape(cluster, policies[cluster.spec.name]))
+        for cluster in chip
+    )
 
 
 def _distinct_objects(
@@ -209,92 +217,120 @@ def _distinct_objects(
 
 
 class _ClusterVec:
-    """Vectorised state of one cluster across all N lanes.
+    """Vectorised state of same-shaped clusters across all N lanes.
 
-    Static per-lane parameters (OPP LUTs, electrical constants, bin
-    edges, action deltas) are packed once at construction; per-episode
+    Row ``c * N + k`` holds cluster ``names[c]`` of lane ``k``.  Clusters
+    share one vector when they agree on :func:`_cluster_shape`, so a
+    chip of identically-shaped clusters advances all of them in one
+    NumPy pass per step.  OPP tables may differ in size between
+    clusters, so the current OPP is carried as a *code*
+    ``row * width + index`` into flat tables whose rows are padded to
+    the widest table.
+
+    Static per-row parameters (OPP tables, electrical constants, bin
+    edges, OPP moves) are packed once at construction; per-episode
     state is rebuilt by :meth:`begin_episode` from the freshly reset
     policy objects and written back by :meth:`end_episode`.
     """
 
     def __init__(
         self,
-        name: str,
+        names: Sequence[str],
         chips: Sequence[Chip],
         policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
+        idle_activity: np.ndarray,
     ) -> None:
-        n = len(chips)
-        self.name = name
-        self.clusters = [chip.cluster(name) for chip in chips]
+        self.names = list(names)
+        self.n_lanes = len(chips)
+        self.clusters = [
+            chip.cluster(name) for name in self.names for chip in chips
+        ]
+        self.policies = [
+            lane[name] for name in self.names for lane in policies_by_lane
+        ]
+        n = len(self.clusters)
         specs = [c.spec for c in self.clusters]
+        tables = [s.opp_table for s in specs]
         self.n_cores = specs[0].n_cores
-        self.n_opps = len(specs[0].opp_table)
-        self.max_index = specs[0].opp_table.max_index
-        policies = [lane[name] for lane in policies_by_lane]
-        cfg0 = policies[0].config
+        width = max(len(table) for table in tables)
+        self.row_base = np.arange(n, dtype=np.intp) * width
+        cfg0 = self.policies[0].config
+        feats = [p.featurizer for p in self.policies]
 
-        self.freq_lut = np.array(
-            [[opp.freq_hz for opp in s.opp_table] for s in specs]
-        )
-        self.volt_lut = np.array(
-            [[opp.voltage_v for opp in s.opp_table] for s in specs]
-        )
-        self.max_freq = np.array([s.opp_table.max_freq_hz for s in specs])
+        def per_code(value, dtype: type = float) -> np.ndarray:
+            """``value(row, opp_index)`` for every code; padding codes
+            repeat their row's top OPP."""
+            return np.array(
+                [value(r, min(o, len(t) - 1))
+                 for r, t in enumerate(tables) for o in range(width)],
+                dtype=dtype,
+            )
+
+        self.freq_lut = per_code(lambda r, o: tables[r][o].freq_hz)
+        self.volt_lut = per_code(lambda r, o: tables[r][o].voltage_v)
+        self.max_freq = np.array([t.max_freq_hz for t in tables])
         self.capacity = np.array([s.core.capacity for s in specs])
-        # Per-lane constants of core_power, as (lane, 1) columns.
+        # Per-row constants of core_power, as (row, 1) columns.
         self.ceff = np.array([[s.core.ceff_f] for s in specs])
         self.leak_a = np.array([[s.core.leak_a_per_v] for s in specs])
+        self.idle_activity = np.tile(idle_activity, (len(self.names), 1))
 
-        self.util_bins = cfg0.util_bins
-        self.trend_bins = cfg0.trend_bins
-        self.opp_bins = cfg0.opp_bins
-        self.slack_bins = cfg0.slack_bins
         # Interior bin edges are shared: equal bin counts over the fixed
-        # feature ranges give identical uniform edges on every lane, and
-        # np.searchsorted(side="right") is bisect_right element for
-        # element.  A disabled feature (1 bin) has no binner: digit 0.
-        feats = [p.featurizer for p in policies]
-        self.util_edges = (
-            None if feats[0]._util_binner is None
-            else np.array(feats[0]._util_binner.edges)
-        )
-        self.trend_edges = (
-            None if feats[0]._trend_binner is None
-            else np.array(feats[0]._trend_binner.edges)
-        )
-        self.slack_edges = (
-            None if feats[0]._slack_binner is None
-            else np.array(feats[0]._slack_binner.edges)
+        # feature ranges give identical uniform edges on every row, and
+        # searchsorted(side="right") is bisect_right element for element.
+        # A disabled feature (1 bin) has no binner: digit 0.
+        self.util_edges, self.trend_edges, self.slack_edges = (
+            None if b is None else np.array(b.edges)
+            for b in (feats[0]._util_binner, feats[0]._trend_binner,
+                      feats[0]._slack_binner)
         )
         self.pred_alpha = np.array(
-            [p.config.predictor_alpha for p in policies]
+            [p.config.predictor_alpha for p in self.policies]
         )
         self.phase_thr = np.array(
-            [p.config.phase_change_threshold for p in policies]
+            [p.config.phase_change_threshold for p in self.policies]
         )
-        self.deltas = np.array(
-            [p.config.action_deltas for p in policies], dtype=np.intp
+        # The flat state is a mixed-radix number of the four digits.  The
+        # OPP digit's term is tabulated per code, and every OPP move per
+        # (code, action) through the table's own clamp.
+        self.trend_radix = cfg0.opp_bins * cfg0.slack_bins
+        self.util_radix = cfg0.trend_bins * self.trend_radix
+        self.opp_term = per_code(
+            lambda r, o: feats[r].opp_digit(o) * cfg0.slack_bins, np.intp
         )
+        self.n_actions = cfg0.n_actions
+        self.next_code = np.array(
+            [
+                [width * r + tables[r].clamp_index(o + d)
+                 for d in self.policies[r].config.action_deltas]
+                for r in range(n) for o in range(width)
+            ],
+            dtype=np.intp,
+        ).ravel()
 
-        self.agents: list[QLearningAgent] = [p.agent for p in policies]
+        self.agents: list[QLearningAgent] = [p.agent for p in self.policies]
         self.explorers = [a.explorer for a in self.agents]
         self.n_states = self.agents[0].n_states
         if any(a.n_states != self.n_states for a in self.agents):
             raise SimulationError(
-                f"lock-step lanes disagree on cluster {name!r} state count"
+                f"lock-step lanes disagree on the state count of {self.names}"
             )
         self.alpha = np.array([a.alpha for a in self.agents])
         self.gamma = np.array([a.gamma for a in self.agents])
         self.offsets = np.arange(n, dtype=np.intp) * self.n_states
-        self.lane_idx = np.arange(n, dtype=np.intp)
-        # Population table: lane k owns rows [k*S, (k+1)*S); each agent
+        # Population table: row r owns Q rows [r*S, (r+1)*S); each agent
         # keeps a view of its block, so snapshots, checkpoints, and
         # coverage introspection read through while updates run batched.
-        self.pop = QTable(n * self.n_states, self.agents[0].n_actions)
-        for k, agent in enumerate(self.agents):
-            block = slice(k * self.n_states, (k + 1) * self.n_states)
+        self.pop = QTable(n * self.n_states, self.n_actions)
+        for r, agent in enumerate(self.agents):
+            block = slice(r * self.n_states, (r + 1) * self.n_states)
             self.pop.values[block] = agent.table.values
             agent.table.values = self.pop.values[block]
+
+    def rows(self, name: str) -> slice:
+        """The rows of cluster ``name``, one per lane in lane order."""
+        c = self.names.index(name)
+        return slice(c * self.n_lanes, (c + 1) * self.n_lanes)
 
     def detach(self) -> None:
         """Give every agent back a standalone values array."""
@@ -302,13 +338,13 @@ class _ClusterVec:
             agent.table.values = agent.table.values.copy()
 
     def begin_episode(
-        self,
-        policies: Sequence[RLPowerManagementPolicy],
-        online: bool,
-        n_steps: int,
+        self, lanes: Sequence[Lane], online: bool, n_steps: int
     ) -> None:
         """Load per-episode vectors from the freshly reset policies."""
+        policies = self.policies
         n = len(policies)
+        self.queues = [lane.queues[name] for name in self.names for lane in lanes]
+        self.cutoffs = [lane.cutoff for _ in self.names for lane in lanes]
         self.energy_scale = np.array(
             [p.reward_config.energy_scale_j for p in policies]
         )
@@ -327,9 +363,9 @@ class _ClusterVec:
         self.prev_level = np.zeros(n)
         self.phase_changes = np.zeros(n, dtype=np.int64)
         # DVFS state: chip.reset() returned every cluster to OPP 0.
-        self.cur_opp = np.zeros(n, dtype=np.intp)
-        self.freq_now = self.freq_lut[:, 0].copy()
-        self.volt_now = self.volt_lut[:, 0].copy()
+        self.code = self.row_base.copy()
+        self.freq_now = self.freq_lut[self.code]
+        self.volt_now = self.volt_lut[self.code]
         # Learning state.
         self.cum = np.array([p.cumulative_reward for p in policies])
         self.prev_flat = np.zeros(n, dtype=np.intp)
@@ -349,17 +385,14 @@ class _ClusterVec:
         # Core accounting for the episode-end write-back.
         self.busy = np.zeros((n, self.n_cores))
         self.peak = np.zeros((n, self.n_cores))
+        self.used = np.zeros((n, self.n_cores))
         self.util_arr = np.zeros((n, self.n_cores))
-        self.idle_arr = np.ones((n, self.n_cores), dtype=bool)
-        self.cursor_buf = np.zeros((n, self.n_cores))
         if online:
-            # Pre-consume each lane's episode of draws in select() order.
+            # Pre-consume each row's episode of draws in select() order.
             explore = np.empty((n_steps, n), dtype=bool)
             rand = np.empty((n_steps, n), dtype=np.intp)
-            for k, explorer in enumerate(self.explorers):
-                exp_k, rand_k, _ = explorer.plan_draws(n_steps)
-                explore[:, k] = exp_k
-                rand[:, k] = rand_k
+            for r, explorer in enumerate(self.explorers):
+                explore[:, r], rand[:, r], _ = explorer.plan_draws(n_steps)
             self.explore = explore
             self.rand = rand
 
@@ -368,7 +401,7 @@ class _ClusterVec:
     def decide(self, step: int, online: bool, switches: np.ndarray) -> None:
         """Featurise, update the previous decision, select an action.
 
-        Reproduces :meth:`RLPowerManagementPolicy.decide` per lane from
+        Reproduces :meth:`RLPowerManagementPolicy.decide` per row from
         the previous interval's observation fields: the TD update lands
         *before* the greedy argmax (an update to the very row being
         argmaxed is visible, exactly as serially), and exploration
@@ -386,42 +419,25 @@ class _ClusterVec:
             self.level = np.where(
                 snap, load, self.level + self.pred_alpha * err
             )
-        trend = (
-            self.level - self.prev_level
-            if step >= 1
-            else np.zeros(load.shape)
-        )
-        if self.util_edges is None:
-            util_bin = np.zeros(load.shape, dtype=np.intp)
-        else:
-            util_bin = np.minimum(
-                np.searchsorted(self.util_edges, self.level, side="right"),
-                self.util_bins - 1,
+        # The digits, weighted by their radix.  ``searchsorted`` over the
+        # ``bins - 1`` interior edges never exceeds ``bins - 1``, so the
+        # serial ``min(..., bins - 1)`` clamp is already met.
+        flat = self.offsets + self.opp_term[self.code]
+        if self.util_edges is not None:
+            flat += self.util_edges.searchsorted(
+                self.level, side="right"
+            ) * self.util_radix
+        if self.trend_edges is not None:
+            trend = (
+                self.level - self.prev_level
+                if step >= 1
+                else np.zeros(load.shape)
             )
-        if self.trend_edges is None:
-            trend_bin = np.zeros(load.shape, dtype=np.intp)
-        else:
-            trend_bin = np.minimum(
-                np.searchsorted(self.trend_edges, trend, side="right"),
-                self.trend_bins - 1,
-            )
-        opp_bin = np.minimum(
-            self.cur_opp * self.opp_bins // max(1, self.n_opps),
-            self.opp_bins - 1,
-        )
-        if self.slack_edges is None:
-            slack_bin = np.zeros(load.shape, dtype=np.intp)
-        else:
-            slack_bin = np.minimum(
-                np.searchsorted(
-                    self.slack_edges, self.slack_prev, side="right"
-                ),
-                self.slack_bins - 1,
-            )
-        state = (
-            (util_bin * self.trend_bins + trend_bin) * self.opp_bins + opp_bin
-        ) * self.slack_bins + slack_bin
-        flat = self.offsets + state
+            flat += self.trend_edges.searchsorted(
+                trend, side="right"
+            ) * self.trend_radix
+        if self.slack_edges is not None:
+            flat += self.slack_edges.searchsorted(self.slack_prev, side="right")
 
         if online and step > 0:
             energy_term = self.energy_prev / self.energy_scale
@@ -435,15 +451,15 @@ class _ClusterVec:
             qos_term = self.miss_penalty * self.misses_prev + urgency
             reward = -energy_term - self.lambda_qos * qos_term
             self.cum = self.cum + reward
-            # Lane row blocks are disjoint by construction (distinct
-            # offsets), so the collision scan can be skipped outright.
+            # Row blocks are disjoint by construction (distinct offsets),
+            # so the collision scan can be skipped outright.
             td = self.pop.td_update_many(
                 self.prev_flat, self.prev_action, reward, flat,
                 self.alpha, self.gamma, assume_distinct=True,
             )
             # TDErrorStats.push, vectorised; the sign test (not abs())
             # keeps a -0.0 error's magnitude bit-identical, and the
-            # shared scalar count is exactly ``step`` on every lane.
+            # shared scalar count is exactly ``step`` on every row.
             mag = np.where(td >= 0.0, td, -td)
             self.abs_sum += mag
             self.total += td
@@ -453,7 +469,7 @@ class _ClusterVec:
             self.wmean = self.wmean + delta / step
             self.m2 = self.m2 + delta * (td - self.wmean)
 
-        greedy = np.argmax(self.pop.values[flat], axis=1)
+        greedy = self.pop.values[flat].argmax(axis=1)
         if online:
             action = np.where(self.explore[step], self.rand[step], greedy)
         else:
@@ -461,55 +477,51 @@ class _ClusterVec:
         self.prev_flat = flat
         self.prev_action = action
 
-        new_opp = np.clip(
-            self.cur_opp + self.deltas[self.lane_idx, action],
-            0, self.max_index,
-        )
-        switches += new_opp != self.cur_opp
-        self.cur_opp = new_opp
-        self.freq_now = self.freq_lut[self.lane_idx, new_opp]
-        self.volt_now = self.volt_lut[self.lane_idx, new_opp]
+        code = self.next_code[self.code * self.n_actions + action]
+        switches += (code != self.code).reshape(-1, self.n_lanes).sum(axis=0)
+        self.code = code
+        self.freq_now = self.freq_lut[code]
+        self.volt_now = self.volt_lut[code]
 
-    def drain(self, lanes: Sequence[Lane], t0: float, dt: float) -> None:
-        """EDF-drain every lane's queue; keep the obs the policy reads.
+    def drain(self, t0: float, dt: float) -> None:
+        """EDF-drain every row's queue; keep the obs the policy reads.
 
-        The policy consumes next interval each lane's late completions
+        The policy consumes next interval each row's late completions
         plus abandoned jobs, and the post-abandon queue slack.
         """
-        self.cursor_buf.fill(0.0)
         t1 = t0 + dt
+        n = len(self.queues)
+        cursors = np.zeros((n, self.n_cores))
+        misses = [0] * n
+        slack = [1.0] * n
         rates = (self.capacity * self.freq_now).tolist()
-        for k, (lane, rate) in enumerate(zip(lanes, rates)):
-            queue = lane.queues[self.name]
-            if not queue:
-                self.misses_prev[k] = 0
-                self.slack_prev[k] = 1.0
-                continue
-            cursors, _, _, misses = drain(
-                queue, self.n_cores, rate, t0, dt, lane.cutoff
+        queues = self.queues
+        for r in [r for r, queue in enumerate(queues) if queue]:
+            queue = queues[r]
+            cursors[r], _, _, misses[r] = drain(
+                queue, self.n_cores, rates[r], t0, dt, self.cutoffs[r]
             )
-            self.misses_prev[k] = misses
-            self.slack_prev[k] = queue_slack(queue, t1)
-            self.cursor_buf[k] = cursors
+            slack[r] = queue_slack(queue, t1)
+        self.cursors = cursors
+        self.misses_prev = np.array(misses, dtype=np.int64)
+        self.slack_prev = np.array(slack)
 
-    def power(
-        self, dt: float, idle_activity: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One interval's cluster power plus the obs fields it feeds.
+    def power(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """One interval's per-row cluster power plus the obs it feeds.
 
-        :func:`repro.sim.interval.core_power` along the lane axis: one
-        (lane, core) matrix at the current per-lane OPPs, summed across
+        :func:`repro.sim.interval.core_power` along the row axis: one
+        (row, core) matrix at the current per-row OPPs, summed across
         cores in the serial left-associated ``+=`` order.
         """
         used, util, dyn, leak = core_power(
-            self.cursor_buf, self.freq_now[:, None], self.volt_now[:, None],
-            self.ceff, self.leak_a, idle_activity, dt,
+            self.cursors, self.freq_now[:, None], self.volt_now[:, None],
+            self.ceff, self.leak_a, self.idle_activity, dt,
         )
         dyn_c = column_sum(dyn)
         leak_c = column_sum(leak)
         self.busy += used
-        self.idle_arr = used == 0
-        self.peak = np.maximum(self.peak, util)
+        np.maximum(self.peak, util, out=self.peak)
+        self.used = used
         self.util_arr = util
         self.util_max = util.max(axis=1)
         # Serially ``p.total_w * dt + 0.0`` with cluster uncore 0 — the
@@ -517,41 +529,37 @@ class _ClusterVec:
         self.energy_prev = (dyn_c + leak_c) * dt
         return dyn_c, leak_c
 
-    def end_episode(
-        self,
-        policies: Sequence[RLPowerManagementPolicy],
-        online: bool,
-        n_steps: int,
-    ) -> None:
-        """Materialise per-lane end-of-episode state on the real objects."""
-        for k, p in enumerate(policies):
-            p.cumulative_reward = float(self.cum[k])
-            p._prev_state = int(self.prev_flat[k] - self.offsets[k])
-            p._prev_action = int(self.prev_action[k])
+    def end_episode(self, online: bool, n_steps: int) -> None:
+        """Materialise per-row end-of-episode state on the real objects."""
+        opp = (self.code - self.row_base).tolist()
+        for r, p in enumerate(self.policies):
+            p.cumulative_reward = float(self.cum[r])
+            p._prev_state = int(self.prev_flat[r] - self.offsets[r])
+            p._prev_action = int(self.prev_action[r])
             pred = p.featurizer.predictor
-            pred._level = float(self.level[k])
+            pred._level = float(self.level[r])
             pred._prev_level = (
-                float(self.prev_level[k]) if n_steps > 1 else None
+                float(self.prev_level[r]) if n_steps > 1 else None
             )
-            pred.phase_changes = int(self.phase_changes[k])
+            pred.phase_changes = int(self.phase_changes[r])
             if online and n_steps > 1:
-                agent = self.agents[k]
+                agent = self.agents[r]
                 stats = agent.td_stats
                 stats.count = n_steps - 1
-                stats.abs_sum = float(self.abs_sum[k])
-                stats.total = float(self.total[k])
-                stats.max_abs = float(self.max_abs[k])
-                stats.last = float(self.last[k])
-                stats.welford_mean = float(self.wmean[k])
-                stats.m2 = float(self.m2[k])
+                stats.abs_sum = float(self.abs_sum[r])
+                stats.total = float(self.total[r])
+                stats.max_abs = float(self.max_abs[r])
+                stats.last = float(self.last[r])
+                stats.welford_mean = float(self.wmean[r])
+                stats.m2 = float(self.m2[r])
                 agent.updates += n_steps - 1
-            cluster = self.clusters[k]
-            cluster.set_opp_index(int(self.cur_opp[k]))
+            cluster = self.clusters[r]
+            cluster.set_opp_index(opp[r])
             for c, core in enumerate(cluster.cores):
-                core.utilization = float(self.util_arr[k, c])
-                core.busy_cycles = float(self.busy[k, c])
-                core.idle = bool(self.idle_arr[k, c])
-                core._peak_utilization = float(self.peak[k, c])
+                core.utilization = float(self.util_arr[r, c])
+                core.busy_cycles = float(self.busy[r, c])
+                core.idle = bool(self.used[r, c] == 0)
+                core._peak_utilization = float(self.peak[r, c])
 
 
 class _LockstepRunner:
@@ -576,7 +584,8 @@ class _LockstepRunner:
         self.chips = list(chips)
         self.policies_by_lane = list(policies_by_lane)
         self.dt = interval_s
-        self.scheduler = HMPScheduler()
+        # One scheduler per lane: each ranks its own chip once.
+        self.schedulers = [HMPScheduler() for _ in chips]
         self.cluster_names = names
         # Pre-bind exactly what the first reset() would build, so the
         # population tables exist before the first episode.  The objects
@@ -590,15 +599,30 @@ class _LockstepRunner:
                         p.config, len(cluster.spec.opp_table)
                     )
                     p.agent = p._make_agent(p.featurizer.n_states)
-        self.vecs = [
-            _ClusterVec(name, self.chips, self.policies_by_lane)
-            for name in names
-        ]
         models = [pm or PowerModel() for pm in power_models]
         self.uncore_w = np.array([m.uncore_w for m in models])
-        self.idle_activity = np.array(
-            [[m.dynamic.idle_activity] for m in models]
-        )
+        idle_activity = np.array([[m.dynamic.idle_activity] for m in models])
+        # Same-shaped clusters share one vector (lanes all have lane 0's
+        # structure, checked above).
+        shapes: dict[Hashable, list[str]] = {}
+        lane0 = self.policies_by_lane[0]
+        for cluster in self.chips[0]:
+            name = cluster.spec.name
+            shapes.setdefault(
+                _cluster_shape(cluster, lane0[name]), []
+            ).append(name)
+        self.vecs = [
+            _ClusterVec(group, self.chips, self.policies_by_lane,
+                        idle_activity)
+            for group in shapes.values()
+        ]
+        # (vector, rows) per cluster in chip order, for the chip sums.
+        self.cluster_rows = [
+            (v, vec.rows(name))
+            for name in names
+            for v, vec in enumerate(self.vecs)
+            if name in vec.names
+        ]
 
     def detach(self) -> None:
         for vec in self.vecs:
@@ -623,15 +647,17 @@ class _LockstepRunner:
             chip.reset()
             for cluster in chip:
                 policies[cluster.spec.name].reset(cluster)
-        for vec in self.vecs:
-            vec.begin_episode(
-                [lane[vec.name] for lane in self.policies_by_lane],
-                online, n_steps,
-            )
-
         lanes = [
             Lane(tr, self.cluster_names, dt, n_steps) for tr in traces
         ]
+        for vec in self.vecs:
+            vec.begin_episode(lanes, online, n_steps)
+        # Per step, the lanes whose admit() releases work.
+        admitting: list[list[int]] = [[] for _ in range(n_steps)]
+        for k, lane in enumerate(lanes):
+            for step in lane.release_steps():
+                admitting[step].append(k)
+
         dyn_j = np.zeros(self.n)
         leak_j = np.zeros(self.n)
         uncore_j = np.zeros(self.n)
@@ -639,23 +665,24 @@ class _LockstepRunner:
 
         for step in range(n_steps):
             t0 = step * dt
-            # 1. Decisions per cluster in chip order (decide + update).
+            # 1. Decisions for every cluster (decide + update).
             for vec in self.vecs:
                 vec.decide(step, online, switches)
             # 3-5. Per lane: release arrivals and place them, then drain
             # and abandon per cluster.
-            for chip, lane in zip(self.chips, lanes):
-                lane.admit(step, t0, self.scheduler, chip)
+            for k in admitting[step]:
+                lanes[k].admit(step, t0, self.schedulers[k], self.chips[k])
             for vec in self.vecs:
-                vec.drain(lanes, t0, dt)
+                vec.drain(t0, dt)
             # 6. Power and energy, all lanes at once: clusters accumulate
             # in chip order, intervals integrate sequentially.
+            powers = [vec.power(dt) for vec in self.vecs]
             chip_dyn = np.zeros(self.n)
             chip_leak = np.zeros(self.n)
-            for vec in self.vecs:
-                dyn_c, leak_c = vec.power(dt, self.idle_activity)
-                chip_dyn = chip_dyn + dyn_c
-                chip_leak = chip_leak + leak_c
+            for v, rows in self.cluster_rows:
+                dyn_c, leak_c = powers[v]
+                chip_dyn = chip_dyn + dyn_c[rows]
+                chip_leak = chip_leak + leak_c[rows]
             dyn_j += chip_dyn * dt
             leak_j += chip_leak * dt
             uncore_j += self.uncore_w * dt
@@ -663,10 +690,7 @@ class _LockstepRunner:
             # stored by drain() and power() above.
 
         for vec in self.vecs:
-            vec.end_episode(
-                [lane[vec.name] for lane in self.policies_by_lane],
-                online, n_steps,
-            )
+            vec.end_episode(online, n_steps)
 
         results: list[SimulationResult] = []
         for k, (lane, policies, trace) in enumerate(

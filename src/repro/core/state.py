@@ -74,14 +74,18 @@ class StateFeaturizer:
         trend_bin = 0 if self._trend_binner is None else min(
             self._trend_binner.bin(self.predictor.trend), self.config.trend_bins - 1
         )
-        opp_bin = min(
-            obs.opp_index * self.config.opp_bins // max(1, self.n_opps),
-            self.config.opp_bins - 1,
-        )
+        opp_bin = self.opp_digit(obs.opp_index)
         slack_bin = 0 if self._slack_binner is None else min(
             self._slack_binner.bin(obs.qos_slack), self.config.slack_bins - 1
         )
         return util_bin, trend_bin, opp_bin, slack_bin
+
+    def opp_digit(self, opp_index: int) -> int:
+        """The OPP digit: the index quantised into ``opp_bins`` bins."""
+        return min(
+            opp_index * self.config.opp_bins // max(1, self.n_opps),
+            self.config.opp_bins - 1,
+        )
 
     def encode(self, obs: ClusterObservation) -> int:
         """Flat state index for an observation (advances the predictor)."""

@@ -10,6 +10,7 @@ small fraction of full activity (clock tree and always-on logic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -58,11 +59,39 @@ class DynamicPowerModel:
             ConfigurationError: If utilisation or idle_scale is outside
                 [0, 1] or any electrical parameter is negative.
         """
-        if not 0.0 <= utilization <= 1.0:
-            raise ConfigurationError(f"utilization must be in [0, 1]: {utilization}")
-        if not 0.0 <= idle_scale <= 1.0:
-            raise ConfigurationError(f"idle_scale must be in [0, 1]: {idle_scale}")
+        return self.cores_power_w(
+            ceff_f, voltage_v, freq_hz, (utilization,), (idle_scale,)
+        )
+
+    def cores_power_w(
+        self,
+        ceff_f: float,
+        voltage_v: float,
+        freq_hz: float,
+        utilizations: Iterable[float],
+        idle_scales: Iterable[float],
+    ) -> float:
+        """Summed dynamic power of identical cores sharing one OPP.
+
+        :meth:`core_power_w` per core, added in core order; the two
+        iterables pair up per core.
+
+        Raises:
+            ConfigurationError: As :meth:`core_power_w`.
+        """
         if ceff_f < 0 or voltage_v < 0 or freq_hz < 0:
             raise ConfigurationError("electrical parameters must be non-negative")
-        activity = utilization + (1.0 - utilization) * self.idle_activity * idle_scale
-        return activity * ceff_f * voltage_v * voltage_v * freq_hz
+        idle_activity = self.idle_activity
+        total = 0.0
+        for utilization, idle_scale in zip(utilizations, idle_scales):
+            if not 0.0 <= utilization <= 1.0:
+                raise ConfigurationError(
+                    f"utilization must be in [0, 1]: {utilization}"
+                )
+            if not 0.0 <= idle_scale <= 1.0:
+                raise ConfigurationError(
+                    f"idle_scale must be in [0, 1]: {idle_scale}"
+                )
+            activity = utilization + (1.0 - utilization) * idle_activity * idle_scale
+            total += activity * ceff_f * voltage_v * voltage_v * freq_hz
+        return total

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import ConfigurationError
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 from repro.soc.chip import Chip
 from repro.soc.cluster import Cluster
+
+_utilization = attrgetter("utilization")
 
 
 @dataclass(frozen=True)
@@ -67,22 +70,40 @@ class PowerModel:
                 dynamic *and* leakage power.  ``None`` means shallow
                 clock-gating everywhere.
         """
-        v = cluster.voltage_v
-        f = cluster.freq_hz
-        if idle_scales is not None and len(idle_scales) != len(cluster.cores):
+        return PowerBreakdown(*self.cluster_power_w(cluster, temp_c, idle_scales))
+
+    def cluster_power_w(
+        self,
+        cluster: Cluster,
+        temp_c: float | None = None,
+        idle_scales: list[float] | None = None,
+    ) -> tuple[float, float]:
+        """:meth:`cluster_power` as plain ``(dynamic_w, leakage_w)`` floats.
+
+        The serial engine's per-interval form: it sums the chip in plain
+        floats rather than through :class:`PowerBreakdown` objects.
+        """
+        opp = cluster.current_opp
+        v = opp.voltage_v
+        cores = cluster.cores
+        if idle_scales is None:
+            idle_scales = [1.0] * len(cores)
+        elif len(idle_scales) != len(cores):
             raise ConfigurationError(
-                f"{len(idle_scales)} idle scales for {len(cluster.cores)} cores"
+                f"{len(idle_scales)} idle scales for {len(cores)} cores"
             )
-        dyn = 0.0
+        # Every core of a cluster is the cluster's core type at its OPP.
+        core = cluster.spec.core
+        utils = list(map(_utilization, cores))
+        dyn = self.dynamic.cores_power_w(
+            core.ceff_f, v, opp.freq_hz, utils, idle_scales
+        )
+        full_leak = self.leakage.core_power_w(core.leak_a_per_v, v, temp_c)
         leak = 0.0
-        for i, core in enumerate(cluster.cores):
-            scale = idle_scales[i] if idle_scales is not None else 1.0
-            util = core.utilization
-            dyn += self.dynamic.core_power_w(core.spec.ceff_f, v, f, util, scale)
-            full_leak = self.leakage.core_power_w(core.spec.leak_a_per_v, v, temp_c)
+        for util, scale in zip(utils, idle_scales):
             # Power collapse removes the rail for the idle fraction.
             leak += full_leak * (util + (1.0 - util) * scale)
-        return PowerBreakdown(dynamic_w=dyn, leakage_w=leak)
+        return dyn, leak
 
     def chip_power(self, chip: Chip, temp_c: float | None = None) -> PowerBreakdown:
         """Average power of the whole chip over the last simulated interval."""

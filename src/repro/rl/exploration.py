@@ -61,9 +61,9 @@ class EpsilonSchedule:
         index = np.asarray(steps)
         if index.size and int(index.min()) < 0:
             raise PolicyError(f"steps must be non-negative: {index.min()}")
+        floor, start, decay = self.floor, self.start, self.decay
         return np.array(
-            [max(self.floor, self.start * self.decay ** int(s))
-             for s in index.ravel()]
+            [max(floor, start * decay ** int(s)) for s in index.ravel().tolist()]
         ).reshape(index.shape)
 
 
@@ -108,7 +108,7 @@ class EpsilonGreedy:
         self._step += 1
         if self._rng.random() < eps:
             return int(self._rng.integers(self.n_actions))
-        return int(np.argmax(q_row))
+        return int(np.asarray(q_row).argmax())
 
     def plan_draws(
         self, n_steps: int
@@ -137,12 +137,19 @@ class EpsilonGreedy:
         epsilons = self.schedule.values(
             np.arange(self._step, self._step + n_steps)
         )
+        uniform = self._rng.random
+        integers = self._rng.integers
+        n_actions = self.n_actions
+        steps: list[int] = []
+        actions: list[int] = []
+        for t, eps in enumerate(epsilons.tolist()):
+            if uniform() < eps:
+                steps.append(t)
+                actions.append(integers(n_actions))
         explore = np.zeros(n_steps, dtype=bool)
+        explore[steps] = True
         random_actions = np.zeros(n_steps, dtype=np.intp)
-        for t in range(n_steps):
-            if self._rng.random() < epsilons[t]:
-                explore[t] = True
-                random_actions[t] = int(self._rng.integers(self.n_actions))
+        random_actions[steps] = actions
         self._step += n_steps
         return explore, random_actions, epsilons
 

@@ -9,6 +9,13 @@ import numpy as np
 from repro.errors import PolicyError
 
 
+def _per_update(value: "float | np.ndarray", n: int) -> np.ndarray:
+    """``value`` as a length-``n`` float array (scalars broadcast)."""
+    if isinstance(value, np.ndarray) and value.shape == (n,) and value.dtype == float:
+        return value
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,))
+
+
 class QTable:
     """A dense (n_states x n_actions) table of action values.
 
@@ -86,7 +93,7 @@ class QTable:
     def argmax(self, state: int) -> int:
         """Greedy action for ``state`` (lowest index wins ties)."""
         self._check(state)
-        return int(np.argmax(self.values[state]))
+        return int(self.values[state].argmax())
 
     def argmax_many(self, states: "np.ndarray | list[int]") -> np.ndarray:
         """Greedy actions for a batch of states (lowest index wins ties,
@@ -148,8 +155,8 @@ class QTable:
                 f"{s.shape}/{a.shape}/{r.shape}/{ns.shape}"
             )
         n = s.size
-        al = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-        ga = np.broadcast_to(np.asarray(gamma, dtype=float), (n,))
+        al = _per_update(alpha, n)
+        ga = _per_update(gamma, n)
         if n == 0:
             return np.empty(0)
         if (

@@ -168,38 +168,55 @@ class Simulator:
         chip = self.chip
         dt = self.interval_s
         chip.reset()
-        if self.thermal is not None:
-            self.thermal.reset()
-        if self.throttle is not None:
-            self.throttle.reset()
-        if self.idle_governor is not None:
-            self.idle_governor.reset()
-        if self.memory is not None:
-            self.memory.reset()
+        thermal = self.thermal
+        throttle = self.throttle
+        idle_governor = self.idle_governor
+        transition = self.transition
+        memory = self.memory
+        if thermal is not None:
+            thermal.reset()
+        if throttle is not None:
+            throttle.reset()
+        if idle_governor is not None:
+            idle_governor.reset()
+        if memory is not None:
+            memory.reset()
         for cluster in chip:
             self.governors[cluster.spec.name].reset(cluster)
 
-        obs: dict[str, ClusterObservation] = {
-            c.spec.name: initial_observation(
-                c.spec.name,
-                c.opp_index,
-                len(c.spec.opp_table),
-                c.freq_hz,
-                c.spec.opp_table.max_freq_hz,
-                dt,
+        # Per-cluster state lives in lists in chip order.
+        clusters = list(chip)
+        names = [c.spec.name for c in clusters]
+        governors = [self.governors[name] for name in names]
+        tables = [c.spec.opp_table for c in clusters]
+        n_opps = [len(table) for table in tables]
+        max_freqs = [table.max_freq_hz for table in tables]
+        capacities = [c.spec.core.capacity for c in clusters]
+        core_ids = [
+            [f"{name}/{i}" for i in range(c.n_cores)]
+            for name, c in zip(names, clusters)
+        ]
+        indices = range(len(clusters))
+        obs = [
+            initial_observation(
+                name, c.opp_index, n, c.freq_hz, max_freq, dt
             )
-            for c in chip
-        }
+            for name, c, n, max_freq in zip(names, clusters, n_opps, max_freqs)
+        ]
         meter = EnergyMeter()
         samples: list[IntervalSample] = []
         obs_log: dict[str, list[ClusterObservation]] = {
-            name: [] for name in chip.cluster_names
+            name: [] for name in names
         }
+        record_observations = self.record_observations
+        cluster_power_w = self.power_model.cluster_power_w
+        uncore_w = self.power_model.uncore_w
         opp_switches = 0
         n_steps = n_intervals(self.trace.duration_s, dt)
-        lane = Lane(self.trace, chip.cluster_names, dt, n_steps,
+        lane = Lane(self.trace, names, dt, n_steps,
                     grace_factor=self.grace_factor)
-        queues = lane.queues
+        queues = [lane.queues[name] for name in names]
+        cutoff = lane.cutoff
 
         # Observability probes: `tracer` is None unless a session is
         # active, so the disabled path costs one local truthiness check
@@ -231,45 +248,45 @@ class Simulator:
                 phase_span = tracer.begin("engine.phase.governor", cat="engine")
 
             # 1. Governor decisions from last interval's observation.
-            stall_s: dict[str, float] = {name: 0.0 for name in queues}
-            transition_energy: dict[str, float] = {name: 0.0 for name in queues}
-            for cluster in chip:
-                name = cluster.spec.name
+            stall_s = [0.0] * len(clusters)
+            transition_energy = [0.0] * len(clusters)
+            for i in indices:
+                cluster = clusters[i]
+                governor = governors[i]
                 if decision_hist is not None:
                     decide_t0 = time.perf_counter()
-                decision = self.governors[name].decide_traced(obs[name], tracer)
+                decision = governor.decide_traced(obs[i], tracer)
                 if decision_hist is not None:
                     decision_hist.observe(time.perf_counter() - decide_t0)
                 try:
                     decision = int(decision)
                 except (TypeError, ValueError):
                     raise GovernorError(
-                        f"governor {self.governors[name].name!r} returned "
+                        f"governor {governor.name!r} returned "
                         f"non-integer decision {decision!r}"
                     ) from None
-                decision = cluster.spec.opp_table.clamp_index(decision)
+                decision = tables[i].clamp_index(decision)
                 if decision != cluster.opp_index:
                     opp_switches += 1
-                    if self.transition is not None:
-                        stall_s[name] = self.transition.latency_s
-                        transition_energy[name] = self.transition.energy_j(
-                            cluster.voltage_v,
-                            cluster.spec.opp_table[decision].voltage_v,
+                    if transition is not None:
+                        stall_s[i] = transition.latency_s
+                        transition_energy[i] = transition.energy_j(
+                            cluster.voltage_v, tables[i][decision].voltage_v,
                         )
                     cluster.set_opp_index(decision)
 
             # 2. Thermal throttling caps the governor's choice.
-            if self.throttle is not None and self.thermal is not None:
-                for cluster in chip:
+            if throttle is not None and thermal is not None:
+                for i in indices:
+                    cluster = clusters[i]
                     before = cluster.opp_index
-                    self.throttle.apply(cluster, self.thermal)
+                    throttle.apply(cluster, thermal)
                     if cluster.opp_index != before:
                         opp_switches += 1
-                        if self.transition is not None:
-                            name = cluster.spec.name
-                            stall_s[name] = self.transition.latency_s
-                            transition_energy[name] += self.transition.energy_j(
-                                cluster.spec.opp_table[before].voltage_v,
+                        if transition is not None:
+                            stall_s[i] = transition.latency_s
+                            transition_energy[i] += transition.energy_j(
+                                tables[i][before].voltage_v,
                                 cluster.voltage_v,
                             )
             if tracer:
@@ -284,72 +301,78 @@ class Simulator:
 
             # 4+5. Drain run queues (a transitioning cluster stalls
             # first) and abandon hopelessly late jobs (dropped frames).
-            drained: dict[str, tuple[float, int, int]] = {}
-            for cluster in chip:
-                name = cluster.spec.name
-                freq = cluster.freq_hz
+            drained: list[tuple[float, int, int]] = []
+            for i in indices:
+                cluster = clusters[i]
                 cursors, completed, completions, misses = drain(
-                    queues[name], cluster.n_cores,
-                    cluster.spec.core.capacity * freq, t0, dt, lane.cutoff,
-                    start=min(stall_s[name], dt),
+                    queues[i], cluster.n_cores,
+                    capacities[i] * cluster.freq_hz, t0, dt, cutoff,
+                    start=min(stall_s[i], dt),
                 )
-                drained[name] = (completed, completions, misses)
-                for core, cursor in zip(cluster.cores, cursors):
-                    core.record_interval(cursor * freq, freq, dt)
+                drained.append((completed, completions, misses))
+                cluster.record_interval(cursors, dt)
             if tracer:
                 tracer.end(phase_span)
                 phase_span = tracer.begin("engine.phase.power_thermal",
                                           cat="engine")
 
             # 6. Power, energy, thermals (C-state selection feeds the
-            # per-core idle-power discount).
-            temps = {
-                c.spec.name: self.thermal.temperature_c(c.spec.name)
-                for c in chip
-            } if self.thermal is not None else {}
-            cluster_energy: dict[str, float] = {}
-            cluster_power_total: dict[str, float] = {}
-            chip_power = PowerBreakdown(0.0, 0.0, uncore_w=self.power_model.uncore_w)
-            for cluster in chip:
-                name = cluster.spec.name
+            # per-core idle-power discount).  The chip sum adds clusters
+            # in chip order onto the uncore floor.
+            temps = (
+                [thermal.temperature_c(name) for name in names]
+                if thermal is not None else None
+            )
+            cluster_energy: list[float] = []
+            dynamic_w = 0.0
+            leakage_w = 0.0
+            for i in indices:
+                cluster = clusters[i]
                 scales = None
-                if self.idle_governor is not None:
+                if idle_governor is not None:
                     scales = []
-                    for i, core in enumerate(cluster.cores):
+                    for core, core_id in zip(cluster.cores, core_ids[i]):
                         idle_s = (1.0 - core.utilization) * dt
-                        self.idle_governor.observe(f"{name}/{i}", idle_s, dt)
-                        scales.append(self.idle_governor.power_fraction(f"{name}/{i}"))
-                p = self.power_model.cluster_power(cluster, temps.get(name), scales)
-                chip_power = chip_power + p
-                cluster_energy[name] = p.total_w * dt + transition_energy[name]
-                cluster_power_total[name] = cluster_energy[name] / dt
-            if self.transition is not None:
-                extra_w = sum(transition_energy.values()) / dt
-                chip_power = chip_power + PowerBreakdown(extra_w, 0.0)
-            if self.memory is not None:
-                total_completed = sum(d[0] for d in drained.values())
-                dram_w = self.memory.interval_power_w(total_completed, dt)
-                chip_power = chip_power + PowerBreakdown(0.0, 0.0, uncore_w=dram_w)
+                        idle_governor.observe(core_id, idle_s, dt)
+                        scales.append(idle_governor.power_fraction(core_id))
+                dyn, leak = cluster_power_w(
+                    cluster, temps[i] if temps is not None else None, scales
+                )
+                dynamic_w += dyn
+                leakage_w += leak
+                # The cluster's PowerBreakdown.total_w: no uncore term.
+                cluster_energy.append((dyn + leak) * dt + transition_energy[i])
+            if transition is not None:
+                dynamic_w += sum(transition_energy) / dt
+            chip_uncore_w = uncore_w
+            if memory is not None:
+                total_completed = sum(d[0] for d in drained)
+                chip_uncore_w += memory.interval_power_w(total_completed, dt)
+            chip_power = PowerBreakdown(dynamic_w, leakage_w, chip_uncore_w)
             meter.record(chip_power, dt)
-            if self.thermal is not None:
-                self.thermal.step(cluster_power_total, dt)
+            if thermal is not None:
+                thermal.step(
+                    {name: e / dt for name, e in zip(names, cluster_energy)},
+                    dt,
+                )
             if tracer:
                 tracer.end(phase_span)
                 phase_span = tracer.begin("engine.phase.observe", cat="engine")
 
             # 7. Publish observations.
-            for cluster in chip:
-                name = cluster.spec.name
-                completed_work, completions, misses = drained[name]
-                queue = queues[name]
-                obs[name] = ClusterObservation(
+            for i in indices:
+                cluster = clusters[i]
+                name = names[i]
+                completed_work, completions, misses = drained[i]
+                queue = queues[i]
+                obs[i] = ClusterObservation(
                     cluster=name,
                     time_s=t1,
                     interval_s=dt,
                     opp_index=cluster.opp_index,
-                    n_opps=len(cluster.spec.opp_table),
+                    n_opps=n_opps[i],
                     freq_hz=cluster.freq_hz,
-                    max_freq_hz=cluster.spec.opp_table.max_freq_hz,
+                    max_freq_hz=max_freqs[i],
                     utilization=cluster.utilization,
                     max_core_utilization=cluster.max_core_utilization,
                     queue_work=sum(j.remaining for j in queue),
@@ -359,20 +382,25 @@ class Simulator:
                     deadline_misses=misses,
                     completions=completions,
                     qos_slack=queue_slack(queue, t1),
-                    energy_j=cluster_energy[name],
-                    temp_c=temps.get(name),
+                    energy_j=cluster_energy[i],
+                    temp_c=temps[i] if temps is not None else None,
                 )
-                if self.record_observations:
-                    obs_log[name].append(obs[name])
+                if record_observations:
+                    obs_log[name].append(obs[i])
 
             if self.record_samples:
                 samples.append(
                     IntervalSample(
                         time_s=t1,
                         power_w=chip_power.total_w,
-                        opp_indices={c.spec.name: c.opp_index for c in chip},
-                        utilizations={c.spec.name: c.utilization for c in chip},
-                        queue_jobs=sum(len(q) for q in queues.values()),
+                        opp_indices={
+                            name: c.opp_index for name, c in zip(names, clusters)
+                        },
+                        utilizations={
+                            name: c.utilization
+                            for name, c in zip(names, clusters)
+                        },
+                        queue_jobs=sum(len(q) for q in queues),
                     )
                 )
             if tracer:

@@ -87,8 +87,10 @@ class Lane:
               chip: Chip) -> dict[str, float]:
         """Release interval ``step``'s arrivals and place them.
 
-        The scheduler sees each cluster's backlog recomputed per unit,
-        so a unit's placement accounts for the units placed before it.
+        The scheduler sees each cluster's current backlog, so a unit's
+        placement accounts for the units placed before it.  Each queue
+        is summed once per interval; after a placement only the queue
+        that grew is summed again, and only if another unit follows.
 
         Returns:
             The work placed per cluster; clusters that received none
@@ -100,11 +102,13 @@ class Lane:
         queues = self.queues
         arrived: dict[str, float] = {}
         until = self.arrive_until[step]
-        while self.unit_idx < until:
+        if self.unit_idx >= until:
+            return arrived
+        backlog = {
+            name: sum(j.remaining for j in q) for name, q in queues.items()
+        }
+        while True:
             unit = self.units[self.unit_idx]
-            backlog = {
-                name: sum(j.remaining for j in q) for name, q in queues.items()
-            }
             target = scheduler.assign(unit, chip, backlog, t0)
             if target not in queues:
                 raise SimulationError(
@@ -112,11 +116,22 @@ class Lane:
                     f"{target!r}"
                 )
             job = Job(unit)
-            queues[target].append(job)
+            queue = queues[target]
+            queue.append(job)
             self.jobs.append(job)
             arrived[target] = arrived.get(target, 0.0) + unit.work
             self.unit_idx += 1
-        return arrived
+            if self.unit_idx >= until:
+                return arrived
+            backlog[target] = sum(j.remaining for j in queue)
+
+    def release_steps(self) -> list[int]:
+        """The steps whose :meth:`admit` releases at least one unit; at
+        every other step it returns an empty mapping and changes
+        nothing."""
+        return np.flatnonzero(
+            np.diff(self.arrive_until, prepend=0)
+        ).tolist()
 
     def all_jobs(self) -> list[Job]:
         """Every job, plus the units the horizon never released.

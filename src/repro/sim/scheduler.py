@@ -11,7 +11,8 @@ deadline, per-cluster peak capacity, and the current backlog.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.errors import ConfigurationError
 from repro.soc.chip import Chip
@@ -47,46 +48,55 @@ class HMPScheduler(Scheduler):
     in front of it, with a safety margin.  If no cluster qualifies, the
     highest-capacity cluster takes it.
 
+    The ranking depends only on the chip's static cluster specs, so it
+    is computed once per chip and kept for the last chip seen; handing
+    the scheduler a different chip object ranks that chip afresh.
+
     Attributes:
         margin: Capacity safety factor; 0.8 means plan to use at most
             80 % of a cluster's peak rate (headroom for jitter).
     """
 
     margin: float = 0.8
+    _chip: Chip | None = field(default=None, init=False, repr=False, compare=False)
+    _ranked: list[tuple[str, float, int]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0 < self.margin <= 1:
             raise ConfigurationError(f"margin must be in (0, 1]: {self.margin}")
 
+    def _ranking(self, chip: Chip) -> list[tuple[str, float, int]]:
+        """``(name, single-core peak rate, cores)`` per cluster, ordered
+        by single-thread peak capacity, smallest first."""
+        if chip is not self._chip:
+            peaks = [
+                (c.spec.name, c.spec.core.capacity * c.spec.opp_table.max_freq_hz,
+                 c.n_cores)
+                for c in chip.clusters
+            ]
+            self._ranked = sorted(peaks, key=itemgetter(1))
+            self._chip = chip
+        return self._ranked
+
     def assign(
         self, unit: WorkUnit, chip: Chip, backlog_work: dict[str, float], now_s: float
     ) -> str:
         time_left = max(unit.deadline_s - now_s, 1e-6)
-        # Order clusters by single-thread peak capacity, smallest first.
-        ranked = sorted(
-            chip.clusters,
-            key=lambda c: c.spec.core.capacity * c.spec.opp_table.max_freq_hz,
-        )
-        for cluster in ranked:
-            peak_1t = (
-                cluster.spec.core.capacity
-                * cluster.spec.opp_table.max_freq_hz
-                * min(unit.min_parallelism, cluster.n_cores)
-            )
-            peak_cluster = (
-                cluster.spec.core.capacity
-                * cluster.spec.opp_table.max_freq_hz
-                * cluster.n_cores
-            )
-            backlog = backlog_work.get(cluster.spec.name, 0.0)
+        ranked = self._ranking(chip)
+        for name, peak, n_cores in ranked:
+            peak_1t = peak * min(unit.min_parallelism, n_cores)
+            peak_cluster = peak * n_cores
+            backlog = backlog_work.get(name, 0.0)
             # The unit itself is rate-limited by its parallelism; the backlog
             # in front of it drains at full cluster rate.
             needed_s = unit.work / (peak_1t * self.margin) + backlog / (
                 peak_cluster * self.margin
             )
             if needed_s <= time_left:
-                return cluster.spec.name
-        return ranked[-1].spec.name
+                return name
+        return ranked[-1][0]
 
 
 @dataclass

@@ -9,9 +9,11 @@ governors and the RL policy control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Sequence
 
 from repro.errors import ConfigurationError, OPPError
-from repro.soc.core import CoreSpec, CoreState
+from repro.soc.core import CoreSpec, CoreState, record_cores
 from repro.soc.opp import OperatingPoint, OPPTable
 
 
@@ -36,8 +38,15 @@ class ClusterSpec:
             raise ConfigurationError(f"cluster needs at least one core: {self.n_cores}")
 
 
+_utilization = attrgetter("utilization")
+
+
 class Cluster:
     """Runtime state of one DVFS domain: current OPP plus per-core state.
+
+    The cluster keeps the selected :class:`OperatingPoint` itself, not
+    just its index, so frequency and voltage reads do not go back to the
+    OPP table; every index change goes through :meth:`_select`.
 
     Args:
         spec: Static cluster description.
@@ -55,7 +64,7 @@ class Cluster:
                 f"initial OPP index {initial_opp_index} out of range for "
                 f"{len(spec.opp_table)}-point table"
             )
-        self._opp_index = initial_opp_index
+        self._select(initial_opp_index)
 
     def __repr__(self) -> str:
         return (
@@ -73,17 +82,22 @@ class Cluster:
     @property
     def current_opp(self) -> OperatingPoint:
         """The currently selected operating point."""
-        return self.spec.opp_table[self._opp_index]
+        return self._opp
 
     @property
     def freq_hz(self) -> float:
         """Current cluster clock frequency in hertz."""
-        return self.current_opp.freq_hz
+        return self._opp.freq_hz
 
     @property
     def voltage_v(self) -> float:
         """Current cluster supply voltage in volts."""
-        return self.current_opp.voltage_v
+        return self._opp.voltage_v
+
+    def _select(self, index: int) -> None:
+        """Make the (already validated) ``index`` the current OPP."""
+        self._opp_index = index
+        self._opp = self.spec.opp_table[index]
 
     def set_opp_index(self, index: int) -> None:
         """Switch the DVFS domain to a new operating point.
@@ -96,7 +110,7 @@ class Cluster:
             raise OPPError(
                 f"OPP index {index} out of range for cluster {self.spec.name!r}"
             )
-        self._opp_index = index
+        self._select(index)
 
     def step_opp(self, delta: int) -> int:
         """Move the OPP index by ``delta`` steps, clamped to the table.
@@ -104,7 +118,7 @@ class Cluster:
         Returns:
             The new OPP index.
         """
-        self._opp_index = self.spec.opp_table.clamp_index(self._opp_index + delta)
+        self._select(self.spec.opp_table.clamp_index(self._opp_index + delta))
         return self._opp_index
 
     # -- capacity and accounting ----------------------------------------------
@@ -131,18 +145,33 @@ class Cluster:
             c.spec.capacity * top * interval_s for c in self.cores
         )
 
+    def record_interval(self, cursors: Sequence[float], interval_s: float) -> None:
+        """Account one simulated interval on every core at the current OPP.
+
+        Args:
+            cursors: Seconds of the interval each core spent executing,
+                one per core (the drain's per-core cursors).
+            interval_s: Interval length in seconds.
+
+        Raises:
+            ConfigurationError: If a core used negative cycles or more
+                than were available (see :meth:`CoreState.record_interval`).
+        """
+        freq = self._opp.freq_hz
+        record_cores(self.cores, [c * freq for c in cursors], freq, interval_s)
+
     @property
     def utilization(self) -> float:
         """Mean per-core utilisation over the previous interval, in [0, 1]."""
-        return sum(c.utilization for c in self.cores) / len(self.cores)
+        return sum(map(_utilization, self.cores)) / len(self.cores)
 
     @property
     def max_core_utilization(self) -> float:
         """The busiest core's utilisation — what cpufreq governors react to."""
-        return max(c.utilization for c in self.cores)
+        return max(map(_utilization, self.cores))
 
     def reset(self) -> None:
         """Reset runtime counters and return the OPP to the table floor."""
         for core in self.cores:
             core.reset()
-        self._opp_index = 0
+        self._select(0)

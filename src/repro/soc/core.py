@@ -10,6 +10,7 @@ but they convert (frequency, utilisation) into executed cycles and power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -92,20 +93,7 @@ class CoreState:
         Raises:
             ConfigurationError: If more cycles were used than available.
         """
-        available = self.spec.cycles_available(freq_hz, interval_s)
-        if used_cycles < 0:
-            raise ConfigurationError(f"used cycles must be non-negative: {used_cycles}")
-        # Tolerate tiny float overshoot from the drain loop.
-        if used_cycles > available * (1 + 1e-9) + 1e-6:
-            raise ConfigurationError(
-                f"core {self.spec.name} used {used_cycles:.3e} cycles but only "
-                f"{available:.3e} were available"
-            )
-        used_cycles = min(used_cycles, available)
-        self.utilization = used_cycles / available if available > 0 else 0.0
-        self.busy_cycles += used_cycles
-        self.idle = used_cycles == 0
-        self._peak_utilization = max(self._peak_utilization, self.utilization)
+        record_cores((self,), (used_cycles,), freq_hz, interval_s)
 
     @property
     def peak_utilization(self) -> float:
@@ -118,6 +106,42 @@ class CoreState:
         self.busy_cycles = 0.0
         self.idle = True
         self._peak_utilization = 0.0
+
+
+def record_cores(
+    cores: Sequence[CoreState],
+    used_cycles: Iterable[float],
+    freq_hz: float,
+    interval_s: float,
+) -> None:
+    """Account one simulated interval on cores sharing one clock.
+
+    :meth:`CoreState.record_interval` for a whole DVFS domain in one
+    call; ``used_cycles`` pairs with ``cores`` in order.
+
+    Raises:
+        ConfigurationError: If a core used negative cycles, or more than
+            were available beyond a tiny float tolerance.
+    """
+    available = cores[0].spec.cycles_available(freq_hz, interval_s)
+    # Tolerate tiny float overshoot from the drain loop.
+    limit = available * (1 + 1e-9) + 1e-6
+    for core, used in zip(cores, used_cycles):
+        if used < 0:
+            raise ConfigurationError(f"used cycles must be non-negative: {used}")
+        if used > limit:
+            raise ConfigurationError(
+                f"core {core.spec.name} used {used:.3e} cycles but only "
+                f"{available:.3e} were available"
+            )
+        if used > available:
+            used = available
+        util = used / available if available > 0 else 0.0
+        core.utilization = util
+        core.busy_cycles += used
+        core.idle = used == 0
+        if util > core._peak_utilization:
+            core._peak_utilization = util
 
 
 # Published-order-of-magnitude parameters for Cortex-A15 / Cortex-A7 class

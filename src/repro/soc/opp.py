@@ -70,6 +70,7 @@ class OPPTable:
                 )
         self._points: tuple[OperatingPoint, ...] = tuple(pts)
         self._freqs: tuple[float, ...] = tuple(p.freq_hz for p in pts)
+        self._max_index = len(pts) - 1
 
     # -- container protocol -------------------------------------------------
 
@@ -117,11 +118,11 @@ class OPPTable:
 
     @property
     def max_index(self) -> int:
-        return len(self._points) - 1
+        return self._max_index
 
     def clamp_index(self, index: int) -> int:
         """Clamp an arbitrary integer to a valid OPP index."""
-        return max(0, min(index, self.max_index))
+        return max(0, min(index, self._max_index))
 
     def index_of(self, freq_hz: float) -> int:
         """Return the index of an exact frequency.

@@ -6,7 +6,9 @@ checked here on generated queues rather than through one engine.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,13 +25,17 @@ from repro.sim.interval import (
     n_intervals,
     queue_slack,
 )
-from repro.sim.scheduler import PinnedScheduler, Scheduler
+from repro.sim.scheduler import HMPScheduler, PinnedScheduler, Scheduler
+from repro.soc.chip import Chip
+from repro.soc.cluster import ClusterSpec
+from repro.soc.core import CoreSpec
+from repro.soc.opp import make_table
 from repro.soc.presets import tiny_test_chip
 from repro.workload.task import Job, WorkUnit
 from repro.workload.trace import Trace
 
 # The serial engine's per-core accounting tolerates this relative
-# overshoot of the interval (``Core.record_interval``).
+# overshoot of the interval (``CoreState.record_interval``).
 TOLERANCE = 1e-9
 
 
@@ -181,6 +187,152 @@ class TestLane:
         lane = Lane(Trace([unit]), ["cpu"], 0.01, 50)
         with pytest.raises(SimulationError, match="unknown cluster"):
             lane.admit(0, 0.0, Stray(), tiny_test_chip())
+
+
+@st.composite
+def admission_cases(draw):
+    """A heterogeneous chip, pre-filled run queues, and a trace whose
+    arrivals bunch into few intervals, so several units are placed
+    against the same backlog."""
+    specs = []
+    for c in range(draw(st.integers(1, 3))):
+        core = CoreSpec(
+            f"core{c}", capacity=draw(st.floats(0.5, 3.0)),
+            ceff_f=1e-10, leak_a_per_v=0.01,
+        )
+        specs.append(ClusterSpec(
+            f"c{c}", core, n_cores=draw(st.integers(1, 4)),
+            opp_table=make_table([200.0, draw(st.floats(300.0, 2500.0))],
+                                 [0.8, 1.1]),
+        ))
+    chip = Chip("fuzz", specs)
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    n_steps = draw(st.integers(1, 6))
+    queued = {}
+    uid = 0
+    for spec in specs:
+        jobs = []
+        for _ in range(draw(st.integers(0, 5))):
+            work = draw(st.floats(1e3, 5e7))
+            unit = WorkUnit(uid=uid, release_s=0.0, work=work,
+                            deadline_s=draw(st.floats(1e-3, 0.2)))
+            uid += 1
+            # Partly drained work with awkward low bits, so the running
+            # backlog and a fresh re-sum are easy to tell apart.
+            jobs.append(Job(unit, remaining=work * draw(st.floats(1e-3, 1.0))))
+        queued[spec.name] = jobs
+    units = []
+    for _ in range(draw(st.integers(1, 25))):
+        release = draw(st.integers(0, n_steps - 1)) * dt + draw(
+            st.sampled_from([0.0, dt / 3, dt / 2])
+        )
+        units.append(WorkUnit(
+            uid=uid, release_s=release, work=draw(st.floats(1e4, 3e7)),
+            deadline_s=release + draw(st.floats(1e-3, 0.1)),
+            min_parallelism=draw(st.integers(1, 4)),
+        ))
+        uid += 1
+    return chip, dt, n_steps, queued, Trace(units, duration_s=n_steps * dt)
+
+
+def _lane(chip, dt, n_steps, queued, trace):
+    lane = Lane(trace, chip.cluster_names, dt, n_steps)
+    for name, jobs in queued.items():
+        lane.queues[name].extend(
+            Job(j.unit, remaining=j.remaining) for j in jobs
+        )
+    return lane
+
+
+def _admit_resumming(lane, step, t0, scheduler, chip):
+    """Admission that re-sums every queue for every unit and makes the
+    scheduler rank the chip afresh each time."""
+    arrived = {}
+    while lane.unit_idx < lane.arrive_until[step]:
+        unit = lane.units[lane.unit_idx]
+        backlog = {
+            name: sum(j.remaining for j in q) for name, q in lane.queues.items()
+        }
+        scheduler._chip = None
+        target = scheduler.assign(unit, chip, backlog, t0)
+        job = Job(unit)
+        lane.queues[target].append(job)
+        lane.jobs.append(job)
+        arrived[target] = arrived.get(target, 0.0) + unit.work
+        lane.unit_idx += 1
+    return arrived
+
+
+class TestAdmission:
+    @settings(max_examples=150, deadline=None)
+    @given(admission_cases())
+    def test_running_backlog_places_like_a_full_resum(self, case):
+        chip, dt, n_steps, queued, trace = case
+        lane = _lane(chip, dt, n_steps, queued, trace)
+        reference = _lane(chip, dt, n_steps, queued, trace)
+        scheduler, fresh = HMPScheduler(), HMPScheduler()
+        for step in range(n_steps):
+            t0 = step * dt
+            arrived = lane.admit(step, t0, scheduler, chip)
+            expected = _admit_resumming(reference, step, t0, fresh, chip)
+            assert arrived == expected
+            for name in chip.cluster_names:
+                assert [j.unit.uid for j in lane.queues[name]] == [
+                    j.unit.uid for j in reference.queues[name]
+                ]
+        assert lane.unit_idx == reference.unit_idx == len(trace.units)
+
+    def test_release_steps_are_the_admitting_steps(self):
+        units = [
+            WorkUnit(uid=i, release_s=r, work=1.0, deadline_s=r + 0.5)
+            for i, r in enumerate([0.0, 0.001, 0.025, 0.025, 0.07])
+        ]
+        lane = Lane(Trace(units, duration_s=0.1), ["cpu"], 0.01, 10)
+        assert lane.release_steps() == [0, 2, 7]
+        chip, scheduler = tiny_test_chip(), PinnedScheduler("cpu")
+        for step in range(10):
+            arrived = lane.admit(step, step * 0.01, scheduler, chip)
+            assert bool(arrived) == (step in lane.release_steps())
+
+
+def _two_cluster_chip(small_capacity: float) -> Chip:
+    """Cluster ``a`` ranks below ``b`` unless its capacity is raised."""
+    def cluster(name, capacity):
+        core = CoreSpec(name, capacity=capacity, ceff_f=1e-10,
+                        leak_a_per_v=0.01)
+        return ClusterSpec(name, core, 1, make_table([1000.0], [1.0]))
+
+    return Chip("pair", [cluster("a", small_capacity), cluster("b", 2.0)])
+
+
+class TestSchedulerRanking:
+    # A unit only the highest-capacity cluster can take in time is placed
+    # on the last-ranked cluster, which tells the ranking apart.
+    UNIT = WorkUnit(uid=0, release_s=0.0, work=1e9, deadline_s=1e-3)
+
+    def test_reranks_for_a_different_chip(self):
+        scheduler = HMPScheduler()
+        assert scheduler.assign(self.UNIT, _two_cluster_chip(1.0), {}, 0.0) == "b"
+        assert scheduler.assign(self.UNIT, _two_cluster_chip(4.0), {}, 0.0) == "a"
+        assert scheduler.assign(self.UNIT, _two_cluster_chip(1.0), {}, 0.0) == "b"
+
+    def test_holds_at_most_one_chip(self):
+        scheduler = HMPScheduler()
+        first = _two_cluster_chip(1.0)
+        scheduler.assign(self.UNIT, first, {}, 0.0)
+        gone = weakref.ref(first)
+        second = _two_cluster_chip(4.0)
+        scheduler.assign(self.UNIT, second, {}, 0.0)
+        del first
+        gc.collect()
+        assert gone() is None
+        assert scheduler._chip is second
+
+    def test_cache_is_invisible_to_equality(self):
+        scheduler = HMPScheduler()
+        scheduler.assign(self.UNIT, _two_cluster_chip(1.0), {}, 0.0)
+        assert scheduler == HMPScheduler()
+        assert repr(scheduler) == "HMPScheduler(margin=0.8)"
 
 
 class TestHelpers:
