@@ -18,7 +18,7 @@ import math
 import time
 
 from repro.core.trainer import train_policy
-from repro.obs import OpsLogger, read_ops_log
+from repro.obs import OPS_LOG, OpsLogger
 from repro.serve import DecisionRequest, PolicyServer, ServeConfig
 from repro.serve.protocol import observation_from_mapping
 from repro.soc.presets import tiny_test_chip
@@ -88,7 +88,7 @@ def test_o2_context_overhead(benchmark, tmp_path):
     assert correlated == baseline
     assert _serve_round(None)[0] == baseline
 
-    records = read_ops_log(ops_log.path)
+    records = OPS_LOG.read(ops_log.path)
     decision_records = [r for r in records if r["kind"] == "decision"]
     assert len(decision_records) >= N_REQUESTS
     assert all(r["trace_id"] for r in decision_records)

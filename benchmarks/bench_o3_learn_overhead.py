@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from repro.core.trainer import TrainingResult, train_policy
-from repro.obs import LearnRecorder, read_learn_log
+from repro.obs import LEARN_LOG, LearnRecorder
 from repro.soc.presets import tiny_test_chip
 from repro.workload.scenarios import get_scenario
 
@@ -79,7 +79,7 @@ def test_o3_learn_overhead(benchmark, tmp_path):
             policy.agent.table.values,
         ), f"ledger perturbed the learned table for cluster {name!r}"
 
-    records = read_learn_log(tmp_path / "bench-o3.jsonl")
+    records = LEARN_LOG.read(tmp_path / "bench-o3.jsonl")
     assert len(records) == EPISODES
     assert [r["episode"] for r in records] == list(range(EPISODES))
     assert all(r["scenario"] == "audio_playback" for r in records)

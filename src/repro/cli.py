@@ -1000,19 +1000,31 @@ def _polarity_overrides(args: argparse.Namespace) -> dict[str, str] | None:
     return overrides or None
 
 
-def _render_comparison(comparison, args: argparse.Namespace) -> None:
-    from repro import perf
+def _read_log(read, path, **kwargs) -> list:
+    """``read(path, **kwargs)`` for one ledger, telling stderr about a
+    skipped torn final line (an append a crash cut short)."""
+    records = read(path, **kwargs)
+    if records.torn:
+        print(f"{path}: skipped {records.torn} torn final line(s)",
+              file=sys.stderr)
+    return records
 
-    if args.format == "json":
-        print(perf.render_json(comparison))
-    elif args.format == "github":
-        print(perf.render_github(comparison))
-    else:
+
+def _gate_tail(report, args: argparse.Namespace, label: str,
+               noun: str) -> int:
+    """Print a report in ``--format``, gate it, and return the exit
+    code; under ``--warn-only`` failures are counted on stderr."""
+    from repro.obs import gate, render
+
+    print(render(report, args.format, getattr(args, "verbose", False)))
+    result = gate(report, warn_only=args.warn_only)
+    if report.failures and args.warn_only:
         print(
-            perf.render_text(
-                comparison, verbose=getattr(args, "verbose", False)
-            )
+            f"{label}: {len(report.failures)} {noun} "
+            "(warn-only, not failing)",
+            file=sys.stderr,
         )
+    return result.exit_code
 
 
 def _cmd_cache_list(args: argparse.Namespace) -> int:
@@ -1066,7 +1078,8 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
 def _cmd_perf_list(args: argparse.Namespace) -> int:
     from repro import perf
 
-    records = perf.read_ledger(perf.resolve_ledger_path(_ledger_path(args)))
+    records = _read_log(perf.PERF_LEDGER.read,
+                        perf.resolve_ledger_path(_ledger_path(args)))
     if args.limit and len(records) > args.limit:
         records = records[-args.limit:]
     rows = [
@@ -1086,15 +1099,16 @@ def _cmd_perf_list(args: argparse.Namespace) -> int:
 def _cmd_perf_compare(args: argparse.Namespace) -> int:
     from repro import perf
 
-    baseline = perf.read_ledger(args.baseline_ref)
-    current = perf.read_ledger(perf.resolve_ledger_path(_ledger_path(args)))
+    baseline = _read_log(perf.PERF_LEDGER.read, args.baseline_ref)
+    current = _read_log(perf.PERF_LEDGER.read,
+                        perf.resolve_ledger_path(_ledger_path(args)))
     comparison = perf.compare_records(
         baseline, current,
         threshold=args.threshold,
         confidence=args.confidence,
         polarity_overrides=_polarity_overrides(args),
     )
-    _render_comparison(comparison, args)
+    print(perf.render(comparison, args.format, args.verbose))
     return 0 if comparison.ok else 1
 
 
@@ -1103,12 +1117,14 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
 
     current_path = perf.resolve_ledger_path(_ledger_path(args))
     if args.baseline is not None:
-        baseline = perf.read_ledger(args.baseline)
-        current = perf.read_ledger(current_path)
+        baseline = _read_log(perf.PERF_LEDGER.read, args.baseline)
+        current = _read_log(perf.PERF_LEDGER.read, current_path)
     else:
         # Self-gating: the ledger's newest run per config key is tested
         # against every earlier record of that key.
-        baseline, current = perf.split_latest(perf.read_ledger(current_path))
+        baseline, current = perf.split_latest(
+            _read_log(perf.PERF_LEDGER.read, current_path)
+        )
         if not baseline and not current:
             print(
                 "perf gate: nothing to compare (every config key has "
@@ -1121,31 +1137,23 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
         confidence=args.confidence,
         polarity_overrides=_polarity_overrides(args),
     )
-    _render_comparison(comparison, args)
-    result = perf.gate(comparison, warn_only=args.warn_only)
-    if result.comparison.regressions and args.warn_only:
-        print(
-            f"perf gate: {len(result.comparison.regressions)} "
-            "regression(s) (warn-only, not failing)",
-            file=sys.stderr,
-        )
-    return result.exit_code
+    return _gate_tail(comparison, args, "perf gate", "regression(s)")
 
 
 def _cmd_ops_tail(args: argparse.Namespace) -> int:
     """Print the last N ops-log records, one JSON object per line."""
     from repro.obs import tail_ops_log
 
-    for record in tail_ops_log(args.ops_log, n=args.lines):
+    for record in _read_log(tail_ops_log, args.ops_log, n=args.lines):
         print(json.dumps(record, sort_keys=True))
     return 0
 
 
 def _cmd_ops_summary(args: argparse.Namespace) -> int:
     """Aggregate an ops log: outcomes, rates, latency percentiles."""
-    from repro.obs import format_ops_summary, read_ops_log, summarize_ops
+    from repro.obs import OPS_LOG, format_ops_summary, summarize_ops
 
-    summary = summarize_ops(read_ops_log(args.ops_log))
+    summary = summarize_ops(_read_log(OPS_LOG.read, args.ops_log))
     if args.format == "json":
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -1155,26 +1163,11 @@ def _cmd_ops_summary(args: argparse.Namespace) -> int:
 
 def _cmd_slo_gate(args: argparse.Namespace) -> int:
     """Evaluate SLOs over an ops log; non-zero exit on budget burn."""
-    from repro.obs import (
-        DEFAULT_SLOS,
-        SLO_RENDERERS,
-        evaluate_slos,
-        load_slo_config,
-        read_ops_log,
-        slo_gate,
-    )
+    from repro.obs import DEFAULT_SLOS, OPS_LOG, evaluate_slos, load_slo_config
 
     slos = load_slo_config(args.config) if args.config else DEFAULT_SLOS
-    report = evaluate_slos(read_ops_log(args.ops_log), slos)
-    print(SLO_RENDERERS[args.format](report))
-    result = slo_gate(report, warn_only=args.warn_only)
-    if result.report.failures and args.warn_only:
-        print(
-            f"slo gate: {len(result.report.failures)} "
-            "violation(s) (warn-only, not failing)",
-            file=sys.stderr,
-        )
-    return result.exit_code
+    report = evaluate_slos(_read_log(OPS_LOG.read, args.ops_log), slos)
+    return _gate_tail(report, args, "slo gate", "violation(s)")
 
 
 def _load_learn_spec(args: argparse.Namespace):
@@ -1186,48 +1179,35 @@ def _load_learn_spec(args: argparse.Namespace):
 def _cmd_learn_report(args: argparse.Namespace) -> int:
     """Summarise a learning ledger + run the convergence detectors."""
     from repro.obs import (
-        LEARN_RENDERERS,
+        LEARN_LOG,
         evaluate_learning,
         format_learn_summary,
-        read_learn_log,
+        render,
         summarize_learning,
     )
 
-    records = read_learn_log(args.learn_log)
+    records = _read_log(LEARN_LOG.read, args.learn_log)
     report = evaluate_learning(records, _load_learn_spec(args))
     if args.format == "json":
         payload = {
             "summary": summarize_learning(records),
-            "report": json.loads(LEARN_RENDERERS["json"](report)),
+            "report": report.to_mapping(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(format_learn_summary(summarize_learning(records)))
     print()
-    print(LEARN_RENDERERS[args.format](report))
+    print(render(report, args.format))
     return 0
 
 
 def _cmd_learn_gate(args: argparse.Namespace) -> int:
     """Convergence gate over a learning ledger; non-zero exit on failure."""
-    from repro.obs import (
-        LEARN_RENDERERS,
-        evaluate_learning,
-        learn_gate,
-        read_learn_log,
-    )
+    from repro.obs import LEARN_LOG, evaluate_learning
 
-    report = evaluate_learning(read_learn_log(args.learn_log),
+    report = evaluate_learning(_read_log(LEARN_LOG.read, args.learn_log),
                                _load_learn_spec(args))
-    print(LEARN_RENDERERS[args.format](report))
-    result = learn_gate(report, warn_only=args.warn_only)
-    if result.report.failures and args.warn_only:
-        print(
-            f"learn gate: {len(result.report.failures)} "
-            "failing detector(s) (warn-only, not failing)",
-            file=sys.stderr,
-        )
-    return result.exit_code
+    return _gate_tail(report, args, "learn gate", "failing detector(s)")
 
 
 def _cmd_policy_show(args: argparse.Namespace) -> int:

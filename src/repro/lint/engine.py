@@ -43,7 +43,7 @@ from repro.lint.findings import Finding
 #: Participates in every lint-cache key, so bumping it invalidates all
 #: cached per-file analyses at once — bump on any change that could
 #: alter findings or module summaries for unchanged source.
-LINT_ENGINE_VERSION = "1"
+LINT_ENGINE_VERSION = "2"
 
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",

@@ -26,6 +26,8 @@ Module map:
   Prometheus text
 * :mod:`repro.obs.profile` — ``engine.phase.*`` time breakdowns
 * :mod:`repro.obs.context` — ``TraceContext`` request correlation
+* :mod:`repro.obs.ledger`  — the shared JSONL ledger primitive
+  (``LedgerKind``), ``gate`` and ``render`` for every ledger report
 * :mod:`repro.obs.opslog`  — structured JSONL ops log (``OpsLogger``)
 * :mod:`repro.obs.learn`   — JSONL learning ledger (``LearnRecorder``),
   convergence/divergence detectors, ``repro learn`` gate
@@ -65,10 +67,9 @@ from repro.obs.export import (
 )
 from repro.obs.learn import (
     DEFAULT_CONVERGENCE,
+    LEARN_LOG,
     LEARN_RECORD_FIELDS,
-    LEARN_RENDERERS,
     ConvergenceSpec,
-    LearnGateResult,
     LearnRecorder,
     LearnReport,
     LearnVerdict,
@@ -76,16 +77,20 @@ from repro.obs.learn import (
     format_learn_summary,
     gate_learn_log,
     is_plateau,
-    learn_gate,
     learn_record,
     load_convergence_spec,
     plateau_episode,
-    read_learn_log,
-    render_learn_github,
-    render_learn_json,
-    render_learn_text,
     spec_from_mapping,
     summarize_learning,
+)
+from repro.obs.ledger import (
+    FORMATS,
+    GateReport,
+    GateResult,
+    LedgerKind,
+    LedgerRead,
+    gate,
+    render,
 )
 from repro.obs.metrics import (
     Counter,
@@ -96,21 +101,19 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.opslog import (
+    OPS_LOG,
     OPS_RECORD_FIELDS,
     OpsLogger,
     format_ops_summary,
     job_record_from_event,
     ops_record,
-    read_ops_log,
     summarize_ops,
     tail_ops_log,
 )
 from repro.obs.profile import PhaseStat, format_breakdown, phase_breakdown
 from repro.obs.runtime import (
     DEFAULT_SLOS,
-    SLO_RENDERERS,
     SlidingWindow,
-    SloGateResult,
     SloReport,
     SloSpec,
     SloVerdict,
@@ -118,10 +121,6 @@ from repro.obs.runtime import (
     gate_ops_log,
     health_indicators,
     load_slo_config,
-    render_slo_github,
-    render_slo_json,
-    render_slo_text,
-    slo_gate,
     slos_from_mapping,
 )
 from repro.obs.trace import (
@@ -215,27 +214,30 @@ __all__ = [
     "DEFAULT_CONVERGENCE",
     "DEFAULT_SLOS",
     "EPOCH_METADATA_NAME",
+    "FORMATS",
+    "GateReport",
+    "GateResult",
     "Gauge",
     "Histogram",
     "InstantRecord",
+    "LEARN_LOG",
     "LEARN_RECORD_FIELDS",
-    "LEARN_RENDERERS",
-    "LearnGateResult",
     "LearnRecorder",
     "LearnReport",
     "LearnVerdict",
+    "LedgerKind",
+    "LedgerRead",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "OBS",
+    "OPS_LOG",
     "OPS_RECORD_FIELDS",
     "ObsHub",
     "ObsSession",
     "OpsLogger",
     "PhaseStat",
-    "SLO_RENDERERS",
     "SlidingWindow",
-    "SloGateResult",
     "SloReport",
     "SloSpec",
     "SloVerdict",
@@ -253,13 +255,13 @@ __all__ = [
     "format_breakdown",
     "format_learn_summary",
     "format_ops_summary",
+    "gate",
     "gate_learn_log",
     "gate_ops_log",
     "health_indicators",
     "histogram_quantile",
     "is_plateau",
     "job_record_from_event",
-    "learn_gate",
     "learn_record",
     "load_chrome_trace",
     "load_convergence_spec",
@@ -274,15 +276,7 @@ __all__ = [
     "plateau_episode",
     "prometheus_text",
     "read_jsonl",
-    "read_learn_log",
-    "read_ops_log",
-    "render_learn_github",
-    "render_learn_json",
-    "render_learn_text",
-    "render_slo_github",
-    "render_slo_json",
-    "render_slo_text",
-    "slo_gate",
+    "render",
     "slos_from_mapping",
     "span_tree",
     "spans_from_chrome",

@@ -10,7 +10,9 @@ arguments are made of.
 :class:`LearnRecorder` is the **only** code allowed to append to a
 learning ledger; lint rule RPL802 enforces that, exactly as
 RPL501/RPL601/RPL801 do for the perf ledger, the run cache, and the ops
-log.  Everything else here is read-side: :func:`read_learn_log` backs
+log.  Appends and reads go through :data:`LEARN_LOG`, this ledger's
+:class:`~repro.obs.ledger.LedgerKind`.  Everything else here is
+read-side: ``LEARN_LOG.read`` backs
 ``repro learn report|gate``, and the :class:`ConvergenceSpec` detectors
 turn a ledger into a deterministic exit code for CI.
 
@@ -44,19 +46,33 @@ required fourteen always exist.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, ClassVar, Mapping, Sequence
 
 from repro.errors import ObsError
+from repro.obs.ledger import (
+    GateReport,
+    GateResult,
+    LedgerKind,
+    gate,
+    read_json_object,
+)
 
 #: Every learning record carries at least these keys.
 LEARN_RECORD_FIELDS = (
     "ts", "episode", "scenario", "reward", "td_error_mean_abs",
     "td_error_var", "epsilon", "q_norm_l2", "q_max_abs", "coverage",
     "churn", "energy_per_qos_j", "mean_qos", "updates",
+)
+
+#: How the learning ledger is validated, appended and read.
+LEARN_LOG = LedgerKind(
+    noun="learning record",
+    unreadable="cannot read learning ledger",
+    error=ObsError,
+    fields=LEARN_RECORD_FIELDS,
 )
 
 
@@ -150,52 +166,9 @@ class LearnRecorder:
             ObsError: When required fields are missing or the record is
                 not JSON-serialisable.
         """
-        missing = [f for f in LEARN_RECORD_FIELDS if f not in record]
-        if missing:
-            raise ObsError(f"learning record missing fields {missing}")
-        stored = dict(record)
-        try:
-            line = json.dumps(stored, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise ObsError(
-                f"learning record is not JSON-serialisable: {exc}"
-            ) from exc
-        with self.path.open("a") as fh:
-            fh.write(line + "\n")
+        stored = LEARN_LOG.append(self.path, record)
         self.written += 1
         return stored
-
-
-# -- read side -------------------------------------------------------------
-
-
-def read_learn_log(path: str | Path) -> list[dict[str, Any]]:
-    """All records of one learning ledger, in file order.
-
-    Raises:
-        ObsError: On an unreadable file, a non-JSON line, or a record
-            missing required fields.
-    """
-    source = Path(path)
-    try:
-        text = source.read_text()
-    except OSError as exc:
-        raise ObsError(f"cannot read learning ledger {source}: {exc}") from exc
-    records: list[dict[str, Any]] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(f"{source}:{n} is not JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ObsError(f"{source}:{n} is not a JSON object")
-        missing = [f for f in LEARN_RECORD_FIELDS if f not in record]
-        if missing:
-            raise ObsError(f"{source}:{n} missing fields {missing}")
-        records.append(record)
-    return records
 
 
 def summarize_learning(records: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
@@ -394,18 +367,7 @@ def spec_from_mapping(data: Mapping[str, Any]) -> ConvergenceSpec:
 
 def load_convergence_spec(path: str | Path) -> ConvergenceSpec:
     """Load and validate a JSON convergence-spec file."""
-    source = Path(path)
-    try:
-        data = json.loads(source.read_text())
-    except OSError as exc:
-        raise ObsError(
-            f"cannot read convergence spec {source}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ObsError(f"{source} is not JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ObsError(f"{source} must hold a JSON object")
-    return spec_from_mapping(data)
+    return spec_from_mapping(read_json_object(path, "convergence spec"))
 
 
 @dataclass(frozen=True)
@@ -429,7 +391,7 @@ class LearnVerdict:
 
 
 @dataclass(frozen=True)
-class LearnReport:
+class LearnReport(GateReport):
     """All verdicts of one evaluation pass over a ledger.
 
     Attributes:
@@ -444,15 +406,52 @@ class LearnReport:
     episodes: int
     converged_episode: int | None = None
 
-    @property
-    def failures(self) -> tuple[LearnVerdict, ...]:
-        """The verdicts that failed."""
-        return tuple(v for v in self.verdicts if v.status == "fail")
+    notice: ClassVar[str] = (
+        "::notice title=learn gate::all convergence detectors within bounds"
+    )
 
-    @property
-    def ok(self) -> bool:
-        """Whether no detector failed."""
-        return not self.failures
+    def text_lines(self, verbose: bool = False) -> list[str]:
+        """One line per detector, then the convergence summary."""
+        lines = [
+            f"{v.status.upper():>7}  {v.name}: "
+            f"{v.value:g} (bound {v.bound:g}) — {v.detail}"
+            for v in self.verdicts
+        ]
+        converged = (
+            f"converged at episode {self.converged_episode}"
+            if self.converged_episode is not None
+            else "not converged"
+        )
+        lines.append("")
+        lines.append(
+            f"{len(self.verdicts)} detector(s) over {self.episodes} "
+            f"episode(s): {len(self.failures)} failing; {converged}"
+        )
+        return lines
+
+    def to_mapping(self) -> dict[str, Any]:
+        """The JSON payload of ``repro learn report|gate``."""
+        return {
+            "ok": self.ok,
+            "episodes": self.episodes,
+            "converged_episode": self.converged_episode,
+            "verdicts": [asdict(v) for v in self.verdicts],
+        }
+
+    def annotations(self) -> list[str]:
+        """One ``::error`` per failing detector, one ``::warning`` per
+        detector without data."""
+        lines = [
+            f"::error title=learning gate::{v.name} at {v.value:g} "
+            f"(bound {v.bound:g}) — {v.detail}"
+            for v in self.failures
+        ]
+        lines += [
+            f"::warning title=learning no-data::{v.name}: {v.detail}"
+            for v in self.verdicts
+            if v.status == "no-data"
+        ]
+        return lines
 
 
 def _window_converged(
@@ -563,104 +562,10 @@ def evaluate_learning(
     )
 
 
-# -- rendering + gate (mirrors repro.obs.runtime's SLO gate) ---------------
-
-
-def render_learn_text(report: LearnReport) -> str:
-    """Human-readable learning report, one line per detector."""
-    lines: list[str] = []
-    for v in report.verdicts:
-        lines.append(
-            f"{v.status.upper():>7}  {v.name}: "
-            f"{v.value:g} (bound {v.bound:g}) — {v.detail}"
-        )
-    failed = len(report.failures)
-    lines.append("")
-    converged = (
-        f"converged at episode {report.converged_episode}"
-        if report.converged_episode is not None
-        else "not converged"
-    )
-    lines.append(
-        f"{len(report.verdicts)} detector(s) over {report.episodes} "
-        f"episode(s): {failed} failing; {converged}"
-    )
-    return "\n".join(lines)
-
-
-def render_learn_json(report: LearnReport) -> str:
-    """Machine-readable learning report (stable key order)."""
-    payload = {
-        "ok": report.ok,
-        "episodes": report.episodes,
-        "converged_episode": report.converged_episode,
-        "verdicts": [
-            {
-                "name": v.name,
-                "status": v.status,
-                "value": v.value,
-                "bound": v.bound,
-                "detail": v.detail,
-            }
-            for v in report.verdicts
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_learn_github(report: LearnReport) -> str:
-    """GitHub Actions annotations — one ``::error`` per failing detector."""
-    lines: list[str] = []
-    for v in report.failures:
-        lines.append(
-            f"::error title=learning gate::{v.name} at {v.value:g} "
-            f"(bound {v.bound:g}) — {v.detail}"
-        )
-    for v in report.verdicts:
-        if v.status == "no-data":
-            lines.append(
-                f"::warning title=learning no-data::{v.name}: {v.detail}"
-            )
-    if not lines:
-        lines.append(
-            "::notice title=learn gate::all convergence detectors within "
-            "bounds"
-        )
-    return "\n".join(lines)
-
-
-LEARN_RENDERERS: dict[str, Callable[[LearnReport], str]] = {
-    "text": render_learn_text,
-    "json": render_learn_json,
-    "github": render_learn_github,
-}
-
-
-@dataclass(frozen=True)
-class LearnGateResult:
-    """What ``repro learn gate`` decided."""
-
-    report: LearnReport
-    exit_code: int
-    warn_only: bool = field(default=False)
-
-
-def learn_gate(report: LearnReport, warn_only: bool = False) -> LearnGateResult:
-    """Turn a learning report into an exit code (0 pass, 1 violated).
-
-    ``warn_only`` reports violations but forces exit 0 — the CI
-    bring-up mode, same as ``repro slo gate --warn-only``.
-    """
-    failed = not report.ok and not warn_only
-    return LearnGateResult(
-        report=report, exit_code=1 if failed else 0, warn_only=warn_only
-    )
-
-
 def gate_learn_log(
     path: str | Path,
     spec: ConvergenceSpec = DEFAULT_CONVERGENCE,
     warn_only: bool = False,
-) -> LearnGateResult:
+) -> GateResult:
     """One-call form: read a ledger, evaluate, gate."""
-    return learn_gate(evaluate_learning(read_learn_log(path), spec), warn_only)
+    return gate(evaluate_learning(LEARN_LOG.read(path), spec), warn_only)

@@ -1,0 +1,224 @@
+"""One JSONL ledger primitive, one gate and one renderer set.
+
+The performance ledger (:mod:`repro.perf.ledger`), the ops log
+(:mod:`repro.obs.opslog`) and the learning ledger
+(:mod:`repro.obs.learn`) each declare one :class:`LedgerKind`, and every
+append and read goes through it.  Their reports —
+:class:`repro.perf.PerfComparison`, :class:`repro.obs.runtime.SloReport`
+and :class:`repro.obs.learn.LearnReport` — subclass :class:`GateReport`,
+are judged by one :func:`gate` and printed by one :func:`render`.
+
+This module replaces ``perf.ledger.Ledger``, the three per-ledger read
+loops and writer bodies, the three ``GateResult``/gate pairs, the three
+text/json/github renderer tables, and the SLO and convergence-spec
+config loaders (:func:`read_json_object`).
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, ClassVar, Iterable
+
+from repro.errors import ObsError, ReproError
+
+#: The ``--format`` values :func:`render` understands.
+FORMATS = ("text", "json", "github")
+
+
+def _as_is(mapping: dict[str, Any]) -> Any:
+    """Records that are plain mappings decode to themselves."""
+    return mapping
+
+
+class LedgerRead(list[Any]):
+    """The records of one read, in append order.
+
+    A plain list of records, plus :attr:`torn`: how many torn final
+    lines the read skipped (0 or 1).
+    """
+
+    def __init__(self, records: Iterable[Any] = (), torn: int = 0) -> None:
+        super().__init__(records)
+        self.torn = torn
+
+
+@dataclass(frozen=True)
+class LedgerKind:
+    """How one ledger validates, encodes and decodes its records.
+
+    Attributes:
+        noun: What one record is called in writer errors
+            (``"ops record"``).
+        unreadable: Error prefix for a missing or unreadable file.
+        error: The exception class every failure raises.
+        fields: Keys every record must carry.
+        encode: Record → JSON mapping, on append.
+        decode: Parsed mapping → record, on read; raises ``error`` on a
+            malformed record.
+    """
+
+    noun: str
+    unreadable: str
+    error: type[ReproError]
+    fields: tuple[str, ...] = ()
+    encode: Callable[[Any], dict[str, Any]] = dict
+    decode: Callable[[dict[str, Any]], Any] = _as_is
+
+    def append(self, path: Path, record: Any) -> dict[str, Any]:
+        """Validate one record and append it as one sorted-key JSON line.
+
+        One ``open("a")`` plus one ``write`` per record is the
+        durability contract: a crash can lose at most the line being
+        written.  Returns the stored mapping.  The parent directory must
+        exist.
+
+        Raises:
+            ReproError: ``self.error`` when required fields are missing
+                or the record is not JSON-serialisable.
+        """
+        mapping = self.encode(record)
+        missing = [f for f in self.fields if f not in mapping]
+        if missing:
+            raise self.error(f"{self.noun} missing fields {missing}")
+        try:
+            line = json.dumps(mapping, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise self.error(
+                f"{self.noun} is not JSON-serialisable: {exc}"
+            ) from exc
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        return mapping
+
+    def read(self, path: str | Path) -> LedgerRead:
+        """All records of one file, in append order.
+
+        Blank lines are skipped, and so is a final line that has no
+        trailing newline and does not parse: the torn tail of an append
+        a crash cut short, counted in :attr:`LedgerRead.torn`.  A
+        garbled line anywhere else still raises.
+
+        Raises:
+            ReproError: ``self.error`` on a missing or unreadable file,
+                a non-JSON or non-object line elsewhere, or a record
+                missing required fields.
+        """
+        source = Path(path)
+        try:
+            text = source.read_text()
+        except OSError as exc:
+            raise self.error(f"{self.unreadable} {source}: {exc}") from exc
+        lines = text.splitlines()
+        records = LedgerRead()
+        for n, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if n == len(lines) and not text.endswith("\n"):
+                    records.torn = 1
+                    break
+                raise self.error(f"{source}:{n} is not JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise self.error(f"{source}:{n} is not a JSON object")
+            missing = [f for f in self.fields if f not in data]
+            if missing:
+                raise self.error(f"{source}:{n} missing fields {missing}")
+            records.append(self.decode(data))
+        return records
+
+
+class GateReport:
+    """Base for the reports a gate judges: a ``verdicts`` tuple whose
+    ``status`` marks the failing ones.
+
+    Subclasses set :attr:`failing` (the failing status) and
+    :attr:`notice` (the GitHub annotation printed when
+    :meth:`annotations` is empty), and provide the three renderings.
+    """
+
+    verdicts: tuple[Any, ...]
+    failing: ClassVar[str] = "fail"
+    notice: ClassVar[str]
+
+    @property
+    def failures(self) -> tuple[Any, ...]:
+        """The verdicts that fail a gate."""
+        return tuple(v for v in self.verdicts if v.status == self.failing)
+
+    @property
+    def ok(self) -> bool:
+        """Whether nothing failed."""
+        return not self.failures
+
+    def text_lines(self, verbose: bool = False) -> list[str]:
+        """Human-readable lines; ``verbose`` also lists quiet verdicts."""
+        raise NotImplementedError
+
+    def to_mapping(self) -> dict[str, Any]:
+        """The JSON payload, including ``ok``."""
+        raise NotImplementedError
+
+    def annotations(self) -> list[str]:
+        """GitHub Actions ``::error``/``::warning`` lines."""
+        raise NotImplementedError
+
+
+def read_json_object(path: str | Path, what: str) -> dict[str, Any]:
+    """A JSON file holding one object, such as a gate's config.
+
+    Raises:
+        ObsError: On an unreadable file, invalid JSON, or a non-object.
+    """
+    source = Path(path)
+    try:
+        data = json.loads(source.read_text())
+    except OSError as exc:
+        raise ObsError(f"cannot read {what} {source}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ObsError(f"{source} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ObsError(f"{source} must hold a JSON object")
+    return data
+
+
+@dataclass(frozen=True)
+class GateResult:
+    """What a gate decided: exit 0 passes, 1 fails."""
+
+    report: GateReport
+    exit_code: int
+    warn_only: bool = False
+
+
+def gate(report: GateReport, warn_only: bool = False) -> GateResult:
+    """Turn a report into an exit code (0 pass, 1 when anything failed).
+
+    ``warn_only`` reports failures but forces exit 0 — the CI bring-up
+    mode while a baseline accumulates samples.
+    """
+    failed = bool(report.failures) and not warn_only
+    return GateResult(
+        report=report, exit_code=1 if failed else 0, warn_only=warn_only
+    )
+
+
+def render(report: GateReport, fmt: str, verbose: bool = False) -> str:
+    """A report in one of :data:`FORMATS`.
+
+    ``json`` is indented with sorted keys; ``github`` is one annotation
+    per line.  ``verbose`` only affects ``text``.
+
+    Raises:
+        ObsError: On an unknown format.
+    """
+    if fmt == "text":
+        return "\n".join(report.text_lines(verbose))
+    if fmt == "json":
+        return json.dumps(report.to_mapping(), indent=2, sort_keys=True)
+    if fmt == "github":
+        return "\n".join(report.annotations() or [report.notice])
+    raise ObsError(f"unknown report format {fmt!r}; expected one of {FORMATS}")

@@ -8,10 +8,12 @@ SLOs (service latency and queue wait).
 
 :class:`OpsLogger` is the **only** code allowed to append to an ops
 log; lint rule RPL801 enforces that, exactly as RPL501/RPL601 do for
-the perf ledger and the run cache.  Everything else in this module is
-read-side: :func:`read_ops_log`, :func:`tail_ops_log`, and
-:func:`summarize_ops` back ``repro ops tail|summary``, and the SLO
-runtime (:mod:`repro.obs.runtime`) evaluates the same records.
+the perf ledger and the run cache.  Appends and reads go through
+:data:`OPS_LOG`, this log's :class:`~repro.obs.ledger.LedgerKind`.
+Everything else in this module is read-side: ``OPS_LOG.read``,
+:func:`tail_ops_log`, and :func:`summarize_ops` back ``repro ops
+tail|summary``, and the SLO runtime (:mod:`repro.obs.runtime`)
+evaluates the same records.
 
 Record schema (see ``docs/observability.md``):
 
@@ -38,12 +40,12 @@ allowed and preserved; the required seven always exist.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ObsError
+from repro.obs.ledger import LedgerKind, LedgerRead
 
 if TYPE_CHECKING:
     from repro.fleet.events import FleetEvent
@@ -60,6 +62,14 @@ OPS_RECORD_FIELDS = (
 #: ``outcome`` ``"ok"`` (agreement) or ``"failed:drift"`` — so a drift
 #: SLO is just an availability SLO with ``kind="drift"``.
 OPS_KINDS = ("decision", "simulation", "health", "stats", "job", "drift")
+
+#: How the ops log is validated, appended and read.
+OPS_LOG = LedgerKind(
+    noun="ops record",
+    unreadable="cannot read ops log",
+    error=ObsError,
+    fields=OPS_RECORD_FIELDS,
+)
 
 
 def ops_record(
@@ -123,16 +133,7 @@ class OpsLogger:
             ObsError: When required fields are missing or the record is
                 not JSON-serialisable.
         """
-        missing = [f for f in OPS_RECORD_FIELDS if f not in record]
-        if missing:
-            raise ObsError(f"ops record missing fields {missing}")
-        stored = dict(record)
-        try:
-            line = json.dumps(stored, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise ObsError(f"ops record is not JSON-serialisable: {exc}") from exc
-        with self.path.open("a") as fh:
-            fh.write(line + "\n")
+        stored = OPS_LOG.append(self.path, record)
         self.written += 1
         return stored
 
@@ -171,40 +172,13 @@ def job_record_from_event(event: "FleetEvent") -> dict[str, Any] | None:
 # -- read side -------------------------------------------------------------
 
 
-def read_ops_log(path: str | Path) -> list[dict[str, Any]]:
-    """All records of one ops log, in file order.
-
-    Raises:
-        ObsError: On an unreadable file, a non-JSON line, or a record
-            missing required fields.
-    """
-    source = Path(path)
-    try:
-        text = source.read_text()
-    except OSError as exc:
-        raise ObsError(f"cannot read ops log {source}: {exc}") from exc
-    records: list[dict[str, Any]] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(f"{source}:{n} is not JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ObsError(f"{source}:{n} is not a JSON object")
-        missing = [f for f in OPS_RECORD_FIELDS if f not in record]
-        if missing:
-            raise ObsError(f"{source}:{n} missing fields {missing}")
-        records.append(record)
-    return records
-
-
-def tail_ops_log(path: str | Path, n: int = 10) -> list[dict[str, Any]]:
-    """The last ``n`` records of an ops log (fewer when the log is short)."""
+def tail_ops_log(path: str | Path, n: int = 10) -> LedgerRead:
+    """The last ``n`` records of an ops log (fewer when the log is short),
+    with the read's torn-line count."""
     if n < 1:
         raise ObsError(f"tail needs a positive count: {n}")
-    return read_ops_log(path)[-n:]
+    records = OPS_LOG.read(path)
+    return LedgerRead(records[-n:], torn=records.torn)
 
 
 def _quantile(ordered: list[float], q: float) -> float:

@@ -10,11 +10,11 @@ Three layers, each consuming the one below:
 * :func:`health_indicators` reduces a window to the numbers an
   out-of-band ``health`` request reports: p50/p99 decision latency,
   request and rejection rates, and the window span actually covered.
-* The SLO machinery — :class:`SloSpec` definitions, :func:`evaluate_slos`
-  over ops-log records (:mod:`repro.obs.opslog`), and a
-  text/json/github-rendered :func:`slo_gate` mirroring
-  :func:`repro.perf.regress.gate` — turns "is the service healthy"
-  into a deterministic exit code for CI.
+* The SLO machinery — :class:`SloSpec` definitions and
+  :func:`evaluate_slos` over ops-log records (:mod:`repro.obs.opslog`),
+  gated and rendered by the shared :func:`repro.obs.ledger.gate` and
+  :func:`repro.obs.ledger.render` — turns "is the service healthy" into
+  a deterministic exit code for CI.
 
 Evaluation is error-budget based: an objective of ``0.999`` leaves a
 ``0.001`` budget of bad requests, and the *burn rate* is the fraction
@@ -24,15 +24,15 @@ the window, extrapolated, exhausts the budget — that SLO fails.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, ClassVar, Mapping, Sequence
 
 from repro.errors import ObsError
+from repro.obs.ledger import GateReport, GateResult, gate, read_json_object
 from repro.obs.metrics import histogram_quantile
-from repro.obs.opslog import OPS_KINDS, read_ops_log
+from repro.obs.opslog import OPS_KINDS, OPS_LOG
 
 # -- sliding window over metric snapshots ---------------------------------
 
@@ -279,16 +279,7 @@ def slos_from_mapping(data: Mapping[str, Any]) -> tuple[SloSpec, ...]:
 
 def load_slo_config(path: str | Path) -> tuple[SloSpec, ...]:
     """Load and validate a JSON SLO config file."""
-    source = Path(path)
-    try:
-        data = json.loads(source.read_text())
-    except OSError as exc:
-        raise ObsError(f"cannot read SLO config {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ObsError(f"{source} is not JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ObsError(f"{source} must hold a JSON object")
-    return slos_from_mapping(data)
+    return slos_from_mapping(read_json_object(path, "SLO config"))
 
 
 @dataclass(frozen=True)
@@ -317,18 +308,71 @@ class SloVerdict:
 
 
 @dataclass(frozen=True)
-class SloReport:
+class SloReport(GateReport):
     """All verdicts of one evaluation pass."""
 
     verdicts: tuple[SloVerdict, ...]
 
-    @property
-    def failures(self) -> tuple[SloVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.status == "fail")
+    notice: ClassVar[str] = "::notice title=slo gate::all SLOs within budget"
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    def text_lines(self, verbose: bool = False) -> list[str]:
+        """One line per objective, then the pass/fail count."""
+        lines: list[str] = []
+        for v in self.verdicts:
+            bound = (
+                f", <={v.spec.max_latency_s:g}s"
+                if v.spec.max_latency_s is not None
+                else ""
+            )
+            lines.append(
+                f"{v.status.upper():>7}  {v.spec.name} "
+                f"({v.spec.kind}, obj {v.spec.objective:g}{bound}): "
+                f"{v.total - v.bad}/{v.total} good, "
+                f"burn rate {v.burn_rate:.2f}"
+            )
+        failed = len(self.failures)
+        lines.append("")
+        lines.append(
+            f"{len(self.verdicts)} SLO(s): {failed} failing, "
+            f"{len(self.verdicts) - failed} passing"
+        )
+        return lines
+
+    def to_mapping(self) -> dict[str, Any]:
+        """The JSON payload of ``repro slo gate``."""
+        return {
+            "ok": self.ok,
+            "verdicts": [
+                {
+                    "name": v.spec.name,
+                    "kind": v.spec.kind,
+                    "objective": v.spec.objective,
+                    "max_latency_s": v.spec.max_latency_s,
+                    "total": v.total,
+                    "bad": v.bad,
+                    "good_fraction": v.good_fraction,
+                    "burn_rate": v.burn_rate,
+                    "status": v.status,
+                }
+                for v in self.verdicts
+            ],
+        }
+
+    def annotations(self) -> list[str]:
+        """One ``::error`` per failing SLO, one ``::warning`` per SLO
+        that matched no records."""
+        lines = [
+            f"::error title=SLO violation::{v.spec.name} burn rate "
+            f"{v.burn_rate:.2f} ({v.bad}/{v.total} bad, "
+            f"objective {v.spec.objective:g})"
+            for v in self.failures
+        ]
+        lines += [
+            f"::warning title=SLO no-data::{v.spec.name} matched no records"
+            for v in self.verdicts
+            if v.status == "no-data"
+        ]
+        return lines
 
 
 def evaluate_slos(
@@ -367,107 +411,10 @@ def evaluate_slos(
     return SloReport(verdicts=tuple(verdicts))
 
 
-# -- rendering + gate (mirrors repro.perf.regress) ------------------------
-
-
-def render_slo_text(report: SloReport) -> str:
-    """Human-readable SLO report, one line per objective."""
-    lines: list[str] = []
-    for v in report.verdicts:
-        bound = (
-            f", <={v.spec.max_latency_s:g}s"
-            if v.spec.max_latency_s is not None
-            else ""
-        )
-        lines.append(
-            f"{v.status.upper():>7}  {v.spec.name} "
-            f"({v.spec.kind}, obj {v.spec.objective:g}{bound}): "
-            f"{v.total - v.bad}/{v.total} good, "
-            f"burn rate {v.burn_rate:.2f}"
-        )
-    failed = len(report.failures)
-    lines.append("")
-    lines.append(
-        f"{len(report.verdicts)} SLO(s): {failed} failing, "
-        f"{len(report.verdicts) - failed} passing"
-    )
-    return "\n".join(lines)
-
-
-def render_slo_json(report: SloReport) -> str:
-    """Machine-readable SLO report (stable key order)."""
-    payload = {
-        "ok": report.ok,
-        "verdicts": [
-            {
-                "name": v.spec.name,
-                "kind": v.spec.kind,
-                "objective": v.spec.objective,
-                "max_latency_s": v.spec.max_latency_s,
-                "total": v.total,
-                "bad": v.bad,
-                "good_fraction": v.good_fraction,
-                "burn_rate": v.burn_rate,
-                "status": v.status,
-            }
-            for v in report.verdicts
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_slo_github(report: SloReport) -> str:
-    """GitHub Actions annotations — one ``::error`` per failing SLO."""
-    lines: list[str] = []
-    for v in report.failures:
-        lines.append(
-            f"::error title=SLO violation::{v.spec.name} burn rate "
-            f"{v.burn_rate:.2f} ({v.bad}/{v.total} bad, "
-            f"objective {v.spec.objective:g})"
-        )
-    for v in report.verdicts:
-        if v.status == "no-data":
-            lines.append(
-                f"::warning title=SLO no-data::{v.spec.name} matched "
-                "no records"
-            )
-    if not lines:
-        lines.append("::notice title=slo gate::all SLOs within budget")
-    return "\n".join(lines)
-
-
-SLO_RENDERERS: dict[str, Callable[[SloReport], str]] = {
-    "text": render_slo_text,
-    "json": render_slo_json,
-    "github": render_slo_github,
-}
-
-
-@dataclass(frozen=True)
-class SloGateResult:
-    """What ``repro slo gate`` decided."""
-
-    report: SloReport
-    exit_code: int
-    warn_only: bool = field(default=False)
-
-
-def slo_gate(report: SloReport, warn_only: bool = False) -> SloGateResult:
-    """Turn an SLO report into an exit code (0 pass, 1 violated).
-
-    ``warn_only`` reports violations but forces exit 0 — the CI
-    bring-up mode, same as ``repro perf gate --warn-only``.
-    """
-    failed = not report.ok and not warn_only
-    return SloGateResult(
-        report=report, exit_code=1 if failed else 0, warn_only=warn_only
-    )
-
-
 def gate_ops_log(
     path: str | Path,
     slos: Sequence[SloSpec] = DEFAULT_SLOS,
     warn_only: bool = False,
-) -> SloGateResult:
+) -> GateResult:
     """One-call form: read an ops log, evaluate, gate."""
-    return slo_gate(evaluate_slos(read_ops_log(path), slos), warn_only)
+    return gate(evaluate_slos(OPS_LOG.read(path), slos), warn_only)

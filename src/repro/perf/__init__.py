@@ -11,10 +11,12 @@ gate`` turns the verdicts into an exit code for CI.
 
 Module map:
 
-* :mod:`repro.perf.ledger`  — ``RunRecord`` / ``Ledger`` /
+* :mod:`repro.perf.ledger`  — ``RunRecord`` / ``PERF_LEDGER`` /
   ``record_run`` / snapshot flattening
-* :mod:`repro.perf.regress` — ``compare_records`` / ``gate`` /
-  text-json-github renderers
+* :mod:`repro.perf.regress` — ``compare_records`` / ``PerfComparison``
+
+``gate``, ``GateResult`` and ``render`` are the shared ones from
+:mod:`repro.obs.ledger`, re-exported here.
 
 Schema and gate semantics live in ``docs/observability.md``.
 """
@@ -25,31 +27,26 @@ from repro.perf.ledger import (
     DEFAULT_LEDGER_PATH,
     LEDGER_ENV_VAR,
     LEDGER_SCHEMA_VERSION,
-    Ledger,
+    PERF_LEDGER,
     RunRecord,
     git_sha,
     group_samples,
     metrics_from_snapshot,
     new_run_id,
-    read_ledger,
     record_run,
     resolve_ledger_path,
     split_latest,
 )
+from repro.obs.ledger import GateResult, gate, render
 from repro.perf.regress import (
     DEFAULT_BOOTSTRAP_ITERS,
     DEFAULT_CONFIDENCE,
     DEFAULT_THRESHOLD,
     MIN_BOOTSTRAP_SAMPLES,
-    GateResult,
     MetricVerdict,
     PerfComparison,
     compare_records,
-    gate,
     metric_polarity,
-    render_github,
-    render_json,
-    render_text,
 )
 
 __all__ = [
@@ -60,9 +57,9 @@ __all__ = [
     "GateResult",
     "LEDGER_ENV_VAR",
     "LEDGER_SCHEMA_VERSION",
-    "Ledger",
     "MIN_BOOTSTRAP_SAMPLES",
     "MetricVerdict",
+    "PERF_LEDGER",
     "PerfComparison",
     "RunRecord",
     "compare_records",
@@ -72,11 +69,8 @@ __all__ = [
     "metric_polarity",
     "metrics_from_snapshot",
     "new_run_id",
-    "read_ledger",
     "record_run",
-    "render_github",
-    "render_json",
-    "render_text",
+    "render",
     "resolve_ledger_path",
     "split_latest",
 ]

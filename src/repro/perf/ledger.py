@@ -16,13 +16,14 @@ the observability registry flow through
 
 The ledger lives at ``.repro/perf-ledger.jsonl`` by default; override
 with the ``REPRO_PERF_LEDGER`` environment variable or an explicit
-path.  Appends are line-atomic (one ``write`` per record), and readers
-skip blank lines, so concurrent benches interleave safely.
+path.  Appends and reads go through :data:`PERF_LEDGER`, the ledger's
+:class:`~repro.obs.ledger.LedgerKind`: appends are line-atomic (one
+``write`` per record), and readers skip blank lines and a torn final
+line, so concurrent benches interleave safely.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import PerfError
+from repro.obs.ledger import LedgerKind
 from repro.obs.metrics import histogram_quantile
 
 DEFAULT_LEDGER_PATH = ".repro/perf-ledger.jsonl"
@@ -131,58 +133,15 @@ def resolve_ledger_path(path: str | Path | None = None) -> Path:
     return Path(os.environ.get(LEDGER_ENV_VAR, DEFAULT_LEDGER_PATH))
 
 
-class Ledger:
-    """Append/read access to one ledger file."""
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = resolve_ledger_path(path)
-
-    def append(self, record: RunRecord) -> None:
-        """Append one record as a single JSONL line (creating the file
-        and its parent directory on first use)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_mapping(), sort_keys=True)
-        with self.path.open("a") as fh:
-            fh.write(line + "\n")
-
-    def read(self) -> list[RunRecord]:
-        """All records, in file (append) order.
-
-        Raises:
-            PerfError: If the file is missing or a line is malformed.
-        """
-        if not self.path.is_file():
-            raise PerfError(f"no ledger at {self.path}")
-        return read_ledger(self.path)
-
-    def exists(self) -> bool:
-        """Whether the ledger file is present."""
-        return self.path.is_file()
-
-
-def read_ledger(path: str | Path) -> list[RunRecord]:
-    """Parse a ledger file into records, skipping blank lines.
-
-    Raises:
-        PerfError: On a missing/unreadable file, unparsable lines, or
-            malformed records.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise PerfError(f"no ledger at {path}: {exc}") from exc
-    records: list[RunRecord] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise PerfError(f"{path}:{n} is not JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise PerfError(f"{path}:{n} is not a JSON object")
-        records.append(RunRecord.from_mapping(data))
-    return records
+#: How the performance ledger is appended and read; the required
+#: fields are checked by :meth:`RunRecord.from_mapping`.
+PERF_LEDGER = LedgerKind(
+    noun="ledger record",
+    unreadable="no ledger at",
+    error=PerfError,
+    encode=RunRecord.to_mapping,
+    decode=RunRecord.from_mapping,
+)
 
 
 _GIT_SHA_CACHE: dict[str, str] = {}
@@ -223,7 +182,6 @@ def record_run(
     *,
     run_id: str | None = None,
     path: str | Path | None = None,
-    ledger: Ledger | None = None,
 ) -> RunRecord:
     """Append one run record — the only sanctioned ledger writer.
 
@@ -241,7 +199,6 @@ def record_run(
             (fresh when omitted).
         path: Ledger file (default: ``REPRO_PERF_LEDGER`` env or
             ``.repro/perf-ledger.jsonl``).
-        ledger: An explicit :class:`Ledger` (overrides ``path``).
 
     Raises:
         PerfError: On an empty kind/name.
@@ -265,7 +222,9 @@ def record_run(
         git_sha=git_sha(),
         timestamp_s=time.time(),
     )
-    (ledger or Ledger(path)).append(record)
+    target = resolve_ledger_path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    PERF_LEDGER.append(target, record)
     return record
 
 

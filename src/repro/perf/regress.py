@@ -21,13 +21,13 @@ metric.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import PerfError
+from repro.obs.ledger import GateReport
 from repro.perf.ledger import RunRecord, group_samples
 
 MIN_BOOTSTRAP_SAMPLES = 5
@@ -123,26 +123,98 @@ class MetricVerdict:
     polarity: str
 
 
+def _fmt(value: float | None) -> str:
+    if value is None:
+        return "-"
+    if value == 0:
+        return "0"
+    if abs(value) >= 1000 or abs(value) < 0.001:
+        return f"{value:.3e}"
+    return f"{value:.6g}"
+
+
 @dataclass(frozen=True)
-class PerfComparison:
-    """All verdicts of one baseline/current comparison."""
+class PerfComparison(GateReport):
+    """All verdicts of one baseline/current comparison; its
+    :attr:`failures` are the regressions."""
 
     verdicts: tuple[MetricVerdict, ...]
     threshold: float
     confidence: float
 
-    @property
-    def regressions(self) -> tuple[MetricVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.status == "regressed")
+    failing: ClassVar[str] = "regressed"
+    notice: ClassVar[str] = "::notice title=perf gate::no significant shifts"
 
     @property
     def improvements(self) -> tuple[MetricVerdict, ...]:
         return tuple(v for v in self.verdicts if v.status == "improved")
 
-    @property
-    def ok(self) -> bool:
-        """True when nothing regressed."""
-        return not self.regressions
+    def text_lines(self, verbose: bool = False) -> list[str]:
+        """Regressions and improvements, then the per-status counts.
+
+        Unchanged/added/removed verdicts only print under ``verbose``.
+        """
+        lines: list[str] = []
+        for v in self.verdicts:
+            if v.status in ("unchanged", "added", "removed") and not verbose:
+                continue
+            shift = f"{v.shift:+.1%}" if v.shift is not None else "-"
+            ci = (
+                f" CI[{v.ci_low:+.1%}, {v.ci_high:+.1%}]"
+                if v.ci_low is not None and v.ci_high is not None
+                else ""
+            )
+            lines.append(
+                f"{v.status.upper():>9}  {v.key} :: {v.metric}  "
+                f"{_fmt(v.baseline_median)} -> {_fmt(v.current_median)} "
+                f"({shift}{ci}, n={v.n_baseline}/{v.n_current}, "
+                f"{v.method}, {v.polarity}-is-better)"
+            )
+        counts = {"improved": 0, "unchanged": 0, "regressed": 0, "added": 0, "removed": 0}
+        for v in self.verdicts:
+            counts[v.status] += 1
+        if lines:
+            lines.append("")
+        lines.append(
+            f"{len(self.verdicts)} metric(s): "
+            f"{counts['regressed']} regressed, {counts['improved']} improved, "
+            f"{counts['unchanged']} unchanged"
+            + (
+                f", {counts['added']} added, {counts['removed']} removed"
+                if counts["added"] or counts["removed"]
+                else ""
+            )
+        )
+        return lines
+
+    def to_mapping(self) -> dict[str, Any]:
+        """The JSON payload of ``repro perf compare|gate``."""
+        return {
+            "threshold": self.threshold,
+            "confidence": self.confidence,
+            "ok": self.ok,
+            "verdicts": [asdict(v) for v in self.verdicts],
+        }
+
+    def annotations(self) -> list[str]:
+        """One ``::error`` per regression and one ``::warning`` per
+        improvement (worth a look: did the benchmark get easier, or the
+        code faster?)."""
+        lines: list[str] = []
+        for v in self.failures:
+            shift = f"{v.shift:+.1%}" if v.shift is not None else "?"
+            lines.append(
+                f"::error title=perf regression::{v.key} :: {v.metric} "
+                f"shifted {shift} ({_fmt(v.baseline_median)} -> "
+                f"{_fmt(v.current_median)}, {v.method})"
+            )
+        for v in self.improvements:
+            shift = f"{v.shift:+.1%}" if v.shift is not None else "?"
+            lines.append(
+                f"::warning title=perf improvement::{v.key} :: {v.metric} "
+                f"shifted {shift}"
+            )
+        return lines
 
 
 def _bootstrap_shift_ci(
@@ -282,139 +354,4 @@ def compare_records(
         )
     return PerfComparison(
         verdicts=tuple(verdicts), threshold=threshold, confidence=confidence
-    )
-
-
-# -- rendering (mirrors repro.lint.output) -------------------------------
-
-
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return "-"
-    if value == 0:
-        return "0"
-    if abs(value) >= 1000 or abs(value) < 0.001:
-        return f"{value:.3e}"
-    return f"{value:.6g}"
-
-
-def render_text(comparison: PerfComparison, verbose: bool = False) -> str:
-    """Human-readable comparison summary.
-
-    Regressions and improvements always print; unchanged/added/removed
-    verdicts only under ``verbose``.
-    """
-    lines: list[str] = []
-    shown = 0
-    for v in comparison.verdicts:
-        if v.status in ("unchanged", "added", "removed") and not verbose:
-            continue
-        shown += 1
-        shift = f"{v.shift:+.1%}" if v.shift is not None else "-"
-        ci = (
-            f" CI[{v.ci_low:+.1%}, {v.ci_high:+.1%}]"
-            if v.ci_low is not None and v.ci_high is not None
-            else ""
-        )
-        lines.append(
-            f"{v.status.upper():>9}  {v.key} :: {v.metric}  "
-            f"{_fmt(v.baseline_median)} -> {_fmt(v.current_median)} "
-            f"({shift}{ci}, n={v.n_baseline}/{v.n_current}, "
-            f"{v.method}, {v.polarity}-is-better)"
-        )
-    counts = {"improved": 0, "unchanged": 0, "regressed": 0, "added": 0, "removed": 0}
-    for v in comparison.verdicts:
-        counts[v.status] += 1
-    if shown:
-        lines.append("")
-    lines.append(
-        f"{len(comparison.verdicts)} metric(s): "
-        f"{counts['regressed']} regressed, {counts['improved']} improved, "
-        f"{counts['unchanged']} unchanged"
-        + (
-            f", {counts['added']} added, {counts['removed']} removed"
-            if counts["added"] or counts["removed"]
-            else ""
-        )
-    )
-    return "\n".join(lines)
-
-
-def render_json(comparison: PerfComparison) -> str:
-    """Machine-readable comparison (stable key order)."""
-    payload = {
-        "threshold": comparison.threshold,
-        "confidence": comparison.confidence,
-        "ok": comparison.ok,
-        "verdicts": [
-            {
-                "key": v.key,
-                "metric": v.metric,
-                "status": v.status,
-                "baseline_median": v.baseline_median,
-                "current_median": v.current_median,
-                "shift": v.shift,
-                "ci_low": v.ci_low,
-                "ci_high": v.ci_high,
-                "n_baseline": v.n_baseline,
-                "n_current": v.n_current,
-                "method": v.method,
-                "polarity": v.polarity,
-            }
-            for v in comparison.verdicts
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_github(comparison: PerfComparison) -> str:
-    """GitHub Actions annotations — one ``::error`` per regression,
-    ``::warning`` per improvement (worth a look: did the benchmark get
-    easier, or the code faster?)."""
-    lines: list[str] = []
-    for v in comparison.regressions:
-        shift = f"{v.shift:+.1%}" if v.shift is not None else "?"
-        lines.append(
-            f"::error title=perf regression::{v.key} :: {v.metric} "
-            f"shifted {shift} ({_fmt(v.baseline_median)} -> "
-            f"{_fmt(v.current_median)}, {v.method})"
-        )
-    for v in comparison.improvements:
-        shift = f"{v.shift:+.1%}" if v.shift is not None else "?"
-        lines.append(
-            f"::warning title=perf improvement::{v.key} :: {v.metric} "
-            f"shifted {shift}"
-        )
-    if not lines:
-        lines.append("::notice title=perf gate::no significant shifts")
-    return "\n".join(lines)
-
-
-RENDERERS = {
-    "text": lambda c: render_text(c),
-    "json": render_json,
-    "github": render_github,
-}
-
-
-@dataclass(frozen=True)
-class GateResult:
-    """What ``repro perf gate`` decided."""
-
-    comparison: PerfComparison
-    exit_code: int
-    warn_only: bool = field(default=False)
-
-
-def gate(comparison: PerfComparison, warn_only: bool = False) -> GateResult:
-    """Turn a comparison into an exit code (0 pass, 1 regressed).
-
-    ``warn_only`` reports regressions but forces exit 0 — the CI
-    bring-up mode while a baseline ledger accumulates samples.
-    """
-    failed = not comparison.ok and not warn_only
-    return GateResult(
-        comparison=comparison,
-        exit_code=1 if failed else 0,
-        warn_only=warn_only,
     )

@@ -286,7 +286,7 @@ class TestRunBatchIntegration:
         assert batched == serial
 
     def test_learn_ledger_identical_across_paths(self, tmp_path):
-        from repro.obs.learn import read_learn_log
+        from repro.obs.learn import LEARN_LOG
 
         def spec(i, log_dir):
             return JobSpec(scenario="web_browsing", governor="rl-policy",
@@ -309,8 +309,8 @@ class TestRunBatchIntegration:
 
         for fast_file, serial_file in zip(sorted(fast_dir.iterdir()),
                                           sorted(serial_dir.iterdir())):
-            assert strip_ts(read_learn_log(fast_file)) == strip_ts(
-                read_learn_log(serial_file)
+            assert strip_ts(LEARN_LOG.read(fast_file)) == strip_ts(
+                LEARN_LOG.read(serial_file)
             )
 
 

@@ -29,19 +29,20 @@ from repro.experiments.learning import (
 )
 from repro.obs import (
     DEFAULT_CONVERGENCE,
+    FORMATS,
+    LEARN_LOG,
     LEARN_RECORD_FIELDS,
-    LEARN_RENDERERS,
     ConvergenceSpec,
     LearnRecorder,
     evaluate_learning,
     format_learn_summary,
     gate_learn_log,
+    gate,
     is_plateau,
-    learn_gate,
     learn_record,
     load_convergence_spec,
     plateau_episode,
-    read_learn_log,
+    render,
     spec_from_mapping,
     summarize_learning,
 )
@@ -167,7 +168,7 @@ class TestLearnRecorder:
         recorder.log(learn_record(episode=0, scenario="gaming", ts=1.0))
         recorder.log(learn_record(episode=1, scenario="gaming", ts=2.0))
         assert recorder.written == 2
-        records = read_learn_log(recorder.path)
+        records = LEARN_LOG.read(recorder.path)
         assert [r["episode"] for r in records] == [0, 1]
 
     def test_lines_are_sorted_key_json(self, tmp_path):
@@ -179,13 +180,13 @@ class TestLearnRecorder:
 
     def test_read_missing_file_raises(self, tmp_path):
         with pytest.raises(ObsError):
-            read_learn_log(tmp_path / "absent.jsonl")
+            LEARN_LOG.read(tmp_path / "absent.jsonl")
 
     def test_read_rejects_non_json_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ObsError):
-            read_learn_log(path)
+            LEARN_LOG.read(path)
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +314,25 @@ class TestEvaluateLearning:
         assert result.exit_code == 0 and not result.report.ok
 
     def test_renderers_cover_all_formats(self):
-        report = evaluate_learning(read_learn_log(DIVERGENT_LEDGER))
-        assert set(LEARN_RENDERERS) == {"text", "json", "github"}
-        text = LEARN_RENDERERS["text"](report)
+        report = evaluate_learning(LEARN_LOG.read(DIVERGENT_LEDGER))
+        assert set(FORMATS) == {"text", "json", "github"}
+        text = render(report, "text")
         assert "FAIL" in text
-        payload = json.loads(LEARN_RENDERERS["json"](report))
+        payload = json.loads(render(report, "json"))
         assert payload["ok"] is False
-        github = LEARN_RENDERERS["github"](report)
+        github = render(report, "github")
         assert "::error" in github
 
     def test_summary_over_fixture(self):
-        summary = summarize_learning(read_learn_log(HEALTHY_LEDGER))
+        summary = summarize_learning(LEARN_LOG.read(HEALTHY_LEDGER))
         assert summary["episodes"] == 8
         assert summary["scenarios"] == ["audio_playback"]
         text = format_learn_summary(summary)
         assert "8 episode(s)" in text
 
     def test_learn_gate_result_carries_report(self):
-        report = evaluate_learning(read_learn_log(HEALTHY_LEDGER))
-        result = learn_gate(report)
+        report = evaluate_learning(LEARN_LOG.read(HEALTHY_LEDGER))
+        result = gate(report)
         assert result.report is report and result.exit_code == 0
 
 
@@ -387,7 +388,7 @@ class TestLearnCli:
         ])
         assert code == 0
         assert "learning ledger: 2 record(s)" in capsys.readouterr().out
-        records = read_learn_log(ledger)
+        records = LEARN_LOG.read(ledger)
         assert [r["episode"] for r in records] == [0, 1]
         assert all(set(LEARN_RECORD_FIELDS) <= set(r) for r in records)
 
@@ -421,14 +422,14 @@ class TestTrainerLedger:
     def test_first_episode_churn_is_zero(self, tmp_path):
         recorder = LearnRecorder(tmp_path / "t.jsonl")
         self._train(recorder)
-        records = read_learn_log(recorder.path)
+        records = LEARN_LOG.read(recorder.path)
         assert records[0]["churn"] == 0.0
         assert all(0.0 <= r["churn"] <= 1.0 for r in records)
 
     def test_ledger_carries_learner_state(self, tmp_path):
         recorder = LearnRecorder(tmp_path / "t.jsonl")
         result = self._train(recorder)
-        records = read_learn_log(recorder.path)
+        records = LEARN_LOG.read(recorder.path)
         assert len(records) == len(result.history)
         last = records[-1]
         assert last["q_norm_l2"] > 0.0
@@ -443,7 +444,7 @@ class TestTrainerLedger:
             episodes_per_scenario=2, episode_duration_s=2.0,
             recorder=recorder,
         )
-        records = read_learn_log(recorder.path)
+        records = LEARN_LOG.read(recorder.path)
         assert [r["episode"] for r in records] == [0, 1, 2, 3]
         assert [r["scenario"] for r in records] == [
             "audio_playback", "audio_playback", "idle", "idle",
@@ -465,7 +466,7 @@ class TestFleetLedger:
         ledgers = sorted((tmp_path / "ledgers").glob("*.jsonl"))
         assert len(ledgers) == 1
         assert "rl-policy" in ledgers[0].name
-        records = read_learn_log(ledgers[0])
+        records = LEARN_LOG.read(ledgers[0])
         assert [r["episode"] for r in records] == [0, 1]
 
     def test_learn_log_dir_is_cache_identity(self):
@@ -537,7 +538,7 @@ class TestLearningEdgeCases:
         assert len(result.segments) == 1
         assert result.segments[0].scenario == "audio_playback"
         # Only the travelling policy ledgers; its one episode is there.
-        records = read_learn_log(recorder.path)
+        records = LEARN_LOG.read(recorder.path)
         assert [r["episode"] for r in records] == [0]
 
     def test_evaluate_policy_on_untrained_policies(self):

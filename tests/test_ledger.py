@@ -1,0 +1,126 @@
+"""The shared JSONL ledger primitive behind the perf, ops and learn logs.
+
+Two contracts are pinned here for all three kinds at once:
+
+* a crash mid-append leaves a torn final line, and the reader skips and
+  counts it instead of refusing the whole file — while a garbled line
+  anywhere else still raises;
+* the committed ledgers read back and write out through their writers
+  unchanged, byte for byte where the file was written by the writer.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.errors import ReproError
+from repro.obs import LEARN_LOG, OPS_LOG, LearnRecorder, OpsLogger
+from repro.perf import PERF_LEDGER
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
+
+#: kind -> (committed file, reader)
+KINDS = {
+    "perf": (REPO_ROOT / "perf-baseline.jsonl", PERF_LEDGER.read),
+    "ops": (DATA / "ops-log-fixture.jsonl", OPS_LOG.read),
+    "learn": (DATA / "learn-log-fixture.jsonl", LEARN_LOG.read),
+}
+
+
+def _write_perf(path: Path, records: list) -> None:
+    for record in records:
+        PERF_LEDGER.append(path, record)
+
+
+def _write_ops(path: Path, records: list) -> None:
+    logger = OpsLogger(path)
+    for record in records:
+        logger.log(record)
+
+
+def _write_learn(path: Path, records: list) -> None:
+    recorder = LearnRecorder(path)
+    for record in records:
+        recorder.log(record)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_torn_final_line_is_skipped_and_counted(kind, tmp_path):
+    fixture, read = KINDS[kind]
+    text = fixture.read_text()
+    intact = read(fixture)
+    last = text.splitlines()[-1]
+    torn = last[: len(last) // 2]
+    path = tmp_path / "torn.jsonl"
+
+    # A crash mid-append: the final line has no newline and no end.
+    path.write_text(text + torn)
+    records = read(path)
+    assert records == intact
+    assert (records.torn, intact.torn) == (1, 0)
+
+    # The same garbage newline-terminated was not cut short: it raises.
+    path.write_text(text + torn + "\n")
+    with pytest.raises(ReproError, match=r":\d+ is not JSON"):
+        read(path)
+
+    # So does a garbled line in the middle of the file.
+    path.write_text(torn + "\n" + text)
+    with pytest.raises(ReproError, match=":1 is not JSON"):
+        read(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["perf", "list", "--ledger"],
+    ["ops", "summary"],
+    ["ops", "tail"],
+    ["slo", "gate", "--ops-log"],
+    ["learn", "report", "--learn-log"],
+    ["learn", "gate", "--learn-log"],
+], ids=" ".join)
+def test_cli_reports_the_torn_line_on_stderr(command, tmp_path, capsys):
+    kind = {"slo": "ops"}.get(command[0], command[0])
+    fixture, _ = KINDS[kind]
+    path = tmp_path / "torn.jsonl"
+    path.write_text(fixture.read_text() + '{"trunc')
+    assert main(command + [str(fixture)]) == 0
+    clean = capsys.readouterr()
+    assert main(command + [str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == clean.out
+    assert err == clean.err + f"{path}: skipped 1 torn final line(s)\n"
+
+
+#: committed file -> (path, reader, writer, written by the writer?)
+COMMITTED = {
+    "perf-baseline.jsonl": (
+        REPO_ROOT / "perf-baseline.jsonl", PERF_LEDGER.read, _write_perf, True,
+    ),
+    "learn-log-fixture.jsonl": (
+        DATA / "learn-log-fixture.jsonl", LEARN_LOG.read, _write_learn, True,
+    ),
+    "learn-log-divergent.jsonl": (
+        DATA / "learn-log-divergent.jsonl", LEARN_LOG.read, _write_learn,
+        True,
+    ),
+    # Hand-written (``0.0010``): the writer normalises the numbers.
+    "ops-log-fixture.jsonl": (
+        DATA / "ops-log-fixture.jsonl", OPS_LOG.read, _write_ops, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED))
+def test_committed_ledgers_round_trip_through_their_writers(name, tmp_path):
+    fixture, read, write, byte_identical = COMMITTED[name]
+    records = read(fixture)
+    assert records
+    copy = tmp_path / "copy.jsonl"
+    write(copy, records)
+    assert read(copy) == records
+    if byte_identical:
+        assert copy.read_bytes() == fixture.read_bytes()

@@ -22,7 +22,8 @@ from repro.fleet.events import (
 )
 from repro.obs import (
     DEFAULT_SLOS,
-    SLO_RENDERERS,
+    FORMATS,
+    OPS_LOG,
     OpsLogger,
     SlidingWindow,
     SloSpec,
@@ -31,17 +32,14 @@ from repro.obs import (
     current_context,
     evaluate_slos,
     format_ops_summary,
+    gate,
     gate_ops_log,
     health_indicators,
     job_record_from_event,
     load_slo_config,
     new_trace_id,
     ops_record,
-    read_ops_log,
-    render_slo_github,
-    render_slo_json,
-    render_slo_text,
-    slo_gate,
+    render,
     slos_from_mapping,
     summarize_ops,
     tail_ops_log,
@@ -240,7 +238,7 @@ class TestJobRecordFromEvent:
 
 class TestOpsReadSide:
     def test_fixture_round_trips(self):
-        records = read_ops_log(OPS_FIXTURE)
+        records = OPS_LOG.read(OPS_FIXTURE)
         assert len(records) == 15
         assert all(set(r) >= {"ts", "kind", "trace_id", "request_id",
                               "outcome", "latency_s", "queue_wait_s"}
@@ -248,16 +246,16 @@ class TestOpsReadSide:
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ObsError, match="cannot read"):
-            read_ops_log(tmp_path / "absent.jsonl")
+            OPS_LOG.read(tmp_path / "absent.jsonl")
 
     def test_malformed_line_raises_with_line_number(self, tmp_path):
         path = tmp_path / "ops.jsonl"
         path.write_text('{"kind": "decision"}\nnot json\n')
         with pytest.raises(ObsError, match="missing fields"):
-            read_ops_log(path)
+            OPS_LOG.read(path)
         path.write_text("not json\n")
         with pytest.raises(ObsError, match=":1 is not JSON"):
-            read_ops_log(path)
+            OPS_LOG.read(path)
 
     def test_tail_returns_newest_records(self):
         tail = tail_ops_log(OPS_FIXTURE, n=2)
@@ -266,7 +264,7 @@ class TestOpsReadSide:
             tail_ops_log(OPS_FIXTURE, n=0)
 
     def test_summary_counts_and_rates(self):
-        summary = summarize_ops(read_ops_log(OPS_FIXTURE))
+        summary = summarize_ops(OPS_LOG.read(OPS_FIXTURE))
         assert summary["total"] == 15
         assert summary["by_kind"]["decision"] == 8
         assert summary["by_outcome"] == {"cached": 1, "ok": 13,
@@ -282,7 +280,7 @@ class TestOpsReadSide:
         assert summary["rejection_rate"] == 0.0
 
     def test_format_summary_renders(self):
-        text = format_ops_summary(summarize_ops(read_ops_log(OPS_FIXTURE)))
+        text = format_ops_summary(summarize_ops(OPS_LOG.read(OPS_FIXTURE)))
         assert "15 record(s)" in text
         assert "decision=8" in text
         assert "rejection rate" in text
@@ -485,7 +483,7 @@ class TestSloEvaluation:
         assert not report.ok and report.failures == (verdict,)
 
     def test_fixture_verdicts_are_deterministic(self):
-        records = read_ops_log(OPS_FIXTURE)
+        records = OPS_LOG.read(OPS_FIXTURE)
         assert evaluate_slos(records, DEFAULT_SLOS).ok
         report = evaluate_slos(records, load_slo_config(SLO_CONFIG))
         assert [v.status for v in report.verdicts] == ["ok", "ok", "fail"]
@@ -494,37 +492,37 @@ class TestSloEvaluation:
 
 class TestSloGate:
     def test_renderers_cover_the_cli_formats(self):
-        assert set(SLO_RENDERERS) == {"text", "json", "github"}
+        assert set(FORMATS) == {"text", "json", "github"}
 
     def test_text_render(self):
-        report = evaluate_slos(read_ops_log(OPS_FIXTURE),
+        report = evaluate_slos(OPS_LOG.read(OPS_FIXTURE),
                                load_slo_config(SLO_CONFIG))
-        text = render_slo_text(report)
+        text = render(report, "text")
         assert "FAIL" in text and "simulation-availability" in text
         assert "3 SLO(s): 1 failing, 2 passing" in text
 
     def test_json_render_parses(self):
-        report = evaluate_slos(read_ops_log(OPS_FIXTURE), DEFAULT_SLOS)
-        payload = json.loads(render_slo_json(report))
+        report = evaluate_slos(OPS_LOG.read(OPS_FIXTURE), DEFAULT_SLOS)
+        payload = json.loads(render(report, "json"))
         assert payload["ok"] is True
         assert len(payload["verdicts"]) == 2
 
     def test_github_render_annotations(self):
-        failing = evaluate_slos(read_ops_log(OPS_FIXTURE),
+        failing = evaluate_slos(OPS_LOG.read(OPS_FIXTURE),
                                 load_slo_config(SLO_CONFIG))
-        assert "::error title=SLO violation::" in render_slo_github(failing)
-        passing = evaluate_slos(read_ops_log(OPS_FIXTURE), DEFAULT_SLOS)
-        assert "::notice" in render_slo_github(passing)
+        assert "::error title=SLO violation::" in render(failing, "github")
+        passing = evaluate_slos(OPS_LOG.read(OPS_FIXTURE), DEFAULT_SLOS)
+        assert "::notice" in render(passing, "github")
         nodata = evaluate_slos([], DEFAULT_SLOS)
-        assert "::warning title=SLO no-data::" in render_slo_github(nodata)
+        assert "::warning title=SLO no-data::" in render(nodata, "github")
 
     def test_gate_exit_codes(self):
-        failing = evaluate_slos(read_ops_log(OPS_FIXTURE),
+        failing = evaluate_slos(OPS_LOG.read(OPS_FIXTURE),
                                 load_slo_config(SLO_CONFIG))
-        assert slo_gate(failing).exit_code == 1
-        assert slo_gate(failing, warn_only=True).exit_code == 0
-        passing = evaluate_slos(read_ops_log(OPS_FIXTURE), DEFAULT_SLOS)
-        assert slo_gate(passing).exit_code == 0
+        assert gate(failing).exit_code == 1
+        assert gate(failing, warn_only=True).exit_code == 0
+        passing = evaluate_slos(OPS_LOG.read(OPS_FIXTURE), DEFAULT_SLOS)
+        assert gate(passing).exit_code == 0
 
     def test_gate_ops_log_one_call_form(self):
         assert gate_ops_log(OPS_FIXTURE).exit_code == 0
@@ -640,7 +638,7 @@ class TestServerCorrelation:
             return replies
 
         asyncio.run(run())
-        records = read_ops_log(ops_log.path)
+        records = OPS_LOG.read(ops_log.path)
         outcomes = [r["outcome"] for r in records]
         assert outcomes.count("ok") == server.stats.served_decisions
         assert (
@@ -783,7 +781,7 @@ class TestEndToEndCorrelation:
                 "serve.request.replied"} <= sim_names
 
         # And the same ids land in the ops log, one record per request.
-        records = read_ops_log(ops_log.path)
+        records = OPS_LOG.read(ops_log.path)
         by_id = {r["trace_id"]: r for r in records}
         assert by_id[self.DECISION_ID]["kind"] == "decision"
         assert by_id[self.DECISION_ID]["outcome"] == "ok"
@@ -820,7 +818,7 @@ class TestEndToEndCorrelation:
         )
         result = run_fleet(spec, jobs=1, ops_log=ops_log)
         assert len(result.successes) == 2
-        records = read_ops_log(ops_log.path)
+        records = OPS_LOG.read(ops_log.path)
         assert len(records) == 2
         assert all(r["kind"] == "job" and r["outcome"] == "ok"
                    for r in records)

@@ -10,8 +10,8 @@ from repro.cli import main
 from repro.errors import PerfError
 from repro.obs import MetricsRegistry
 from repro.perf import (
+    PERF_LEDGER,
     GateResult,
-    Ledger,
     MetricVerdict,
     PerfComparison,
     RunRecord,
@@ -21,11 +21,8 @@ from repro.perf import (
     metric_polarity,
     metrics_from_snapshot,
     new_run_id,
-    read_ledger,
     record_run,
-    render_github,
-    render_json,
-    render_text,
+    render,
     resolve_ledger_path,
     split_latest,
 )
@@ -70,7 +67,7 @@ class TestLedger:
         rec = record_run("run", "idle", {"energy_j": 1.5},
                          {"governor": "ondemand"}, path=path)
         assert rec.run_id and rec.timestamp_s > 0
-        records = read_ledger(path)
+        records = PERF_LEDGER.read(path)
         assert len(records) == 1
         assert records[0].metrics == {"energy_j": 1.5}
         assert records[0].key() == "run:idle:governor=ondemand"
@@ -85,7 +82,7 @@ class TestLedger:
             "text": "nope",
         }, path=path)
         assert rec.metrics == {"ok": 1.0}
-        assert read_ledger(path)[0].metrics == {"ok": 1.0}
+        assert PERF_LEDGER.read(path)[0].metrics == {"ok": 1.0}
 
     def test_record_run_requires_kind_and_name(self, tmp_path):
         with pytest.raises(PerfError, match="kind and a name"):
@@ -106,22 +103,20 @@ class TestLedger:
         with_blank = path.read_text() + "\n\n"
         path.write_text(with_blank)
         record_run("run", "idle", {"a": 2.0}, path=path)
-        assert len(read_ledger(path)) == 2
+        assert len(PERF_LEDGER.read(path)) == 2
 
     def test_read_rejects_bad_json(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_text("{broken\n")
         with pytest.raises(PerfError, match="not JSON"):
-            read_ledger(path)
+            PERF_LEDGER.read(path)
         path.write_text("[1, 2]\n")
         with pytest.raises(PerfError, match="not a JSON object"):
-            read_ledger(path)
+            PERF_LEDGER.read(path)
 
     def test_missing_ledger_raises(self, tmp_path):
-        ledger = Ledger(tmp_path / "absent.jsonl")
-        assert not ledger.exists()
         with pytest.raises(PerfError, match="no ledger"):
-            ledger.read()
+            PERF_LEDGER.read(tmp_path / "absent.jsonl")
 
     def test_run_ids_are_fresh_and_short(self):
         assert new_run_id() != new_run_id()
@@ -295,27 +290,27 @@ class TestRendering:
                                _sampled("c", [2.0, 2.0, 2.0]))
 
     def test_text_names_the_metric(self):
-        text = render_text(self._comparison())
+        text = render(self._comparison(), "text")
         assert "REGRESSED" in text
         assert "bench:e4:governor=rl :: latency_s" in text
         assert "1 regressed, 0 improved" in text
 
     def test_text_hides_unchanged_unless_verbose(self):
         comparison = compare_records(_sampled("b", [1.0]), _sampled("c", [1.0]))
-        assert "UNCHANGED" not in render_text(comparison)
-        assert "UNCHANGED" in render_text(comparison, verbose=True)
+        assert "UNCHANGED" not in render(comparison, "text")
+        assert "UNCHANGED" in render(comparison, "text", verbose=True)
 
     def test_json_is_machine_readable(self):
-        payload = json.loads(render_json(self._comparison()))
+        payload = json.loads(render(self._comparison(), "json"))
         assert payload["ok"] is False
         assert payload["verdicts"][0]["status"] == "regressed"
         assert payload["verdicts"][0]["metric"] == "latency_s"
 
     def test_github_annotations(self):
-        out = render_github(self._comparison())
+        out = render(self._comparison(), "github")
         assert out.startswith("::error title=perf regression::")
         clean = compare_records(_sampled("b", [1.0]), _sampled("c", [1.0]))
-        assert render_github(clean).startswith("::notice")
+        assert render(clean, "github").startswith("::notice")
 
 
 class TestGate:
@@ -435,7 +430,7 @@ class TestPerfCli:
         ])
         assert code == 0
         assert "ledger: recorded" in capsys.readouterr().out
-        records = read_ledger(path)
+        records = PERF_LEDGER.read(path)
         assert len(records) == 1
         rec = records[0]
         assert rec.kind == "run"

@@ -18,7 +18,7 @@ import pytest
 from repro.core.checkpoint import save_policies
 from repro.core.trainer import train_policy
 from repro.errors import ObsError, ServeError
-from repro.obs import OpsLogger, capture, read_ops_log
+from repro.obs import OPS_LOG, OpsLogger, capture
 from repro.obs.runtime import SloSpec, evaluate_slos, slos_from_mapping
 from repro.serve import (
     DecisionSession,
@@ -129,7 +129,7 @@ class TestDriftMonitor:
                                ops_log=ops_log)
         session = DecisionSession(policies, chip, drift=monitor)
         _decide_n(session, chip)
-        records = [r for r in read_ops_log(ops_log.path)
+        records = [r for r in OPS_LOG.read(ops_log.path)
                    if r["kind"] == "drift"]
         assert len(records) == N_DECISIONS
         failed = [r for r in records if r["outcome"] == "failed:drift"]
@@ -224,6 +224,6 @@ class TestDriftSlos:
         slos = slos_from_mapping({"slos": [
             {"name": "drift-budget", "kind": "drift", "objective": 0.999},
         ]})
-        report = evaluate_slos(read_ops_log(ops_log.path), slos)
+        report = evaluate_slos(OPS_LOG.read(ops_log.path), slos)
         assert not report.ok
         assert report.failures[0].spec.name == "drift-budget"
