@@ -19,6 +19,7 @@ from repro.batch.plans import (
     fixed_opp_index,
     is_rl_vectorisable,
     is_vectorisable,
+    partition,
     rl_group_key,
 )
 from repro.batch.rl import (
@@ -35,6 +36,7 @@ __all__ = [
     "fixed_opp_index",
     "is_rl_vectorisable",
     "is_vectorisable",
+    "partition",
     "rl_group_key",
     "run_batch",
     "run_fixed_opp",

@@ -41,15 +41,15 @@ arbitrary job lists and is *always* exact.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.batch.plans import (
     fixed_opp_index,
-    is_rl_vectorisable,
     is_vectorisable,
-    rl_group_key,
+    partition,
+    rl_groups,
 )
 from repro.errors import SimulationError
 from repro.fleet.spec import JobSpec
@@ -195,7 +195,7 @@ class BatchEngine:
         if OBS.enabled:
             return [False] * len(self.specs)
         fast = [is_vectorisable(spec) for spec in self.specs]
-        for indices in self._rl_groups().values():
+        for indices in rl_groups(self.specs):
             # Lock-step training only pays for itself across lanes; a
             # singleton RL job runs the (identical) serial trainer.
             if len(indices) >= 2:
@@ -203,28 +203,19 @@ class BatchEngine:
                     fast[i] = True
         return fast
 
-    def _rl_groups(self) -> dict[Hashable, list[int]]:
-        """Spec indices of lock-step-eligible RL jobs, grouped."""
-        groups: dict[Hashable, list[int]] = {}
-        for i, spec in enumerate(self.specs):
-            if is_rl_vectorisable(spec):
-                groups.setdefault(rl_group_key(spec), []).append(i)
-        return groups
-
     def run(self) -> list[SimulationResult]:
         """All rollouts, in spec order."""
         plan = self.plan()
         results: list[SimulationResult | None] = [None] * len(self.specs)
-        if any(plan):
-            for indices in self._rl_groups().values():
-                if len(indices) >= 2:
-                    grouped = _run_rl_group([self.specs[i] for i in indices])
-                    for i, result in zip(indices, grouped):
-                        results[i] = result
-        for i, (spec, fast) in enumerate(zip(self.specs, plan)):
-            if results[i] is not None:
+        for unit in partition(self.specs, plan):
+            if len(unit) > 1:
+                grouped = _run_rl_group([self.specs[i] for i in unit])
+                for i, result in zip(unit, grouped):
+                    results[i] = result
                 continue
-            if fast:
+            [i] = unit
+            spec = self.specs[i]
+            if plan[i]:
                 from repro.fleet.worker import _build_chip
 
                 chip = _build_chip(spec)

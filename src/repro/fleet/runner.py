@@ -14,8 +14,14 @@
   (see :mod:`repro.fleet.events`).
 
 ``jobs=1`` runs everything in-process through the *same* guarded entry
-point, which is both the fast path for small grids and the reference the
+points, which is both the fast path for small grids and the reference the
 determinism tests compare the pool against.
+
+With the default ``job_fn`` the grid's cache misses run as *units*
+(:func:`repro.batch.plans.partition`): single jobs through
+:func:`~repro.fleet.worker.run_job`, then lock-step RL chunks through
+:func:`~repro.fleet.worker.run_chunk`.  Events, retries, cache probe
+and store all stay per job; see ``docs/fleet.md``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ReproError
 from repro.fleet.events import (
@@ -45,6 +51,7 @@ from repro.fleet.worker import (
     JobOutcome,
     JobSuccess,
     execute_job,
+    run_chunk,
     run_job,
 )
 
@@ -57,6 +64,30 @@ if TYPE_CHECKING:
 def _trace_id(spec: JobSpec) -> str:
     """The spec's correlation id, for stamping onto fleet events."""
     return spec.trace_context.trace_id if spec.trace_context else ""
+
+
+#: One unit of work: ``(grid index, spec)`` pairs, one job or an RL chunk.
+_Unit = list[tuple[int, JobSpec]]
+
+
+def _units(
+    indexed: list[tuple[int, JobSpec]],
+    job_fn: Callable[[JobSpec], JobMeasurement],
+) -> list[_Unit]:
+    """Group the dispatched jobs into units of work.
+
+    The default :func:`~repro.fleet.worker.execute_job` gets the batch
+    backend's partition; any other ``job_fn`` measures one job per call.
+    """
+    if job_fn is not execute_job:
+        return [[pair] for pair in indexed]
+    # Lazy: repro.batch imports repro.fleet.spec, which imports this
+    # package.
+    from repro.batch import BatchEngine, partition
+
+    specs = [job_spec for _, job_spec in indexed]
+    plan = BatchEngine(specs).plan()
+    return [[indexed[i] for i in unit] for unit in partition(specs, plan)]
 
 
 def resolve_workers(jobs: int | None) -> int:
@@ -177,12 +208,18 @@ def run_fleet(
         jobs: Worker processes; ``None`` defers to the fleet spec (or 1
             for a bare job list), ``0`` means the CPU count.
         timeout_s: Per-job wall-clock budget (``None`` defers to the
-            spec; jobs overrunning it fail with ``timed_out=True``).
+            spec; jobs overrunning it fail with ``timed_out=True``).  A
+            lock-step RL chunk gets the budget times its member count;
+            if it overruns, its members rerun singly.
         retries: Extra attempts per failed job (``None`` defers to the
             spec, default 0).
         on_event: Telemetry callback (:mod:`repro.fleet.events`).
         job_fn: Measurement function executed per job; must be a
-            module-level (picklable) callable for ``jobs > 1``.
+            module-level (picklable) callable for ``jobs > 1``.  The
+            default also lets ``rl-policy`` cache misses that share
+            :func:`~repro.batch.plans.rl_group_key` run as one
+            lock-step chunk (see the module docstring); any other
+            function measures one job per call.
         cache: Content-addressed run cache (:mod:`repro.cache`).
             ``True`` opens the default store; a :class:`RunCache`
             instance pins a specific directory.  Cacheable jobs whose
@@ -243,7 +280,8 @@ def run_fleet(
                 )
             )
 
-    workers = max(1, min(jobs, len(indexed) if store is not None else len(specs)))
+    units = _units(indexed, job_fn)
+    workers = max(1, min(jobs, len(units)))
     emit = on_event or (lambda event: None)
     if ops_log is not None:
         emit = _ops_logging_emit(ops_log, emit)
@@ -261,13 +299,13 @@ def run_fleet(
             )
         )
 
-    if indexed:
+    if units:
         if workers <= 1:
-            fresh = _run_serial(indexed, timeout_s, retries, emit, job_fn,
+            fresh = _run_serial(units, timeout_s, retries, emit, job_fn,
                                 start, total=len(specs),
                                 base_done=len(outcomes))
         else:
-            fresh = _run_pool(indexed, workers, timeout_s, retries, emit,
+            fresh = _run_pool(units, workers, timeout_s, retries, emit,
                               job_fn, start, total=len(specs),
                               base_done=len(outcomes))
         if store is not None:
@@ -350,69 +388,108 @@ def _report(
     return not final
 
 
+@dataclass
+class _Progress:
+    """Counts finished jobs and emits one :class:`FleetProgress` each.
+
+    ``total``/``base_done`` fold pre-resolved jobs (cache hits) into the
+    totals so a partially-cached fleet still counts to 100 %.
+    """
+
+    emit: Callable[[FleetEvent], None]
+    start: float
+    total: int
+    base_done: int
+    outcomes: list[JobOutcome] = field(default_factory=list)
+    failed: int = 0
+
+    def finish(self, outcome: JobOutcome) -> None:
+        self.outcomes.append(outcome)
+        self.failed += isinstance(outcome, JobFailure)
+        self.emit(
+            FleetProgress(
+                done=self.base_done + len(self.outcomes) - self.failed,
+                failed=self.failed,
+                total=self.total,
+                elapsed_s=time.perf_counter() - self.start,
+            )
+        )
+
+
+def _queue(unit: _Unit, emit: Callable[[FleetEvent], None]) -> None:
+    for index, job_spec in unit:
+        emit(JobQueued(index=index, job_id=job_spec.job_id,
+                       trace_id=_trace_id(job_spec)))
+
+
 def _run_serial(
-    indexed: list[tuple[int, JobSpec]],
+    units: list[_Unit],
     timeout_s: float | None,
     retries: int,
     emit: Callable[[FleetEvent], None],
     job_fn: Callable[[JobSpec], JobMeasurement],
     start: float,
-    total: int | None = None,
-    base_done: int = 0,
+    total: int,
+    base_done: int,
 ) -> list[JobOutcome]:
-    """Run ``(grid index, spec)`` pairs in-process.
+    """Run units of ``(grid index, spec)`` pairs in-process, in order.
 
-    ``total``/``base_done`` fold pre-resolved jobs (cache hits) into the
-    progress totals so a partially-cached fleet still counts to 100 %.
+    A chunk's successful members report when the chunk returns; members
+    a failed chunk left behind rerun singly, like single-job units.
     """
-    total = len(indexed) if total is None else total
-    outcomes: list[JobOutcome] = []
-    failed = 0
-    for index, job_spec in indexed:
-        emit(JobQueued(index=index, job_id=job_spec.job_id,
-                       trace_id=_trace_id(job_spec)))
-        attempt = 1
-        while True:
-            outcome = run_job(
-                job_spec, index=index, attempt=attempt,
-                timeout_s=timeout_s, job_fn=job_fn,
-            )
-            if not _report(outcome, attempt, retries, emit):
-                break
-            attempt += 1
-            emit(JobRetried(index=index, job_id=job_spec.job_id,
-                            attempt=attempt, trace_id=_trace_id(job_spec)))
-        outcomes.append(outcome)
-        failed += isinstance(outcome, JobFailure)
-        emit(
-            FleetProgress(
-                done=base_done + len(outcomes) - failed,
-                failed=failed,
-                total=total,
-                elapsed_s=time.perf_counter() - start,
-            )
-        )
-    return outcomes
+    progress = _Progress(emit, start, total, base_done)
+    for unit in units:
+        _queue(unit, emit)
+        singles = unit
+        if len(unit) > 1:
+            singles = []
+            for pair, outcome in zip(unit, run_chunk(unit, timeout_s)):
+                if isinstance(outcome, JobSuccess):
+                    _report(outcome, 1, retries, emit)
+                    progress.finish(outcome)
+                else:
+                    singles.append(pair)
+        for index, job_spec in singles:
+            attempt = 1
+            while True:
+                outcome = run_job(
+                    job_spec, index=index, attempt=attempt,
+                    timeout_s=timeout_s, job_fn=job_fn,
+                )
+                if not _report(outcome, attempt, retries, emit):
+                    break
+                attempt += 1
+                emit(JobRetried(index=index, job_id=job_spec.job_id,
+                                attempt=attempt, trace_id=_trace_id(job_spec)))
+            progress.finish(outcome)
+    return progress.outcomes
 
 
 def _run_pool(
-    indexed: list[tuple[int, JobSpec]],
+    units: list[_Unit],
     workers: int,
     timeout_s: float | None,
     retries: int,
     emit: Callable[[FleetEvent], None],
     job_fn: Callable[[JobSpec], JobMeasurement],
     start: float,
-    total: int | None = None,
-    base_done: int = 0,
+    total: int,
+    base_done: int,
 ) -> list[JobOutcome]:
-    total = len(indexed) if total is None else total
-    spec_by_index = dict(indexed)
-    outcomes: list[JobOutcome] = []
-    failed = 0
+    """Run units on a process pool, submitted in order.
+
+    Each future runs one job attempt or one chunk; members a failed
+    chunk left behind are resubmitted singly as first attempts.
+    """
+    progress = _Progress(emit, start, total, base_done)
+    spec_by_index = {index: job_spec for unit in units
+                     for index, job_spec in unit}
+    # Per pending future: the single job's index and attempt, or a
+    # chunk's member indices (attempt 0).
+    running: dict[Future[Any], tuple[list[int], int]] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
 
-        def submit(index: int, attempt: int) -> Future:
+        def submit(index: int, attempt: int) -> None:
             future = pool.submit(
                 run_job,
                 spec_by_index[index],
@@ -421,32 +498,41 @@ def _run_pool(
                 timeout_s=timeout_s,
                 job_fn=job_fn,
             )
-            future.job_index = index  # type: ignore[attr-defined]
-            future.job_attempt = attempt  # type: ignore[attr-defined]
-            return future
+            running[future] = ([index], attempt)
 
-        pending: set[Future] = set()
-        for index, job_spec in indexed:
-            emit(JobQueued(index=index, job_id=job_spec.job_id,
-                           trace_id=_trace_id(job_spec)))
-            pending.add(submit(index, attempt=1))
+        for unit in units:
+            _queue(unit, emit)
+            if len(unit) > 1:
+                chunk = pool.submit(run_chunk, unit, timeout_s)
+                running[chunk] = ([index for index, _ in unit], 0)
+            else:
+                submit(unit[0][0], attempt=1)
 
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
-                index = future.job_index  # type: ignore[attr-defined]
-                attempt = future.job_attempt  # type: ignore[attr-defined]
+                indices, attempt = running.pop(future)
+                if attempt == 0:
+                    try:
+                        outcomes: list[JobOutcome] = future.result()
+                    except Exception as exc:  # pool-level error
+                        outcomes = [
+                            _pool_failure(spec_by_index[i], i, exc, 1)
+                            for i in indices
+                        ]
+                    for index, outcome in zip(indices, outcomes):
+                        if isinstance(outcome, JobSuccess):
+                            _report(outcome, 1, retries, emit)
+                            progress.finish(outcome)
+                        else:
+                            submit(index, attempt=1)
+                    continue
+                [index] = indices
                 try:
                     outcome = future.result()
                 except Exception as exc:  # pool-level (e.g. pickling) error
-                    outcome = JobFailure(
-                        spec=spec_by_index[index],
-                        index=index,
-                        error_type=type(exc).__name__,
-                        error=str(exc),
-                        traceback_str="",
-                        wall_s=0.0,
-                        attempts=attempt,
+                    outcome = _pool_failure(
+                        spec_by_index[index], index, exc, attempt
                     )
                 if _report(outcome, attempt, retries, emit):
                     emit(
@@ -457,16 +543,22 @@ def _run_pool(
                             trace_id=_trace_id(spec_by_index[index]),
                         )
                     )
-                    pending.add(submit(index, attempt=attempt + 1))
+                    submit(index, attempt=attempt + 1)
                     continue
-                outcomes.append(outcome)
-                failed += isinstance(outcome, JobFailure)
-                emit(
-                    FleetProgress(
-                        done=base_done + len(outcomes) - failed,
-                        failed=failed,
-                        total=total,
-                        elapsed_s=time.perf_counter() - start,
-                    )
-                )
-    return outcomes
+                progress.finish(outcome)
+    return progress.outcomes
+
+
+def _pool_failure(
+    spec: JobSpec, index: int, exc: Exception, attempt: int
+) -> JobFailure:
+    """A failure the pool raised around a unit, not one from inside it."""
+    return JobFailure(
+        spec=spec,
+        index=index,
+        error_type=type(exc).__name__,
+        error=str(exc),
+        traceback_str="",
+        wall_s=0.0,
+        attempts=attempt,
+    )

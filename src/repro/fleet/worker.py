@@ -11,6 +11,11 @@ rows bit-identical to a serial sweep.
 interrupted *inside* the worker and the pool slot is reclaimed), and
 converts any exception into a structured :class:`JobFailure` instead of
 letting it propagate and poison the executor.
+
+Both run their work through :mod:`repro.batch`: :func:`execute_job` as
+a batch of one (so a table-free governor takes the fixed-OPP fast
+path), :func:`run_chunk` as one lock-step batch over an RL chunk.
+:func:`simulate_spec` stays the serial reference both are held to.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.core.policy import RLPowerManagementPolicy
@@ -380,8 +385,7 @@ def simulate_spec(spec: JobSpec) -> SimulationResult:
     ).run()
 
 
-def _execute_job_inner(spec: JobSpec) -> JobMeasurement:
-    run = simulate_spec(spec)
+def _measurement(spec: JobSpec, run: SimulationResult) -> JobMeasurement:
     return JobMeasurement(
         energy_j=run.total_energy_j,
         mean_qos=run.qos.mean_qos,
@@ -389,6 +393,15 @@ def _execute_job_inner(spec: JobSpec) -> JobMeasurement:
         energy_per_qos_j=run.energy_per_qos_j,
         sim_duration_s=spec.duration_s,
     )
+
+
+def _execute_job_inner(spec: JobSpec) -> JobMeasurement:
+    # A batch of one: the fixed-OPP fast path where it applies, else
+    # simulate_spec (batch imports this module, so import it lazily).
+    from repro.batch import run_batch
+
+    [run] = run_batch([spec])
+    return _measurement(spec, run)
 
 
 def _arm_timeout(timeout_s: float | None) -> bool:
@@ -466,6 +479,72 @@ def run_job(
         )
     finally:
         _disarm_timeout(armed)
+    return _success(
+        spec, index, measurement, time.perf_counter() - start, attempt
+    )
+
+
+def run_chunk(
+    members: Sequence[tuple[int, JobSpec]],
+    timeout_s: float | None = None,
+) -> list[JobOutcome]:
+    """The guarded entry for a lock-step RL chunk: never raises.
+
+    Runs every member through one :func:`repro.batch.run_batch` call
+    under a wall-clock budget of ``timeout_s`` per member.
+
+    Args:
+        members: The chunk's ``(grid index, spec)`` pairs
+            (see :func:`repro.batch.plans.partition`).
+        timeout_s: Per-job budget; the chunk gets ``timeout_s`` times
+            its member count.
+
+    Returns:
+        One outcome per member, in order.  On success each member is a
+        first-attempt :class:`JobSuccess` carrying an equal share of the
+        chunk's wall time.  If the call raises or overruns, every member
+        is a :class:`JobFailure` with that error; the runner then reruns
+        each member singly through :func:`run_job`, so the chunk
+        attempt counts against no job's retries.
+    """
+    from repro.batch import run_batch
+
+    start = time.perf_counter()
+    specs = [spec for _, spec in members]
+    budget = None if timeout_s is None else timeout_s * len(specs)
+    armed = _arm_timeout(budget)
+    try:
+        runs = run_batch(specs)
+    except Exception as exc:
+        share = (time.perf_counter() - start) / len(specs)
+        return [
+            JobFailure(
+                spec=spec,
+                index=index,
+                error_type=type(exc).__name__,
+                error=str(exc),
+                traceback_str=traceback.format_exc(),
+                wall_s=share,
+                timed_out=isinstance(exc, JobTimeout),
+            )
+            for index, spec in members
+        ]
+    finally:
+        _disarm_timeout(armed)
+    share = (time.perf_counter() - start) / len(specs)
+    return [
+        _success(spec, index, _measurement(spec, run), share, 1)
+        for (index, spec), run in zip(members, runs)
+    ]
+
+
+def _success(
+    spec: JobSpec,
+    index: int,
+    measurement: JobMeasurement,
+    wall_s: float,
+    attempt: int,
+) -> JobSuccess:
     return JobSuccess(
         spec=spec,
         index=index,
@@ -474,7 +553,7 @@ def run_job(
         deadline_miss_rate=measurement.deadline_miss_rate,
         energy_per_qos_j=measurement.energy_per_qos_j,
         sim_duration_s=measurement.sim_duration_s,
-        wall_s=time.perf_counter() - start,
+        wall_s=wall_s,
         attempts=attempt,
         metrics=measurement.metrics,
         trace_path=measurement.trace_path,

@@ -22,12 +22,14 @@ may import **same-or-lower** ranks, never higher.  Rationale per rank:
   checkpoints, and the hardware export path; they orchestrate layer-2
   pieces but still serve no traffic.
 * ``orchestration`` (4) — ``analysis``, ``experiments``, ``fleet``,
-  ``perf``, ``cache``: sweep/grid execution, statistics, the perf
-  ledger, and the content-addressed run cache (``cache`` ↔ ``fleet``
-  is a deliberate same-rank pairing: the cache stores fleet
-  measurements, the fleet probes the cache).
-* ``scale-out`` (5) — ``batch``, ``serve``: the vectorised backend and
-  the policy-decision service, built on the orchestration layer.
+  ``perf``, ``cache``, ``batch``: sweep/grid execution, statistics, the
+  perf ledger, the content-addressed run cache and the vectorised
+  backend.  ``cache`` ↔ ``fleet`` and ``batch`` ↔ ``fleet`` are
+  deliberate same-rank pairings: the cache stores fleet measurements
+  and the fleet probes it; the batch backend runs fleet job specs and
+  the fleet runs its units of work through it.
+* ``scale-out`` (5) — ``serve``: the policy-decision service, built on
+  the orchestration layer.
 * ``surface`` (6) — ``cli``, ``__main__``, ``lint``, the ``repro``
   root package: user entry points and tooling; may import anything.
 
@@ -48,9 +50,9 @@ LAYERS: dict[str, tuple[int, tuple[str, ...]]] = {
     "policy": (3, ("core", "hw")),
     "orchestration": (
         4,
-        ("analysis", "experiments", "fleet", "perf", "cache"),
+        ("analysis", "experiments", "fleet", "perf", "cache", "batch"),
     ),
-    "scale-out": (5, ("batch", "serve")),
+    "scale-out": (5, ("serve",)),
     "surface": (6, ("cli", "__main__", "lint", "repro")),
 }
 

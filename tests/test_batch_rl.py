@@ -21,6 +21,7 @@ from repro.batch import (
     evaluate_policies_batch,
     is_rl_vectorisable,
     is_vectorisable,
+    partition,
     rl_group_key,
     train_policy_batch,
 )
@@ -143,6 +144,19 @@ class TestRoutingPredicates:
         specs = [JobSpec(scenario="idle", governor="rl-policy",
                          seed=100 + i, chip="tiny") for i in range(2)]
         assert BatchEngine(specs, force_serial=True).plan() == [False, False]
+
+    def test_partition_singles_first_then_chunks(self):
+        rl = [JobSpec(scenario="idle", governor="rl-policy", seed=100 + i,
+                      chip="tiny") for i in range(3)]
+        lone = JobSpec(scenario="idle", governor="rl-policy", seed=9,
+                       chip="tiny", train_episodes=99)
+        serial = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
+        specs = [rl[0], serial, rl[1], lone, rl[2]]
+        plan = BatchEngine(specs).plan()
+        assert partition(specs, plan) == [[1], [3], [0, 2, 4]]
+        # A serial plan (forced, or under an observability session)
+        # leaves every job a unit of one.
+        assert partition(specs, [False] * 5) == [[i] for i in range(5)]
 
 
 class TestTrainBatchBitIdentity:

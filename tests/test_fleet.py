@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.repeat import repeat_jobs_over_seeds
 from repro.analysis.sweep import sweep
+from repro.cache import RunCache
 from repro.errors import ReproError
 from repro.experiments import run_headline_sweep
 from repro.fleet import (
@@ -18,6 +24,7 @@ from repro.fleet import (
     FleetProgress,
     FleetSpec,
     FleetStarted,
+    JobCached,
     JobDone,
     JobFailed,
     JobFailure,
@@ -39,6 +46,8 @@ from repro.fleet import (
     split_by_seed,
     to_sweep_result,
 )
+from repro.fleet.worker import simulate_spec
+from repro.governors import BASELINE_SIX
 from repro.soc.presets import tiny_test_chip
 
 # Small, fast grid settings shared by the execution tests.
@@ -77,6 +86,12 @@ def _flaky_via_marker(spec: JobSpec) -> JobMeasurement:
 
 def _quick(spec: JobSpec) -> JobMeasurement:
     return _measurement()
+
+
+def _per_job(spec: JobSpec) -> JobMeasurement:
+    """``execute_job`` under another name: a custom ``job_fn`` keeps the
+    fleet on its one-job-per-call path, with no RL chunks."""
+    return execute_job(spec)
 
 
 def _flaky_with_metrics(spec: JobSpec) -> JobMeasurement:
@@ -343,6 +358,22 @@ class TestRunner:
         )
         assert result.speedup > 0.0
 
+    def test_speedup_accounting_with_a_chunk(self):
+        # Two ondemand singles plus one RL chunk of two: three units.
+        spec = FleetSpec(scenarios=("idle", "audio_playback"),
+                         governors=("ondemand",), include_rl=True,
+                         seeds=(1,), chips=("tiny",), **FAST)
+        log = EventLog()
+        result = run_fleet(spec, jobs=4, on_event=log)
+        assert result.workers == 3
+        assert log.of_type(FleetStarted)[0].workers == 3
+        assert result.serial_wall_estimate_s == pytest.approx(
+            sum(o.wall_s for o in result.outcomes)
+        )
+        rl = [o for o in result.successes if o.spec.is_rl]
+        assert len(rl) == 2 and rl[0].wall_s == rl[1].wall_s > 0.0
+        assert result.speedup > 0.0
+
 
 class TestDeterminism:
     """Parallel fleet rows must be bit-identical to serial harness runs."""
@@ -404,6 +435,151 @@ class TestDeterminism:
             **FAST,
         ).rows
         assert rows == serial
+
+
+settings.register_profile(
+    "fleet-chunks",
+    derandomize=True,
+    database=None,
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# Small fleet grids on the tiny chip; ``warm`` picks grid positions
+# (modulo the grid size) to store in the run cache beforehand.
+_GRIDS = st.fixed_dictionaries({
+    "scenarios": st.lists(
+        st.sampled_from(("idle", "audio_playback", "video_playback")),
+        min_size=1, max_size=2, unique=True,
+    ),
+    "seeds": st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2,
+                      unique=True),
+    "governors": st.lists(st.sampled_from(BASELINE_SIX), min_size=1,
+                          max_size=6, unique=True),
+    "include_rl": st.booleans(),
+    "unknown": st.booleans(),
+    "warm": st.lists(st.integers(0, 63), max_size=4),
+})
+
+
+def _outcome_row(o: JobSuccess | JobFailure) -> tuple:
+    if isinstance(o, JobSuccess):
+        return (o.index, o.job_id, o.energy_j, o.mean_qos,
+                o.deadline_miss_rate, o.energy_per_qos_j, o.sim_duration_s,
+                o.attempts, o.cached)
+    return (o.index, o.job_id, o.error_type, o.attempts, o.timed_out)
+
+
+def _fleet_rows(specs, jobs, cache_dir, job_fn) -> list[tuple]:
+    """Outcome rows of one fleet run, after checking it reported every
+    job exactly once (done, failed or cached)."""
+    log = EventLog()
+    result = run_fleet(
+        specs, jobs=jobs, on_event=log, job_fn=job_fn,
+        cache=RunCache(cache_dir) if cache_dir is not None else None,
+    )
+    terminal = Counter(
+        e.index for e in log.events
+        if isinstance(e, (JobDone, JobFailed, JobCached))
+    )
+    assert terminal == Counter(range(len(specs)))
+    return [_outcome_row(o) for o in result.outcomes]
+
+
+class TestUnits:
+    """Default fleets run RL chunks lock-step; rows must not notice."""
+
+    @settings(settings.get_profile("fleet-chunks"))
+    @given(grid=_GRIDS)
+    def test_chunked_fleet_equals_per_job_fleet(self, grid):
+        governors = tuple(grid["governors"])
+        if grid["unknown"]:
+            governors += ("warpdrive",)
+        specs = FleetSpec(
+            scenarios=tuple(grid["scenarios"]), governors=governors,
+            seeds=tuple(grid["seeds"]), chips=("tiny",),
+            include_rl=grid["include_rl"], duration_s=0.5, train_episodes=2,
+        ).expand()
+        warm = [specs[i % len(specs)] for i in grid["warm"]]
+        with tempfile.TemporaryDirectory() as tmp:
+            for jobs in (1, 2):
+                for cached in (False, True):
+                    chunked_dir = per_job_dir = None
+                    if cached:
+                        chunked_dir = Path(tmp) / f"chunked-{jobs}"
+                        per_job_dir = Path(tmp) / f"per-job-{jobs}"
+                        chunked_dir.mkdir()
+                        if warm:
+                            run_fleet(warm, jobs=1, job_fn=_per_job,
+                                      cache=RunCache(chunked_dir))
+                        shutil.copytree(chunked_dir, per_job_dir)
+                    chunked = _fleet_rows(specs, jobs, chunked_dir,
+                                          execute_job)
+                    per_job = _fleet_rows(specs, jobs, per_job_dir, _per_job)
+                    assert chunked == per_job, (jobs, cached)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_member_fails_alone(self, jobs):
+        specs = [
+            JobSpec(scenario=scenario, governor="rl-policy", seed=1,
+                    chip="tiny", **FAST)
+            for scenario in ("idle", "nowhere", "audio_playback")
+        ]
+        result = run_fleet(specs, jobs=jobs)
+        [failure] = result.failures
+        assert failure.spec.scenario == "nowhere"
+        assert failure.error_type == "WorkloadError"
+        assert failure.attempts == 1 and not failure.timed_out
+        for success in result.successes:
+            run = simulate_spec(success.spec)
+            assert (success.energy_j, success.mean_qos,
+                    success.energy_per_qos_j) == (
+                run.total_energy_j, run.qos.mean_qos, run.energy_per_qos_j)
+
+    @staticmethod
+    def _rl_grid() -> list[JobSpec]:
+        return [
+            JobSpec(scenario="audio_playback", governor="rl-policy",
+                    seed=seed, chip="tiny", **FAST)
+            for seed in (1, 2)
+        ]
+
+    def _assert_rerun_singly(self, result, log) -> None:
+        assert log.count(JobDone) == 2 and log.count(JobFailed) == 0
+        assert [s.attempts for s in result.successes] == [1, 1]
+        assert _rows(result) == _rows(run_fleet(self._rl_grid(),
+                                                 job_fn=_per_job))
+
+    def test_raising_chunk_reruns_members_singly(self, monkeypatch):
+        import repro.batch.engine
+
+        def explode(specs):
+            raise RuntimeError("lock-step runner broke")
+
+        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", explode)
+        log = EventLog()
+        result = run_fleet(self._rl_grid(), jobs=1, on_event=log)
+        self._assert_rerun_singly(result, log)
+
+    def test_overrunning_chunk_reruns_members_singly(self, monkeypatch):
+        import repro.batch.engine
+
+        def hang(specs):
+            time.sleep(60.0)
+
+        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", hang)
+        log = EventLog()
+        start = time.perf_counter()
+        # The chunk's budget is 2 x 0.3 s; each single rerun gets 0.3 s.
+        result = run_fleet(self._rl_grid(), jobs=1, timeout_s=0.3,
+                           on_event=log)
+        assert time.perf_counter() - start < 10.0
+        self._assert_rerun_singly(result, log)
+
+
+def _rows(result) -> list[tuple]:
+    return [_outcome_row(o) for o in result.outcomes]
 
 
 class TestAggregation:
