@@ -19,7 +19,6 @@ from repro.batch.plans import (
     fixed_opp_index,
     is_rl_vectorisable,
     is_vectorisable,
-    partition,
     rl_group_key,
 )
 from repro.batch.rl import (
@@ -36,7 +35,6 @@ __all__ = [
     "fixed_opp_index",
     "is_rl_vectorisable",
     "is_vectorisable",
-    "partition",
     "rl_group_key",
     "run_batch",
     "run_fixed_opp",

@@ -41,15 +41,15 @@ arbitrary job lists and is *always* exact.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.batch.plans import (
     fixed_opp_index,
+    is_rl_vectorisable,
     is_vectorisable,
-    partition,
-    rl_groups,
+    rl_group_key,
 )
 from repro.errors import SimulationError
 from repro.fleet.spec import JobSpec
@@ -188,26 +188,68 @@ class BatchEngine:
 
     def plan(self) -> list[bool]:
         """Per spec, whether a fast path will run it."""
-        if self.force_serial:
-            return [False] * len(self.specs)
+        return self._plan()[0]
+
+    def units(self, workers: int = 1) -> list[list[int]]:
+        """Split the specs into units of work: single jobs and RL chunks.
+
+        A *chunk* is two or more RL jobs that share
+        :func:`~repro.batch.plans.rl_group_key` and that :meth:`plan`
+        marks fast; it trains and evaluates lock-step in one call.
+        Every other job is a unit of one, so an all-serial plan (forced,
+        or under an observability session) yields only single jobs.
+        Single-job units come first, in spec order, then the chunks: a
+        chunk's members only finish when the whole chunk does, so
+        running them last keeps every single job from waiting behind
+        one.
+
+        Args:
+            workers: Processes that will run the units side by side.
+                Each RL group is dealt into at most this many slices, as
+                even as possible, so a pool keeps its RL jobs in
+                parallel; a slice of one is a single job (a lone RL job
+                trains serially, exactly like one lane).
+
+        Returns:
+            Lists of spec indices; every index appears in exactly one
+            unit.
+        """
+        return self._units(self._plan()[1], workers)
+
+    def _plan(self) -> tuple[list[bool], list[list[int]]]:
+        """The per-spec fast-path flags and the lock-step RL groups."""
         # An active observability session must see real engine spans
         # and counters, which only the serial engine emits.
-        if OBS.enabled:
-            return [False] * len(self.specs)
+        if self.force_serial or OBS.enabled:
+            return [False] * len(self.specs), []
         fast = [is_vectorisable(spec) for spec in self.specs]
-        for indices in rl_groups(self.specs):
-            # Lock-step training only pays for itself across lanes; a
-            # singleton RL job runs the (identical) serial trainer.
-            if len(indices) >= 2:
-                for i in indices:
-                    fast[i] = True
-        return fast
+        # Lock-step training only pays for itself across lanes; a
+        # singleton RL job runs the (identical) serial trainer.
+        groups = [g for g in _rl_groups(self.specs) if len(g) >= 2]
+        for group in groups:
+            for i in group:
+                fast[i] = True
+        return fast, groups
+
+    def _units(
+        self, groups: list[list[int]], workers: int
+    ) -> list[list[int]]:
+        chunks: list[list[int]] = []
+        for group in groups:
+            n, parts = len(group), min(workers, len(group))
+            for k in range(parts):
+                part = group[k * n // parts:(k + 1) * n // parts]
+                if len(part) >= 2:
+                    chunks.append(part)
+        chunked = {i for chunk in chunks for i in chunk}
+        singles = [[i] for i in range(len(self.specs)) if i not in chunked]
+        return singles + chunks
 
     def run(self) -> list[SimulationResult]:
         """All rollouts, in spec order."""
-        plan = self.plan()
+        plan, groups = self._plan()
         results: list[SimulationResult | None] = [None] * len(self.specs)
-        for unit in partition(self.specs, plan):
+        for unit in self._units(groups, workers=1):
             if len(unit) > 1:
                 grouped = _run_rl_group([self.specs[i] for i in unit])
                 for i, result in zip(unit, grouped):
@@ -228,6 +270,16 @@ class BatchEngine:
 
                 results[i] = simulate_spec(spec)
         return results
+
+
+def _rl_groups(specs: Sequence[JobSpec]) -> list[list[int]]:
+    """Spec indices of lock-step-eligible RL jobs, grouped by
+    :func:`~repro.batch.plans.rl_group_key`."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, spec in enumerate(specs):
+        if is_rl_vectorisable(spec):
+            groups.setdefault(rl_group_key(spec), []).append(i)
+    return list(groups.values())
 
 
 def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:

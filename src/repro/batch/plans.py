@@ -28,7 +28,7 @@ training loop per job.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable
 
 from repro.core.config import PolicyConfig
 from repro.fleet.spec import JobSpec
@@ -122,47 +122,3 @@ def rl_group_key(spec: JobSpec) -> Hashable:
         cfg.util_bins, cfg.trend_bins, cfg.opp_bins, cfg.slack_bins,
         cfg.n_actions,
     )
-
-
-def rl_groups(specs: Sequence[JobSpec]) -> list[list[int]]:
-    """Indices of lock-step-eligible RL jobs, grouped by
-    :func:`rl_group_key`, in order of each group's first member.
-
-    Singleton groups are included; whether one is worth a lock-step
-    pass is the caller's call.
-    """
-    groups: dict[Hashable, list[int]] = {}
-    for i, spec in enumerate(specs):
-        if is_rl_vectorisable(spec):
-            groups.setdefault(rl_group_key(spec), []).append(i)
-    return list(groups.values())
-
-
-def partition(specs: Sequence[JobSpec], fast: Sequence[bool]) -> list[list[int]]:
-    """Split ``specs`` into units of work: single jobs and RL chunks.
-
-    A *chunk* is two or more RL jobs that share :func:`rl_group_key` and
-    that ``fast`` (a :meth:`~repro.batch.engine.BatchEngine.plan`) marks
-    for a fast path; it trains and evaluates lock-step in one call.
-    Every other job is a unit of one.  Single-job units come first, in
-    spec order, then the chunks: a chunk's members only finish when the
-    whole chunk does, so running them last keeps every single job from
-    waiting behind one.
-
-    Args:
-        specs: The jobs.
-        fast: Per spec, whether a fast path may run it; an all-``False``
-            plan (forced serial, or an active observability session)
-            yields only single-job units.
-
-    Returns:
-        Lists of spec indices; every index appears in exactly one unit.
-    """
-    chunks: list[list[int]] = []
-    for group in rl_groups(specs):
-        members = [i for i in group if fast[i]]
-        if len(members) >= 2:
-            chunks.append(members)
-    chunked = {i for chunk in chunks for i in chunk}
-    singles = [[i] for i in range(len(specs)) if i not in chunked]
-    return singles + chunks

@@ -18,7 +18,7 @@ points, which is both the fast path for small grids and the reference the
 determinism tests compare the pool against.
 
 With the default ``job_fn`` the grid's cache misses run as *units*
-(:func:`repro.batch.plans.partition`): single jobs through
+(:meth:`repro.batch.BatchEngine.units`): single jobs through
 :func:`~repro.fleet.worker.run_job`, then lock-step RL chunks through
 :func:`~repro.fleet.worker.run_chunk`.  Events, retries, cache probe
 and store all stay per job; see ``docs/fleet.md``.
@@ -73,21 +73,21 @@ _Unit = list[tuple[int, JobSpec]]
 def _units(
     indexed: list[tuple[int, JobSpec]],
     job_fn: Callable[[JobSpec], JobMeasurement],
+    jobs: int,
 ) -> list[_Unit]:
-    """Group the dispatched jobs into units of work.
+    """Group the dispatched jobs into units of work for ``jobs`` workers.
 
     The default :func:`~repro.fleet.worker.execute_job` gets the batch
-    backend's partition; any other ``job_fn`` measures one job per call.
+    backend's units; any other ``job_fn`` measures one job per call.
     """
     if job_fn is not execute_job:
         return [[pair] for pair in indexed]
     # Lazy: repro.batch imports repro.fleet.spec, which imports this
     # package.
-    from repro.batch import BatchEngine, partition
+    from repro.batch import BatchEngine
 
-    specs = [job_spec for _, job_spec in indexed]
-    plan = BatchEngine(specs).plan()
-    return [[indexed[i] for i in unit] for unit in partition(specs, plan)]
+    units = BatchEngine([job_spec for _, job_spec in indexed]).units(jobs)
+    return [[indexed[i] for i in unit] for unit in units]
 
 
 def resolve_workers(jobs: int | None) -> int:
@@ -217,9 +217,9 @@ def run_fleet(
         job_fn: Measurement function executed per job; must be a
             module-level (picklable) callable for ``jobs > 1``.  The
             default also lets ``rl-policy`` cache misses that share
-            :func:`~repro.batch.plans.rl_group_key` run as one
-            lock-step chunk (see the module docstring); any other
-            function measures one job per call.
+            :func:`~repro.batch.plans.rl_group_key` run lock-step, in
+            at most one chunk per worker (see the module docstring);
+            any other function measures one job per call.
         cache: Content-addressed run cache (:mod:`repro.cache`).
             ``True`` opens the default store; a :class:`RunCache`
             instance pins a specific directory.  Cacheable jobs whose
@@ -280,7 +280,7 @@ def run_fleet(
                 )
             )
 
-    units = _units(indexed, job_fn)
+    units = _units(indexed, job_fn, jobs)
     workers = max(1, min(jobs, len(units)))
     emit = on_event or (lambda event: None)
     if ops_log is not None:
@@ -478,14 +478,16 @@ def _run_pool(
 ) -> list[JobOutcome]:
     """Run units on a process pool, submitted in order.
 
-    Each future runs one job attempt or one chunk; members a failed
-    chunk left behind are resubmitted singly as first attempts.
+    Each future runs one job attempt or one chunk; members a chunk
+    returned as failed are resubmitted singly as first attempts.  If
+    the pool itself fails a chunk (a worker died, say), each member is
+    reported like a single job's pool failure.
     """
     progress = _Progress(emit, start, total, base_done)
     spec_by_index = {index: job_spec for unit in units
                      for index, job_spec in unit}
-    # Per pending future: the single job's index and attempt, or a
-    # chunk's member indices (attempt 0).
+    # Per pending future: its grid indices (one job, or a chunk's
+    # members) and the attempt it stands for (1 for a chunk).
     running: dict[Future[Any], tuple[list[int], int]] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
 
@@ -500,11 +502,27 @@ def _run_pool(
             )
             running[future] = ([index], attempt)
 
+        def settle(outcome: JobOutcome, attempt: int) -> None:
+            """Report one job's attempt; retry it or count it finished."""
+            index = outcome.index
+            if _report(outcome, attempt, retries, emit):
+                emit(
+                    JobRetried(
+                        index=index,
+                        job_id=spec_by_index[index].job_id,
+                        attempt=attempt + 1,
+                        trace_id=_trace_id(spec_by_index[index]),
+                    )
+                )
+                submit(index, attempt=attempt + 1)
+            else:
+                progress.finish(outcome)
+
         for unit in units:
             _queue(unit, emit)
             if len(unit) > 1:
                 chunk = pool.submit(run_chunk, unit, timeout_s)
-                running[chunk] = ([index for index, _ in unit], 0)
+                running[chunk] = ([index for index, _ in unit], 1)
             else:
                 submit(unit[0][0], attempt=1)
 
@@ -512,40 +530,22 @@ def _run_pool(
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
                 indices, attempt = running.pop(future)
-                if attempt == 0:
-                    try:
-                        outcomes: list[JobOutcome] = future.result()
-                    except Exception as exc:  # pool-level error
-                        outcomes = [
-                            _pool_failure(spec_by_index[i], i, exc, 1)
-                            for i in indices
-                        ]
-                    for index, outcome in zip(indices, outcomes):
-                        if isinstance(outcome, JobSuccess):
-                            _report(outcome, 1, retries, emit)
-                            progress.finish(outcome)
-                        else:
-                            submit(index, attempt=1)
-                    continue
-                [index] = indices
                 try:
-                    outcome = future.result()
+                    result = future.result()
                 except Exception as exc:  # pool-level (e.g. pickling) error
-                    outcome = _pool_failure(
-                        spec_by_index[index], index, exc, attempt
-                    )
-                if _report(outcome, attempt, retries, emit):
-                    emit(
-                        JobRetried(
-                            index=index,
-                            job_id=spec_by_index[index].job_id,
-                            attempt=attempt + 1,
-                            trace_id=_trace_id(spec_by_index[index]),
-                        )
-                    )
-                    submit(index, attempt=attempt + 1)
+                    for index in indices:
+                        settle(_pool_failure(spec_by_index[index], index,
+                                             exc, attempt), attempt)
                     continue
-                progress.finish(outcome)
+                if len(indices) == 1:
+                    settle(result, attempt)
+                    continue
+                for index, outcome in zip(indices, result):
+                    if isinstance(outcome, JobSuccess):
+                        _report(outcome, 1, retries, emit)
+                        progress.finish(outcome)
+                    else:
+                        submit(index, attempt=1)
     return progress.outcomes
 
 

@@ -495,7 +495,7 @@ def run_chunk(
 
     Args:
         members: The chunk's ``(grid index, spec)`` pairs
-            (see :func:`repro.batch.plans.partition`).
+            (see :meth:`repro.batch.BatchEngine.units`).
         timeout_s: Per-job budget; the chunk gets ``timeout_s`` times
             its member count.
 

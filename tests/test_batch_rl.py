@@ -21,7 +21,6 @@ from repro.batch import (
     evaluate_policies_batch,
     is_rl_vectorisable,
     is_vectorisable,
-    partition,
     rl_group_key,
     train_policy_batch,
 )
@@ -145,18 +144,29 @@ class TestRoutingPredicates:
                          seed=100 + i, chip="tiny") for i in range(2)]
         assert BatchEngine(specs, force_serial=True).plan() == [False, False]
 
-    def test_partition_singles_first_then_chunks(self):
+    def test_units_singles_first_then_chunks(self):
         rl = [JobSpec(scenario="idle", governor="rl-policy", seed=100 + i,
                       chip="tiny") for i in range(3)]
         lone = JobSpec(scenario="idle", governor="rl-policy", seed=9,
                        chip="tiny", train_episodes=99)
         serial = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
         specs = [rl[0], serial, rl[1], lone, rl[2]]
-        plan = BatchEngine(specs).plan()
-        assert partition(specs, plan) == [[1], [3], [0, 2, 4]]
+        assert BatchEngine(specs).units() == [[1], [3], [0, 2, 4]]
+        # Two workers get at most two slices of the group; a slice of
+        # one is a single job, and with a worker per RL job none chunks.
+        assert BatchEngine(specs).units(workers=2) == [
+            [0], [1], [3], [2, 4]]
+        assert BatchEngine(specs).units(workers=3) == [[i] for i in range(5)]
         # A serial plan (forced, or under an observability session)
         # leaves every job a unit of one.
-        assert partition(specs, [False] * 5) == [[i] for i in range(5)]
+        assert BatchEngine(specs, force_serial=True).units() == [
+            [i] for i in range(5)]
+
+    def test_units_deal_a_group_evenly(self):
+        specs = [JobSpec(scenario="idle", governor="rl-policy", seed=i,
+                         chip="tiny") for i in range(7)]
+        assert BatchEngine(specs).units(workers=3) == [
+            [0, 1], [2, 3], [4, 5, 6]]
 
 
 class TestTrainBatchBitIdentity:

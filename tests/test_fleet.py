@@ -358,20 +358,25 @@ class TestRunner:
         )
         assert result.speedup > 0.0
 
-    def test_speedup_accounting_with_a_chunk(self):
-        # Two ondemand singles plus one RL chunk of two: three units.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_speedup_accounting_with_chunks(self, jobs):
+        # Four ondemand singles and four RL jobs: one RL chunk of four
+        # for one worker, two chunks of two for two workers.
         spec = FleetSpec(scenarios=("idle", "audio_playback"),
                          governors=("ondemand",), include_rl=True,
-                         seeds=(1,), chips=("tiny",), **FAST)
+                         seeds=(1, 2), chips=("tiny",), **FAST)
         log = EventLog()
-        result = run_fleet(spec, jobs=4, on_event=log)
-        assert result.workers == 3
-        assert log.of_type(FleetStarted)[0].workers == 3
+        result = run_fleet(spec, jobs=jobs, on_event=log)
+        assert result.workers == jobs
+        assert log.of_type(FleetStarted)[0].workers == jobs
         assert result.serial_wall_estimate_s == pytest.approx(
             sum(o.wall_s for o in result.outcomes)
         )
-        rl = [o for o in result.successes if o.spec.is_rl]
-        assert len(rl) == 2 and rl[0].wall_s == rl[1].wall_s > 0.0
+        walls = [o.wall_s for o in result.successes if o.spec.is_rl]
+        size = 4 // jobs
+        chunks = [walls[k:k + size] for k in range(0, 4, size)]
+        assert all(len(set(chunk)) == 1 and chunk[0] > 0.0
+                   for chunk in chunks)
         assert result.speedup > 0.0
 
 
@@ -576,6 +581,33 @@ class TestUnits:
                            on_event=log)
         assert time.perf_counter() - start < 10.0
         self._assert_rerun_singly(result, log)
+
+
+    def test_dead_chunk_worker_fails_its_members(self, monkeypatch):
+        import os
+
+        import repro.batch.engine
+
+        def die(specs):
+            os._exit(1)
+
+        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", die)
+        specs = [
+            JobSpec(scenario="audio_playback", governor="rl-policy",
+                    seed=seed, chip="tiny", **FAST)
+            for seed in (1, 2, 3, 4)
+        ]
+        log = EventLog()
+        # Two workers: two chunks of two, each of which kills its worker.
+        result = run_fleet(specs, jobs=2, retries=0, on_event=log)
+        assert result.n_jobs == 4 and not result.successes
+        for failure in result.failures:
+            assert failure.error_type == "BrokenProcessPool"
+            assert failure.attempts == 1
+        failed = log.of_type(JobFailed)
+        assert sorted(e.index for e in failed) == [0, 1, 2, 3]
+        assert all(e.final for e in failed)
+        assert log.count(JobRetried) == 0
 
 
 def _rows(result) -> list[tuple]:
