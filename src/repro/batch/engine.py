@@ -176,15 +176,10 @@ class BatchEngine:
         specs: The rollouts to run.  Any mix of governors is accepted;
             per spec the engine picks the vectorised fast path
             (table-free governors) or the reference simulator.
-        force_serial: Run everything through the reference simulator
-            (the bit-identity oracle used by tests and benchmarks).
     """
 
-    def __init__(
-        self, specs: Sequence[JobSpec], force_serial: bool = False
-    ) -> None:
+    def __init__(self, specs: Sequence[JobSpec]) -> None:
         self.specs = list(specs)
-        self.force_serial = force_serial
 
     def plan(self) -> list[bool]:
         """Per spec, whether a fast path will run it."""
@@ -196,8 +191,8 @@ class BatchEngine:
         A *chunk* is two or more RL jobs that share
         :func:`~repro.batch.plans.rl_group_key` and that :meth:`plan`
         marks fast; it trains and evaluates lock-step in one call.
-        Every other job is a unit of one, so an all-serial plan (forced,
-        or under an observability session) yields only single jobs.
+        Every other job is a unit of one, so an all-serial plan (under
+        an observability session) yields only single jobs.
         Single-job units come first, in spec order, then the chunks: a
         chunk's members only finish when the whole chunk does, so
         running them last keeps every single job from waiting behind
@@ -220,7 +215,7 @@ class BatchEngine:
         """The per-spec fast-path flags and the lock-step RL groups."""
         # An active observability session must see real engine spans
         # and counters, which only the serial engine emits.
-        if self.force_serial or OBS.enabled:
+        if OBS.enabled:
             return [False] * len(self.specs), []
         fast = [is_vectorisable(spec) for spec in self.specs]
         # Lock-step training only pays for itself across lanes; a
@@ -325,8 +320,6 @@ def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:
     )
 
 
-def run_batch(
-    specs: Sequence[JobSpec], force_serial: bool = False
-) -> list[SimulationResult]:
+def run_batch(specs: Sequence[JobSpec]) -> list[SimulationResult]:
     """Convenience wrapper: ``BatchEngine(specs).run()``."""
-    return BatchEngine(specs, force_serial=force_serial).run()
+    return BatchEngine(specs).run()

@@ -715,9 +715,7 @@ class _LockstepRunner:
         return results
 
 
-def train_policy_batch(
-    jobs: Sequence[RLTrainJob], force_serial: bool = False
-) -> list[TrainingResult]:
+def train_policy_batch(jobs: Sequence[RLTrainJob]) -> list[TrainingResult]:
     """Train many RL jobs, lock-step vectorised where possible.
 
     Jobs whose (chip structure, state geometry, interval, episode plan)
@@ -731,14 +729,13 @@ def train_policy_batch(
     Args:
         jobs: The training jobs; each job's ``policies`` is materialised
             in place when omitted.
-        force_serial: Run everything serially (the bit-identity oracle).
     """
     jobs = list(jobs)
     for job in jobs:
         job.policies = job.policies or make_policies(job.chip, job.config)
 
     groups: dict[Hashable, list[int]] = {}
-    if not force_serial and not OBS.enabled:
+    if not OBS.enabled:
         for i, job in enumerate(jobs):
             if job.episodes < 1:
                 continue  # the serial path raises the canonical error

@@ -6,11 +6,9 @@ Subcommands:
 * ``run`` — simulate one governor on one scenario and print the summary.
 * ``train`` — train the RL policy on a scenario and save a checkpoint.
 * ``compare`` — the headline comparison (RL vs. baselines) on one scenario.
-* ``batch`` — run a governors x seeds grid through the vectorised batch
-  backend in one process; ``rl-policy`` jobs sharing a configuration
-  train lock-step (see ``docs/batch.md``).
 * ``fleet`` — run a scenarios x governors x seeds grid across worker
-  processes (see ``docs/fleet.md``).
+  processes, through the vectorised batch backend; ``rl-policy`` jobs
+  sharing a configuration train lock-step (see ``docs/fleet.md``).
 * ``latency`` — the software-vs-hardware decision-latency table
   (``--format json`` adds the typical/best-case speedups plus the
   paper's claims for programmatic comparison).
@@ -263,55 +261,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"learning ledger: {recorder.written} record(s) appended to "
             f"{recorder.path}"
         )
-    return 0
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.batch import BatchEngine
-    from repro.fleet.spec import JobSpec
-
-    specs = []
-    for governor in args.governors.split(","):
-        for k in range(args.seeds):
-            specs.append(JobSpec(
-                scenario=args.scenario,
-                governor=governor.strip(),
-                seed=args.seed + k,
-                chip=args.chip,
-                duration_s=args.duration,
-                train_episodes=args.episodes,
-                train_episode_s=args.episode_duration,
-                train_base_seed=args.train_seed + 1000 * k,
-            ))
-    log.info(
-        "batch: chip=%s scenario=%s governors=%s seeds=%d serial=%s",
-        args.chip, args.scenario, args.governors, args.seeds, args.serial,
-    )
-    engine = BatchEngine(specs, force_serial=args.serial)
-    plan = engine.plan()
-    started = time.perf_counter()
-    results = engine.run()
-    elapsed = time.perf_counter() - started
-    rows = [
-        (
-            spec.governor,
-            spec.seed,
-            result.total_energy_j,
-            result.qos.mean_qos,
-            result.energy_per_qos_j * 1e3,
-            "fast" if fast else "serial",
-        )
-        for spec, result, fast in zip(specs, results, plan)
-    ]
-    print(format_table(
-        ["governor", "seed", "energy J", "mean QoS", "E/QoS mJ", "path"],
-        rows,
-        title=f"{args.chip} / {args.scenario}",
-    ))
-    print(
-        f"{len(specs)} jobs in {elapsed:.2f}s "
-        f"({sum(plan)} vectorised, {len(specs) - sum(plan)} serial)"
-    )
     return 0
 
 
@@ -1309,34 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "'repro learn gate'); training results are "
                               "bit-identical with or without it")
     train_p.set_defaults(func=_cmd_train)
-
-    batch_p = sub.add_parser(
-        "batch", parents=[common],
-        help="run a governors x seeds grid through the vectorised "
-             "batch backend (lock-step RL training for rl-policy jobs)",
-    )
-    batch_p.add_argument("--chip", default="exynos5422",
-                         choices=sorted(PRESETS))
-    batch_p.add_argument("--scenario", default="gaming",
-                         choices=sorted(SCENARIOS))
-    batch_p.add_argument("--governors", default="rl-policy",
-                         help="comma-separated governor names; rl-policy "
-                              "jobs sharing a config train lock-step")
-    batch_p.add_argument("--seeds", type=int, default=8,
-                         help="rollouts per governor (seed, seed+1, ...)")
-    batch_p.add_argument("--seed", type=int, default=100,
-                         help="first evaluation seed")
-    batch_p.add_argument("--train-seed", type=int, default=0,
-                         help="first training seed; rollout k trains from "
-                              "train-seed + 1000*k")
-    batch_p.add_argument("--episodes", type=int, default=8)
-    batch_p.add_argument("--episode-duration", type=float, default=None,
-                         help="training episode length (default: --duration)")
-    batch_p.add_argument("--duration", type=float, default=20.0)
-    batch_p.add_argument("--serial", action="store_true",
-                         help="force the reference simulator for every job "
-                              "(the bit-identity oracle)")
-    batch_p.set_defaults(func=_cmd_batch)
 
     cmp_p = sub.add_parser("compare", parents=[common],
                            help="RL policy vs baseline governors")

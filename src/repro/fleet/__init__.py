@@ -62,7 +62,7 @@ from repro.fleet.worker import (
     JobSuccess,
     JobTimeout,
     execute_job,
-    run_job,
+    run_unit,
 )
 
 __all__ = [
@@ -95,7 +95,7 @@ __all__ = [
     "resolve_workers",
     "result_table",
     "run_fleet",
-    "run_job",
+    "run_unit",
     "split_by_seed",
     "to_sweep_result",
     "to_sweep_rows",

@@ -17,11 +17,11 @@
 points, which is both the fast path for small grids and the reference the
 determinism tests compare the pool against.
 
-With the default ``job_fn`` the grid's cache misses run as *units*
-(:meth:`repro.batch.BatchEngine.units`): single jobs through
-:func:`~repro.fleet.worker.run_job`, then lock-step RL chunks through
-:func:`~repro.fleet.worker.run_chunk`.  Events, retries, cache probe
-and store all stay per job; see ``docs/fleet.md``.
+Every unit of work — one job, or with the default ``job_fn`` a
+lock-step RL chunk (:meth:`repro.batch.BatchEngine.units`) — runs
+through :func:`~repro.fleet.worker.run_unit`, and both loops hand its
+outcomes to one settle step.  Events, retries, cache probe and store
+all stay per job; see ``docs/fleet.md``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ReproError
 from repro.fleet.events import (
@@ -50,9 +50,10 @@ from repro.fleet.worker import (
     JobMeasurement,
     JobOutcome,
     JobSuccess,
+    _measured,
+    _success,
     execute_job,
-    run_chunk,
-    run_job,
+    run_unit,
 )
 
 if TYPE_CHECKING:
@@ -207,8 +208,9 @@ def run_fleet(
             an already-expanded job list.
         jobs: Worker processes; ``None`` defers to the fleet spec (or 1
             for a bare job list), ``0`` means the CPU count.
-        timeout_s: Per-job wall-clock budget (``None`` defers to the
-            spec; jobs overrunning it fail with ``timed_out=True``).  A
+        timeout_s: Per-job wall-clock budget, positive (``None``
+            defers to the spec; jobs overrunning it fail with
+            ``timed_out=True``).  A
             lock-step RL chunk gets the budget times its member count;
             if it overruns, its members rerun singly.
         retries: Extra attempts per failed job (``None`` defers to the
@@ -246,6 +248,8 @@ def run_fleet(
     retries = 0 if retries is None else retries
     if retries < 0:
         raise ReproError(f"retries must be non-negative: {retries}")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ReproError(f"timeout must be positive: {timeout_s}")
     if not specs:
         raise ReproError("fleet needs at least one job")
 
@@ -265,20 +269,10 @@ def run_fleet(
             if measurement is None:
                 indexed.append((index, job_spec))
                 continue
-            outcomes.append(
-                JobSuccess(
-                    spec=job_spec,
-                    index=index,
-                    energy_j=measurement.energy_j,
-                    mean_qos=measurement.mean_qos,
-                    deadline_miss_rate=measurement.deadline_miss_rate,
-                    energy_per_qos_j=measurement.energy_per_qos_j,
-                    sim_duration_s=measurement.sim_duration_s,
-                    wall_s=time.perf_counter() - probe_start,
-                    attempts=0,
-                    cached=True,
-                )
-            )
+            outcomes.append(_success(
+                job_spec, index, measurement,
+                time.perf_counter() - probe_start, attempt=0, cached=True,
+            ))
 
     units = _units(indexed, job_fn, jobs)
     workers = max(1, min(jobs, len(units)))
@@ -300,27 +294,16 @@ def run_fleet(
         )
 
     if units:
+        tally = _Tally(emit, retries, start, total=len(specs),
+                       base_done=len(outcomes))
         if workers <= 1:
-            fresh = _run_serial(units, timeout_s, retries, emit, job_fn,
-                                start, total=len(specs),
-                                base_done=len(outcomes))
+            fresh = _run_serial(units, timeout_s, job_fn, tally)
         else:
-            fresh = _run_pool(units, workers, timeout_s, retries, emit,
-                              job_fn, start, total=len(specs),
-                              base_done=len(outcomes))
+            fresh = _run_pool(units, workers, timeout_s, job_fn, tally)
         if store is not None:
             for outcome in fresh:
                 if isinstance(outcome, JobSuccess):
-                    store.store(
-                        outcome.spec,
-                        JobMeasurement(
-                            energy_j=outcome.energy_j,
-                            mean_qos=outcome.mean_qos,
-                            deadline_miss_rate=outcome.deadline_miss_rate,
-                            energy_per_qos_j=outcome.energy_per_qos_j,
-                            sim_duration_s=outcome.sim_duration_s,
-                        ),
-                    )
+                    store.store(outcome.spec, _measured(outcome))
         outcomes.extend(fresh)
 
     outcomes.sort(key=lambda o: o.index)
@@ -353,57 +336,86 @@ def _ops_logging_emit(
     return emit
 
 
-def _report(
-    outcome: JobOutcome,
-    attempt: int,
-    retries: int,
-    emit: Callable[[FleetEvent], None],
-) -> bool:
-    """Emit the completion event; returns whether the job should retry."""
-    if isinstance(outcome, JobSuccess):
-        emit(
-            JobDone(
-                index=outcome.index,
-                job_id=outcome.job_id,
-                wall_s=outcome.wall_s,
-                sim_throughput=outcome.sim_throughput,
-                metrics=outcome.metrics,
-                trace_path=outcome.trace_path,
-                trace_id=_trace_id(outcome.spec),
-            )
-        )
-        return False
-    final = attempt > retries
-    emit(
-        JobFailed(
-            index=outcome.index,
-            job_id=outcome.job_id,
-            attempt=attempt,
-            error=f"{outcome.error_type}: {outcome.error}",
-            timed_out=outcome.timed_out,
-            final=final,
-            trace_id=_trace_id(outcome.spec),
-        )
-    )
-    return not final
-
-
 @dataclass
-class _Progress:
-    """Counts finished jobs and emits one :class:`FleetProgress` each.
+class _Tally:
+    """Reports each unit's outcomes and decides what runs next.
 
-    ``total``/``base_done`` fold pre-resolved jobs (cache hits) into the
-    totals so a partially-cached fleet still counts to 100 %.
+    Shared by the serial and pool loops.  Emits one completion event
+    per job and, once a job is finished, one :class:`FleetProgress`;
+    ``total``/``base_done`` fold pre-resolved jobs (cache hits) into
+    the totals so a partially-cached fleet still counts to 100 %.
     """
 
     emit: Callable[[FleetEvent], None]
+    retries: int
     start: float
     total: int
     base_done: int
     outcomes: list[JobOutcome] = field(default_factory=list)
     failed: int = 0
 
-    def finish(self, outcome: JobOutcome) -> None:
+    def settle(
+        self, unit: _Unit, attempt: int, outcomes: Sequence[JobOutcome]
+    ) -> list[tuple[_Unit, int]]:
+        """Settle one unit's outcomes; returns the ``(unit, attempt)``
+        follow-ups to run, in order.
+
+        A failed chunk's members rerun singly as first attempts, so the
+        chunk counts against no job's retries; a failed single job
+        reruns at ``attempt + 1`` while ``retries`` allows.
+        """
+        follow: list[tuple[_Unit, int]] = []
+        for pair, outcome in zip(unit, outcomes):
+            index, job_spec = pair
+            trace_id = _trace_id(job_spec)
+            if isinstance(outcome, JobSuccess):
+                self.emit(JobDone(
+                    index=index, job_id=job_spec.job_id,
+                    wall_s=outcome.wall_s,
+                    sim_throughput=outcome.sim_throughput,
+                    metrics=outcome.metrics, trace_path=outcome.trace_path,
+                    trace_id=trace_id,
+                ))
+                self._finish(outcome)
+            elif len(unit) > 1:
+                follow.append(([pair], 1))
+            else:
+                final = attempt > self.retries
+                self.emit(JobFailed(
+                    index=index, job_id=job_spec.job_id, attempt=attempt,
+                    error=f"{outcome.error_type}: {outcome.error}",
+                    timed_out=outcome.timed_out, final=final,
+                    trace_id=trace_id,
+                ))
+                if final:
+                    self._finish(outcome)
+                else:
+                    self.emit(JobRetried(index=index, job_id=job_spec.job_id,
+                                         attempt=attempt + 1,
+                                         trace_id=trace_id))
+                    follow.append(([pair], attempt + 1))
+        return follow
+
+    def pool_failure(
+        self, unit: _Unit, attempt: int, exc: Exception
+    ) -> list[tuple[_Unit, int]]:
+        """Settle a unit the pool itself failed (a dead worker, say):
+        each member fails as if it had run as a unit of one."""
+        follow: list[tuple[_Unit, int]] = []
+        for index, job_spec in unit:
+            failure = JobFailure(
+                spec=job_spec,
+                index=index,
+                error_type=type(exc).__name__,
+                error=str(exc),
+                traceback_str="",
+                wall_s=0.0,
+                attempts=attempt,
+            )
+            follow += self.settle([(index, job_spec)], attempt, [failure])
+        return follow
+
+    def _finish(self, outcome: JobOutcome) -> None:
         self.outcomes.append(outcome)
         self.failed += isinstance(outcome, JobFailure)
         self.emit(
@@ -425,140 +437,51 @@ def _queue(unit: _Unit, emit: Callable[[FleetEvent], None]) -> None:
 def _run_serial(
     units: list[_Unit],
     timeout_s: float | None,
-    retries: int,
-    emit: Callable[[FleetEvent], None],
     job_fn: Callable[[JobSpec], JobMeasurement],
-    start: float,
-    total: int,
-    base_done: int,
+    tally: _Tally,
 ) -> list[JobOutcome]:
-    """Run units of ``(grid index, spec)`` pairs in-process, in order.
-
-    A chunk's successful members report when the chunk returns; members
-    a failed chunk left behind rerun singly, like single-job units.
-    """
-    progress = _Progress(emit, start, total, base_done)
+    """Run units in-process, in order; a unit's follow-ups (retries,
+    a failed chunk's single reruns) run before the next unit."""
     for unit in units:
-        _queue(unit, emit)
-        singles = unit
-        if len(unit) > 1:
-            singles = []
-            for pair, outcome in zip(unit, run_chunk(unit, timeout_s)):
-                if isinstance(outcome, JobSuccess):
-                    _report(outcome, 1, retries, emit)
-                    progress.finish(outcome)
-                else:
-                    singles.append(pair)
-        for index, job_spec in singles:
-            attempt = 1
-            while True:
-                outcome = run_job(
-                    job_spec, index=index, attempt=attempt,
-                    timeout_s=timeout_s, job_fn=job_fn,
-                )
-                if not _report(outcome, attempt, retries, emit):
-                    break
-                attempt += 1
-                emit(JobRetried(index=index, job_id=job_spec.job_id,
-                                attempt=attempt, trace_id=_trace_id(job_spec)))
-            progress.finish(outcome)
-    return progress.outcomes
+        _queue(unit, tally.emit)
+        pending = [(unit, 1)]
+        while pending:
+            current, attempt = pending.pop()
+            outcomes = run_unit(current, attempt, timeout_s, job_fn)
+            pending += reversed(tally.settle(current, attempt, outcomes))
+    return tally.outcomes
 
 
 def _run_pool(
     units: list[_Unit],
     workers: int,
     timeout_s: float | None,
-    retries: int,
-    emit: Callable[[FleetEvent], None],
     job_fn: Callable[[JobSpec], JobMeasurement],
-    start: float,
-    total: int,
-    base_done: int,
+    tally: _Tally,
 ) -> list[JobOutcome]:
-    """Run units on a process pool, submitted in order.
-
-    Each future runs one job attempt or one chunk; members a chunk
-    returned as failed are resubmitted singly as first attempts.  If
-    the pool itself fails a chunk (a worker died, say), each member is
-    reported like a single job's pool failure.
-    """
-    progress = _Progress(emit, start, total, base_done)
-    spec_by_index = {index: job_spec for unit in units
-                     for index, job_spec in unit}
-    # Per pending future: its grid indices (one job, or a chunk's
-    # members) and the attempt it stands for (1 for a chunk).
-    running: dict[Future[Any], tuple[list[int], int]] = {}
+    """Run units on a process pool, submitted in order; follow-ups are
+    submitted as their unit settles."""
+    running: dict[Future[list[JobOutcome]], tuple[_Unit, int]] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
 
-        def submit(index: int, attempt: int) -> None:
-            future = pool.submit(
-                run_job,
-                spec_by_index[index],
-                index=index,
-                attempt=attempt,
-                timeout_s=timeout_s,
-                job_fn=job_fn,
-            )
-            running[future] = ([index], attempt)
-
-        def settle(outcome: JobOutcome, attempt: int) -> None:
-            """Report one job's attempt; retry it or count it finished."""
-            index = outcome.index
-            if _report(outcome, attempt, retries, emit):
-                emit(
-                    JobRetried(
-                        index=index,
-                        job_id=spec_by_index[index].job_id,
-                        attempt=attempt + 1,
-                        trace_id=_trace_id(spec_by_index[index]),
-                    )
-                )
-                submit(index, attempt=attempt + 1)
-            else:
-                progress.finish(outcome)
+        def submit(unit: _Unit, attempt: int) -> None:
+            future = pool.submit(run_unit, unit, attempt, timeout_s, job_fn)
+            running[future] = (unit, attempt)
 
         for unit in units:
-            _queue(unit, emit)
-            if len(unit) > 1:
-                chunk = pool.submit(run_chunk, unit, timeout_s)
-                running[chunk] = ([index for index, _ in unit], 1)
-            else:
-                submit(unit[0][0], attempt=1)
+            _queue(unit, tally.emit)
+            submit(unit, 1)
 
         while running:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
-                indices, attempt = running.pop(future)
+                unit, attempt = running.pop(future)
                 try:
-                    result = future.result()
+                    outcomes = future.result()
                 except Exception as exc:  # pool-level (e.g. pickling) error
-                    for index in indices:
-                        settle(_pool_failure(spec_by_index[index], index,
-                                             exc, attempt), attempt)
-                    continue
-                if len(indices) == 1:
-                    settle(result, attempt)
-                    continue
-                for index, outcome in zip(indices, result):
-                    if isinstance(outcome, JobSuccess):
-                        _report(outcome, 1, retries, emit)
-                        progress.finish(outcome)
-                    else:
-                        submit(index, attempt=1)
-    return progress.outcomes
-
-
-def _pool_failure(
-    spec: JobSpec, index: int, exc: Exception, attempt: int
-) -> JobFailure:
-    """A failure the pool raised around a unit, not one from inside it."""
-    return JobFailure(
-        spec=spec,
-        index=index,
-        error_type=type(exc).__name__,
-        error=str(exc),
-        traceback_str="",
-        wall_s=0.0,
-        attempts=attempt,
-    )
+                    follow = tally.pool_failure(unit, attempt, exc)
+                else:
+                    follow = tally.settle(unit, attempt, outcomes)
+                for next_unit, next_attempt in follow:
+                    submit(next_unit, next_attempt)
+    return tally.outcomes

@@ -6,15 +6,16 @@ spec's seed — so a job's result depends only on its spec, never on which
 process ran it or what ran before.  That is what makes parallel fleet
 rows bit-identical to a serial sweep.
 
-:func:`run_job` is the guarded pool entry: it times the attempt, arms a
-``SIGALRM``-based wall-clock timeout (so a hung simulation is
-interrupted *inside* the worker and the pool slot is reclaimed), and
-converts any exception into a structured :class:`JobFailure` instead of
-letting it propagate and poison the executor.
+:func:`run_unit` is the guarded pool entry: it times one unit of work
+(a single job, or a lock-step RL chunk), arms a ``SIGALRM``-based
+wall-clock timeout (so a hung simulation is interrupted *inside* the
+worker and the pool slot is reclaimed), and converts any exception into
+structured :class:`JobFailure` rows instead of letting it propagate and
+poison the executor.
 
-Both run their work through :mod:`repro.batch`: :func:`execute_job` as
-a batch of one (so a table-free governor takes the fixed-OPP fast
-path), :func:`run_chunk` as one lock-step batch over an RL chunk.
+Both kinds of unit run through :mod:`repro.batch`: a single job as a
+batch of one inside :func:`execute_job` (so a table-free governor takes
+the fixed-OPP fast path), a chunk as one lock-step batch.
 :func:`simulate_spec` stays the serial reference both are held to.
 """
 
@@ -193,9 +194,14 @@ def _job_learn_recorder(spec: JobSpec) -> "LearnRecorder | None":
         return None
     from repro.obs.learn import LearnRecorder
 
+    return LearnRecorder(_job_file(spec.learn_log_dir, spec, ".jsonl"))
+
+
+def _job_file(directory: str, spec: JobSpec, suffix: str) -> Path:
+    """``<directory>/<job-id>-pid<pid><suffix>``, the job id made
+    path-safe: one file per job and worker process."""
     safe_id = spec.job_id.replace("/", "-").replace(":", "_")
-    directory = Path(spec.learn_log_dir)
-    return LearnRecorder(directory / f"{safe_id}-pid{os.getpid()}.jsonl")
+    return Path(directory) / f"{safe_id}-pid{os.getpid()}{suffix}"
 
 
 @contextmanager
@@ -342,17 +348,14 @@ def _write_job_trace(spec: JobSpec, session: ObsSession) -> str:
     """
     from repro.obs.export import write_chrome_trace
 
-    pid = os.getpid()
-    safe_id = spec.job_id.replace("/", "-").replace(":", "_")
-    directory = Path(spec.trace_dir or ".")
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{safe_id}-pid{pid}.json"
+    path = _job_file(spec.trace_dir or ".", spec, ".json")
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_chrome_trace(
         path,
         session.tracer,
         session.metrics,
         process_name=spec.job_id,
-        pid=pid,
+        pid=os.getpid(),
         epoch_us=session.tracer.epoch_s * 1e6,
     )
     return str(path)
@@ -432,91 +435,50 @@ def _disarm_timeout(armed: bool) -> None:
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
-def run_job(
-    spec: JobSpec,
-    index: int = 0,
+def run_unit(
+    members: Sequence[tuple[int, JobSpec]],
     attempt: int = 1,
     timeout_s: float | None = None,
     job_fn: Callable[[JobSpec], JobMeasurement] = execute_job,
-) -> JobOutcome:
-    """The guarded pool entry: never raises, always returns an outcome.
-
-    Args:
-        spec: The job to run.
-        index: Grid position, stamped on the outcome for ordered
-            aggregation.
-        attempt: 1-based attempt number, stamped on the outcome.
-        timeout_s: Wall-clock budget; overruns raise :class:`JobTimeout`
-            inside the worker (freeing the pool slot) and yield a
-            ``timed_out`` :class:`JobFailure`.
-        job_fn: The measurement function; tests substitute hanging or
-            raising top-level functions here.
-    """
-    start = time.perf_counter()
-    armed = _arm_timeout(timeout_s)
-    try:
-        measurement = job_fn(spec)
-    except JobTimeout as exc:
-        return JobFailure(
-            spec=spec,
-            index=index,
-            error_type="JobTimeout",
-            error=str(exc),
-            traceback_str=traceback.format_exc(),
-            wall_s=time.perf_counter() - start,
-            attempts=attempt,
-            timed_out=True,
-        )
-    except Exception as exc:
-        return JobFailure(
-            spec=spec,
-            index=index,
-            error_type=type(exc).__name__,
-            error=str(exc),
-            traceback_str=traceback.format_exc(),
-            wall_s=time.perf_counter() - start,
-            attempts=attempt,
-        )
-    finally:
-        _disarm_timeout(armed)
-    return _success(
-        spec, index, measurement, time.perf_counter() - start, attempt
-    )
-
-
-def run_chunk(
-    members: Sequence[tuple[int, JobSpec]],
-    timeout_s: float | None = None,
 ) -> list[JobOutcome]:
-    """The guarded entry for a lock-step RL chunk: never raises.
+    """The guarded pool entry: never raises, one outcome per member.
 
-    Runs every member through one :func:`repro.batch.run_batch` call
-    under a wall-clock budget of ``timeout_s`` per member.
+    A unit of one runs ``job_fn``; a lock-step RL chunk (see
+    :meth:`repro.batch.BatchEngine.units`) runs as one
+    :func:`repro.batch.run_batch` call.
 
     Args:
-        members: The chunk's ``(grid index, spec)`` pairs
-            (see :meth:`repro.batch.BatchEngine.units`).
-        timeout_s: Per-job budget; the chunk gets ``timeout_s`` times
-            its member count.
+        members: The unit's ``(grid index, spec)`` pairs; the index is
+            stamped on each outcome for ordered aggregation.
+        attempt: 1-based attempt number, stamped on each outcome.
+        timeout_s: Per-job wall-clock budget; the unit gets it times
+            its member count.  Overruns raise :class:`JobTimeout`
+            inside the worker (freeing the pool slot) and yield
+            ``timed_out`` failures.
+        job_fn: The measurement function for a unit of one; tests
+            substitute hanging or raising top-level functions here.
 
     Returns:
-        One outcome per member, in order.  On success each member is a
-        first-attempt :class:`JobSuccess` carrying an equal share of the
-        chunk's wall time.  If the call raises or overruns, every member
-        is a :class:`JobFailure` with that error; the runner then reruns
-        each member singly through :func:`run_job`, so the chunk
-        attempt counts against no job's retries.
+        One outcome per member, in order, each carrying an equal share
+        of the unit's wall time.  If the unit raises or overruns, every
+        member is a :class:`JobFailure` with that error.
     """
-    from repro.batch import run_batch
-
     start = time.perf_counter()
-    specs = [spec for _, spec in members]
-    budget = None if timeout_s is None else timeout_s * len(specs)
+    budget = None if timeout_s is None else timeout_s * len(members)
     armed = _arm_timeout(budget)
     try:
-        runs = run_batch(specs)
+        if len(members) == 1:
+            measurements = [job_fn(members[0][1])]
+        else:
+            from repro.batch import run_batch
+
+            specs = [spec for _, spec in members]
+            measurements = [
+                _measurement(spec, run)
+                for spec, run in zip(specs, run_batch(specs))
+            ]
     except Exception as exc:
-        share = (time.perf_counter() - start) / len(specs)
+        share = (time.perf_counter() - start) / len(members)
         return [
             JobFailure(
                 spec=spec,
@@ -525,16 +487,17 @@ def run_chunk(
                 error=str(exc),
                 traceback_str=traceback.format_exc(),
                 wall_s=share,
+                attempts=attempt,
                 timed_out=isinstance(exc, JobTimeout),
             )
             for index, spec in members
         ]
     finally:
         _disarm_timeout(armed)
-    share = (time.perf_counter() - start) / len(specs)
+    share = (time.perf_counter() - start) / len(members)
     return [
-        _success(spec, index, _measurement(spec, run), share, 1)
-        for (index, spec), run in zip(members, runs)
+        _success(spec, index, measurement, share, attempt)
+        for (index, spec), measurement in zip(members, measurements)
     ]
 
 
@@ -544,6 +507,7 @@ def _success(
     measurement: JobMeasurement,
     wall_s: float,
     attempt: int,
+    cached: bool = False,
 ) -> JobSuccess:
     return JobSuccess(
         spec=spec,
@@ -557,4 +521,16 @@ def _success(
         attempts=attempt,
         metrics=measurement.metrics,
         trace_path=measurement.trace_path,
+        cached=cached,
+    )
+
+
+def _measured(success: JobSuccess) -> JobMeasurement:
+    """A success's raw metrics, as the run cache stores them."""
+    return JobMeasurement(
+        energy_j=success.energy_j,
+        mean_qos=success.mean_qos,
+        deadline_miss_rate=success.deadline_miss_rate,
+        energy_per_qos_j=success.energy_per_qos_j,
+        sim_duration_s=success.sim_duration_s,
     )

@@ -62,11 +62,6 @@ class TestPlans:
         assert not is_vectorisable(replace(base, collect_metrics=True))
         assert not is_vectorisable(replace(base, trace_dir="/tmp/t"))
 
-    def test_plan_respects_force_serial(self):
-        specs = [JobSpec(scenario="idle", governor="performance")]
-        assert BatchEngine(specs).plan() == [True]
-        assert BatchEngine(specs, force_serial=True).plan() == [False]
-
     def test_plan_mixed_governors(self):
         specs = [
             JobSpec(scenario="idle", governor="performance"),
@@ -103,13 +98,6 @@ class TestBitIdentity:
         ]
         for spec, batch in zip(specs, run_batch(specs)):
             _assert_bit_identical(simulate_spec(spec), batch)
-
-    def test_force_serial_identical_output(self):
-        specs = [JobSpec(scenario="web_browsing", governor="userspace",
-                         duration_s=1.0)]
-        fast = run_batch(specs)
-        slow = run_batch(specs, force_serial=True)
-        _assert_bit_identical(slow[0], fast[0])
 
     def test_obs_session_disables_vectorisation(self):
         """With observability on, the serial engine must run (it owns

@@ -65,6 +65,21 @@ def _jobs(seeds, chip_factory=tiny_test_chip, scenario=None, episodes=2,
     ]
 
 
+def _train_serially(jobs):
+    """The oracle: serial :func:`train_policy` per job."""
+    return [
+        train_policy(
+            job.chip, job.scenario, episodes=job.episodes,
+            episode_duration_s=job.episode_duration_s,
+            base_seed=job.base_seed, config=job.config,
+            interval_s=job.interval_s, power_model=job.power_model,
+            policies=job.policies, recorder=job.recorder,
+            episode_offset=job.episode_offset,
+        )
+        for job in jobs
+    ]
+
+
 def _assert_policies_identical(a, b):
     """Every learner-state float equal between two policy dicts."""
     assert set(a) == set(b)
@@ -139,11 +154,6 @@ class TestRoutingPredicates:
         spec = JobSpec(scenario="idle", governor="rl-policy", chip="tiny")
         assert BatchEngine([spec]).plan() == [False]
 
-    def test_plan_respects_force_serial(self):
-        specs = [JobSpec(scenario="idle", governor="rl-policy",
-                         seed=100 + i, chip="tiny") for i in range(2)]
-        assert BatchEngine(specs, force_serial=True).plan() == [False, False]
-
     def test_units_singles_first_then_chunks(self):
         rl = [JobSpec(scenario="idle", governor="rl-policy", seed=100 + i,
                       chip="tiny") for i in range(3)]
@@ -157,10 +167,12 @@ class TestRoutingPredicates:
         assert BatchEngine(specs).units(workers=2) == [
             [0], [1], [3], [2, 4]]
         assert BatchEngine(specs).units(workers=3) == [[i] for i in range(5)]
-        # A serial plan (forced, or under an observability session)
-        # leaves every job a unit of one.
-        assert BatchEngine(specs, force_serial=True).units() == [
-            [i] for i in range(5)]
+        # A serial plan (under an observability session) leaves every
+        # job a unit of one.
+        from repro.obs import capture
+
+        with capture():
+            assert BatchEngine(specs).units() == [[i] for i in range(5)]
 
     def test_units_deal_a_group_evenly(self):
         specs = [JobSpec(scenario="idle", governor="rl-policy", seed=i,
@@ -172,7 +184,7 @@ class TestRoutingPredicates:
 class TestTrainBatchBitIdentity:
     def test_matches_serial_trainer(self):
         seeds = [0, 1, 2, 5]
-        serial = train_policy_batch(_jobs(seeds), force_serial=True)
+        serial = _train_serially(_jobs(seeds))
         batched = train_policy_batch(_jobs(seeds))
         for a, b in zip(serial, batched):
             assert a.history == b.history
@@ -185,7 +197,7 @@ class TestTrainBatchBitIdentity:
 
         kw = dict(chip_factory=exynos5422,
                   scenario=get_scenario("web_browsing"))
-        serial = train_policy_batch(_jobs([0, 3], **kw), force_serial=True)
+        serial = _train_serially(_jobs([0, 3], **kw))
         batched = train_policy_batch(_jobs([0, 3], **kw))
         for a, b in zip(serial, batched):
             assert a.history == b.history
@@ -205,7 +217,7 @@ class TestTrainBatchBitIdentity:
                        config=cfg)
             for i, cfg in enumerate(configs)
         ]
-        serial = train_policy_batch(jobs(), force_serial=True)
+        serial = _train_serially(jobs())
         batched = train_policy_batch(jobs())
         for a, b in zip(serial, batched):
             assert a.history == b.history
@@ -214,9 +226,8 @@ class TestTrainBatchBitIdentity:
     def test_mismatched_geometry_falls_back(self):
         jobs = _jobs([0]) + _jobs([1], config=PolicyConfig(util_bins=3))
         results = train_policy_batch(jobs)
-        oracle = train_policy_batch(
-            _jobs([0]) + _jobs([1], config=PolicyConfig(util_bins=3)),
-            force_serial=True,
+        oracle = _train_serially(
+            _jobs([0]) + _jobs([1], config=PolicyConfig(util_bins=3))
         )
         for a, b in zip(oracle, results):
             assert a.history == b.history
@@ -261,7 +272,7 @@ class TestTrainBatchBitIdentity:
                 for s in seeds
             ]
 
-        serial = train_policy_batch(jobs(), force_serial=True)
+        serial = _train_serially(jobs())
         batched = train_policy_batch(jobs())
         for a, b in zip(serial, batched):
             assert a.history == b.history
@@ -323,8 +334,8 @@ class TestRunBatchIntegration:
         fast_dir.mkdir(), serial_dir.mkdir()
         fast_specs = [spec(i, fast_dir) for i in range(2)]
         BatchEngine(fast_specs).run()
-        BatchEngine([spec(i, serial_dir) for i in range(2)],
-                    force_serial=True).run()
+        for i in range(2):
+            simulate_spec(spec(i, serial_dir))
         def strip_ts(records):
             # The wall-clock stamp is the one legitimately path-varying
             # field; every learning metric must match exactly.

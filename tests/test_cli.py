@@ -78,6 +78,34 @@ class TestCommands:
         assert "rl-policy" in out
         assert "performance" in out
 
+    def test_fleet_rows_match_the_serial_reference(self, capsys, tmp_path):
+        from dataclasses import fields
+
+        from repro.fleet import JobSpec
+        from repro.fleet.worker import simulate_spec
+
+        out = tmp_path / "fleet.json"
+        code = main([
+            "fleet", "--chip", "tiny", "--scenarios", "idle",
+            "--governors", "performance", "--include-rl", "--seeds", "1,2",
+            "--episodes", "2", "--duration", "1", "--jobs", "1", "--quiet",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["governor"] for row in rows] == [
+            "performance", "performance", "rl-policy", "rl-policy"]
+        # The two RL jobs ran as one lock-step chunk: equal wall shares.
+        assert rows[2]["wall_s"] == rows[3]["wall_s"]
+        names = {f.name for f in fields(JobSpec)}
+        for row in rows:
+            run = simulate_spec(JobSpec.from_mapping(
+                {k: v for k, v in row.items() if k in names}))
+            assert (row["energy_j"], row["mean_qos"],
+                    row["deadline_miss_rate"], row["energy_per_qos_j"]) == (
+                run.total_energy_j, run.qos.mean_qos,
+                run.qos.deadline_miss_rate, run.energy_per_qos_j)
+
     def test_train_and_run_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "ck"
         code = main([

@@ -42,7 +42,7 @@ from repro.fleet import (
     result_table,
     resolve_workers,
     run_fleet,
-    run_job,
+    run_unit,
     split_by_seed,
     to_sweep_result,
 )
@@ -209,8 +209,8 @@ class TestWorker:
             execute_job(spec)
 
     def test_run_job_success_telemetry(self):
-        outcome = run_job(JobSpec(scenario="s", governor="g"), index=3,
-                          job_fn=_quick)
+        [outcome] = run_unit([(3, JobSpec(scenario="s", governor="g"))],
+                             job_fn=_quick)
         assert isinstance(outcome, JobSuccess)
         assert outcome.index == 3
         assert outcome.attempts == 1
@@ -218,8 +218,8 @@ class TestWorker:
         assert outcome.sim_throughput >= 0.0
 
     def test_run_job_converts_exceptions(self):
-        outcome = run_job(JobSpec(scenario="s", governor="g"), index=1,
-                          job_fn=_always_raise)
+        [outcome] = run_unit([(1, JobSpec(scenario="s", governor="g"))],
+                             job_fn=_always_raise)
         assert isinstance(outcome, JobFailure)
         assert outcome.error_type == "ValueError"
         assert "boom" in outcome.error
@@ -228,8 +228,8 @@ class TestWorker:
 
     def test_run_job_timeout(self):
         start = time.perf_counter()
-        outcome = run_job(JobSpec(scenario="s", governor="g"),
-                          timeout_s=0.2, job_fn=_hang_forever)
+        [outcome] = run_unit([(0, JobSpec(scenario="s", governor="g"))],
+                             timeout_s=0.2, job_fn=_hang_forever)
         assert time.perf_counter() - start < 10.0
         assert isinstance(outcome, JobFailure)
         assert outcome.timed_out
@@ -328,6 +328,16 @@ class TestRunner:
             assert [r.governor for r in rows] == [s.governor for s in grid]
             merged = merge_job_metrics(result.successes)
             assert merged["counters"]["sim.intervals"] == 300.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("timeout_s", [-1.0, 0])
+    def test_timeout_must_be_positive(self, jobs, timeout_s):
+        job = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
+                      **FAST)
+        log = EventLog()
+        with pytest.raises(ReproError, match="timeout must be positive"):
+            run_fleet([job], jobs=jobs, timeout_s=timeout_s, on_event=log)
+        assert log.events == []
 
     def test_no_retry_by_default(self):
         result = run_fleet([JobSpec(scenario="s", governor="g")], jobs=1,
@@ -609,6 +619,75 @@ class TestUnits:
         assert all(e.final for e in failed)
         assert log.count(JobRetried) == 0
 
+    # The pinned jobs=1 event order: a flaky job retried once, a job
+    # failing for good, and an RL chunk of four whose lock-step call
+    # raises, so its members rerun singly.
+    EVENT_ORDER = [
+        ("FleetStarted", None),
+        ("JobQueued", 0), ("JobFailed", 0), ("JobRetried", 0),
+        ("JobDone", 0), ("FleetProgress", None),
+        ("JobQueued", 1), ("JobFailed", 1), ("JobRetried", 1),
+        ("JobFailed", 1), ("FleetProgress", None),
+        ("JobQueued", 2), ("JobQueued", 3), ("JobQueued", 4),
+        ("JobQueued", 5),
+        ("JobDone", 2), ("FleetProgress", None),
+        ("JobDone", 3), ("FleetProgress", None),
+        ("JobDone", 4), ("FleetProgress", None),
+        ("JobDone", 5), ("FleetProgress", None),
+        ("FleetFinished", None),
+    ]
+
+    def test_event_order(self, monkeypatch, tmp_path):
+        import repro.batch.engine
+
+        fixed_opp = repro.batch.engine.run_fixed_opp
+        chunk_ran = tmp_path / "chunk-ran"
+
+        def explode(specs):
+            chunk_ran.write_text("ran")
+            raise RuntimeError("lock-step runner broke")
+
+        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", explode)
+        specs = [
+            JobSpec(scenario="idle", governor="powersave", seed=1,
+                    chip="tiny", **FAST),
+            JobSpec(scenario="idle", governor="warpdrive", seed=1,
+                    chip="tiny", **FAST),
+        ] + [
+            JobSpec(scenario="audio_playback", governor="rl-policy",
+                    seed=seed, chip="tiny", **FAST)
+            for seed in (1, 2, 3, 4)
+        ]
+        per_job = {}
+        for jobs in (1, 2):
+            marker = tmp_path / f"attempted-{jobs}"
+
+            def flaky(spec, *args, marker=marker):
+                # The powersave job fails its first attempt only.
+                if spec.governor == "powersave" and not marker.exists():
+                    marker.write_text("attempted")
+                    raise RuntimeError("first attempt always fails")
+                return fixed_opp(spec, *args)
+
+            monkeypatch.setattr(repro.batch.engine, "run_fixed_opp", flaky)
+            chunk_ran.unlink(missing_ok=True)
+            log = EventLog()
+            result = run_fleet(specs, jobs=jobs, retries=1, on_event=log)
+            assert chunk_ran.exists()
+            assert [(type(o).__name__, o.attempts)
+                    for o in result.outcomes] == [
+                ("JobSuccess", 2), ("JobFailure", 2),
+            ] + [("JobSuccess", 1)] * 4
+            events = [(type(e).__name__, getattr(e, "index", None))
+                      for e in log.events]
+            if jobs == 1:
+                assert events == self.EVENT_ORDER
+            per_job[jobs] = {
+                index: [kind for kind, i in events if i == index]
+                for index in range(len(specs))
+            }
+        assert per_job[2] == per_job[1]
+
 
 def _rows(result) -> list[tuple]:
     return [_outcome_row(o) for o in result.outcomes]
@@ -767,7 +846,7 @@ class TestFleetMetrics:
         spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
                        duration_s=1.0)
         assert execute_job(spec).metrics is None
-        assert run_job(spec).metrics is None
+        assert run_unit([(0, spec)])[0].metrics is None
 
     def test_obs_state_restored_after_job(self):
         from repro.obs import OBS
@@ -792,8 +871,8 @@ class TestFleetMetrics:
     def test_merge_skips_jobs_without_snapshots(self):
         spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
                        duration_s=1.0)
-        outcome = run_job(spec)
-        assert merge_job_metrics([outcome]) == {
+        outcome = run_unit([(0, spec)])
+        assert merge_job_metrics(outcome) == {
             "counters": {}, "gauges": {}, "histograms": {}
         }
 
