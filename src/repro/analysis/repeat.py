@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.analysis.stats import mean, stdev
 from repro.errors import ReproError
@@ -73,26 +73,6 @@ class RepeatedMeasure:
         return f"{self.mean:.4g} ± {self.ci_halfwidth:.2g} (n={self.n})"
 
 
-def repeat_over_seeds(
-    measure: Callable[[int], float],
-    seeds: list[int],
-    confidence: float = 0.95,
-) -> RepeatedMeasure:
-    """Run a seeded measurement over several seeds.
-
-    Args:
-        measure: Callable mapping a seed to a scalar metric (e.g. runs a
-            simulation and returns energy/QoS).
-        seeds: Seeds to evaluate; at least one.
-        confidence: Confidence level for the interval.
-    """
-    if not seeds:
-        raise ReproError("need at least one seed")
-    return RepeatedMeasure(
-        values=tuple(measure(seed) for seed in seeds), confidence=confidence
-    )
-
-
 def repeat_jobs_over_seeds(
     spec: "JobSpec",
     seeds: list[int],
@@ -104,10 +84,9 @@ def repeat_jobs_over_seeds(
 ) -> RepeatedMeasure:
     """Repeat one fleet job across evaluation seeds, possibly in parallel.
 
-    The declarative sibling of :func:`repeat_over_seeds`: instead of a
-    closure, the measurement is a :class:`~repro.fleet.spec.JobSpec`
-    re-run at each seed through :func:`repro.fleet.run_fleet`, so the
-    repeats can fan out over worker processes.  Values are returned in
+    The measurement is a :class:`~repro.fleet.spec.JobSpec` re-run at
+    each seed through :func:`repro.fleet.run_fleet`, so the repeats can
+    fan out over worker processes.  Values are returned in
     seed order regardless of completion order.
 
     Args:

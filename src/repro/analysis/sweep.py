@@ -7,10 +7,9 @@ on identical seeded traces, and collect the comparison rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import PolicyConfig
-from repro.core.trainer import evaluate_policy, train_policy
 from repro.errors import ReproError
 from repro.governors import create
 from repro.power.model import PowerModel
@@ -18,6 +17,7 @@ from repro.qos.energy_per_qos import improvement_percent
 from repro.sim.engine import Simulator
 from repro.sim.result import SimulationResult
 from repro.soc.chip import Chip
+from repro.soc.presets import PRESETS
 from repro.workload.scenarios import Scenario, get_scenario
 
 
@@ -113,16 +113,17 @@ def sweep(
     interval_s: float = 0.01,
     jobs: int = 1,
 ) -> SweepResult:
-    """Run the full comparison grid.
+    """Run the full comparison grid through the fleet runner.
 
     For each scenario, every baseline governor runs on the *same* seeded
     evaluation trace; the RL policy is first trained on that scenario
     (seeds disjoint from the evaluation seed) and then evaluated greedily
-    on the identical evaluation trace.
+    on the identical evaluation trace.  Every grid cell is one
+    :mod:`repro.fleet` job, so the rows do not depend on ``jobs``.
 
     Args:
-        chip: The MPSoC (a fresh preset instance; its state is reused
-            across runs after resets).
+        chip: The MPSoC.  Each job rebuilds a preset chip from its name;
+            a non-preset chip object is shipped to the jobs as is.
         scenario_names: Scenarios to sweep.
         governor_names: Baseline governors to sweep.
         include_rl: Whether to train and evaluate the proposed policy.
@@ -131,105 +132,33 @@ def sweep(
         train_episodes: RL training episodes per scenario.
         policy_config: RL policy configuration.
         interval_s: DVFS sampling interval.
-        jobs: Worker processes; ``jobs != 1`` runs every grid cell (and
-            each scenario's RL training) through the fleet runner
-            (:mod:`repro.fleet`), with ``0`` meaning the CPU count.
-            Rows are bit-identical to the serial path either way.
+        jobs: Worker processes; ``1`` runs in-process, ``0`` means the
+            CPU count.
+
+    Raises:
+        ReproError: For an empty or unknown scenario, or if any grid
+            cell fails.
     """
+    # Deferred: repro.fleet.aggregate imports this module.
+    from repro.fleet import FleetSpec, run_fleet
+
     if not scenario_names:
         raise ReproError("sweep needs at least one scenario")
-    if jobs != 1:
-        return _sweep_fleet(
-            chip, scenario_names, governor_names, include_rl, duration_s,
-            eval_seed, train_episodes, policy_config, interval_s, jobs,
-        )
-    result = SweepResult()
-    power_model = PowerModel()
-    for scenario_name in scenario_names:
-        scenario = get_scenario(scenario_name)
-        eval_trace = scenario.trace(duration_s, seed=eval_seed)
-        for governor_name in governor_names:
-            sim = Simulator(
-                chip,
-                eval_trace,
-                lambda cluster: create(governor_name),
-                power_model=power_model,
-                interval_s=interval_s,
-            )
-            run = sim.run()
-            result.rows.append(_row(scenario_name, governor_name, run))
-        if include_rl:
-            training = train_policy(
-                chip,
-                scenario,
-                episodes=train_episodes,
-                episode_duration_s=duration_s,
-                base_seed=0,
-                config=policy_config,
-                interval_s=interval_s,
-                power_model=power_model,
-            )
-            run = evaluate_policy(
-                chip, training.policies, eval_trace,
-                interval_s=interval_s, power_model=power_model,
-            )
-            result.rows.append(_row(scenario_name, "rl-policy", run))
-    return result
-
-
-def _sweep_fleet(
-    chip: Chip,
-    scenario_names: list[str],
-    governor_names: list[str],
-    include_rl: bool,
-    duration_s: float,
-    eval_seed: int,
-    train_episodes: int,
-    policy_config: PolicyConfig | None,
-    interval_s: float,
-    jobs: int,
-) -> SweepResult:
-    """The parallel sweep: one fleet job per grid cell.
-
-    Each job rebuilds the chip from its preset (falling back to shipping
-    the chip object itself for non-preset chips) and regenerates its
-    traces from the same seeds the serial path uses, so the aggregated
-    rows are bit-identical to the serial nested loops.
-    """
-    from dataclasses import replace
-
-    from repro.fleet import FleetSpec, run_fleet
-    from repro.soc.presets import PRESETS
-
     for name in scenario_names:
-        get_scenario(name)  # fail fast, as the serial path would
-    spec = FleetSpec(
+        get_scenario(name)  # fail fast, before any job runs
+    job_specs = FleetSpec(
         scenarios=tuple(scenario_names),
         governors=tuple(governor_names),
         seeds=(eval_seed,),
+        chips=(chip.name,),
         include_rl=include_rl,
         duration_s=duration_s,
         interval_s=interval_s,
         train_episodes=train_episodes,
-        train_base_seed=0,
-    )
-    job_specs = spec.expand()
-    if chip.name in PRESETS:
-        job_specs = [replace(j, chip=chip.name) for j in job_specs]
-    else:
-        job_specs = [replace(j, chip=chip.name, chip_obj=chip) for j in job_specs]
-    if policy_config is not None:
-        job_specs = [replace(j, policy_config=policy_config) for j in job_specs]
-    fleet = run_fleet(job_specs, jobs=jobs)
-    return fleet.sweep_result()
-
-
-def _row(scenario: str, governor: str, run: SimulationResult) -> SweepRow:
-    return SweepRow(
-        scenario=scenario,
-        governor=governor,
-        energy_j=run.total_energy_j,
-        mean_qos=run.qos.mean_qos,
-        deadline_miss_rate=run.qos.deadline_miss_rate,
-        energy_per_qos_j=run.energy_per_qos_j,
-    )
+    ).expand()
+    chip_obj = None if chip.name in PRESETS else chip
+    job_specs = [
+        replace(j, chip_obj=chip_obj, policy_config=policy_config)
+        for j in job_specs
+    ]
+    return run_fleet(job_specs, jobs=jobs).sweep_result()

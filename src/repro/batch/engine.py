@@ -182,8 +182,19 @@ class BatchEngine:
         self.specs = list(specs)
 
     def plan(self) -> list[bool]:
-        """Per spec, whether a fast path will run it."""
-        return self._plan()[0]
+        """Per spec, whether a fast path will run it.
+
+        The one planner: :meth:`run` and :meth:`units` both start here.
+        """
+        # An active observability session must see real engine spans
+        # and counters, which only the serial engine emits.
+        if OBS.enabled:
+            return [False] * len(self.specs)
+        fast = [is_vectorisable(spec) for spec in self.specs]
+        for group in _rl_groups(self.specs):
+            for i in group:
+                fast[i] = True
+        return fast
 
     def units(self, workers: int = 1) -> list[list[int]]:
         """Split the specs into units of work: single jobs and RL chunks.
@@ -209,28 +220,13 @@ class BatchEngine:
             Lists of spec indices; every index appears in exactly one
             unit.
         """
-        return self._units(self._plan()[1], workers)
+        return self._units(self.plan(), workers)
 
-    def _plan(self) -> tuple[list[bool], list[list[int]]]:
-        """The per-spec fast-path flags and the lock-step RL groups."""
-        # An active observability session must see real engine spans
-        # and counters, which only the serial engine emits.
-        if OBS.enabled:
-            return [False] * len(self.specs), []
-        fast = [is_vectorisable(spec) for spec in self.specs]
-        # Lock-step training only pays for itself across lanes; a
-        # singleton RL job runs the (identical) serial trainer.
-        groups = [g for g in _rl_groups(self.specs) if len(g) >= 2]
-        for group in groups:
-            for i in group:
-                fast[i] = True
-        return fast, groups
-
-    def _units(
-        self, groups: list[list[int]], workers: int
-    ) -> list[list[int]]:
+    def _units(self, plan: list[bool], workers: int) -> list[list[int]]:
         chunks: list[list[int]] = []
-        for group in groups:
+        for group in _rl_groups(self.specs):
+            if not plan[group[0]]:
+                continue
             n, parts = len(group), min(workers, len(group))
             for k in range(parts):
                 part = group[k * n // parts:(k + 1) * n // parts]
@@ -242,9 +238,9 @@ class BatchEngine:
 
     def run(self) -> list[SimulationResult]:
         """All rollouts, in spec order."""
-        plan, groups = self._plan()
+        plan = self.plan()
         results: list[SimulationResult | None] = [None] * len(self.specs)
-        for unit in self._units(groups, workers=1):
+        for unit in self._units(plan, workers=1):
             if len(unit) > 1:
                 grouped = _run_rl_group([self.specs[i] for i in unit])
                 for i, result in zip(unit, grouped):
@@ -269,12 +265,14 @@ class BatchEngine:
 
 def _rl_groups(specs: Sequence[JobSpec]) -> list[list[int]]:
     """Spec indices of lock-step-eligible RL jobs, grouped by
-    :func:`~repro.batch.plans.rl_group_key`."""
+    :func:`~repro.batch.plans.rl_group_key`; lock-step training only
+    pays for itself across lanes, so a singleton group is dropped (that
+    job runs the identical serial trainer)."""
     groups: dict[Hashable, list[int]] = {}
     for i, spec in enumerate(specs):
         if is_rl_vectorisable(spec):
             groups.setdefault(rl_group_key(spec), []).append(i)
-    return list(groups.values())
+    return [group for group in groups.values() if len(group) >= 2]
 
 
 def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:

@@ -61,7 +61,6 @@ from repro.experiments.learning import (
 from repro.experiments.robustness import (
     X1Result,
     X2Result,
-    full_system_simulator,
     x1_full_system,
     x2_seed_stability,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "e5_learning_curve",
     "e6_adaptation",
     "e7_hw_fidelity",
-    "full_system_simulator",
     "run_headline_sweep",
     "static_oracle",
     "transfer_to_hardware",

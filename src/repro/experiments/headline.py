@@ -39,9 +39,9 @@ def run_headline_sweep(
     """The E1/E2/E3 data: six baselines + the RL policy over the
     evaluation scenario set (see DESIGN.md E1-E3).
 
-    ``jobs != 1`` fans the grid out over worker processes via
-    :mod:`repro.fleet` (``0`` = CPU count); rows are bit-identical to
-    the serial run.
+    The grid runs through :mod:`repro.fleet` over ``jobs`` worker
+    processes (``1`` = in-process, ``0`` = CPU count); the rows do not
+    depend on ``jobs``.
     """
     return sweep(
         chip or exynos5422(),

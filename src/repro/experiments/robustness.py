@@ -5,46 +5,17 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass
 
-from repro.analysis.repeat import (
-    RepeatedMeasure,
-    repeat_jobs_over_seeds,
-    repeat_over_seeds,
-)
-from repro.errors import ReproError
+from repro.analysis.repeat import RepeatedMeasure, repeat_jobs_over_seeds
 from repro.analysis.tables import format_table
-from repro.core.trainer import make_policies
+from repro.core.checkpoint import save_policies
 from repro.core.trainer import train_policy
-from repro.governors import create
-from repro.idle.governor import MenuIdleGovernor
-from repro.mem.dram import DRAMModel
-from repro.sim.engine import Simulator
-from repro.soc.chip import Chip
+from repro.fleet import CHECKPOINT_PREFIX, FleetSpec, JobSpec, run_fleet
 from repro.soc.presets import exynos5422
-from repro.soc.transition import DVFSTransitionModel
-from repro.thermal.rc import default_thermal_model
-from repro.thermal.throttle import ThermalThrottle
 from repro.workload.scenarios import get_scenario
 
 X1_GOVERNORS = ["performance", "ondemand", "conservative", "interactive",
                 "schedutil", "scenario-aware"]
 X1_SCENARIOS = ["gaming", "web_browsing", "camera_preview"]
-
-
-def full_system_simulator(
-    chip: Chip, trace, governors, with_memory: bool = True
-) -> Simulator:
-    """A simulator with every optional substrate enabled: thermals with
-    throttling, cpuidle C-states, DVFS transition costs, and DRAM power."""
-    return Simulator(
-        chip,
-        trace,
-        governors,
-        thermal=default_thermal_model(chip.cluster_names),
-        throttle=ThermalThrottle(trip_c=85.0),
-        idle_governor=MenuIdleGovernor(),
-        transition=DVFSTransitionModel(),
-        memory=DRAMModel() if with_memory else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -75,92 +46,33 @@ def x1_full_system(
     eval_seed: int = 100,
     train_episodes: int = 16,
     train_episode_s: float = 15.0,
-    with_memory: bool = False,
     jobs: int = 1,
 ) -> X1Result:
     """Rerun the governor comparison inside the full-system simulator;
     the RL policy trains inside it too, so it learns with C-states,
     transition costs and thermals present.
 
-    ``jobs != 1`` fans the (scenario x policy) grid out over worker
-    processes via :mod:`repro.fleet` (``0`` = CPU count); each RL job
-    then trains inside its own worker.  Requires ``with_memory=False``
-    (the fleet worker's full-system substrate omits DRAM).
-
-    Note:
-        ``with_memory`` defaults to False: DRAM power is common-mode
-        (identical across policies) and only dilutes relative gaps.
+    Every (scenario, policy) cell is one ``full_system`` job of
+    :mod:`repro.fleet`, run over ``jobs`` worker processes (``1`` =
+    in-process, ``0`` = CPU count).  The substrate has no DRAM model:
+    DRAM power is common-mode across policies and only dilutes
+    relative gaps.
     """
     scenario_names = scenario_names or list(X1_SCENARIOS)
     governor_names = governor_names or list(X1_GOVERNORS)
-    if jobs != 1:
-        if with_memory:
-            raise ReproError("x1 with_memory=True cannot run through the fleet")
-        return _x1_fleet(
-            scenario_names, governor_names, duration_s, eval_seed,
-            train_episodes, train_episode_s, jobs,
-        )
-    chip = exynos5422()
-    cells: dict[tuple[str, str], float] = {}
-    rl_qos: dict[str, float] = {}
-    rows = []
-    for scenario_name in scenario_names:
-        scenario = get_scenario(scenario_name)
-        trace = scenario.trace(duration_s, seed=eval_seed)
-        for g in governor_names:
-            run = full_system_simulator(
-                chip, trace, lambda c, g=g: create(g), with_memory
-            ).run()
-            cells[(scenario_name, g)] = run.energy_per_qos_j
-
-        policies = make_policies(chip)
-        for episode in range(train_episodes):
-            ep_trace = scenario.trace(train_episode_s, seed=episode)
-            full_system_simulator(chip, ep_trace, policies, with_memory).run()
-        for p in policies.values():
-            p.online = False
-        rl = full_system_simulator(chip, trace, policies, with_memory).run()
-        cells[(scenario_name, "rl-policy")] = rl.energy_per_qos_j
-        rl_qos[scenario_name] = rl.qos.mean_qos
-        rows.append(
-            [scenario_name]
-            + [cells[(scenario_name, g)] * 1e3 for g in governor_names]
-            + [rl.energy_per_qos_j * 1e3, rl.qos.mean_qos]
-        )
-    report = format_table(
-        ["scenario"] + governor_names + ["rl-policy", "rl QoS"],
-        rows,
-        title=(
-            "X1: energy/QoS [mJ/unit] with C-states + DVFS transition costs "
-            "+ thermals enabled"
+    fleet = run_fleet(
+        FleetSpec(
+            scenarios=tuple(scenario_names),
+            governors=tuple(governor_names),
+            seeds=(eval_seed,),
+            include_rl=True,
+            duration_s=duration_s,
+            train_episodes=train_episodes,
+            train_episode_s=train_episode_s,
+            full_system=True,
         ),
+        jobs=jobs,
     )
-    return X1Result(report=report, cells_j=cells, rl_qos=rl_qos)
-
-
-def _x1_fleet(
-    scenario_names: list[str],
-    governor_names: list[str],
-    duration_s: float,
-    eval_seed: int,
-    train_episodes: int,
-    train_episode_s: float,
-    jobs: int,
-) -> X1Result:
-    """X1 through the fleet: one full-system job per (scenario, policy)."""
-    from repro.fleet import FleetSpec, run_fleet
-
-    spec = FleetSpec(
-        scenarios=tuple(scenario_names),
-        governors=tuple(governor_names),
-        seeds=(eval_seed,),
-        include_rl=True,
-        duration_s=duration_s,
-        train_episodes=train_episodes,
-        train_episode_s=train_episode_s,
-        full_system=True,
-    )
-    fleet = run_fleet(spec, jobs=jobs)
     fleet.raise_on_failure()
     cells: dict[tuple[str, str], float] = {}
     rl_qos: dict[str, float] = {}
@@ -208,42 +120,33 @@ def x2_seed_stability(
 ) -> X2Result:
     """Repeat the RL-vs-governors comparison across evaluation seeds.
 
-    ``jobs != 1`` fans every (policy, seed) evaluation out over worker
-    processes via :mod:`repro.fleet` (``0`` = CPU count): the policy is
-    trained once, checkpointed to a temporary directory, and each seed's
-    evaluation reloads it in its worker.
+    The policy is trained once and checkpointed to a temporary
+    directory; every (policy, seed) evaluation is then one
+    :mod:`repro.fleet` job, run over ``jobs`` worker processes (``1`` =
+    in-process, ``0`` = CPU count), and each RL job reloads the
+    checkpoint.  The Q-tables round-trip losslessly, so the measures
+    match an in-memory evaluation.
     """
     governor_names = governor_names or ["ondemand", "conservative", "interactive"]
     eval_seeds = eval_seeds or [100, 200, 300, 400, 500]
-    chip = exynos5422()
-    scenario = get_scenario(scenario_name)
     training = train_policy(
-        chip, scenario, episodes=train_episodes, episode_duration_s=duration_s
+        exynos5422(), get_scenario(scenario_name),
+        episodes=train_episodes, episode_duration_s=duration_s,
     )
 
-    if jobs != 1:
-        measures = _x2_fleet_measures(
-            scenario_name, governor_names, eval_seeds, duration_s,
-            training.policies, jobs,
+    def measure(governor: str) -> RepeatedMeasure:
+        return repeat_jobs_over_seeds(
+            JobSpec(scenario=scenario_name, governor=governor,
+                    duration_s=duration_s),
+            eval_seeds,
+            jobs=jobs,
         )
-    else:
-        def rl_measure(seed: int) -> float:
-            from repro.core.trainer import evaluate_policy
 
-            trace = scenario.trace(duration_s, seed=seed)
-            return evaluate_policy(
-                chip, training.policies, trace
-            ).energy_per_qos_j
-
-        measures = {"rl-policy": repeat_over_seeds(rl_measure, eval_seeds)}
-        for name in governor_names:
-            def measure(seed: int, name=name) -> float:
-                trace = scenario.trace(duration_s, seed=seed)
-                return Simulator(
-                    chip, trace, lambda c: create(name)
-                ).run().energy_per_qos_j
-
-            measures[name] = repeat_over_seeds(measure, eval_seeds)
+    with tempfile.TemporaryDirectory(prefix="repro-x2-") as checkpoint_dir:
+        save_policies(training.policies, checkpoint_dir)
+        measures = {"rl-policy": measure(CHECKPOINT_PREFIX + checkpoint_dir)}
+    for name in governor_names:
+        measures[name] = measure(name)
 
     report = format_table(
         ["policy", "mean E/QoS [mJ/unit]", "95% CI ±"],
@@ -257,42 +160,3 @@ def x2_seed_stability(
         ),
     )
     return X2Result(report=report, measures=measures)
-
-
-def _x2_fleet_measures(
-    scenario_name: str,
-    governor_names: list[str],
-    eval_seeds: list[int],
-    duration_s: float,
-    policies,
-    jobs: int,
-) -> dict[str, RepeatedMeasure]:
-    """X2's per-seed evaluations through the fleet.
-
-    The trained policies are checkpointed to a temporary directory so
-    each worker can reload them; the Q-tables round-trip losslessly, so
-    the measures match the in-memory evaluation.
-    """
-    from repro.core.checkpoint import save_policies
-    from repro.fleet import JobSpec
-
-    measures: dict[str, RepeatedMeasure] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-x2-") as checkpoint_dir:
-        save_policies(policies, checkpoint_dir)
-        measures["rl-policy"] = repeat_jobs_over_seeds(
-            JobSpec(
-                scenario=scenario_name,
-                governor=f"checkpoint:{checkpoint_dir}",
-                duration_s=duration_s,
-            ),
-            eval_seeds,
-            jobs=jobs,
-        )
-    for name in governor_names:
-        measures[name] = repeat_jobs_over_seeds(
-            JobSpec(scenario=scenario_name, governor=name,
-                    duration_s=duration_s),
-            eval_seeds,
-            jobs=jobs,
-        )
-    return measures

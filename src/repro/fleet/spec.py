@@ -10,10 +10,10 @@ count, per-job timeout, retry budget), and expands to an ordered job
 list.
 
 Grid expansion order is the contract that makes parallel execution
-aggregate identically to a serial sweep: jobs are indexed in
-chip-major, scenario-, governor-, seed-minor order, exactly the nesting
-:func:`repro.analysis.sweep.sweep` uses, and results are re-sorted by
-that index no matter when each worker finishes.
+aggregate identically to an in-process run: jobs are indexed in
+chip-major, scenario-, governor-, seed-minor order — the row order of
+:func:`repro.analysis.sweep.sweep` — and results are re-sorted by that
+index no matter when each worker finishes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class JobSpec:
         train_episodes: RL training budget (``rl-policy`` jobs only).
         train_base_seed: First training-trace seed; episode ``k`` uses
             ``train_base_seed + k`` (disjoint from ``seed`` by
-            convention, as in the serial sweep).
+            convention, as in :func:`repro.analysis.sweep.sweep`).
         train_episode_s: Per-episode trace length; ``None`` means
             ``duration_s``.
         full_system: Simulate with thermals + throttling, cpuidle
@@ -200,7 +200,7 @@ class FleetSpec:
         seeds: Evaluation seeds.
         chips: Chip preset names.
         include_rl: Append ``rl-policy`` to the governor axis (after the
-            baselines, matching the serial sweep's row order).
+            baselines, matching a sweep's row order).
         collect_metrics: Every job runs under a metrics-only
             observability session; snapshots come back per job and merge
             via :func:`repro.fleet.aggregate.merge_job_metrics`.

@@ -4,7 +4,7 @@
 from scratch — fresh chip, fresh power model, trace regenerated from the
 spec's seed — so a job's result depends only on its spec, never on which
 process ran it or what ran before.  That is what makes parallel fleet
-rows bit-identical to a serial sweep.
+rows bit-identical to in-process (``jobs=1``) ones.
 
 :func:`run_unit` is the guarded pool entry: it times one unit of work
 (a single job, or a lock-step RL chunk), arms a ``SIGALRM``-based

@@ -64,13 +64,6 @@ class AnalysisResult(CheckResult):
     flow: bool = False
     project: Project | None = None
 
-    @property
-    def counts_by_path(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.path] = out.get(f.path, 0) + 1
-        return dict(sorted(out.items()))
-
 
 def _analyze_one(
     job: tuple[str, str | None, str | None, str],

@@ -422,13 +422,6 @@ class CheckResult:
     suppressed: list[Finding]
     files_checked: int
 
-    @property
-    def counts_by_code(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.code] = out.get(f.code, 0) + 1
-        return dict(sorted(out.items()))
-
 
 def check_paths(
     paths: Iterable[str | Path],

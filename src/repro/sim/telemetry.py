@@ -59,11 +59,6 @@ class ClusterObservation:
     temp_c: float | None = None
 
     @property
-    def normalized_opp(self) -> float:
-        """OPP index as a fraction of the table top, in [0, 1]."""
-        return self.opp_index / max(1, self.n_opps - 1)
-
-    @property
     def absolute_load(self) -> float:
         """Busiest-core utilisation rescaled to the top OPP.
 

@@ -1,19 +1,13 @@
 """Analysis helpers: statistics, tables, and the sweep harness."""
 
-import importlib
-
 import pytest
-
-# ``repro.analysis`` re-exports the ``sweep`` *function*, which shadows the
-# submodule attribute; go through importlib to get the module object.
-sweep_module = importlib.import_module("repro.analysis.sweep")
 
 from repro.analysis.stats import geomean, mean, normalize_to, stdev
 from repro.analysis.sweep import run_baseline, sweep
 from repro.analysis.tables import format_table
 from repro.errors import ReproError
 from repro.soc.presets import tiny_test_chip
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import SCENARIOS, Scenario
 from repro.workload.phases import PhaseMachine, PhaseSpec
 
 
@@ -88,7 +82,7 @@ class TestSweep:
 
     def test_sweep_grid_complete(self, monkeypatch):
         chip = tiny_test_chip()
-        monkeypatch.setattr(sweep_module, "get_scenario", lambda name: quick_scenario())
+        monkeypatch.setitem(SCENARIOS, "quick", quick_scenario())
         result = sweep(
             chip, ["quick"], ["performance", "powersave"], include_rl=True,
             duration_s=3.0, train_episodes=2,
@@ -99,7 +93,7 @@ class TestSweep:
 
     def test_sweep_without_rl(self, monkeypatch):
         chip = tiny_test_chip()
-        monkeypatch.setattr(sweep_module, "get_scenario", lambda name: quick_scenario())
+        monkeypatch.setitem(SCENARIOS, "quick", quick_scenario())
         result = sweep(chip, ["quick"], ["performance"], include_rl=False,
                        duration_s=2.0)
         assert result.governors() == ["performance"]
@@ -112,7 +106,7 @@ class TestSweep:
 
     def test_mean_and_improvement(self, monkeypatch):
         chip = tiny_test_chip()
-        monkeypatch.setattr(sweep_module, "get_scenario", lambda name: quick_scenario())
+        monkeypatch.setitem(SCENARIOS, "quick", quick_scenario())
         result = sweep(chip, ["quick"], ["performance", "powersave"],
                        include_rl=False, duration_s=3.0)
         perf = result.mean_energy_per_qos("performance")

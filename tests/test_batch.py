@@ -69,6 +69,29 @@ class TestPlans:
         ]
         assert BatchEngine(specs).plan() == [True, False]
 
+    def test_run_and_units_go_through_plan(self, monkeypatch):
+        # Wrap ``plan`` on the class, as a profiler patching the planner
+        # would: every run and every unit split must be counted.
+        calls: list[list[bool]] = []
+        original = BatchEngine.plan
+
+        def counted(engine: BatchEngine) -> list[bool]:
+            result = original(engine)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(BatchEngine, "plan", counted)
+        specs = [
+            JobSpec(scenario="idle", governor="performance", chip="tiny",
+                    duration_s=1.0),
+            JobSpec(scenario="idle", governor="ondemand", chip="tiny",
+                    duration_s=1.0),
+        ]
+        run_batch(specs)
+        assert calls == [[True, False]]
+        BatchEngine(specs).units(workers=2)
+        assert calls == [[True, False]] * 2
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("governor", sorted(TABLE_FREE_GOVERNORS))

@@ -14,10 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.repeat import repeat_jobs_over_seeds
-from repro.analysis.sweep import sweep
+from repro.analysis.sweep import SweepResult, SweepRow, sweep
 from repro.cache import RunCache
+from repro.core.config import PolicyConfig
+from repro.core.trainer import evaluate_policy, make_policies, train_policy
 from repro.errors import ReproError
-from repro.experiments import run_headline_sweep
+from repro.experiments import x1_full_system, x2_seed_stability
 from repro.fleet import (
     EventLog,
     FleetFinished,
@@ -47,8 +49,17 @@ from repro.fleet import (
     to_sweep_result,
 )
 from repro.fleet.worker import simulate_spec
-from repro.governors import BASELINE_SIX
-from repro.soc.presets import tiny_test_chip
+from repro.governors import BASELINE_SIX, create
+from repro.idle.governor import MenuIdleGovernor
+from repro.power.model import PowerModel
+from repro.sim.engine import Simulator
+from repro.sim.result import SimulationResult
+from repro.soc.chip import Chip
+from repro.soc.presets import exynos5422, tiny_test_chip
+from repro.soc.transition import DVFSTransitionModel
+from repro.thermal.rc import default_thermal_model
+from repro.thermal.throttle import ThermalThrottle
+from repro.workload.scenarios import get_scenario
 
 # Small, fast grid settings shared by the execution tests.
 FAST = dict(duration_s=1.0, train_episodes=2)
@@ -390,13 +401,73 @@ class TestRunner:
         assert result.speedup > 0.0
 
 
+def _sweep_row(scenario: str, governor: str, run: SimulationResult) -> SweepRow:
+    return SweepRow(
+        scenario=scenario,
+        governor=governor,
+        energy_j=run.total_energy_j,
+        mean_qos=run.qos.mean_qos,
+        deadline_miss_rate=run.qos.deadline_miss_rate,
+        energy_per_qos_j=run.energy_per_qos_j,
+    )
+
+
+def reference_sweep(
+    chip: Chip,
+    scenario_names: list[str],
+    governor_names: list[str],
+    include_rl: bool,
+    eval_seed: int,
+    duration_s: float,
+    train_episodes: int,
+    policy_config: PolicyConfig | None = None,
+) -> SweepResult:
+    """The sweep grid as a plain nested loop — serial engine, serial
+    trainer, one chip object throughout, no fleet and no batch backend —
+    so the fleet-backed ``sweep`` has an independent reference."""
+    rows = []
+    power_model = PowerModel()
+    for name in scenario_names:
+        scenario = get_scenario(name)
+        trace = scenario.trace(duration_s, seed=eval_seed)
+        for governor in governor_names:
+            run = Simulator(chip, trace, lambda c, g=governor: create(g),
+                            power_model=power_model).run()
+            rows.append(_sweep_row(name, governor, run))
+        if include_rl:
+            training = train_policy(
+                chip, scenario, episodes=train_episodes,
+                episode_duration_s=duration_s, base_seed=0,
+                config=policy_config, power_model=power_model,
+            )
+            run = evaluate_policy(chip, training.policies, trace,
+                                  power_model=power_model)
+            rows.append(_sweep_row(name, "rl-policy", run))
+    return SweepResult(rows=rows)
+
+
+def _full_system(chip: Chip, trace, governors) -> Simulator:
+    """The X1 substrate: thermals with throttling, cpuidle C-states and
+    DVFS transition costs."""
+    return Simulator(
+        chip,
+        trace,
+        governors,
+        thermal=default_thermal_model(chip.cluster_names),
+        throttle=ThermalThrottle(trip_c=85.0),
+        idle_governor=MenuIdleGovernor(),
+        transition=DVFSTransitionModel(),
+    )
+
+
 class TestDeterminism:
-    """Parallel fleet rows must be bit-identical to serial harness runs."""
+    """Fleet-backed harness rows must be bit-identical to plain serial
+    loops, whatever the worker count."""
 
     def test_fleet_grid_matches_serial_headline_sweep(self):
         """The acceptance grid, scaled down: 2 scenarios x 6 governors
         x 2 seeds (+ RL + one injected failure) through 4 workers equals
-        two serial ``run_headline_sweep`` calls."""
+        the reference loop once per seed."""
         scenarios = ("audio_playback", "idle")
         governors = ("performance", "powersave", "userspace", "ondemand",
                      "conservative", "interactive")
@@ -411,12 +482,9 @@ class TestDeterminism:
         assert len(fleet.failures) == len(scenarios) * len(seeds)
         by_seed = split_by_seed(fleet.successes)
         for seed in seeds:
-            serial = run_headline_sweep(
-                chip=tiny_test_chip(),
-                scenario_names=list(scenarios),
-                governor_names=list(governors),
-                eval_seed=seed,
-                **FAST,
+            serial = reference_sweep(
+                tiny_test_chip(), list(scenarios), list(governors),
+                include_rl=True, eval_seed=seed, **FAST,
             )
             assert by_seed[seed].rows == serial.rows, seed
 
@@ -426,30 +494,77 @@ class TestDeterminism:
             governor_names=["ondemand", "powersave"],
             include_rl=True, eval_seed=5, **FAST,
         )
-        serial = sweep(tiny_test_chip(), jobs=1, **kwargs)
-        parallel = sweep(tiny_test_chip(), jobs=2, **kwargs)
-        assert serial.rows == parallel.rows
+        reference = reference_sweep(tiny_test_chip(), **kwargs)
+        for jobs in (1, 2):
+            assert sweep(tiny_test_chip(), jobs=jobs, **kwargs).rows \
+                == reference.rows, jobs
+
+    def test_sweep_policy_config_matches_reference(self):
+        kwargs = dict(
+            scenario_names=["audio_playback"],
+            governor_names=["performance"],
+            include_rl=True, eval_seed=5,
+            policy_config=PolicyConfig(trend_bins=1, slack_bins=1), **FAST,
+        )
+        assert sweep(tiny_test_chip(), **kwargs).rows \
+            == reference_sweep(tiny_test_chip(), **kwargs).rows
 
     def test_custom_chip_ships_to_workers(self, duo_chip):
-        rows = sweep(
-            duo_chip,
+        kwargs = dict(
             scenario_names=["idle"],
             governor_names=["ondemand"],
             include_rl=False,
             eval_seed=1,
-            jobs=2,
             **FAST,
-        ).rows
-        serial = sweep(
-            duo_chip,
-            scenario_names=["idle"],
-            governor_names=["ondemand"],
-            include_rl=False,
-            eval_seed=1,
-            jobs=1,
-            **FAST,
-        ).rows
-        assert rows == serial
+        )
+        reference = reference_sweep(duo_chip, **kwargs).rows
+        assert sweep(duo_chip, jobs=2, **kwargs).rows == reference
+        assert sweep(duo_chip, jobs=1, **kwargs).rows == reference
+
+    def test_x1_matches_full_system_loop(self):
+        governors = ["performance", "ondemand"]
+        result = x1_full_system(
+            scenario_names=["audio_playback"], governor_names=governors,
+            duration_s=1.0, train_episodes=2, train_episode_s=1.0,
+        )
+        chip = exynos5422()
+        scenario = get_scenario("audio_playback")
+        trace = scenario.trace(1.0, seed=100)
+        for governor in governors:
+            run = _full_system(chip, trace, lambda c: create(governor)).run()
+            assert result.cells_j[("audio_playback", governor)] \
+                == run.energy_per_qos_j, governor
+        policies = make_policies(chip)
+        for episode in range(2):
+            _full_system(chip, scenario.trace(1.0, seed=episode),
+                         policies).run()
+        for p in policies.values():
+            p.online = False
+        rl = _full_system(chip, trace, policies).run()
+        assert result.cells_j[("audio_playback", "rl-policy")] \
+            == rl.energy_per_qos_j
+        assert result.rl_qos["audio_playback"] == rl.qos.mean_qos
+
+    def test_x2_checkpoint_jobs_match_in_memory_evaluation(self):
+        seeds = [100, 200]
+        result = x2_seed_stability(
+            scenario_name="audio_playback", governor_names=["ondemand"],
+            eval_seeds=seeds, duration_s=1.0, train_episodes=2,
+        )
+        chip = exynos5422()
+        scenario = get_scenario("audio_playback")
+        training = train_policy(chip, scenario, episodes=2,
+                                episode_duration_s=1.0)
+        traces = [scenario.trace(1.0, seed=seed) for seed in seeds]
+        assert result.measures["rl-policy"].values == tuple(
+            evaluate_policy(chip, training.policies, t).energy_per_qos_j
+            for t in traces
+        )
+        assert result.measures["ondemand"].values == tuple(
+            Simulator(chip, t, lambda c: create("ondemand"))
+            .run().energy_per_qos_j
+            for t in traces
+        )
 
 
 settings.register_profile(

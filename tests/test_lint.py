@@ -1126,6 +1126,11 @@ def violating_tree(tmp_path):
 
 
 class TestCheckCli:
+    @pytest.fixture(autouse=True)
+    def _isolated_lintcache(self, tmp_path, monkeypatch):
+        """Keep ``repro check``'s default cache away from the checkout."""
+        monkeypatch.setenv("REPRO_LINTCACHE_DIR", str(tmp_path / "_lintcache"))
+
     def test_finding_exits_1(self, violating_tree, capsys):
         code = main(["check", str(violating_tree), "--no-baseline"])
         assert code == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.plot import histogram, line_chart, sparkline
-from repro.analysis.repeat import RepeatedMeasure, repeat_over_seeds
+from repro.analysis.repeat import RepeatedMeasure, repeat_jobs_over_seeds
 from repro.errors import ReproError
 
 
@@ -97,13 +97,12 @@ class TestRepeatedMeasure:
         with pytest.raises(ReproError):
             RepeatedMeasure(values=(1.0,), confidence=0.5)
 
-    def test_repeat_over_seeds(self):
-        m = repeat_over_seeds(lambda seed: float(seed * 2), seeds=[1, 2, 3])
-        assert m.values == (2.0, 4.0, 6.0)
-
     def test_repeat_requires_seeds(self):
-        with pytest.raises(ReproError):
-            repeat_over_seeds(lambda s: 0.0, seeds=[])
+        from repro.fleet import JobSpec
+
+        spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
+        with pytest.raises(ReproError, match="at least one seed"):
+            repeat_jobs_over_seeds(spec, seeds=[])
 
     def test_str(self):
         s = str(RepeatedMeasure(values=(1.0, 2.0)))
