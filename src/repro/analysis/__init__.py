@@ -8,7 +8,7 @@ from repro.analysis.pareto import (
     pareto_frontier,
 )
 from repro.analysis.plot import histogram, line_chart, sparkline
-from repro.analysis.repeat import RepeatedMeasure, repeat_jobs_over_seeds
+from repro.analysis.repeat import RepeatedMeasure
 from repro.analysis.report import ReportConfig, generate_report
 from repro.analysis.stats import geomean, mean, normalize_to, stdev
 from repro.analysis.sweep import SweepResult, SweepRow, run_baseline, sweep
@@ -30,7 +30,6 @@ __all__ = [
     "normalize_to",
     "on_frontier",
     "pareto_frontier",
-    "repeat_jobs_over_seeds",
     "result_to_json",
     "run_baseline",
     "sparkline",

@@ -29,8 +29,11 @@ jobs sharing a chip preset, state geometry, and episode plan (see
 :func:`repro.batch.rl.train_policy_batch` — one NumPy op per interval
 across all rollouts — and then evaluate greedily through
 :func:`repro.batch.rl.evaluate_policies_batch`, under the same
-bit-identity contract.  A group needs at least two members: lock-step
-overhead only pays for itself across lanes.
+bit-identity contract.  :meth:`BatchEngine.plan` and
+:meth:`BatchEngine.units` are the one place that decides which RL jobs
+share a pass: a group needs at least two members (lock-step overhead
+only pays for itself across lanes), and :mod:`repro.batch.rl` runs
+exactly the lanes it is handed.
 
 Rollouts neither fast path can express — reactive governors, singleton
 RL jobs, full-system substrates, metric/trace collection, or any run
@@ -304,14 +307,14 @@ def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:
         )
         for spec in specs
     ]
-    train_policy_batch(jobs)
+    trained = train_policy_batch(jobs)
     traces = [
         get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
         for spec in specs
     ]
     return evaluate_policies_batch(
         [job.chip for job in jobs],
-        [job.policies for job in jobs],
+        [result.policies for result in trained],
         traces,
         interval_s=specs[0].interval_s,
         power_models=[job.power_model for job in jobs],

@@ -96,11 +96,7 @@ def is_rl_vectorisable(spec: JobSpec) -> bool:
     recorder only reads learner state between episodes); ``full_system``
     RL learns inside the full-system simulator and stays serial.
     """
-    return (
-        spec.is_rl
-        and spec.train_episodes >= 1
-        and _plain_substrate(spec)
-    )
+    return spec.is_rl and _plain_substrate(spec)
 
 
 def rl_group_key(spec: JobSpec) -> Hashable:

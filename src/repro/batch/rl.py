@@ -45,21 +45,31 @@ Episode boundaries run the *real* per-lane ``chip.reset()`` and
 and reward normalisation are materialised on the policy objects, and the
 trainer's own bookkeeping helpers produce the ledger and history records.
 
-Jobs the lock step cannot express — subclassed policies (SARSA acts
-before updating; double-Q flips a coin per update), non-default power
-model types, offline lanes during training, or an active observability
-session (which must see real engine spans) — fall back to
+Which jobs share a lock-step pass is decided once, by
+:meth:`repro.batch.engine.BatchEngine.units`; the two entry points run
+exactly the lanes they are given.  One lane runs the serial
 :func:`repro.core.trainer.train_policy` /
-:func:`repro.core.trainer.evaluate_policy`, so the API is always exact.
+:func:`repro.core.trainer.evaluate_policy` (cheaper at N=1); two or
+more run one :class:`_LockstepRunner`.  A lane the lock step cannot
+express — a subclassed policy or agent (SARSA acts before updating;
+double-Q flips a coin per update), a non-default power model, a chip or
+policy object shared with another lane, policies that do not match its
+clusters — raises :class:`~repro.errors.SimulationError` naming it.
+Observability plays no part in the routing: a multi-lane call under an
+active session still runs lock-step and emits the ``rl.episode``
+instants but no engine spans (``BatchEngine.plan`` keeps such sessions
+on the serial engine).
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
+from repro.core.config import PolicyConfig
 from repro.core.policy import RLPowerManagementPolicy
 from repro.core.state import StateFeaturizer
 from repro.core.trainer import (
@@ -71,14 +81,11 @@ from repro.core.trainer import (
     _policy_churn,
     _record_episode,
     evaluate_policy,
+    frozen_policies,
     make_policies,
     train_policy,
 )
-from dataclasses import dataclass
-
-from repro.core.config import PolicyConfig
-from repro.errors import SimulationError
-from repro.obs import OBS
+from repro.errors import PolicyError, SimulationError
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 from repro.power.model import PowerModel
@@ -109,9 +116,8 @@ if TYPE_CHECKING:
 class RLTrainJob:
     """One RL training job, mirroring :func:`train_policy`'s signature.
 
-    ``policies`` is materialised (via :func:`make_policies`) by
-    :func:`train_policy_batch` when omitted, so the same instance both
-    describes the job and, afterwards, owns the trained policies.
+    Every job trains fresh policies (:func:`make_policies`); they come
+    back on the job's :class:`TrainingResult`.
     """
 
     chip: Chip
@@ -122,53 +128,76 @@ class RLTrainJob:
     config: PolicyConfig | None = None
     interval_s: float = 0.01
     power_model: PowerModel | None = None
-    policies: dict[str, RLPowerManagementPolicy] | None = None
     recorder: "LearnRecorder | None" = None
-    episode_offset: int = 0
 
 
-def _plain_power_model(model: PowerModel | None) -> bool:
-    """Whether the model is the exact arithmetic the lock step replicates."""
-    model = model or PowerModel()
-    return (
-        type(model) is PowerModel
-        and type(model.dynamic) is DynamicPowerModel
-        and type(model.leakage) is LeakagePowerModel
-    )
-
-
-def _lockstep_supported(
-    chip: Chip,
-    policies: dict[str, RLPowerManagementPolicy],
-    power_model: PowerModel | None,
-    online: bool,
-) -> bool:
-    """Whether one lane's (chip, policies, model) fits the lock step.
+def _check_lanes(
+    chips: Sequence[Chip],
+    policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
+    power_models: Sequence[PowerModel | None],
+) -> None:
+    """Reject the first lane the lock step cannot run.
 
     Exact-type checks are deliberate: subclasses override the decide
     order (SARSA acts before updating) or the TD rule (double-Q draws a
     coin per update), and a subclassed power model may price intervals
-    differently.
+    differently.  Lanes must not share chip or policy objects (the lock
+    step mutates each lane's independently), and all must have lane 0's
+    :func:`_structure_key`.
+
+    Raises:
+        SimulationError: Naming the first offending lane.
     """
-    if not _plain_power_model(power_model):
-        return False
-    if set(policies) != set(chip.cluster_names):
-        return False
-    for cluster in chip:
-        p = policies[cluster.spec.name]
-        if type(p) is not RLPowerManagementPolicy:
-            return False
-        if p.online != online:
-            return False
-        if p.agent is not None and type(p.agent) is not QLearningAgent:
-            return False
-        if p.featurizer is not None and (
-            p.featurizer.n_opps != len(cluster.spec.opp_table)
+    seen: set[int] = set()
+    structure: Hashable = None
+    for k, (chip, policies, model) in enumerate(
+        zip(chips, policies_by_lane, power_models)
+    ):
+        lane = f"lock-step lane {k}"
+        model = model or PowerModel()
+        if not (
+            type(model) is PowerModel
+            and type(model.dynamic) is DynamicPowerModel
+            and type(model.leakage) is LeakagePowerModel
         ):
-            # Re-binding would raise inside reset(); route through the
-            # serial path so the canonical PolicyError surfaces.
-            return False
-    return True
+            raise SimulationError(f"{lane} has a non-default power model")
+        if set(policies) != set(chip.cluster_names):
+            raise SimulationError(
+                f"{lane} has policies that do not match its clusters"
+            )
+        for cluster in chip:
+            name = cluster.spec.name
+            p = policies[name]
+            if type(p) is not RLPowerManagementPolicy:
+                raise SimulationError(
+                    f"{lane} has a {type(p).__name__} on cluster {name!r}"
+                )
+            if p.agent is not None and type(p.agent) is not QLearningAgent:
+                raise SimulationError(
+                    f"{lane} has a {type(p.agent).__name__} on cluster "
+                    f"{name!r}"
+                )
+            if p.featurizer is not None and (
+                p.featurizer.n_opps != len(cluster.spec.opp_table)
+            ):
+                raise SimulationError(
+                    f"{lane} has a policy bound to another OPP table on "
+                    f"cluster {name!r}"
+                )
+        objects = (chip, *policies.values())
+        if any(id(obj) in seen for obj in objects):
+            raise SimulationError(
+                f"{lane} shares a chip or policy object with an earlier lane"
+            )
+        seen.update(map(id, objects))
+        key = _structure_key(chip, policies)
+        if k == 0:
+            structure = key
+        elif key != structure:
+            raise SimulationError(
+                f"{lane} disagrees with lane 0 on cluster layout or state "
+                "geometry"
+            )
 
 
 def _cluster_shape(
@@ -199,21 +228,6 @@ def _structure_key(
          _cluster_shape(cluster, policies[cluster.spec.name]))
         for cluster in chip
     )
-
-
-def _distinct_objects(
-    chips: Sequence[Chip],
-    policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
-) -> bool:
-    """Lanes must not share chips or policy objects — the lock step
-    mutates each lane's independently."""
-    seen: set[int] = set()
-    for chip, policies in zip(chips, policies_by_lane):
-        for obj in (chip, *policies.values()):
-            if id(obj) in seen:
-                return False
-            seen.add(id(obj))
-    return True
 
 
 class _ClusterVec:
@@ -310,11 +324,9 @@ class _ClusterVec:
 
         self.agents: list[QLearningAgent] = [p.agent for p in self.policies]
         self.explorers = [a.explorer for a in self.agents]
+        # Equal state geometry (checked by _check_lanes) means equal
+        # state counts.
         self.n_states = self.agents[0].n_states
-        if any(a.n_states != self.n_states for a in self.agents):
-            raise SimulationError(
-                f"lock-step lanes disagree on the state count of {self.names}"
-            )
         self.alpha = np.array([a.alpha for a in self.agents])
         self.gamma = np.array([a.gamma for a in self.agents])
         self.offsets = np.arange(n, dtype=np.intp) * self.n_states
@@ -575,11 +587,6 @@ class _LockstepRunner:
         if interval_s <= 0:
             raise SimulationError(f"interval must be positive: {interval_s}")
         self.n = len(chips)
-        if len({
-            _structure_key(chip, policies)
-            for chip, policies in zip(chips, policies_by_lane)
-        }) != 1:
-            raise SimulationError("lock-step lanes disagree on structure")
         names = chips[0].cluster_names
         self.chips = list(chips)
         self.policies_by_lane = list(policies_by_lane)
@@ -603,7 +610,7 @@ class _LockstepRunner:
         self.uncore_w = np.array([m.uncore_w for m in models])
         idle_activity = np.array([[m.dynamic.idle_activity] for m in models])
         # Same-shaped clusters share one vector (lanes all have lane 0's
-        # structure, checked above).
+        # structure, checked by _check_lanes).
         shapes: dict[Hashable, list[str]] = {}
         lane0 = self.policies_by_lane[0]
         for cluster in self.chips[0]:
@@ -716,94 +723,65 @@ class _LockstepRunner:
 
 
 def train_policy_batch(jobs: Sequence[RLTrainJob]) -> list[TrainingResult]:
-    """Train many RL jobs, lock-step vectorised where possible.
+    """Train the given RL jobs: one serially, two or more lock-step.
 
-    Jobs whose (chip structure, state geometry, interval, episode plan)
-    match are trained together through one lock-step pass; everything
-    else — unsupported policy or power-model types, singleton groups
-    (the lock step only pays off across lanes), jobs sharing chip or
-    policy objects, or any run under an active observability session —
-    goes through the serial :func:`train_policy`.  Results are
-    bit-identical either way and returned in job order.
+    The caller decides which jobs train together; this runs exactly the
+    lanes it is given.  A single job runs the serial
+    :func:`train_policy` (lock-step overhead only pays across lanes);
+    two or more train through one lock-step pass, bit-identical to
+    training each serially.  The per-lane bookkeeping — history
+    records, ledger rows, churn snapshots — is the serial loop body
+    verbatim, including taking the pre-training greedy snapshot
+    *before* the runner binds fresh agents (a fresh lane therefore
+    reports 0.0 churn after its first episode, exactly as serially).
 
-    Args:
-        jobs: The training jobs; each job's ``policies`` is materialised
-            in place when omitted.
+    Returns:
+        One :class:`TrainingResult` per job, in job order, holding the
+        job's freshly made and trained policies.
+
+    Raises:
+        SimulationError: If the jobs disagree on interval or episode
+            plan, or a lane cannot run lock-step (:func:`_check_lanes`).
+        PolicyError: On fewer than one episode.
     """
-    jobs = list(jobs)
-    for job in jobs:
-        job.policies = job.policies or make_policies(job.chip, job.config)
-
-    groups: dict[Hashable, list[int]] = {}
-    if not OBS.enabled:
-        for i, job in enumerate(jobs):
-            if job.episodes < 1:
-                continue  # the serial path raises the canonical error
-            if not _lockstep_supported(
-                job.chip, job.policies, job.power_model, online=True
-            ):
-                continue
-            key = (
-                _structure_key(job.chip, job.policies),
-                job.interval_s, job.episodes, job.episode_duration_s,
+    if len(jobs) <= 1:
+        return [
+            train_policy(
+                job.chip, job.scenario, episodes=job.episodes,
+                episode_duration_s=job.episode_duration_s,
+                base_seed=job.base_seed, config=job.config,
+                interval_s=job.interval_s, power_model=job.power_model,
+                recorder=job.recorder,
             )
-            groups.setdefault(key, []).append(i)
+            for job in jobs
+        ]
+    first = jobs[0]
+    plan = (first.interval_s, first.episodes, first.episode_duration_s)
+    for k, job in enumerate(jobs):
+        if (job.interval_s, job.episodes, job.episode_duration_s) != plan:
+            raise SimulationError(
+                f"lock-step lane {k} disagrees with lane 0 on interval or "
+                "episode plan"
+            )
+    if first.episodes < 1:
+        raise PolicyError(f"need at least one episode: {first.episodes}")
+    chips = [job.chip for job in jobs]
+    policies_by_lane = [make_policies(job.chip, job.config) for job in jobs]
+    models = [job.power_model for job in jobs]
+    _check_lanes(chips, policies_by_lane, models)
 
-    results: list[TrainingResult | None] = [None] * len(jobs)
-    grouped: set[int] = set()
-    for indices in groups.values():
-        members = [jobs[i] for i in indices]
-        if len(indices) >= 2 and _distinct_objects(
-            [j.chip for j in members], [j.policies for j in members]
-        ):
-            for i, res in zip(indices, _train_group(members)):
-                results[i] = res
-            grouped.update(indices)
-    for i, job in enumerate(jobs):
-        if i in grouped:
-            continue
-        results[i] = train_policy(
-            job.chip,
-            job.scenario,
-            episodes=job.episodes,
-            episode_duration_s=job.episode_duration_s,
-            base_seed=job.base_seed,
-            config=job.config,
-            interval_s=job.interval_s,
-            power_model=job.power_model,
-            policies=job.policies,
-            recorder=job.recorder,
-            episode_offset=job.episode_offset,
-        )
-    return results
-
-
-def _train_group(jobs: Sequence[RLTrainJob]) -> list[TrainingResult]:
-    """Train one structurally-uniform group lock-step.
-
-    The per-lane bookkeeping — history records, ledger rows, churn
-    snapshots — is the serial :func:`train_policy` loop body verbatim,
-    including taking the pre-training greedy snapshot *before* the
-    runner binds fresh agents (a fresh lane therefore reports 0.0 churn
-    after its first episode, exactly as serially).
-    """
     prev_greedy = [
-        _greedy_snapshot(job.policies) if job.recorder is not None else None
-        for job in jobs
+        _greedy_snapshot(policies) if job.recorder is not None else None
+        for job, policies in zip(jobs, policies_by_lane)
     ]
-    runner = _LockstepRunner(
-        [job.chip for job in jobs],
-        [job.policies for job in jobs],
-        [job.power_model for job in jobs],
-        jobs[0].interval_s,
-    )
+    runner = _LockstepRunner(chips, policies_by_lane, models, first.interval_s)
     histories: list[list[EpisodeRecord]] = [[] for _ in jobs]
     reward_before = [
-        sum(p.cumulative_reward for p in job.policies.values())
-        for job in jobs
+        sum(p.cumulative_reward for p in policies.values())
+        for policies in policies_by_lane
     ]
     try:
-        for episode in range(jobs[0].episodes):
+        for episode in range(first.episodes):
             traces = [
                 job.scenario.trace(
                     job.episode_duration_s, seed=job.base_seed + episode
@@ -811,28 +789,26 @@ def _train_group(jobs: Sequence[RLTrainJob]) -> list[TrainingResult]:
                 for job in jobs
             ]
             episode_results = runner.run_episode(traces, online=True)
-            for k, job in enumerate(jobs):
+            for k, (job, policies) in enumerate(zip(jobs, policies_by_lane)):
                 record = _episode_record(
-                    episode, episode_results[k], job.policies,
-                    reward_before[k],
+                    episode, episode_results[k], policies, reward_before[k],
                 )
                 reward_before[k] += record.reward
                 histories[k].append(record)
                 _emit_episode_obs(record)
                 if job.recorder is not None and prev_greedy[k] is not None:
-                    greedy = _greedy_snapshot(job.policies)
+                    greedy = _greedy_snapshot(policies)
                     _record_episode(
-                        job.recorder, record, job.policies,
-                        job.scenario.name,
+                        job.recorder, record, policies, job.scenario.name,
                         churn=_policy_churn(prev_greedy[k], greedy),
-                        episode_offset=job.episode_offset,
+                        episode_offset=0,
                     )
                     prev_greedy[k] = greedy
     finally:
         runner.detach()
     return [
-        TrainingResult(policies=job.policies, history=history)
-        for job, history in zip(jobs, histories)
+        TrainingResult(policies=policies, history=history)
+        for policies, history in zip(policies_by_lane, histories)
     ]
 
 
@@ -843,16 +819,18 @@ def evaluate_policies_batch(
     interval_s: float = 0.01,
     power_models: Sequence[PowerModel | None] | None = None,
 ) -> list[SimulationResult]:
-    """Evaluate many trained lanes greedily, lock-step where possible.
+    """Evaluate the given trained lanes greedily: one serially, two or
+    more lock-step.
 
     The batched counterpart of
     :func:`repro.core.trainer.evaluate_policy`: every lane's policies
     are frozen (online flags restored afterwards) and run greedily over
-    its trace.  Structurally-uniform lanes share one lock-step pass;
-    anything else falls back to the serial evaluator, bit-identically.
+    its trace.  A single lane runs :func:`evaluate_policy`; two or more
+    share one lock-step pass, bit-identically.
 
     Raises:
-        SimulationError: On mismatched input lengths.
+        SimulationError: On mismatched input lengths, or if a lane
+            cannot run lock-step (:func:`_check_lanes`).
     """
     n = len(chips)
     models = (
@@ -864,41 +842,17 @@ def evaluate_policies_batch(
             f"power model per chip: {len(policies_by_lane)} policies/"
             f"{len(traces)} traces/{len(models)} models for {n} chips"
         )
-    from repro.fleet.worker import frozen_policies
-
+    if n <= 1:
+        return [
+            evaluate_policy(chip, pol, tr, interval_s=interval_s, power_model=pm)
+            for chip, pol, tr, pm in zip(chips, policies_by_lane, traces, models)
+        ]
     with ExitStack() as stack:
         for policies in policies_by_lane:
             stack.enter_context(frozen_policies(policies))
-        fast = (
-            n >= 2
-            and not OBS.enabled
-            and all(
-                _lockstep_supported(chip, pol, pm, online=False)
-                for chip, pol, pm in zip(chips, policies_by_lane, models)
-            )
-            and len({
-                _structure_key(chip, pol)
-                for chip, pol in zip(chips, policies_by_lane)
-            }) == 1
-            and _distinct_objects(chips, policies_by_lane)
-            and len({
-                n_intervals(tr.duration_s, interval_s)
-                for tr in traces
-            }) == 1
-        )
-        if fast:
-            runner = _LockstepRunner(
-                chips, policies_by_lane, models, interval_s
-            )
-            try:
-                return runner.run_episode(list(traces), online=False)
-            finally:
-                runner.detach()
-        return [
-            evaluate_policy(
-                chip, pol, tr, interval_s=interval_s, power_model=pm
-            )
-            for chip, pol, tr, pm in zip(
-                chips, policies_by_lane, traces, models
-            )
-        ]
+        _check_lanes(chips, policies_by_lane, models)
+        runner = _LockstepRunner(chips, policies_by_lane, models, interval_s)
+        try:
+            return runner.run_episode(list(traces), online=False)
+        finally:
+            runner.detach()

@@ -8,7 +8,9 @@ seeded trace) and then evaluate greedily on a held-out seed.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -332,10 +334,7 @@ def evaluate_policy(
 
     The online flags are restored afterwards, so training can continue.
     """
-    saved = {name: p.online for name, p in policies.items()}
-    try:
-        for p in policies.values():
-            p.online = False
+    with frozen_policies(policies):
         sim = Simulator(
             chip,
             trace,
@@ -345,6 +344,26 @@ def evaluate_policy(
             record_samples=record_samples,
         )
         return sim.run()
+
+
+@contextmanager
+def frozen_policies(
+    policies: Mapping[str, RLPowerManagementPolicy],
+) -> Iterator[None]:
+    """Temporarily freeze RL policies for a greedy evaluation run.
+
+    Clears every policy's ``online`` flag on entry and restores the
+    original flags on exit (even on error), so a training loop can
+    interleave held-out evaluations without losing its learning state.
+    Freezing only toggles flags — it never touches Q-tables, exploration
+    RNGs, or TD statistics — which is what keeps an evaluate-then-resume
+    sequence bit-identical to uninterrupted training.
+    """
+    saved = {name: p.online for name, p in policies.items()}
+    try:
+        for p in policies.values():
+            p.online = False
+        yield
     finally:
         for name, p in policies.items():
             p.online = saved[name]

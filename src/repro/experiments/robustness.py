@@ -5,7 +5,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass
 
-from repro.analysis.repeat import RepeatedMeasure, repeat_jobs_over_seeds
+from repro.analysis.repeat import RepeatedMeasure
 from repro.analysis.tables import format_table
 from repro.core.checkpoint import save_policies
 from repro.core.trainer import train_policy
@@ -121,9 +121,9 @@ def x2_seed_stability(
     """Repeat the RL-vs-governors comparison across evaluation seeds.
 
     The policy is trained once and checkpointed to a temporary
-    directory; every (policy, seed) evaluation is then one
-    :mod:`repro.fleet` job, run over ``jobs`` worker processes (``1`` =
-    in-process, ``0`` = CPU count), and each RL job reloads the
+    directory; every (policy, seed) evaluation is then one job of a
+    single :mod:`repro.fleet` run over ``jobs`` worker processes (``1``
+    = in-process, ``0`` = CPU count), and each RL job reloads the
     checkpoint.  The Q-tables round-trip losslessly, so the measures
     match an in-memory evaluation.
     """
@@ -134,19 +134,27 @@ def x2_seed_stability(
         episodes=train_episodes, episode_duration_s=duration_s,
     )
 
-    def measure(governor: str) -> RepeatedMeasure:
-        return repeat_jobs_over_seeds(
-            JobSpec(scenario=scenario_name, governor=governor,
-                    duration_s=duration_s),
-            eval_seeds,
-            jobs=jobs,
-        )
-
     with tempfile.TemporaryDirectory(prefix="repro-x2-") as checkpoint_dir:
         save_policies(training.policies, checkpoint_dir)
-        measures = {"rl-policy": measure(CHECKPOINT_PREFIX + checkpoint_dir)}
-    for name in governor_names:
-        measures[name] = measure(name)
+        labels = {CHECKPOINT_PREFIX + checkpoint_dir: "rl-policy"}
+        labels.update((name, name) for name in governor_names)
+        fleet = run_fleet(
+            [
+                JobSpec(scenario=scenario_name, governor=governor,
+                        duration_s=duration_s, seed=seed)
+                for governor in labels
+                for seed in eval_seeds
+            ],
+            jobs=jobs,
+        )
+    fleet.raise_on_failure()
+    measures = {
+        label: RepeatedMeasure(values=tuple(
+            s.energy_per_qos_j for s in fleet.successes
+            if s.spec.governor == governor
+        ))
+        for governor, label in labels.items()
+    }
 
     report = format_table(
         ["policy", "mean E/QoS [mJ/unit]", "95% CI ±"],

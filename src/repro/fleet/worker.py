@@ -26,13 +26,11 @@ import signal
 import threading
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
-    from repro.core.policy import RLPowerManagementPolicy
     from repro.obs import ObsSession
     from repro.obs.learn import LearnRecorder
 
@@ -204,34 +202,11 @@ def _job_file(directory: str, spec: JobSpec, suffix: str) -> Path:
     return Path(directory) / f"{safe_id}-pid{os.getpid()}{suffix}"
 
 
-@contextmanager
-def frozen_policies(
-    policies: "Mapping[str, RLPowerManagementPolicy]",
-) -> "Iterator[None]":
-    """Temporarily freeze RL policies for a greedy evaluation run.
-
-    Clears every policy's ``online`` flag on entry and restores the
-    original flags on exit (even on error), so a training loop can
-    interleave held-out evaluations without losing its learning state.
-    Freezing only toggles flags — it never touches Q-tables, exploration
-    RNGs, or TD statistics — which is what keeps an evaluate-then-resume
-    sequence bit-identical to uninterrupted training.
-    """
-    saved = {name: p.online for name, p in policies.items()}
-    try:
-        for p in policies.values():
-            p.online = False
-        yield
-    finally:
-        for name, p in policies.items():
-            p.online = saved[name]
-
-
 def _run_rl(
     spec: JobSpec, chip: Chip, eval_trace: Trace, power_model: PowerModel
 ) -> SimulationResult:
     """Train the proposed policy on the job's scenario, evaluate greedily."""
-    from repro.core.trainer import make_policies, train_policy
+    from repro.core.trainer import frozen_policies, make_policies, train_policy
 
     scenario = get_scenario(spec.scenario)
     episode_s = spec.train_episode_s or spec.duration_s

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.soc.chip import Chip
 from repro.soc.cluster import ClusterSpec
@@ -11,6 +12,13 @@ from repro.soc.opp import make_table
 from repro.soc.presets import exynos5422, tiny_test_chip
 from repro.workload.task import WorkUnit
 from repro.workload.trace import Trace
+
+# Tier-1 examples are derived from each test, not drawn at random, and
+# no example database carries state between runs: a failure reproduces
+# on rerun.  Per-test ``@settings(max_examples=...)`` keep their budgets
+# and inherit the rest of this profile.
+settings.register_profile("tier-1", derandomize=True, database=None)
+settings.load_profile("tier-1")
 
 
 @pytest.fixture

@@ -25,9 +25,16 @@ from repro.batch import (
     train_policy_batch,
 )
 from repro.core.config import PolicyConfig
-from repro.core.trainer import evaluate_policy, make_policies, train_policy
+from repro.core.policy import SarsaPowerManagementPolicy
+from repro.core.trainer import (
+    evaluate_policy,
+    frozen_policies,
+    make_policies,
+    train_policy,
+)
+from repro.errors import PolicyError, SimulationError
 from repro.fleet.spec import JobSpec
-from repro.fleet.worker import frozen_policies, simulate_spec
+from repro.fleet.worker import simulate_spec
 from repro.rl.exploration import EpsilonGreedy, EpsilonSchedule
 from repro.rl.qtable import QTable
 from repro.soc.presets import exynos5422, tiny_test_chip
@@ -73,8 +80,7 @@ def _train_serially(jobs):
             episode_duration_s=job.episode_duration_s,
             base_seed=job.base_seed, config=job.config,
             interval_s=job.interval_s, power_model=job.power_model,
-            policies=job.policies, recorder=job.recorder,
-            episode_offset=job.episode_offset,
+            recorder=job.recorder,
         )
         for job in jobs
     ]
@@ -223,35 +229,28 @@ class TestTrainBatchBitIdentity:
             assert a.history == b.history
             _assert_policies_identical(a.policies, b.policies)
 
-    def test_mismatched_geometry_falls_back(self):
+    def test_one_lane_equals_train_policy(self):
+        [serial] = _train_serially(_jobs([4]))
+        [batched] = train_policy_batch(_jobs([4]))
+        assert serial.history == batched.history
+        _assert_policies_identical(serial.policies, batched.policies)
+
+    def test_mismatched_geometry_rejected(self):
+        # Grouping is the caller's decision; lanes of another state
+        # geometry are an error, not a silent serial fallback.
         jobs = _jobs([0]) + _jobs([1], config=PolicyConfig(util_bins=3))
-        results = train_policy_batch(jobs)
-        oracle = _train_serially(
-            _jobs([0]) + _jobs([1], config=PolicyConfig(util_bins=3))
-        )
-        for a, b in zip(oracle, results):
-            assert a.history == b.history
-            _assert_policies_identical(a.policies, b.policies)
+        with pytest.raises(SimulationError, match="lane 1 disagrees"):
+            train_policy_batch(jobs)
 
-    def test_materialises_policies_in_place(self):
-        jobs = _jobs([0, 1])
-        assert all(job.policies is None for job in jobs)
-        results = train_policy_batch(jobs)
-        for job, result in zip(jobs, results):
-            assert job.policies is result.policies
+    def test_zero_episodes_rejected_like_train_policy(self):
+        for seeds in ([0], [0, 1]):
+            with pytest.raises(PolicyError, match="at least one episode"):
+                train_policy_batch(_jobs(seeds, episodes=0))
 
-    def test_shared_policy_objects_fall_back_serial(self):
-        # Two lanes pointing at one policy dict cannot train lock-step
-        # (the population table would alias); the serial path handles it.
-        shared = make_policies(tiny_test_chip(), PolicyConfig(seed=0))
-        jobs = [
-            RLTrainJob(chip=tiny_test_chip(), scenario=tiny_scenario(),
-                       episodes=1, episode_duration_s=1.0, base_seed=i,
-                       policies=shared)
-            for i in range(2)
-        ]
-        results = train_policy_batch(jobs)
-        assert all(r.policies is shared for r in results)
+    def test_mismatched_episode_plan_rejected(self):
+        jobs = _jobs([0]) + _jobs([1], episodes=3)
+        with pytest.raises(SimulationError, match="lane 1 .* episode plan"):
+            train_policy_batch(jobs)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -297,10 +296,42 @@ class TestEvaluateBatch:
             assert all(p.online for p in r.policies.values())
 
     def test_length_mismatch_raises(self):
-        from repro.errors import SimulationError
-
         with pytest.raises(SimulationError):
             evaluate_policies_batch([tiny_test_chip()], [], [])
+
+    def test_one_lane_equals_evaluate_policy(self):
+        [trained] = train_policy_batch(_jobs([3]))
+        trace = tiny_scenario().trace(2.0, seed=77)
+        serial = evaluate_policy(tiny_test_chip(), trained.policies, trace)
+        assert evaluate_policies_batch(
+            [tiny_test_chip()], [trained.policies], [trace]
+        ) == [serial]
+
+    def test_shared_policy_objects_rejected(self):
+        # Two lanes pointing at one policy dict cannot run lock-step
+        # (the population table would alias); the flags still restore.
+        shared = train_policy_batch(_jobs([0]))[0].policies
+        trace = tiny_scenario().trace(1.0, seed=5)
+        with pytest.raises(SimulationError, match="lane 1 shares"):
+            evaluate_policies_batch(
+                [tiny_test_chip(), tiny_test_chip()], [shared, shared],
+                [trace, trace],
+            )
+        assert all(p.online for p in shared.values())
+
+    def test_sarsa_lane_rejected(self):
+        # SARSA acts before it updates: not the lock step's decide order.
+        chip = tiny_test_chip()
+        sarsa = {name: SarsaPowerManagementPolicy(PolicyConfig())
+                 for name in chip.cluster_names}
+        trace = tiny_scenario().trace(1.0, seed=5)
+        with pytest.raises(SimulationError,
+                           match="lane 1 has a SarsaPowerManagementPolicy"):
+            evaluate_policies_batch(
+                [tiny_test_chip(), chip],
+                [make_policies(tiny_test_chip()), sarsa],
+                [trace, trace],
+            )
 
 
 class TestRunBatchIntegration:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.repeat import repeat_jobs_over_seeds
 from repro.analysis.sweep import SweepResult, SweepRow, sweep
 from repro.cache import RunCache
 from repro.core.config import PolicyConfig
@@ -547,24 +546,49 @@ class TestDeterminism:
 
     def test_x2_checkpoint_jobs_match_in_memory_evaluation(self):
         seeds = [100, 200]
-        result = x2_seed_stability(
-            scenario_name="audio_playback", governor_names=["ondemand"],
-            eval_seeds=seeds, duration_s=1.0, train_episodes=2,
-        )
         chip = exynos5422()
         scenario = get_scenario("audio_playback")
         training = train_policy(chip, scenario, episodes=2,
                                 episode_duration_s=1.0)
         traces = [scenario.trace(1.0, seed=seed) for seed in seeds]
-        assert result.measures["rl-policy"].values == tuple(
+        rl = tuple(
             evaluate_policy(chip, training.policies, t).energy_per_qos_j
             for t in traces
         )
-        assert result.measures["ondemand"].values == tuple(
+        ondemand = tuple(
             Simulator(chip, t, lambda c: create("ondemand"))
             .run().energy_per_qos_j
             for t in traces
         )
+        for jobs in (1, 2):
+            result = x2_seed_stability(
+                scenario_name="audio_playback", governor_names=["ondemand"],
+                eval_seeds=seeds, duration_s=1.0, train_episodes=2,
+                jobs=jobs,
+            )
+            assert list(result.measures) == ["rl-policy", "ondemand"]
+            assert result.measures["rl-policy"].values == rl, jobs
+            assert result.measures["ondemand"].values == ondemand, jobs
+
+    def test_x2_runs_one_fleet(self, monkeypatch):
+        # Every (policy, seed) job goes through one run_fleet call, so a
+        # pool starts once rather than once per policy.
+        import repro.fleet
+        from repro.experiments import robustness
+
+        calls = []
+
+        def counting(specs, **kwargs):
+            calls.append(len(specs))
+            return run_fleet(specs, **kwargs)
+
+        monkeypatch.setattr(robustness, "run_fleet", counting)
+        monkeypatch.setattr(repro.fleet, "run_fleet", counting)
+        x2_seed_stability(
+            scenario_name="idle", governor_names=["ondemand", "powersave"],
+            eval_seeds=[1, 2], duration_s=0.5, train_episodes=1, jobs=2,
+        )
+        assert calls == [6]
 
 
 settings.register_profile(
@@ -836,27 +860,6 @@ class TestAggregation:
         failure = run_fleet([JobSpec(scenario="s", governor="g")], jobs=1,
                             job_fn=_always_raise).failures[0]
         assert "ValueError" in failure_table([failure])
-
-
-class TestRepeatJobs:
-    def test_matches_serial_values_and_order(self):
-        spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
-                       **FAST)
-        serial = repeat_jobs_over_seeds(spec, [3, 1, 2], jobs=1)
-        parallel = repeat_jobs_over_seeds(spec, [3, 1, 2], jobs=3)
-        assert serial.values == parallel.values
-        assert serial.n == 3
-
-    def test_unknown_metric_rejected(self):
-        spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
-        with pytest.raises(ReproError, match="unknown metric"):
-            repeat_jobs_over_seeds(spec, [1], metric="joules_per_vibe")
-
-    def test_failures_raise(self):
-        spec = JobSpec(scenario="idle", governor="warpdrive", chip="tiny",
-                       **FAST)
-        with pytest.raises(ReproError, match="fleet jobs failed"):
-            repeat_jobs_over_seeds(spec, [1, 2], jobs=1)
 
 
 class TestEvents:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.plot import histogram, line_chart, sparkline
-from repro.analysis.repeat import RepeatedMeasure, repeat_jobs_over_seeds
+from repro.analysis.repeat import RepeatedMeasure
 from repro.errors import ReproError
 
 
@@ -96,13 +96,6 @@ class TestRepeatedMeasure:
             RepeatedMeasure(values=())
         with pytest.raises(ReproError):
             RepeatedMeasure(values=(1.0,), confidence=0.5)
-
-    def test_repeat_requires_seeds(self):
-        from repro.fleet import JobSpec
-
-        spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
-        with pytest.raises(ReproError, match="at least one seed"):
-            repeat_jobs_over_seeds(spec, seeds=[])
 
     def test_str(self):
         s = str(RepeatedMeasure(values=(1.0, 2.0)))
