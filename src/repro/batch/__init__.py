@@ -2,9 +2,11 @@
 
 :class:`BatchEngine` runs many (scenario, seed, governor) rollouts in
 one process, vectorising the chip/power/QoS models for table-free
-governors while remaining **bit-identical** to the reference
-:class:`repro.sim.engine.Simulator` — see :mod:`repro.batch.engine` for
-how, and :mod:`repro.batch.plans` for which rollouts qualify.
+governors and running the ``ondemand``/``conservative``/``interactive``
+governors lock-step with power priced after the loop, while remaining
+**bit-identical** to the reference :class:`repro.sim.engine.Simulator`
+— see :mod:`repro.batch.engine` for how, and :mod:`repro.batch.plans`
+for which rollouts qualify.
 
 ``rl-policy`` jobs have their own lock-step fast path
 (:mod:`repro.batch.rl`): groups of structurally-matching RL training
@@ -13,10 +15,18 @@ TD-update → select hot loop across rollouts under the same bit-identity
 contract.
 """
 
-from repro.batch.engine import BatchEngine, run_batch, run_fixed_opp
+from repro.batch.engine import (
+    BatchEngine,
+    run_batch,
+    run_fixed_opp,
+    run_governor_pass,
+)
 from repro.batch.plans import (
+    LOCKSTEP_GOVERNORS,
     TABLE_FREE_GOVERNORS,
     fixed_opp_index,
+    governor_group_key,
+    is_governor_lockstep,
     is_rl_vectorisable,
     is_vectorisable,
     rl_group_key,
@@ -29,14 +39,18 @@ from repro.batch.rl import (
 
 __all__ = [
     "BatchEngine",
+    "LOCKSTEP_GOVERNORS",
     "RLTrainJob",
     "TABLE_FREE_GOVERNORS",
     "evaluate_policies_batch",
     "fixed_opp_index",
+    "governor_group_key",
+    "is_governor_lockstep",
     "is_rl_vectorisable",
     "is_vectorisable",
     "rl_group_key",
     "run_batch",
     "run_fixed_opp",
+    "run_governor_pass",
     "train_policy_batch",
 ]

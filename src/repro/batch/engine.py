@@ -1,19 +1,29 @@
 """The vectorised multi-rollout backend.
 
 :class:`BatchEngine` runs many (scenario, seed, governor) rollouts in
-one process.  Rollouts whose governor is table-free (see
-:mod:`repro.batch.plans`) take the *fast path*: the per-interval loop
-keeps only the sequential interval core of :mod:`repro.sim.interval` —
-arrival, scheduling, EDF draining and abandonment, whose state feeds
-forward interval to interval — while everything the serial engine
-recomputes per interval around that core is hoisted out:
+one process.  Three fast paths keep only the sequential interval core
+of :mod:`repro.sim.interval` — arrival, scheduling, EDF draining and
+abandonment, whose state feeds forward interval to interval — and drop
+or hoist what the serial engine recomputes around it:
 
-* governor dispatch and decision clamping collapse to one precomputed
-  OPP index per cluster,
-* observation construction is skipped entirely — nothing reads it,
-* per-core utilisation, power, and energy integration move *after* the
-  loop, vectorised over the interval axis from a recorded per-interval
-  core-cursor matrix (:func:`repro.sim.interval.core_power`).
+* :func:`run_fixed_opp` runs a table-free governor (see
+  :mod:`repro.batch.plans`): its decisions collapse to one precomputed
+  OPP index per cluster, and no observation is built.
+* :func:`run_governor_pass` runs the reactive governors of
+  :data:`~repro.batch.plans.LOCKSTEP_GOVERNORS` lock-step: every
+  (lane, cluster) row calls its real governor's ``decide`` on a
+  four-field observation updated in place, and the drain cursors and
+  OPP of each interval are logged.
+* Groups of ``rl-policy`` jobs sharing a chip preset, state geometry
+  and episode plan (:func:`~repro.batch.plans.rl_group_key`) train
+  lock-step through :func:`repro.batch.rl.train_policy_batch` — one
+  NumPy op per interval across all rollouts — and evaluate greedily
+  through :func:`repro.batch.rl.evaluate_policies_batch`.
+
+The first two price power once, after the loop, vectorised along the
+interval axis from the logged cursors (:func:`_price`, built on
+:func:`repro.sim.interval.core_power`); the RL path prices along the
+lane axis every interval, because its rewards read the energy.
 
 The contract is **bit identity** with :class:`repro.sim.engine.Simulator`
 (version :data:`repro.sim.engine.ENGINE_VERSION`).  The interval core is
@@ -22,40 +32,37 @@ as a *sequence of elementwise adds* (the serial left-associated ``+=``
 order) and energy integrates interval products in a plain Python loop —
 ``np.sum`` uses pairwise summation, which rounds differently.
 
-``rl-policy`` jobs get their own fast path: training is sequential
-*within* a rollout but independent *across* rollouts, so groups of RL
-jobs sharing a chip preset, state geometry, and episode plan (see
-:func:`repro.batch.plans.rl_group_key`) train lock-step through
-:func:`repro.batch.rl.train_policy_batch` — one NumPy op per interval
-across all rollouts — and then evaluate greedily through
-:func:`repro.batch.rl.evaluate_policies_batch`, under the same
-bit-identity contract.  :meth:`BatchEngine.plan` and
-:meth:`BatchEngine.units` are the one place that decides which RL jobs
-share a pass: a group needs at least two members (lock-step overhead
-only pays for itself across lanes), and :mod:`repro.batch.rl` runs
-exactly the lanes it is handed.
-
-Rollouts neither fast path can express — reactive governors, singleton
-RL jobs, full-system substrates, metric/trace collection, or any run
-under an active observability session (which must see real engine
-spans) — fall back to the reference simulator, so ``run_batch`` accepts
-arbitrary job lists and is *always* exact.
+:meth:`BatchEngine.plan` and :meth:`BatchEngine.units` are the one
+place that decides which path runs each job and which jobs share a
+pass.  An RL group needs at least two members (lock-step training only
+pays for itself across lanes); a governor pass runs any number of
+lanes, one included.  Rollouts no fast path can express — other
+governors, checkpoints, singleton RL jobs, full-system substrates,
+metric/trace collection, or any run under an active observability
+session (which must see real engine spans) — run on the reference
+simulator, so ``run_batch`` accepts arbitrary job lists and is *always*
+exact.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.batch.plans import (
+    LOCKSTEP_GOVERNORS,
     fixed_opp_index,
+    governor_group_key,
+    is_governor_lockstep,
     is_rl_vectorisable,
     is_vectorisable,
     rl_group_key,
 )
-from repro.errors import SimulationError
+from repro.errors import GovernorError, SimulationError
 from repro.fleet.spec import JobSpec
+from repro.governors import create
+from repro.governors.base import Governor
 from repro.obs import OBS
 from repro.power.model import PowerModel
 from repro.qos.metrics import evaluate_jobs
@@ -70,9 +77,111 @@ from repro.sim.interval import (
 from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
+from repro.soc.cluster import Cluster
+from repro.soc.core import CoreState, record_cores
 from repro.soc.opp import OperatingPoint
 from repro.workload.scenarios import get_scenario
+from repro.workload.task import Job
 from repro.workload.trace import Trace
+
+
+def _price(
+    chip: Chip,
+    cursor_logs: Sequence[np.ndarray],
+    freqs: Sequence[float | np.ndarray],
+    volts: Sequence[float | np.ndarray],
+    model: PowerModel,
+    dt: float,
+    n_lanes: int = 1,
+) -> list[tuple[float, float, float]]:
+    """Each lane's ``(dynamic_j, leakage_j, uncore_j)`` from its logged
+    intervals, bit-identical to the serial engine's meter.
+
+    Args:
+        chip: The lanes' chip; only its static specs are read.
+        cursor_logs: Per cluster, in chip order, the seconds of each
+            interval every core consumed, shaped ``(lanes * steps,
+            cores)`` with lanes one after another.
+        freqs: Per cluster, the frequency in effect: a scalar for one
+            fixed OPP, else a ``(lanes * steps, 1)`` column.
+        volts: The matching voltages.
+        model: The power model.
+        dt: Interval length.
+        n_lanes: Lanes in the logs; every lane runs the same steps.
+
+    Raises:
+        ConfigurationError: If a core used more cycles than its interval
+            offered (:func:`repro.soc.core.record_cores`'s guard).
+    """
+    rows = cursor_logs[0].shape[0]
+    n_steps = rows // n_lanes
+    # Power along the row axis; clusters accumulate in chip order, as
+    # the serial engine's chip-power sum does.
+    chip_dyn = np.zeros(rows)
+    chip_leak = np.zeros(rows)
+    for cluster, log, freq, volt in zip(chip, cursor_logs, freqs, volts):
+        core = cluster.spec.core
+        # The few intervals whose cycles leave [0, available] go through
+        # record_cores, which owns the float tolerance and raises the
+        # serial engine's error past it.
+        used = log * freq
+        suspect = ((used < 0) | (used > freq * dt)).any(axis=1)
+        if suspect.any():
+            row_freqs = np.broadcast_to(freq, (rows, 1))
+            cores = [CoreState(core) for _ in range(cluster.n_cores)]
+            for row in np.flatnonzero(suspect).tolist():
+                record_cores(cores, used[row].tolist(),
+                             float(row_freqs[row, 0]), dt)
+        _, _, dyn, leak = core_power(
+            log, freq, volt, core.ceff_f, core.leak_a_per_v,
+            model.dynamic.idle_activity, dt,
+        )
+        chip_dyn = chip_dyn + column_sum(dyn)
+        chip_leak = chip_leak + column_sum(leak)
+
+    # Energy integration: the meter adds one interval product at a time,
+    # so accumulate sequentially (np.sum's pairwise order differs).
+    dyn_steps = (chip_dyn * dt).tolist()
+    leak_steps = (chip_leak * dt).tolist()
+    uncore_j = 0.0
+    uncore_step = model.uncore_w * dt
+    for _ in range(n_steps):
+        uncore_j += uncore_step
+    energies = []
+    for start in range(0, rows, n_steps):
+        dynamic_j = 0.0
+        for x in dyn_steps[start:start + n_steps]:
+            dynamic_j += x
+        leakage_j = 0.0
+        for x in leak_steps[start:start + n_steps]:
+            leakage_j += x
+        energies.append((dynamic_j, leakage_j, uncore_j))
+    return energies
+
+
+def _result(
+    governor: str,
+    trace: Trace,
+    lane: Lane,
+    n_steps: int,
+    dt: float,
+    energy: tuple[float, float, float],
+    opp_switches: int,
+) -> SimulationResult:
+    """A finished lane as the serial engine reports it."""
+    dynamic_j, leakage_j, uncore_j = energy
+    return SimulationResult(
+        governor=governor,
+        trace_name=trace.name,
+        duration_s=n_steps * dt,
+        total_energy_j=dynamic_j + leakage_j + uncore_j,
+        dynamic_energy_j=dynamic_j,
+        leakage_energy_j=leakage_j,
+        uncore_energy_j=uncore_j,
+        qos=evaluate_jobs(lane.all_jobs(), grace_factor=GRACE_FACTOR),
+        intervals=n_steps,
+        opp_switches=opp_switches,
+    )
 
 
 def run_fixed_opp(
@@ -129,47 +238,188 @@ def run_fixed_opp(
         for queue, n_cores, rate, log in clusters:
             if queue:
                 log[step] = drain(queue, n_cores, rate, t0, dt, lane.cutoff)[0]
-    qos = evaluate_jobs(lane.all_jobs(), grace_factor=GRACE_FACTOR)
 
-    # Power, vectorised over the interval axis; clusters accumulate in
-    # chip order, as the serial engine's chip-power sum does.
-    chip_dyn = np.zeros(n_steps)
-    chip_leak = np.zeros(n_steps)
-    for cluster, opp, log in zip(chip, opps, cursor_logs):
-        core = cluster.spec.core
-        _, _, dyn, leak = core_power(
-            log, opp.freq_hz, opp.voltage_v, core.ceff_f, core.leak_a_per_v,
-            model.dynamic.idle_activity, dt,
-        )
-        chip_dyn = chip_dyn + column_sum(dyn)
-        chip_leak = chip_leak + column_sum(leak)
-
-    # Energy integration: the meter adds one interval product at a time,
-    # so accumulate sequentially (np.sum's pairwise order differs).
-    dynamic_j = 0.0
-    for x in (chip_dyn * dt).tolist():
-        dynamic_j += x
-    leakage_j = 0.0
-    for x in (chip_leak * dt).tolist():
-        leakage_j += x
-    uncore_j = 0.0
-    uncore_step = model.uncore_w * dt
-    for _ in range(n_steps):
-        uncore_j += uncore_step
-    total_j = dynamic_j + leakage_j + uncore_j
-
-    return SimulationResult(
-        governor=spec.governor,
-        trace_name=trace.name,
-        duration_s=n_steps * dt,
-        total_energy_j=total_j,
-        dynamic_energy_j=dynamic_j,
-        leakage_energy_j=leakage_j,
-        uncore_energy_j=uncore_j,
-        qos=qos,
-        intervals=n_steps,
-        opp_switches=opp_switches,
+    [energy] = _price(
+        chip, cursor_logs, [opp.freq_hz for opp in opps],
+        [opp.voltage_v for opp in opps], model, dt,
     )
+    return _result(spec.governor, trace, lane, n_steps, dt, energy,
+                   opp_switches)
+
+
+class _Observation:
+    """The observation fields the lock-step governors read.
+
+    One per (lane, cluster) row, updated in place after each interval;
+    the governors of :data:`~repro.batch.plans.LOCKSTEP_GOVERNORS` keep
+    none of it.  ``opp_index`` and ``freq_hz`` double as the row's
+    current OPP, as the serial engine's observation equals the
+    cluster's OPP after its decision.
+    """
+
+    __slots__ = ("time_s", "opp_index", "freq_hz", "max_core_utilization")
+
+    def __init__(self, freq_hz: float) -> None:
+        # The all-quiet observation of the reset cluster (OPP 0).
+        self.time_s = 0.0
+        self.opp_index = 0
+        self.freq_hz = freq_hz
+        self.max_core_utilization = 0.0
+
+
+class _GovernorRow:
+    """One (lane, cluster) row of :func:`run_governor_pass`."""
+
+    __slots__ = ("governor", "decide", "clamp", "obs", "queue", "n_cores",
+                 "freqs", "rates", "available", "idle", "cursors", "opps",
+                 "switches")
+
+    def __init__(self, governor: Governor, cluster: Cluster,
+                 queue: list[Job], dt: float) -> None:
+        table = cluster.spec.opp_table
+        capacity = cluster.spec.core.capacity
+        self.governor = governor
+        self.decide = governor.decide
+        self.clamp = table.clamp_index
+        self.queue = queue
+        self.n_cores = cluster.n_cores
+        # Per OPP index, the serial engine's drain rate and the cycles
+        # Cluster.record_interval offers, as the same float operations.
+        self.freqs = [opp.freq_hz for opp in table]
+        self.rates = [capacity * f for f in self.freqs]
+        self.available = [f * dt for f in self.freqs]
+        self.obs = _Observation(self.freqs[0])
+        self.idle = [0.0] * cluster.n_cores
+        self.cursors: list[list[float]] = []
+        self.opps: list[int] = []
+        self.switches = 0
+
+
+def run_governor_pass(specs: Sequence[JobSpec]) -> list[SimulationResult]:
+    """Reactive-governor rollouts lock-step, bit-identical to the
+    serial engine.
+
+    Each interval, every lane admits its arrivals; then every (lane,
+    cluster) row calls its governor's ``decide`` on last interval's
+    observation — with the serial engine's ``int()`` and
+    ``clamp_index`` checks — and drains its queue at the chosen OPP.
+    The cursors and OPP are logged, and the observation is updated in
+    place from the busiest core's cursor (utilisation is monotone in
+    the cursor, so that core's utilisation is the maximum).  Power and
+    energy are priced after the loop (:func:`_price`).
+
+    Args:
+        specs: The lanes, one result each, in order.  Every spec must
+            pass :func:`~repro.batch.plans.is_governor_lockstep` and
+            share one :func:`~repro.batch.plans.governor_group_key`.
+
+    Raises:
+        SimulationError: For a spec the pass cannot express, or a
+            governor object that is not exactly its listed type.
+        GovernorError: If a governor returns a non-integer decision.
+        ConfigurationError: If a core used more cycles than offered.
+    """
+    from repro.fleet.worker import _build_chip
+
+    if not specs:
+        return []
+    key = governor_group_key(specs[0])
+    for spec in specs:
+        if not is_governor_lockstep(spec) or governor_group_key(spec) != key:
+            raise SimulationError(
+                f"job {spec.job_id} cannot join this lock-step governor pass"
+            )
+    dt = specs[0].interval_s
+    # Lanes share the chip (only its static specs are read) and so one
+    # scheduler, whose ranking depends on those specs alone.
+    chip = _build_chip(specs[0])
+    scheduler = HMPScheduler()
+    traces = [
+        get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
+        for spec in specs
+    ]
+    n_steps = n_intervals(traces[0].duration_s, dt)
+    lanes: list[tuple[Lane, list[_GovernorRow]]] = []
+    for spec, trace in zip(specs, traces):
+        if n_intervals(trace.duration_s, dt) != n_steps:
+            raise SimulationError(
+                f"job {spec.job_id} runs a different number of intervals"
+            )
+        lane = Lane(trace, chip.cluster_names, dt, n_steps)
+        rows: list[_GovernorRow] = []
+        for cluster in chip:
+            governor = create(spec.governor)
+            if type(governor) is not LOCKSTEP_GOVERNORS[spec.governor]:
+                raise SimulationError(
+                    f"governor {spec.governor!r} built a "
+                    f"{type(governor).__name__}; the lock-step pass runs "
+                    "only the listed types"
+                )
+            governor.reset(cluster)
+            rows.append(
+                _GovernorRow(governor, cluster,
+                             lane.queues[cluster.spec.name], dt)
+            )
+        lanes.append((lane, rows))
+
+    for step in range(n_steps):
+        t0 = step * dt
+        t1 = t0 + dt
+        for lane, rows in lanes:
+            # Decisions read last interval's observation only, so
+            # admitting first leaves them unchanged.
+            lane.admit(step, t0, scheduler, chip)
+            for row in rows:
+                obs = row.obs
+                decision = row.decide(obs)
+                try:
+                    decision = int(decision)
+                except (TypeError, ValueError):
+                    raise GovernorError(
+                        f"governor {row.governor.name!r} returned "
+                        f"non-integer decision {decision!r}"
+                    ) from None
+                decision = row.clamp(decision)
+                if decision != obs.opp_index:
+                    row.switches += 1
+                    obs.opp_index = decision
+                    obs.freq_hz = row.freqs[decision]
+                row.opps.append(decision)
+                queue = row.queue
+                if queue:
+                    cursors = drain(queue, row.n_cores, row.rates[decision],
+                                    t0, dt, lane.cutoff)[0]
+                    available = row.available[decision]
+                    used = max(cursors) * obs.freq_hz
+                    obs.max_core_utilization = (
+                        available if used > available else used
+                    ) / available
+                else:
+                    cursors = row.idle
+                    obs.max_core_utilization = 0.0
+                row.cursors.append(cursors)
+                obs.time_s = t1
+
+    # Price every lane at once: per cluster, the lanes' logs stacked.
+    cursor_logs: list[np.ndarray] = []
+    freqs: list[float | np.ndarray] = []
+    volts: list[float | np.ndarray] = []
+    for k, cluster in enumerate(chip):
+        table = cluster.spec.opp_table
+        opps = np.array([i for _, rows in lanes for i in rows[k].opps])
+        cursor_logs.append(
+            np.array([c for _, rows in lanes for c in rows[k].cursors])
+        )
+        freqs.append(np.array([opp.freq_hz for opp in table])[opps, None])
+        volts.append(np.array([opp.voltage_v for opp in table])[opps, None])
+    energies = _price(chip, cursor_logs, freqs, volts, PowerModel(), dt,
+                      len(lanes))
+    return [
+        _result(spec.governor, trace, lane, n_steps, dt, energy,
+                sum(row.switches for row in rows))
+        for spec, trace, (lane, rows), energy
+        in zip(specs, traces, lanes, energies)
+    ]
 
 
 class BatchEngine:
@@ -177,8 +427,8 @@ class BatchEngine:
 
     Args:
         specs: The rollouts to run.  Any mix of governors is accepted;
-            per spec the engine picks the vectorised fast path
-            (table-free governors) or the reference simulator.
+            per spec :meth:`plan` picks a fast path or the reference
+            simulator.
     """
 
     def __init__(self, specs: Sequence[JobSpec]) -> None:
@@ -193,31 +443,38 @@ class BatchEngine:
         # and counters, which only the serial engine emits.
         if OBS.enabled:
             return [False] * len(self.specs)
-        fast = [is_vectorisable(spec) for spec in self.specs]
-        for group in _rl_groups(self.specs):
-            for i in group:
-                fast[i] = True
+        fast = [
+            is_vectorisable(spec) or is_governor_lockstep(spec)
+            for spec in self.specs
+        ]
+        for group in _groups(self.specs, is_rl_vectorisable, rl_group_key):
+            # Lock-step training only pays for itself across lanes; a
+            # lone RL job runs the identical serial trainer.
+            if len(group) >= 2:
+                for i in group:
+                    fast[i] = True
         return fast
 
     def units(self, workers: int = 1) -> list[list[int]]:
-        """Split the specs into units of work: single jobs and RL chunks.
+        """Split the specs into units of work: single jobs and chunks.
 
-        A *chunk* is two or more RL jobs that share
-        :func:`~repro.batch.plans.rl_group_key` and that :meth:`plan`
-        marks fast; it trains and evaluates lock-step in one call.
-        Every other job is a unit of one, so an all-serial plan (under
-        an observability session) yields only single jobs.
-        Single-job units come first, in spec order, then the chunks: a
-        chunk's members only finish when the whole chunk does, so
-        running them last keeps every single job from waiting behind
-        one.
+        A *chunk* is two or more jobs that :meth:`plan` marks fast and
+        that share one lock-step pass: reactive governor jobs sharing
+        :func:`~repro.batch.plans.governor_group_key`, or RL jobs
+        sharing :func:`~repro.batch.plans.rl_group_key`.  Every other
+        job is a unit of one, so an all-serial plan (under an
+        observability session) yields only single jobs.  Single-job
+        units come first, in spec order, then the governor chunks, then
+        the RL chunks: a chunk's members only finish when the whole
+        chunk does, so the cheap units run before the dear ones.
 
         Args:
             workers: Processes that will run the units side by side.
-                Each RL group is dealt into at most this many slices, as
-                even as possible, so a pool keeps its RL jobs in
-                parallel; a slice of one is a single job (a lone RL job
-                trains serially, exactly like one lane).
+                Each group is dealt into at most this many slices, as
+                even as possible, so a pool keeps its lock-step jobs in
+                parallel; a slice of one is a single job (a governor
+                job still runs the governor pass, a lone RL job trains
+                serially, exactly like one lane).
 
         Returns:
             Lists of spec indices; every index appears in exactly one
@@ -227,14 +484,18 @@ class BatchEngine:
 
     def _units(self, plan: list[bool], workers: int) -> list[list[int]]:
         chunks: list[list[int]] = []
-        for group in _rl_groups(self.specs):
-            if not plan[group[0]]:
-                continue
-            n, parts = len(group), min(workers, len(group))
-            for k in range(parts):
-                part = group[k * n // parts:(k + 1) * n // parts]
-                if len(part) >= 2:
-                    chunks.append(part)
+        for eligible, key in (
+            (is_governor_lockstep, governor_group_key),
+            (is_rl_vectorisable, rl_group_key),
+        ):
+            for group in _groups(self.specs, eligible, key):
+                if not plan[group[0]]:
+                    continue
+                n, parts = len(group), min(workers, len(group))
+                for k in range(parts):
+                    part = group[k * n // parts:(k + 1) * n // parts]
+                    if len(part) >= 2:
+                        chunks.append(part)
         chunked = {i for chunk in chunks for i in chunk}
         singles = [[i] for i in range(len(self.specs)) if i not in chunked]
         return singles + chunks
@@ -244,38 +505,40 @@ class BatchEngine:
         plan = self.plan()
         results: list[SimulationResult | None] = [None] * len(self.specs)
         for unit in self._units(plan, workers=1):
-            if len(unit) > 1:
-                grouped = _run_rl_group([self.specs[i] for i in unit])
-                for i, result in zip(unit, grouped):
-                    results[i] = result
-                continue
-            [i] = unit
-            spec = self.specs[i]
-            if plan[i]:
-                from repro.fleet.worker import _build_chip
-
-                chip = _build_chip(spec)
-                trace = get_scenario(spec.scenario).trace(
-                    spec.duration_s, seed=spec.seed
-                )
-                results[i] = run_fixed_opp(spec, chip, trace)
-            else:
-                from repro.fleet.worker import simulate_spec
-
-                results[i] = simulate_spec(spec)
+            specs = [self.specs[i] for i in unit]
+            for i, result in zip(unit, _run_unit(specs, plan[unit[0]])):
+                results[i] = result
         return results
 
 
-def _rl_groups(specs: Sequence[JobSpec]) -> list[list[int]]:
-    """Spec indices of lock-step-eligible RL jobs, grouped by
-    :func:`~repro.batch.plans.rl_group_key`; lock-step training only
-    pays for itself across lanes, so a singleton group is dropped (that
-    job runs the identical serial trainer)."""
+def _groups(
+    specs: Sequence[JobSpec],
+    eligible: Callable[[JobSpec], bool],
+    key: Callable[[JobSpec], Hashable],
+) -> list[list[int]]:
+    """Indices of the ``eligible`` specs, grouped by ``key`` in order of
+    first appearance."""
     groups: dict[Hashable, list[int]] = {}
     for i, spec in enumerate(specs):
-        if is_rl_vectorisable(spec):
-            groups.setdefault(rl_group_key(spec), []).append(i)
-    return [group for group in groups.values() if len(group) >= 2]
+        if eligible(spec):
+            groups.setdefault(key(spec), []).append(i)
+    return list(groups.values())
+
+
+def _run_unit(specs: list[JobSpec], fast: bool) -> list[SimulationResult]:
+    """One unit of :meth:`BatchEngine.units` through the path its plan
+    chose."""
+    from repro.fleet.worker import _build_chip, simulate_spec
+
+    spec = specs[0]
+    if not fast:
+        return [simulate_spec(spec)]
+    if spec.is_rl:
+        return _run_rl_group(specs)
+    if is_governor_lockstep(spec):
+        return run_governor_pass(specs)
+    trace = get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
+    return [run_fixed_opp(spec, _build_chip(spec), trace)]
 
 
 def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:

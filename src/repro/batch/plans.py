@@ -1,4 +1,4 @@
-"""Decision plans: which rollouts the batch backend can vectorise.
+"""Decision plans: which rollouts the batch backend can run, and how.
 
 A governor is *table-free* when its decision sequence is known before
 the rollout starts.  The three classic fixed-OPP kernel governors
@@ -8,22 +8,28 @@ its default construction) — because their ``decide`` methods ignore the
 observation entirely.  For those, the whole
 decide → observe → decide feedback loop collapses to a constant, and
 the per-interval engine machinery (governor dispatch, observation
-construction, per-interval power evaluation) can be replaced by the
-vectorised fast path in :mod:`repro.batch.engine`.
+construction, per-interval power evaluation) is replaced by
+:func:`repro.batch.engine.run_fixed_opp`.
 
-Everything else — reactive governors like ``ondemand``, the online
-Q-learning policy, checkpoints — is genuinely sequential: interval
-``t``'s decision depends on interval ``t-1``'s observation, so those
-rollouts run through the reference :class:`repro.sim.engine.Simulator`
-unchanged.
+The reactive governors of :data:`LOCKSTEP_GOVERNORS` — ``ondemand``,
+``conservative`` and ``interactive`` — are sequential: interval ``t``'s
+decision depends on interval ``t-1``'s observation.  But each reads only
+four observation fields, so :func:`repro.batch.engine.run_governor_pass`
+runs them lock-step, calling the real ``decide`` on a four-field
+observation and pricing power after the loop.  Jobs that share
+:func:`governor_group_key` share one pass.
 
 RL training jobs are sequential *within* a rollout but embarrassingly
-parallel *across* rollouts, which is a different kind of vectorisable:
-:func:`is_rl_vectorisable` and :func:`rl_group_key` identify groups of
-``rl-policy`` jobs that share one chip preset, state geometry, and
-episode plan, so :mod:`repro.batch.rl` can train them lock-step — one
-NumPy op per interval across all rollouts — instead of one serial
-training loop per job.
+parallel *across* rollouts: :func:`is_rl_vectorisable` and
+:func:`rl_group_key` identify groups of ``rl-policy`` jobs that share
+one chip preset, state geometry, and episode plan, so
+:mod:`repro.batch.rl` can train them lock-step — one NumPy op per
+interval across all rollouts — instead of one serial training loop per
+job.
+
+Everything else — other governors (``schedutil``, ``scenario-aware``),
+checkpoints, full-system substrates — runs through the reference
+:class:`repro.sim.engine.Simulator` unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from typing import Callable, Hashable
 
 from repro.core.config import PolicyConfig
 from repro.fleet.spec import JobSpec
+from repro.governors.base import Governor
+from repro.governors.conservative import ConservativeGovernor
+from repro.governors.interactive import InteractiveGovernor
+from repro.governors.ondemand import OndemandGovernor
 from repro.soc.opp import OPPTable
 
 #: Fixed-OPP index per table-free governor, given the cluster's OPP
@@ -47,6 +57,17 @@ _FIXED_OPP_PLANS: dict[str, Callable[[OPPTable], int]] = {
 
 TABLE_FREE_GOVERNORS = frozenset(_FIXED_OPP_PLANS)
 """Governor names whose decisions are observation-independent."""
+
+LOCKSTEP_GOVERNORS: dict[str, type[Governor]] = {
+    cls.name: cls
+    for cls in (OndemandGovernor, ConservativeGovernor, InteractiveGovernor)
+}
+"""Reactive governors the lock-step governor pass runs, by registry name.
+
+Each ``decide`` reads only ``max_core_utilization``, ``freq_hz``,
+``opp_index`` and ``time_s`` of its observation and keeps none of it.
+The pass admits a governor object only if its type is exactly the one
+listed here: a subclass may read more."""
 
 
 def fixed_opp_index(governor: str, table: OPPTable) -> int | None:
@@ -64,7 +85,7 @@ def fixed_opp_index(governor: str, table: OPPTable) -> int | None:
 def _plain_substrate(spec: JobSpec) -> bool:
     """Whether the job runs on the plain simulation substrate.
 
-    Both fast paths need it: full-system extras (thermals, idle states,
+    Every fast path needs it: full-system extras (thermals, idle states,
     transition costs) change the per-interval coupling, per-execution
     artefacts (metric snapshots, trace files) need real engine spans,
     and an in-memory ``chip_obj`` has no preset to rebuild from.
@@ -85,6 +106,23 @@ def is_vectorisable(spec: JobSpec) -> bool:
         and spec.policy_config is None
         and _plain_substrate(spec)
     )
+
+
+def is_governor_lockstep(spec: JobSpec) -> bool:
+    """Whether the lock-step governor pass can run this job: a governor
+    of :data:`LOCKSTEP_GOVERNORS`, no ``policy_config``, on the plain
+    substrate."""
+    return (
+        spec.governor in LOCKSTEP_GOVERNORS
+        and spec.policy_config is None
+        and _plain_substrate(spec)
+    )
+
+
+def governor_group_key(spec: JobSpec) -> Hashable:
+    """What must match for governor jobs to share one lock-step pass:
+    the chip preset and the interval grid."""
+    return (spec.chip, spec.interval_s, spec.duration_s)
 
 
 def is_rl_vectorisable(spec: JobSpec) -> bool:

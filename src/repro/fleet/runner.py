@@ -18,7 +18,7 @@ points, which is both the fast path for small grids and the reference the
 determinism tests compare the pool against.
 
 Every unit of work — one job, or with the default ``job_fn`` a
-lock-step RL chunk (:meth:`repro.batch.BatchEngine.units`) — runs
+lock-step chunk (:meth:`repro.batch.BatchEngine.units`) — runs
 through :func:`~repro.fleet.worker.run_unit`, and both loops hand its
 outcomes to one settle step.  Events, retries, cache probe and store
 all stay per job; see ``docs/fleet.md``.
@@ -67,7 +67,7 @@ def _trace_id(spec: JobSpec) -> str:
     return spec.trace_context.trace_id if spec.trace_context else ""
 
 
-#: One unit of work: ``(grid index, spec)`` pairs, one job or an RL chunk.
+#: One unit of work: ``(grid index, spec)`` pairs, one job or a chunk.
 _Unit = list[tuple[int, JobSpec]]
 
 
@@ -211,16 +211,19 @@ def run_fleet(
         timeout_s: Per-job wall-clock budget, positive (``None``
             defers to the spec; jobs overrunning it fail with
             ``timed_out=True``).  A
-            lock-step RL chunk gets the budget times its member count;
+            lock-step chunk gets the budget times its member count;
             if it overruns, its members rerun singly.
         retries: Extra attempts per failed job (``None`` defers to the
             spec, default 0).
         on_event: Telemetry callback (:mod:`repro.fleet.events`).
         job_fn: Measurement function executed per job; must be a
             module-level (picklable) callable for ``jobs > 1``.  The
-            default also lets ``rl-policy`` cache misses that share
-            :func:`~repro.batch.plans.rl_group_key` run lock-step, in
-            at most one chunk per worker (see the module docstring);
+            default also lets reactive-governor cache misses that
+            share :func:`~repro.batch.plans.governor_group_key`, and
+            ``rl-policy`` ones that share
+            :func:`~repro.batch.plans.rl_group_key`, run lock-step, in
+            at most one chunk per worker and group (see the module
+            docstring);
             any other function measures one job per call.
         cache: Content-addressed run cache (:mod:`repro.cache`).
             ``True`` opens the default store; a :class:`RunCache`

@@ -18,7 +18,7 @@ index no matter when each worker finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.core.config import PolicyConfig
@@ -180,10 +180,6 @@ class JobSpec:
         if ctx is not None and not isinstance(ctx, TraceContext):
             kwargs["trace_context"] = TraceContext.from_mapping(ctx)
         return cls(**kwargs)
-
-    def with_seed(self, seed: int) -> "JobSpec":
-        """A copy of this spec at another evaluation seed."""
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

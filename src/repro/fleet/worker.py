@@ -7,7 +7,7 @@ process ran it or what ran before.  That is what makes parallel fleet
 rows bit-identical to in-process (``jobs=1``) ones.
 
 :func:`run_unit` is the guarded pool entry: it times one unit of work
-(a single job, or a lock-step RL chunk), arms a ``SIGALRM``-based
+(a single job, or a lock-step chunk), arms a ``SIGALRM``-based
 wall-clock timeout (so a hung simulation is interrupted *inside* the
 worker and the pool slot is reclaimed), and converts any exception into
 structured :class:`JobFailure` rows instead of letting it propagate and
@@ -15,7 +15,8 @@ poison the executor.
 
 Both kinds of unit run through :mod:`repro.batch`: a single job as a
 batch of one inside :func:`execute_job` (so a table-free governor takes
-the fixed-OPP fast path), a chunk as one lock-step batch.
+the fixed-OPP fast path and a reactive one the governor pass), a chunk
+as one lock-step batch.
 :func:`simulate_spec` stays the serial reference both are held to.
 """
 
@@ -374,8 +375,8 @@ def _measurement(spec: JobSpec, run: SimulationResult) -> JobMeasurement:
 
 
 def _execute_job_inner(spec: JobSpec) -> JobMeasurement:
-    # A batch of one: the fixed-OPP fast path where it applies, else
-    # simulate_spec (batch imports this module, so import it lazily).
+    # A batch of one: a fast path where one applies, else simulate_spec
+    # (batch imports this module, so import it lazily).
     from repro.batch import run_batch
 
     [run] = run_batch([spec])
@@ -418,7 +419,7 @@ def run_unit(
 ) -> list[JobOutcome]:
     """The guarded pool entry: never raises, one outcome per member.
 
-    A unit of one runs ``job_fn``; a lock-step RL chunk (see
+    A unit of one runs ``job_fn``; a lock-step chunk (see
     :meth:`repro.batch.BatchEngine.units`) runs as one
     :func:`repro.batch.run_batch` call.
 

@@ -8,19 +8,30 @@ float, never ``pytest.approx``.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import (
     BatchEngine,
+    LOCKSTEP_GOVERNORS,
     TABLE_FREE_GOVERNORS,
     fixed_opp_index,
+    governor_group_key,
+    is_governor_lockstep,
     is_vectorisable,
     run_batch,
+    run_governor_pass,
 )
+from repro.core.config import PolicyConfig
+from repro.errors import ConfigurationError, GovernorError, SimulationError
 from repro.fleet.spec import JobSpec
 from repro.fleet.worker import simulate_spec
+from repro.governors.ondemand import OndemandGovernor
 from repro.soc.presets import PRESETS
-from repro.workload.scenarios import SCENARIOS
+from repro.workload.scenarios import EVALUATION_SET, SCENARIOS
 
 
 def _assert_bit_identical(serial, batch) -> None:
@@ -36,6 +47,12 @@ def _assert_bit_identical(serial, batch) -> None:
     assert batch.uncore_energy_j == serial.uncore_energy_j
     assert batch.qos == serial.qos
     assert batch.energy_per_qos_j == serial.energy_per_qos_j
+
+
+def _assert_equal_fields(serial, batch) -> None:
+    """``==`` on every :class:`~repro.sim.result.SimulationResult` field."""
+    for f in fields(serial):
+        assert getattr(batch, f.name) == getattr(serial, f.name), f.name
 
 
 class TestPlans:
@@ -66,8 +83,9 @@ class TestPlans:
         specs = [
             JobSpec(scenario="idle", governor="performance"),
             JobSpec(scenario="idle", governor="ondemand"),
+            JobSpec(scenario="idle", governor="schedutil"),
         ]
-        assert BatchEngine(specs).plan() == [True, False]
+        assert BatchEngine(specs).plan() == [True, True, False]
 
     def test_run_and_units_go_through_plan(self, monkeypatch):
         # Wrap ``plan`` on the class, as a profiler patching the planner
@@ -84,7 +102,7 @@ class TestPlans:
         specs = [
             JobSpec(scenario="idle", governor="performance", chip="tiny",
                     duration_s=1.0),
-            JobSpec(scenario="idle", governor="ondemand", chip="tiny",
+            JobSpec(scenario="idle", governor="schedutil", chip="tiny",
                     duration_s=1.0),
         ]
         run_batch(specs)
@@ -117,7 +135,7 @@ class TestBitIdentity:
         still match it exactly."""
         specs = [
             JobSpec(scenario="idle", governor="performance", duration_s=1.0),
-            JobSpec(scenario="idle", governor="ondemand", duration_s=1.0),
+            JobSpec(scenario="idle", governor="schedutil", duration_s=1.0),
         ]
         for spec, batch in zip(specs, run_batch(specs)):
             _assert_bit_identical(simulate_spec(spec), batch)
@@ -134,3 +152,187 @@ class TestBitIdentity:
             assert BatchEngine(specs).plan() == [False]
             batch = run_batch(specs)
         _assert_bit_identical(simulate_spec(specs[0]), batch[0])
+
+
+LOCKSTEP = sorted(LOCKSTEP_GOVERNORS)
+
+
+class TestGovernorPass:
+    """The lock-step pass for ``ondemand``/``conservative``/``interactive``."""
+
+    def test_lockstep_set_and_predicate(self):
+        assert set(LOCKSTEP_GOVERNORS) == {
+            "ondemand", "conservative", "interactive"}
+        base = JobSpec(scenario="idle", governor="ondemand")
+        for governor in LOCKSTEP:
+            assert is_governor_lockstep(replace(base, governor=governor))
+        for governor in ("schedutil", "performance", "rl-policy"):
+            assert not is_governor_lockstep(replace(base, governor=governor))
+        assert not is_governor_lockstep(replace(base, full_system=True))
+        assert not is_governor_lockstep(replace(base, collect_metrics=True))
+        assert not is_governor_lockstep(replace(base, trace_dir="/tmp/t"))
+        assert not is_governor_lockstep(
+            replace(base, policy_config=PolicyConfig()))
+
+    def test_group_key(self):
+        a = JobSpec(scenario="idle", governor="ondemand", seed=1)
+        assert governor_group_key(a) == governor_group_key(
+            replace(a, scenario="gaming", governor="interactive", seed=2))
+        for changed in (replace(a, chip="tiny"), replace(a, interval_s=0.02),
+                        replace(a, duration_s=3.0)):
+            assert governor_group_key(changed) != governor_group_key(a)
+
+    @pytest.mark.parametrize("seed", [100, 7])
+    @pytest.mark.parametrize("governor", LOCKSTEP)
+    @pytest.mark.parametrize("scenario", EVALUATION_SET)
+    def test_one_lane_matches_serial_engine(self, scenario, governor, seed):
+        spec = JobSpec(scenario=scenario, governor=governor, seed=seed,
+                       duration_s=2.0)
+        [batch] = run_governor_pass([spec])
+        _assert_equal_fields(simulate_spec(spec), batch)
+
+    def test_mixed_chunk_matches_serial_engine(self):
+        specs = [
+            JobSpec(scenario=scenario, governor=governor, seed=seed,
+                    duration_s=2.0)
+            for scenario in EVALUATION_SET
+            for governor in LOCKSTEP
+            for seed in (100, 7)
+        ]
+        assert BatchEngine(specs).units() == [list(range(len(specs)))]
+        for spec, batch in zip(specs, run_batch(specs)):
+            _assert_equal_fields(simulate_spec(spec), batch)
+
+    def test_lane_of_n_equals_pass_of_one(self):
+        specs = [
+            JobSpec(scenario=scenario, governor=governor, seed=seed,
+                    chip="tiny", duration_s=1.5)
+            for scenario, governor, seed in (
+                ("gaming", "ondemand", 1), ("web_browsing", "interactive", 2),
+                ("video_call", "conservative", 3), ("gaming", "ondemand", 4),
+            )
+        ]
+        together = run_governor_pass(specs)
+        for spec, lane in zip(specs, together):
+            assert run_governor_pass([spec]) == [lane]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(min_value=0, max_value=10_000),
+                       min_size=1, max_size=3),
+        duration_s=st.floats(min_value=0.05, max_value=1.5),
+        interval_s=st.floats(min_value=0.002, max_value=0.05),
+        chip=st.sampled_from(["tiny", "exynos5422"]),
+    )
+    def test_generated_lanes_match_serial_engine(
+        self, seeds, duration_s, interval_s, chip
+    ):
+        specs = [
+            JobSpec(scenario=EVALUATION_SET[seed % len(EVALUATION_SET)],
+                    governor=LOCKSTEP[seed % len(LOCKSTEP)], seed=seed,
+                    chip=chip, duration_s=duration_s, interval_s=interval_s)
+            for seed in seeds
+        ]
+        for spec, batch in zip(specs, run_governor_pass(specs)):
+            _assert_equal_fields(simulate_spec(spec), batch)
+
+    def test_non_integer_decision_raises_like_serial(self, monkeypatch):
+        monkeypatch.setattr(OndemandGovernor, "decide",
+                            lambda self, obs: "fast")
+        spec = JobSpec(scenario="gaming", governor="ondemand", chip="tiny",
+                       duration_s=0.5)
+        with pytest.raises(GovernorError) as serial:
+            simulate_spec(spec)
+        with pytest.raises(GovernorError) as batch:
+            run_batch([spec])
+        assert str(batch.value) == str(serial.value)
+
+    @pytest.mark.parametrize("governor", ["ondemand", "performance"])
+    def test_over_capacity_cursor_raises_like_serial(self, monkeypatch,
+                                                     governor):
+        """A drain that reports more time than the interval holds trips
+        ``record_cores``'s guard on every path that prices power."""
+        import repro.batch.engine as batch_engine
+        import repro.sim.engine as sim_engine
+        from repro.sim.interval import drain
+
+        def planted(queue, n_cores, rate, t0, dt, cutoff, start=0.0):
+            cursors, *rest = drain(queue, n_cores, rate, t0, dt, cutoff,
+                                   start)
+            cursors[0] = 2 * dt
+            return (cursors, *rest)
+
+        monkeypatch.setattr(batch_engine, "drain", planted)
+        monkeypatch.setattr(sim_engine, "drain", planted)
+        spec = JobSpec(scenario="gaming", governor=governor, chip="tiny",
+                       duration_s=0.5)
+        with pytest.raises(ConfigurationError) as serial:
+            simulate_spec(spec)
+        with pytest.raises(ConfigurationError) as batch:
+            run_batch([spec])
+        assert str(batch.value) == str(serial.value)
+
+    def test_subclassed_governor_rejected(self, monkeypatch):
+        import repro.batch.engine as batch_engine
+
+        class Reader(OndemandGovernor):
+            pass
+
+        monkeypatch.setattr(batch_engine, "create", lambda name: Reader())
+        spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
+                       duration_s=0.5)
+        with pytest.raises(SimulationError, match="Reader"):
+            run_governor_pass([spec])
+
+    def test_lanes_it_cannot_express_rejected(self):
+        spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
+                       duration_s=0.5)
+        for other in (replace(spec, duration_s=1.0),
+                      replace(spec, governor="schedutil"),
+                      replace(spec, full_system=True)):
+            with pytest.raises(SimulationError, match="cannot join"):
+                run_governor_pass([spec, other])
+
+    def test_units_order_and_dealing(self):
+        def job(governor, seed, **kw):
+            return JobSpec(scenario="idle", governor=governor, seed=seed,
+                           chip="tiny", duration_s=1.0, **kw)
+
+        specs = [
+            job("rl-policy", 1), job("ondemand", 1), job("performance", 1),
+            job("interactive", 2), job("rl-policy", 2), job("schedutil", 1),
+            job("conservative", 3), job("ondemand", 4, interval_s=0.02),
+            job("ondemand", 5),
+        ]
+        # Singles (incl. the one-lane governor group), then the governor
+        # chunk, then the RL chunk.
+        assert BatchEngine(specs).units() == [
+            [2], [5], [7], [1, 3, 6, 8], [0, 4]]
+        # Two workers: each group is dealt into at most two slices.
+        assert BatchEngine(specs).units(workers=2) == [
+            [0], [2], [4], [5], [7], [1, 3], [6, 8]]
+        assert BatchEngine(specs).units(workers=4) == [
+            [i] for i in range(len(specs))]
+
+    def test_fleet_never_reaches_serial_engine(self, monkeypatch):
+        from repro.fleet import FleetSpec, run_fleet
+        from repro.sim.engine import Simulator
+
+        def refuse(self):
+            raise AssertionError("Simulator.run reached")
+
+        monkeypatch.setattr(Simulator, "run", refuse)
+        spec = FleetSpec(scenarios=("idle", "gaming"), governors=LOCKSTEP,
+                         seeds=(1, 2), chips=("tiny",), duration_s=1.0)
+        result = run_fleet(spec, jobs=1)
+        assert not result.failures
+        assert len(result.successes) == spec.n_jobs
+
+    def test_obs_session_keeps_governors_serial(self):
+        from repro.obs import capture
+
+        specs = [JobSpec(scenario="idle", governor=governor, chip="tiny",
+                         duration_s=0.5) for governor in LOCKSTEP]
+        with capture(trace=False):
+            assert BatchEngine(specs).plan() == [False] * len(specs)
+            assert BatchEngine(specs).units() == [[0], [1], [2]]

@@ -152,7 +152,7 @@ class TestRoutingPredicates:
                       chip="tiny") for i in range(3)]
         lone = JobSpec(scenario="idle", governor="rl-policy", seed=9,
                        chip="tiny", train_episodes=99)
-        serial = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
+        serial = JobSpec(scenario="idle", governor="schedutil", chip="tiny")
         plan = BatchEngine([*rl, lone, serial]).plan()
         assert plan == [True, True, True, False, False]
 
@@ -165,7 +165,7 @@ class TestRoutingPredicates:
                       chip="tiny") for i in range(3)]
         lone = JobSpec(scenario="idle", governor="rl-policy", seed=9,
                        chip="tiny", train_episodes=99)
-        serial = JobSpec(scenario="idle", governor="ondemand", chip="tiny")
+        serial = JobSpec(scenario="idle", governor="schedutil", chip="tiny")
         specs = [rl[0], serial, rl[1], lone, rl[2]]
         assert BatchEngine(specs).units() == [[1], [3], [0, 2, 4]]
         # Two workers get at most two slices of the group; a slice of

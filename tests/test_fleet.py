@@ -158,11 +158,6 @@ class TestJobSpec:
         with pytest.raises(ReproError, match="chip_obj"):
             spec.to_mapping()
 
-    def test_with_seed(self):
-        spec = JobSpec(scenario="s", governor="g", seed=1)
-        assert spec.with_seed(9).seed == 9
-        assert spec.seed == 1
-
 
 class TestFleetSpec:
     def test_expand_order_and_count(self):
