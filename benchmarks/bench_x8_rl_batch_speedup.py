@@ -84,5 +84,7 @@ def test_x8_rl_batch_speedup(benchmark):
             "batch_s": batch_s,
             "speedup": speedup,
         },
+        config={"duration_s": EVAL_S, "episodes": TRAIN_EPISODES,
+                "episode_s": EPISODE_S, "rollouts": N_ROLLOUTS},
     )
     assert speedup >= MIN_SPEEDUP

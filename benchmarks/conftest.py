@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
+from typing import Any, Callable, Mapping, TypeVar
 
 import pytest
 
@@ -34,6 +36,12 @@ EVAL_DURATION_S = 20.0
 TRAIN_EPISODES = 20
 EVAL_SEED = 100
 
+#: The ledger config of a bench that runs the shared sweep's settings.
+SWEEP_CONFIG = {"duration_s": EVAL_DURATION_S, "episodes": TRAIN_EPISODES,
+                "seed": EVAL_SEED}
+
+T = TypeVar("T")
+
 # All benches of one pytest invocation share a ledger run id, so
 # ``repro perf gate`` sees them as one "current" run.  The ledger is
 # anchored at the repo root (not the cwd) unless REPRO_PERF_LEDGER says
@@ -45,7 +53,10 @@ _LEDGER_PATH = os.environ.get(LEDGER_ENV_VAR) or str(
 
 
 def write_result(
-    name: str, text: str, metrics: dict[str, float] | None = None
+    name: str,
+    text: str,
+    metrics: dict[str, float] | None = None,
+    config: Mapping[str, Any] | None = None,
 ) -> None:
     """Persist a bench's rendered table under benchmarks/results/.
 
@@ -56,6 +67,9 @@ def write_result(
             ``<name>.json`` for machine-readable tracking across PRs
             and appended to the performance ledger (``repro.perf``) so
             ``repro perf gate`` can test the trajectory.
+        config: The settings the bench ran, stamped on the ledger
+            record; ``repro perf gate`` compares samples of equal
+            config only.  Defaults to :data:`SWEEP_CONFIG`.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
@@ -65,12 +79,26 @@ def write_result(
         )
         record_run(
             "bench", name, metrics,
-            {"duration_s": EVAL_DURATION_S, "episodes": TRAIN_EPISODES,
-             "seed": EVAL_SEED},
+            SWEEP_CONFIG if config is None else config,
             run_id=_BENCH_RUN_ID, path=_LEDGER_PATH,
         )
     print()
     print(text)
+
+
+def best_of(repeats: int, fn: Callable[[], T]) -> tuple[float, T]:
+    """Wall seconds of the fastest of ``repeats`` calls of ``fn``, and
+    the last call's result.
+
+    One timing of a sub-second run is mostly host noise; the fastest of
+    several is the run's cost with the least noise in it.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,10 @@
 
 :class:`BatchEngine` runs many (scenario, seed, governor) rollouts in
 one process, vectorising the chip/power/QoS models for table-free
-governors and running the ``ondemand``/``conservative``/``interactive``
-governors lock-step with power priced after the loop, while remaining
-**bit-identical** to the reference :class:`repro.sim.engine.Simulator`
-— see :mod:`repro.batch.engine` for how, and :mod:`repro.batch.plans`
+governors and running each ``ondemand``/``conservative``/``interactive``
+job on a four-field observation with power priced after the loop, while
+remaining **bit-identical** to the reference
+:class:`repro.sim.engine.Simulator` — see :mod:`repro.batch.engine` for how, and :mod:`repro.batch.plans`
 for which rollouts qualify.
 
 ``rl-policy`` jobs have their own lock-step fast path
@@ -22,11 +22,10 @@ from repro.batch.engine import (
     run_governor_pass,
 )
 from repro.batch.plans import (
-    LOCKSTEP_GOVERNORS,
+    REACTIVE_GOVERNORS,
     TABLE_FREE_GOVERNORS,
     fixed_opp_index,
-    governor_group_key,
-    is_governor_lockstep,
+    is_reactive,
     is_rl_vectorisable,
     is_vectorisable,
     rl_group_key,
@@ -39,13 +38,12 @@ from repro.batch.rl import (
 
 __all__ = [
     "BatchEngine",
-    "LOCKSTEP_GOVERNORS",
+    "REACTIVE_GOVERNORS",
     "RLTrainJob",
     "TABLE_FREE_GOVERNORS",
     "evaluate_policies_batch",
     "fixed_opp_index",
-    "governor_group_key",
-    "is_governor_lockstep",
+    "is_reactive",
     "is_rl_vectorisable",
     "is_vectorisable",
     "rl_group_key",

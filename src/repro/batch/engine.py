@@ -6,24 +6,24 @@ of :mod:`repro.sim.interval` — arrival, scheduling, EDF draining and
 abandonment, whose state feeds forward interval to interval — and drop
 or hoist what the serial engine recomputes around it:
 
-* :func:`run_fixed_opp` runs a table-free governor (see
+* :func:`run_fixed_opp` runs one table-free governor job (see
   :mod:`repro.batch.plans`): its decisions collapse to one precomputed
   OPP index per cluster, and no observation is built.
-* :func:`run_governor_pass` runs the reactive governors of
-  :data:`~repro.batch.plans.LOCKSTEP_GOVERNORS` lock-step: every
-  (lane, cluster) row calls its real governor's ``decide`` on a
-  four-field observation updated in place, and the drain cursors and
-  OPP of each interval are logged.
+* :func:`run_governor_pass` runs one job of a reactive governor of
+  :data:`~repro.batch.plans.REACTIVE_GOVERNORS`: every cluster calls
+  its real governor's ``decide`` on a four-field observation updated in
+  place, and the drain cursors and OPP of each interval are logged.
 * Groups of ``rl-policy`` jobs sharing a chip preset, state geometry
   and episode plan (:func:`~repro.batch.plans.rl_group_key`) train
   lock-step through :func:`repro.batch.rl.train_policy_batch` — one
   NumPy op per interval across all rollouts — and evaluate greedily
   through :func:`repro.batch.rl.evaluate_policies_batch`.
 
-The first two price power once, after the loop, vectorised along the
-interval axis from the logged cursors (:func:`_price`, built on
-:func:`repro.sim.interval.core_power`); the RL path prices along the
-lane axis every interval, because its rewards read the energy.
+The first two take ``(spec, chip, trace)`` and price power once, after
+the loop, vectorised along the interval axis from the logged cursors
+(:func:`_price`, built on :func:`repro.sim.interval.core_power`); the
+RL path prices along the lane axis every interval, because its rewards
+read the energy.
 
 The contract is **bit identity** with :class:`repro.sim.engine.Simulator`
 (version :data:`repro.sim.engine.ENGINE_VERSION`).  The interval core is
@@ -34,27 +34,25 @@ order) and energy integrates interval products in a plain Python loop —
 
 :meth:`BatchEngine.plan` and :meth:`BatchEngine.units` are the one
 place that decides which path runs each job and which jobs share a
-pass.  An RL group needs at least two members (lock-step training only
-pays for itself across lanes); a governor pass runs any number of
-lanes, one included.  Rollouts no fast path can express — other
-governors, checkpoints, singleton RL jobs, full-system substrates,
-metric/trace collection, or any run under an active observability
-session (which must see real engine spans) — run on the reference
-simulator, so ``run_batch`` accepts arbitrary job lists and is *always*
-exact.
+pass.  Only RL groups share one, and only with at least two members
+(lock-step training only pays for itself across lanes).  Rollouts no
+fast path can express — other governors, checkpoints, singleton RL
+jobs, full-system substrates, metric/trace collection, or any run under
+an active observability session (which must see real engine spans) —
+run on the reference simulator, so ``run_batch`` accepts arbitrary job
+lists and is *always* exact.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.batch.plans import (
-    LOCKSTEP_GOVERNORS,
+    REACTIVE_GOVERNORS,
     fixed_opp_index,
-    governor_group_key,
-    is_governor_lockstep,
+    is_reactive,
     is_rl_vectorisable,
     is_vectorisable,
     rl_group_key,
@@ -92,33 +90,29 @@ def _price(
     volts: Sequence[float | np.ndarray],
     model: PowerModel,
     dt: float,
-    n_lanes: int = 1,
-) -> list[tuple[float, float, float]]:
-    """Each lane's ``(dynamic_j, leakage_j, uncore_j)`` from its logged
+) -> tuple[float, float, float]:
+    """One rollout's ``(dynamic_j, leakage_j, uncore_j)`` from its logged
     intervals, bit-identical to the serial engine's meter.
 
     Args:
-        chip: The lanes' chip; only its static specs are read.
+        chip: The rollout's chip; only its static specs are read.
         cursor_logs: Per cluster, in chip order, the seconds of each
-            interval every core consumed, shaped ``(lanes * steps,
-            cores)`` with lanes one after another.
+            interval every core consumed, shaped ``(steps, cores)``.
         freqs: Per cluster, the frequency in effect: a scalar for one
-            fixed OPP, else a ``(lanes * steps, 1)`` column.
+            fixed OPP, else a ``(steps, 1)`` column.
         volts: The matching voltages.
         model: The power model.
         dt: Interval length.
-        n_lanes: Lanes in the logs; every lane runs the same steps.
 
     Raises:
         ConfigurationError: If a core used more cycles than its interval
             offered (:func:`repro.soc.core.record_cores`'s guard).
     """
-    rows = cursor_logs[0].shape[0]
-    n_steps = rows // n_lanes
-    # Power along the row axis; clusters accumulate in chip order, as
-    # the serial engine's chip-power sum does.
-    chip_dyn = np.zeros(rows)
-    chip_leak = np.zeros(rows)
+    n_steps = cursor_logs[0].shape[0]
+    # Power along the interval axis; clusters accumulate in chip order,
+    # as the serial engine's chip-power sum does.
+    chip_dyn = np.zeros(n_steps)
+    chip_leak = np.zeros(n_steps)
     for cluster, log, freq, volt in zip(chip, cursor_logs, freqs, volts):
         core = cluster.spec.core
         # The few intervals whose cycles leave [0, available] go through
@@ -127,11 +121,11 @@ def _price(
         used = log * freq
         suspect = ((used < 0) | (used > freq * dt)).any(axis=1)
         if suspect.any():
-            row_freqs = np.broadcast_to(freq, (rows, 1))
+            step_freqs = np.broadcast_to(freq, (n_steps, 1))
             cores = [CoreState(core) for _ in range(cluster.n_cores)]
-            for row in np.flatnonzero(suspect).tolist():
-                record_cores(cores, used[row].tolist(),
-                             float(row_freqs[row, 0]), dt)
+            for step in np.flatnonzero(suspect).tolist():
+                record_cores(cores, used[step].tolist(),
+                             float(step_freqs[step, 0]), dt)
         _, _, dyn, leak = core_power(
             log, freq, volt, core.ceff_f, core.leak_a_per_v,
             model.dynamic.idle_activity, dt,
@@ -141,22 +135,17 @@ def _price(
 
     # Energy integration: the meter adds one interval product at a time,
     # so accumulate sequentially (np.sum's pairwise order differs).
-    dyn_steps = (chip_dyn * dt).tolist()
-    leak_steps = (chip_leak * dt).tolist()
+    dynamic_j = 0.0
+    for x in (chip_dyn * dt).tolist():
+        dynamic_j += x
+    leakage_j = 0.0
+    for x in (chip_leak * dt).tolist():
+        leakage_j += x
     uncore_j = 0.0
     uncore_step = model.uncore_w * dt
     for _ in range(n_steps):
         uncore_j += uncore_step
-    energies = []
-    for start in range(0, rows, n_steps):
-        dynamic_j = 0.0
-        for x in dyn_steps[start:start + n_steps]:
-            dynamic_j += x
-        leakage_j = 0.0
-        for x in leak_steps[start:start + n_steps]:
-            leakage_j += x
-        energies.append((dynamic_j, leakage_j, uncore_j))
-    return energies
+    return dynamic_j, leakage_j, uncore_j
 
 
 def _result(
@@ -184,12 +173,7 @@ def _result(
     )
 
 
-def run_fixed_opp(
-    spec: JobSpec,
-    chip: Chip,
-    trace: Trace,
-    power_model: PowerModel | None = None,
-) -> SimulationResult:
+def run_fixed_opp(spec: JobSpec, chip: Chip, trace: Trace) -> SimulationResult:
     """One table-free rollout, bit-identical to the serial engine.
 
     Args:
@@ -198,12 +182,10 @@ def run_fixed_opp(
         chip: A freshly built chip (never mutated here — only its static
             specs are read).
         trace: The evaluation trace.
-        power_model: Defaults to the engine default :class:`PowerModel`.
 
     Raises:
         SimulationError: If the spec's governor has no fixed-OPP plan.
     """
-    model = power_model or PowerModel()
     dt = spec.interval_s
     n_steps = n_intervals(trace.duration_s, dt)
     scheduler = HMPScheduler()
@@ -239,20 +221,20 @@ def run_fixed_opp(
             if queue:
                 log[step] = drain(queue, n_cores, rate, t0, dt, lane.cutoff)[0]
 
-    [energy] = _price(
+    energy = _price(
         chip, cursor_logs, [opp.freq_hz for opp in opps],
-        [opp.voltage_v for opp in opps], model, dt,
+        [opp.voltage_v for opp in opps], PowerModel(), dt,
     )
     return _result(spec.governor, trace, lane, n_steps, dt, energy,
                    opp_switches)
 
 
 class _Observation:
-    """The observation fields the lock-step governors read.
+    """The observation fields the reactive governors read.
 
-    One per (lane, cluster) row, updated in place after each interval;
-    the governors of :data:`~repro.batch.plans.LOCKSTEP_GOVERNORS` keep
-    none of it.  ``opp_index`` and ``freq_hz`` double as the row's
+    One per cluster, updated in place after each interval; the
+    governors of :data:`~repro.batch.plans.REACTIVE_GOVERNORS` keep
+    none of it.  ``opp_index`` and ``freq_hz`` double as the cluster's
     current OPP, as the serial engine's observation equals the
     cluster's OPP after its decision.
     """
@@ -267,12 +249,13 @@ class _Observation:
         self.max_core_utilization = 0.0
 
 
-class _GovernorRow:
-    """One (lane, cluster) row of :func:`run_governor_pass`."""
+class _GovernedCluster:
+    """One cluster of :func:`run_governor_pass`: its governor, queue and
+    interval log."""
 
     __slots__ = ("governor", "decide", "clamp", "obs", "queue", "n_cores",
-                 "freqs", "rates", "available", "idle", "cursors", "opps",
-                 "switches")
+                 "freqs", "volts", "rates", "available", "idle", "cursors",
+                 "opps", "switches")
 
     def __init__(self, governor: Governor, cluster: Cluster,
                  queue: list[Job], dt: float) -> None:
@@ -286,6 +269,7 @@ class _GovernorRow:
         # Per OPP index, the serial engine's drain rate and the cycles
         # Cluster.record_interval offers, as the same float operations.
         self.freqs = [opp.freq_hz for opp in table]
+        self.volts = [opp.voltage_v for opp in table]
         self.rates = [capacity * f for f in self.freqs]
         self.available = [f * dt for f in self.freqs]
         self.obs = _Observation(self.freqs[0])
@@ -295,23 +279,26 @@ class _GovernorRow:
         self.switches = 0
 
 
-def run_governor_pass(specs: Sequence[JobSpec]) -> list[SimulationResult]:
-    """Reactive-governor rollouts lock-step, bit-identical to the
-    serial engine.
+def run_governor_pass(
+    spec: JobSpec, chip: Chip, trace: Trace
+) -> SimulationResult:
+    """One reactive-governor rollout, bit-identical to the serial engine.
 
-    Each interval, every lane admits its arrivals; then every (lane,
-    cluster) row calls its governor's ``decide`` on last interval's
-    observation — with the serial engine's ``int()`` and
-    ``clamp_index`` checks — and drains its queue at the chosen OPP.
-    The cursors and OPP are logged, and the observation is updated in
-    place from the busiest core's cursor (utilisation is monotone in
-    the cursor, so that core's utilisation is the maximum).  Power and
-    energy are priced after the loop (:func:`_price`).
+    Each interval admits its arrivals; then every cluster calls its
+    governor's ``decide`` on last interval's observation — with the
+    serial engine's ``int()`` and ``clamp_index`` checks — and drains
+    its queue at the chosen OPP.  The cursors and OPP are logged, and
+    the observation is updated in place from the busiest core's cursor
+    (utilisation is monotone in the cursor, so that core's utilisation
+    is the maximum).  Power and energy are priced after the loop
+    (:func:`_price`).
 
     Args:
-        specs: The lanes, one result each, in order.  Every spec must
-            pass :func:`~repro.batch.plans.is_governor_lockstep` and
-            share one :func:`~repro.batch.plans.governor_group_key`.
+        spec: The job; it must pass
+            :func:`~repro.batch.plans.is_reactive`.
+        chip: A freshly built chip (never mutated here — only its static
+            specs are read).
+        trace: The evaluation trace.
 
     Raises:
         SimulationError: For a spec the pass cannot express, or a
@@ -319,107 +306,75 @@ def run_governor_pass(specs: Sequence[JobSpec]) -> list[SimulationResult]:
         GovernorError: If a governor returns a non-integer decision.
         ConfigurationError: If a core used more cycles than offered.
     """
-    from repro.fleet.worker import _build_chip
-
-    if not specs:
-        return []
-    key = governor_group_key(specs[0])
-    for spec in specs:
-        if not is_governor_lockstep(spec) or governor_group_key(spec) != key:
-            raise SimulationError(
-                f"job {spec.job_id} cannot join this lock-step governor pass"
-            )
-    dt = specs[0].interval_s
-    # Lanes share the chip (only its static specs are read) and so one
-    # scheduler, whose ranking depends on those specs alone.
-    chip = _build_chip(specs[0])
+    if not is_reactive(spec):
+        raise SimulationError(
+            f"job {spec.job_id} cannot run in the governor pass; "
+            "use the serial engine"
+        )
+    dt = spec.interval_s
+    n_steps = n_intervals(trace.duration_s, dt)
     scheduler = HMPScheduler()
-    traces = [
-        get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
-        for spec in specs
-    ]
-    n_steps = n_intervals(traces[0].duration_s, dt)
-    lanes: list[tuple[Lane, list[_GovernorRow]]] = []
-    for spec, trace in zip(specs, traces):
-        if n_intervals(trace.duration_s, dt) != n_steps:
+    lane = Lane(trace, chip.cluster_names, dt, n_steps)
+    clusters: list[_GovernedCluster] = []
+    for cluster in chip:
+        governor = create(spec.governor)
+        if type(governor) is not REACTIVE_GOVERNORS[spec.governor]:
             raise SimulationError(
-                f"job {spec.job_id} runs a different number of intervals"
+                f"governor {spec.governor!r} built a "
+                f"{type(governor).__name__}; the governor pass runs "
+                "only the listed types"
             )
-        lane = Lane(trace, chip.cluster_names, dt, n_steps)
-        rows: list[_GovernorRow] = []
-        for cluster in chip:
-            governor = create(spec.governor)
-            if type(governor) is not LOCKSTEP_GOVERNORS[spec.governor]:
-                raise SimulationError(
-                    f"governor {spec.governor!r} built a "
-                    f"{type(governor).__name__}; the lock-step pass runs "
-                    "only the listed types"
-                )
-            governor.reset(cluster)
-            rows.append(
-                _GovernorRow(governor, cluster,
+        governor.reset(cluster)
+        clusters.append(
+            _GovernedCluster(governor, cluster,
                              lane.queues[cluster.spec.name], dt)
-            )
-        lanes.append((lane, rows))
+        )
 
     for step in range(n_steps):
         t0 = step * dt
         t1 = t0 + dt
-        for lane, rows in lanes:
-            # Decisions read last interval's observation only, so
-            # admitting first leaves them unchanged.
-            lane.admit(step, t0, scheduler, chip)
-            for row in rows:
-                obs = row.obs
-                decision = row.decide(obs)
-                try:
-                    decision = int(decision)
-                except (TypeError, ValueError):
-                    raise GovernorError(
-                        f"governor {row.governor.name!r} returned "
-                        f"non-integer decision {decision!r}"
-                    ) from None
-                decision = row.clamp(decision)
-                if decision != obs.opp_index:
-                    row.switches += 1
-                    obs.opp_index = decision
-                    obs.freq_hz = row.freqs[decision]
-                row.opps.append(decision)
-                queue = row.queue
-                if queue:
-                    cursors = drain(queue, row.n_cores, row.rates[decision],
-                                    t0, dt, lane.cutoff)[0]
-                    available = row.available[decision]
-                    used = max(cursors) * obs.freq_hz
-                    obs.max_core_utilization = (
-                        available if used > available else used
-                    ) / available
-                else:
-                    cursors = row.idle
-                    obs.max_core_utilization = 0.0
-                row.cursors.append(cursors)
-                obs.time_s = t1
+        # Decisions read last interval's observation only, so admitting
+        # first leaves them unchanged.
+        lane.admit(step, t0, scheduler, chip)
+        for c in clusters:
+            obs = c.obs
+            decision = c.decide(obs)
+            try:
+                decision = int(decision)
+            except (TypeError, ValueError):
+                raise GovernorError(
+                    f"governor {c.governor.name!r} returned "
+                    f"non-integer decision {decision!r}"
+                ) from None
+            decision = c.clamp(decision)
+            if decision != obs.opp_index:
+                c.switches += 1
+                obs.opp_index = decision
+                obs.freq_hz = c.freqs[decision]
+            c.opps.append(decision)
+            queue = c.queue
+            if queue:
+                cursors = drain(queue, c.n_cores, c.rates[decision],
+                                t0, dt, lane.cutoff)[0]
+                available = c.available[decision]
+                used = max(cursors) * obs.freq_hz
+                obs.max_core_utilization = (
+                    available if used > available else used
+                ) / available
+            else:
+                cursors = c.idle
+                obs.max_core_utilization = 0.0
+            c.cursors.append(cursors)
+            obs.time_s = t1
 
-    # Price every lane at once: per cluster, the lanes' logs stacked.
-    cursor_logs: list[np.ndarray] = []
-    freqs: list[float | np.ndarray] = []
-    volts: list[float | np.ndarray] = []
-    for k, cluster in enumerate(chip):
-        table = cluster.spec.opp_table
-        opps = np.array([i for _, rows in lanes for i in rows[k].opps])
-        cursor_logs.append(
-            np.array([c for _, rows in lanes for c in rows[k].cursors])
-        )
-        freqs.append(np.array([opp.freq_hz for opp in table])[opps, None])
-        volts.append(np.array([opp.voltage_v for opp in table])[opps, None])
-    energies = _price(chip, cursor_logs, freqs, volts, PowerModel(), dt,
-                      len(lanes))
-    return [
-        _result(spec.governor, trace, lane, n_steps, dt, energy,
-                sum(row.switches for row in rows))
-        for spec, trace, (lane, rows), energy
-        in zip(specs, traces, lanes, energies)
-    ]
+    energy = _price(
+        chip, [np.array(c.cursors) for c in clusters],
+        [np.array(c.freqs)[c.opps, None] for c in clusters],
+        [np.array(c.volts)[c.opps, None] for c in clusters],
+        PowerModel(), dt,
+    )
+    return _result(spec.governor, trace, lane, n_steps, dt, energy,
+                   sum(c.switches for c in clusters))
 
 
 class BatchEngine:
@@ -444,10 +399,9 @@ class BatchEngine:
         if OBS.enabled:
             return [False] * len(self.specs)
         fast = [
-            is_vectorisable(spec) or is_governor_lockstep(spec)
-            for spec in self.specs
+            is_vectorisable(spec) or is_reactive(spec) for spec in self.specs
         ]
-        for group in _groups(self.specs, is_rl_vectorisable, rl_group_key):
+        for group in _rl_groups(self.specs):
             # Lock-step training only pays for itself across lanes; a
             # lone RL job runs the identical serial trainer.
             if len(group) >= 2:
@@ -458,23 +412,21 @@ class BatchEngine:
     def units(self, workers: int = 1) -> list[list[int]]:
         """Split the specs into units of work: single jobs and chunks.
 
-        A *chunk* is two or more jobs that :meth:`plan` marks fast and
-        that share one lock-step pass: reactive governor jobs sharing
-        :func:`~repro.batch.plans.governor_group_key`, or RL jobs
-        sharing :func:`~repro.batch.plans.rl_group_key`.  Every other
-        job is a unit of one, so an all-serial plan (under an
-        observability session) yields only single jobs.  Single-job
-        units come first, in spec order, then the governor chunks, then
-        the RL chunks: a chunk's members only finish when the whole
-        chunk does, so the cheap units run before the dear ones.
+        A *chunk* is two or more ``rl-policy`` jobs that :meth:`plan`
+        marks fast and that share one
+        :func:`~repro.batch.plans.rl_group_key`, so they train
+        lock-step.  Every other job is a unit of one, so an all-serial
+        plan (under an observability session) yields only single jobs.
+        Single-job units come first, in spec order, then the chunks: a
+        chunk's members only finish when the whole chunk does, so the
+        cheap units run before the dear ones.
 
         Args:
             workers: Processes that will run the units side by side.
-                Each group is dealt into at most this many slices, as
+                Each RL group is dealt into at most this many slices, as
                 even as possible, so a pool keeps its lock-step jobs in
-                parallel; a slice of one is a single job (a governor
-                job still runs the governor pass, a lone RL job trains
-                serially, exactly like one lane).
+                parallel; a slice of one is a single job (a lone RL job
+                trains serially, exactly like one lane).
 
         Returns:
             Lists of spec indices; every index appears in exactly one
@@ -484,18 +436,14 @@ class BatchEngine:
 
     def _units(self, plan: list[bool], workers: int) -> list[list[int]]:
         chunks: list[list[int]] = []
-        for eligible, key in (
-            (is_governor_lockstep, governor_group_key),
-            (is_rl_vectorisable, rl_group_key),
-        ):
-            for group in _groups(self.specs, eligible, key):
-                if not plan[group[0]]:
-                    continue
-                n, parts = len(group), min(workers, len(group))
-                for k in range(parts):
-                    part = group[k * n // parts:(k + 1) * n // parts]
-                    if len(part) >= 2:
-                        chunks.append(part)
+        for group in _rl_groups(self.specs):
+            if not plan[group[0]]:
+                continue
+            n, parts = len(group), min(workers, len(group))
+            for k in range(parts):
+                part = group[k * n // parts:(k + 1) * n // parts]
+                if len(part) >= 2:
+                    chunks.append(part)
         chunked = {i for chunk in chunks for i in chunk}
         singles = [[i] for i in range(len(self.specs)) if i not in chunked]
         return singles + chunks
@@ -511,17 +459,14 @@ class BatchEngine:
         return results
 
 
-def _groups(
-    specs: Sequence[JobSpec],
-    eligible: Callable[[JobSpec], bool],
-    key: Callable[[JobSpec], Hashable],
-) -> list[list[int]]:
-    """Indices of the ``eligible`` specs, grouped by ``key`` in order of
-    first appearance."""
+def _rl_groups(specs: Sequence[JobSpec]) -> list[list[int]]:
+    """Indices of the RL-vectorisable specs, grouped by
+    :func:`~repro.batch.plans.rl_group_key` in order of first
+    appearance."""
     groups: dict[Hashable, list[int]] = {}
     for i, spec in enumerate(specs):
-        if eligible(spec):
-            groups.setdefault(key(spec), []).append(i)
+        if is_rl_vectorisable(spec):
+            groups.setdefault(rl_group_key(spec), []).append(i)
     return list(groups.values())
 
 
@@ -535,10 +480,10 @@ def _run_unit(specs: list[JobSpec], fast: bool) -> list[SimulationResult]:
         return [simulate_spec(spec)]
     if spec.is_rl:
         return _run_rl_group(specs)
-    if is_governor_lockstep(spec):
-        return run_governor_pass(specs)
+    chip = _build_chip(spec)
     trace = get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
-    return [run_fixed_opp(spec, _build_chip(spec), trace)]
+    run = run_governor_pass if is_reactive(spec) else run_fixed_opp
+    return [run(spec, chip, trace)]
 
 
 def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:

@@ -11,13 +11,12 @@ the per-interval engine machinery (governor dispatch, observation
 construction, per-interval power evaluation) is replaced by
 :func:`repro.batch.engine.run_fixed_opp`.
 
-The reactive governors of :data:`LOCKSTEP_GOVERNORS` — ``ondemand``,
+The reactive governors of :data:`REACTIVE_GOVERNORS` — ``ondemand``,
 ``conservative`` and ``interactive`` — are sequential: interval ``t``'s
 decision depends on interval ``t-1``'s observation.  But each reads only
 four observation fields, so :func:`repro.batch.engine.run_governor_pass`
-runs them lock-step, calling the real ``decide`` on a four-field
-observation and pricing power after the loop.  Jobs that share
-:func:`governor_group_key` share one pass.
+runs one such job, calling the real ``decide`` on a four-field
+observation and pricing power after the loop.
 
 RL training jobs are sequential *within* a rollout but embarrassingly
 parallel *across* rollouts: :func:`is_rl_vectorisable` and
@@ -58,11 +57,11 @@ _FIXED_OPP_PLANS: dict[str, Callable[[OPPTable], int]] = {
 TABLE_FREE_GOVERNORS = frozenset(_FIXED_OPP_PLANS)
 """Governor names whose decisions are observation-independent."""
 
-LOCKSTEP_GOVERNORS: dict[str, type[Governor]] = {
+REACTIVE_GOVERNORS: dict[str, type[Governor]] = {
     cls.name: cls
     for cls in (OndemandGovernor, ConservativeGovernor, InteractiveGovernor)
 }
-"""Reactive governors the lock-step governor pass runs, by registry name.
+"""Reactive governors the governor pass runs, by registry name.
 
 Each ``decide`` reads only ``max_core_utilization``, ``freq_hz``,
 ``opp_index`` and ``time_s`` of its observation and keeps none of it.
@@ -108,21 +107,15 @@ def is_vectorisable(spec: JobSpec) -> bool:
     )
 
 
-def is_governor_lockstep(spec: JobSpec) -> bool:
-    """Whether the lock-step governor pass can run this job: a governor
-    of :data:`LOCKSTEP_GOVERNORS`, no ``policy_config``, on the plain
+def is_reactive(spec: JobSpec) -> bool:
+    """Whether the governor pass can run this job: a governor of
+    :data:`REACTIVE_GOVERNORS`, no ``policy_config``, on the plain
     substrate."""
     return (
-        spec.governor in LOCKSTEP_GOVERNORS
+        spec.governor in REACTIVE_GOVERNORS
         and spec.policy_config is None
         and _plain_substrate(spec)
     )
-
-
-def governor_group_key(spec: JobSpec) -> Hashable:
-    """What must match for governor jobs to share one lock-step pass:
-    the chip preset and the interval grid."""
-    return (spec.chip, spec.interval_s, spec.duration_s)
 
 
 def is_rl_vectorisable(spec: JobSpec) -> bool:

@@ -218,13 +218,10 @@ def run_fleet(
         on_event: Telemetry callback (:mod:`repro.fleet.events`).
         job_fn: Measurement function executed per job; must be a
             module-level (picklable) callable for ``jobs > 1``.  The
-            default also lets reactive-governor cache misses that
-            share :func:`~repro.batch.plans.governor_group_key`, and
-            ``rl-policy`` ones that share
-            :func:`~repro.batch.plans.rl_group_key`, run lock-step, in
+            default also lets ``rl-policy`` cache misses that share
+            :func:`~repro.batch.plans.rl_group_key` run lock-step, in
             at most one chunk per worker and group (see the module
-            docstring);
-            any other function measures one job per call.
+            docstring); any other function measures one job per call.
         cache: Content-addressed run cache (:mod:`repro.cache`).
             ``True`` opens the default store; a :class:`RunCache`
             instance pins a specific directory.  Cacheable jobs whose

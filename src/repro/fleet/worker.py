@@ -15,8 +15,8 @@ poison the executor.
 
 Both kinds of unit run through :mod:`repro.batch`: a single job as a
 batch of one inside :func:`execute_job` (so a table-free governor takes
-the fixed-OPP fast path and a reactive one the governor pass), a chunk
-as one lock-step batch.
+the fixed-OPP fast path and a reactive one the governor pass), an RL
+chunk as one lock-step batch.
 :func:`simulate_spec` stays the serial reference both are held to.
 """
 
@@ -419,7 +419,7 @@ def run_unit(
 ) -> list[JobOutcome]:
     """The guarded pool entry: never raises, one outcome per member.
 
-    A unit of one runs ``job_fn``; a lock-step chunk (see
+    A unit of one runs ``job_fn``; a lock-step RL chunk (see
     :meth:`repro.batch.BatchEngine.units`) runs as one
     :func:`repro.batch.run_batch` call.
 

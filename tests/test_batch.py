@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from repro.batch import (
     BatchEngine,
-    LOCKSTEP_GOVERNORS,
+    REACTIVE_GOVERNORS,
     TABLE_FREE_GOVERNORS,
     fixed_opp_index,
-    governor_group_key,
-    is_governor_lockstep,
+    is_reactive,
     is_vectorisable,
     run_batch,
     run_governor_pass,
@@ -31,7 +30,7 @@ from repro.fleet.spec import JobSpec
 from repro.fleet.worker import simulate_spec
 from repro.governors.ondemand import OndemandGovernor
 from repro.soc.presets import PRESETS
-from repro.workload.scenarios import EVALUATION_SET, SCENARIOS
+from repro.workload.scenarios import EVALUATION_SET, SCENARIOS, get_scenario
 
 
 def _assert_bit_identical(serial, batch) -> None:
@@ -154,87 +153,67 @@ class TestBitIdentity:
         _assert_bit_identical(simulate_spec(specs[0]), batch[0])
 
 
-LOCKSTEP = sorted(LOCKSTEP_GOVERNORS)
+REACTIVE = sorted(REACTIVE_GOVERNORS)
+
+
+def _governor_pass(spec: JobSpec):
+    """``run_governor_pass`` on a fresh chip and the spec's own trace."""
+    trace = get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
+    return run_governor_pass(spec, PRESETS[spec.chip](), trace)
 
 
 class TestGovernorPass:
-    """The lock-step pass for ``ondemand``/``conservative``/``interactive``."""
+    """The pass for ``ondemand``/``conservative``/``interactive`` jobs."""
 
-    def test_lockstep_set_and_predicate(self):
-        assert set(LOCKSTEP_GOVERNORS) == {
+    def test_reactive_set_and_predicate(self):
+        assert set(REACTIVE_GOVERNORS) == {
             "ondemand", "conservative", "interactive"}
         base = JobSpec(scenario="idle", governor="ondemand")
-        for governor in LOCKSTEP:
-            assert is_governor_lockstep(replace(base, governor=governor))
+        for governor in REACTIVE:
+            assert is_reactive(replace(base, governor=governor))
         for governor in ("schedutil", "performance", "rl-policy"):
-            assert not is_governor_lockstep(replace(base, governor=governor))
-        assert not is_governor_lockstep(replace(base, full_system=True))
-        assert not is_governor_lockstep(replace(base, collect_metrics=True))
-        assert not is_governor_lockstep(replace(base, trace_dir="/tmp/t"))
-        assert not is_governor_lockstep(
-            replace(base, policy_config=PolicyConfig()))
-
-    def test_group_key(self):
-        a = JobSpec(scenario="idle", governor="ondemand", seed=1)
-        assert governor_group_key(a) == governor_group_key(
-            replace(a, scenario="gaming", governor="interactive", seed=2))
-        for changed in (replace(a, chip="tiny"), replace(a, interval_s=0.02),
-                        replace(a, duration_s=3.0)):
-            assert governor_group_key(changed) != governor_group_key(a)
+            assert not is_reactive(replace(base, governor=governor))
+        assert not is_reactive(replace(base, full_system=True))
+        assert not is_reactive(replace(base, collect_metrics=True))
+        assert not is_reactive(replace(base, trace_dir="/tmp/t"))
+        assert not is_reactive(replace(base, policy_config=PolicyConfig()))
 
     @pytest.mark.parametrize("seed", [100, 7])
-    @pytest.mark.parametrize("governor", LOCKSTEP)
+    @pytest.mark.parametrize("governor", REACTIVE)
     @pytest.mark.parametrize("scenario", EVALUATION_SET)
     def test_one_lane_matches_serial_engine(self, scenario, governor, seed):
         spec = JobSpec(scenario=scenario, governor=governor, seed=seed,
                        duration_s=2.0)
-        [batch] = run_governor_pass([spec])
-        _assert_equal_fields(simulate_spec(spec), batch)
+        _assert_equal_fields(simulate_spec(spec), _governor_pass(spec))
 
     def test_mixed_chunk_matches_serial_engine(self):
+        """36 reactive jobs are 36 single units, none chunked."""
         specs = [
             JobSpec(scenario=scenario, governor=governor, seed=seed,
                     duration_s=2.0)
             for scenario in EVALUATION_SET
-            for governor in LOCKSTEP
+            for governor in REACTIVE
             for seed in (100, 7)
         ]
-        assert BatchEngine(specs).units() == [list(range(len(specs)))]
+        assert len(specs) == 36
+        assert BatchEngine(specs).units() == [[i] for i in range(36)]
         for spec, batch in zip(specs, run_batch(specs)):
             _assert_equal_fields(simulate_spec(spec), batch)
 
-    def test_lane_of_n_equals_pass_of_one(self):
-        specs = [
-            JobSpec(scenario=scenario, governor=governor, seed=seed,
-                    chip="tiny", duration_s=1.5)
-            for scenario, governor, seed in (
-                ("gaming", "ondemand", 1), ("web_browsing", "interactive", 2),
-                ("video_call", "conservative", 3), ("gaming", "ondemand", 4),
-            )
-        ]
-        together = run_governor_pass(specs)
-        for spec, lane in zip(specs, together):
-            assert run_governor_pass([spec]) == [lane]
-
     @settings(max_examples=15, deadline=None)
     @given(
-        seeds=st.lists(st.integers(min_value=0, max_value=10_000),
-                       min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=10_000),
         duration_s=st.floats(min_value=0.05, max_value=1.5),
         interval_s=st.floats(min_value=0.002, max_value=0.05),
         chip=st.sampled_from(["tiny", "exynos5422"]),
     )
     def test_generated_lanes_match_serial_engine(
-        self, seeds, duration_s, interval_s, chip
+        self, seed, duration_s, interval_s, chip
     ):
-        specs = [
-            JobSpec(scenario=EVALUATION_SET[seed % len(EVALUATION_SET)],
-                    governor=LOCKSTEP[seed % len(LOCKSTEP)], seed=seed,
-                    chip=chip, duration_s=duration_s, interval_s=interval_s)
-            for seed in seeds
-        ]
-        for spec, batch in zip(specs, run_governor_pass(specs)):
-            _assert_equal_fields(simulate_spec(spec), batch)
+        spec = JobSpec(scenario=EVALUATION_SET[seed % len(EVALUATION_SET)],
+                       governor=REACTIVE[seed % len(REACTIVE)], seed=seed,
+                       chip=chip, duration_s=duration_s, interval_s=interval_s)
+        _assert_equal_fields(simulate_spec(spec), _governor_pass(spec))
 
     def test_non_integer_decision_raises_like_serial(self, monkeypatch):
         monkeypatch.setattr(OndemandGovernor, "decide",
@@ -282,16 +261,15 @@ class TestGovernorPass:
         spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
                        duration_s=0.5)
         with pytest.raises(SimulationError, match="Reader"):
-            run_governor_pass([spec])
+            _governor_pass(spec)
 
     def test_lanes_it_cannot_express_rejected(self):
         spec = JobSpec(scenario="idle", governor="ondemand", chip="tiny",
                        duration_s=0.5)
-        for other in (replace(spec, duration_s=1.0),
-                      replace(spec, governor="schedutil"),
-                      replace(spec, full_system=True)):
-            with pytest.raises(SimulationError, match="cannot join"):
-                run_governor_pass([spec, other])
+        for job in (replace(spec, governor="schedutil"),
+                    replace(spec, full_system=True)):
+            with pytest.raises(SimulationError, match="cannot run"):
+                _governor_pass(job)
 
     def test_units_order_and_dealing(self):
         def job(governor, seed, **kw):
@@ -302,17 +280,20 @@ class TestGovernorPass:
             job("rl-policy", 1), job("ondemand", 1), job("performance", 1),
             job("interactive", 2), job("rl-policy", 2), job("schedutil", 1),
             job("conservative", 3), job("ondemand", 4, interval_s=0.02),
-            job("ondemand", 5),
+            job("ondemand", 5), job("rl-policy", 3), job("rl-policy", 4),
         ]
-        # Singles (incl. the one-lane governor group), then the governor
-        # chunk, then the RL chunk.
-        assert BatchEngine(specs).units() == [
-            [2], [5], [7], [1, 3, 6, 8], [0, 4]]
-        # Two workers: each group is dealt into at most two slices.
-        assert BatchEngine(specs).units(workers=2) == [
-            [0], [2], [4], [5], [7], [1, 3], [6, 8]]
+        singles = [[1], [2], [3], [5], [6], [7], [8]]
+        # Singles (every governor job among them), then the RL chunk.
+        assert BatchEngine(specs).units() == singles + [[0, 4, 9, 10]]
+        # Two workers: the RL group is dealt into at most two slices.
+        assert BatchEngine(specs).units(workers=2) == singles + [
+            [0, 4], [9, 10]]
         assert BatchEngine(specs).units(workers=4) == [
             [i] for i in range(len(specs))]
+        for workers in (1, 2, 4):
+            for unit in BatchEngine(specs).units(workers=workers):
+                if len(unit) > 1:
+                    assert all(specs[i].is_rl for i in unit), unit
 
     def test_fleet_never_reaches_serial_engine(self, monkeypatch):
         from repro.fleet import FleetSpec, run_fleet
@@ -322,7 +303,7 @@ class TestGovernorPass:
             raise AssertionError("Simulator.run reached")
 
         monkeypatch.setattr(Simulator, "run", refuse)
-        spec = FleetSpec(scenarios=("idle", "gaming"), governors=LOCKSTEP,
+        spec = FleetSpec(scenarios=("idle", "gaming"), governors=REACTIVE,
                          seeds=(1, 2), chips=("tiny",), duration_s=1.0)
         result = run_fleet(spec, jobs=1)
         assert not result.failures
@@ -332,7 +313,7 @@ class TestGovernorPass:
         from repro.obs import capture
 
         specs = [JobSpec(scenario="idle", governor=governor, chip="tiny",
-                         duration_s=0.5) for governor in LOCKSTEP]
+                         duration_s=0.5) for governor in REACTIVE]
         with capture(trace=False):
             assert BatchEngine(specs).plan() == [False] * len(specs)
             assert BatchEngine(specs).units() == [[0], [1], [2]]
