@@ -27,7 +27,8 @@ def test_a1_state_ablation(benchmark):
             for label, run in result.results.items()
         }
     )
-    write_result("a1_state_ablation", result.report, metrics=metrics)
+    write_result("a1_state_ablation", result.report, metrics=metrics,
+                 config={})
     runs = result.results
     full = runs["full"].energy_per_qos_j
     assert runs["no-slack"].energy_per_qos_j > full

@@ -18,7 +18,7 @@ def test_a2_reward_sweep(benchmark):
     for lam, run in result.results.items():
         metrics[f"lambda_{lam:g}.mean_qos"] = run.qos.mean_qos
         metrics[f"lambda_{lam:g}.energy_j"] = run.total_energy_j
-    write_result("a2_reward_sweep", result.report, metrics=metrics)
+    write_result("a2_reward_sweep", result.report, metrics=metrics, config={})
     runs = result.results
     assert runs[0.0].qos.mean_qos < runs[16.0].qos.mean_qos
     assert runs[16.0].total_energy_j > runs[0.0].total_energy_j

@@ -20,7 +20,8 @@ def test_a3_learner_ablation(benchmark):
         for label, run in result.learners.items()
     }
     metrics["oracle.energy_per_qos_j"] = result.oracle.energy_per_qos_j
-    write_result("a3_learner_ablation", result.report, metrics=metrics)
+    write_result("a3_learner_ablation", result.report, metrics=metrics,
+                 config={})
     q_run = result.learners["Q-learning (paper)"]
     for label, other in result.learners.items():
         ratio = other.energy_per_qos_j / q_run.energy_per_qos_j

@@ -21,7 +21,7 @@ def test_a4_wordlength(benchmark):
         "q7_8.energy_per_qos_j": ref.run.energy_per_qos_j,
         "software.energy_per_qos_j": result.software.energy_per_qos_j,
     }
-    write_result("a4_wordlength", result.report, metrics=metrics)
+    write_result("a4_wordlength", result.report, metrics=metrics, config={})
     assert result.row("Q11.12").agreement >= result.row("Q2.2").agreement
     ref = result.row("Q7.8")
     assert ref.agreement > 0.85

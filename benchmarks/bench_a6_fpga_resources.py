@@ -21,7 +21,8 @@ def test_a6_fpga_resources(benchmark):
         "max_luts": float(max(luts)),
         "accelerator_power_w": result.accelerator_power_w,
     }
-    write_result("a6_fpga_resources", result.report, metrics=metrics)
+    write_result("a6_fpga_resources", result.report, metrics=metrics,
+                 config={})
     assert result.reference_fits()
     assert luts == sorted(luts)
     for _, rtl_cycles, analytical in result.rtl_checks:

@@ -43,7 +43,7 @@ def test_a7_pareto(benchmark):
     for p in points:
         metrics[f"{p.label}.energy_j"] = p.energy_j
         metrics[f"{p.label}.qos"] = p.qos
-    write_result("a7_pareto", report, metrics=metrics)
+    write_result("a7_pareto", report, metrics=metrics, config={})
 
     rl = next(p for p in points if p.label == "rl-policy")
     # No baseline strictly beats the policy on both axes (1% energy / one

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.experiments import e1_energy_per_qos
 from repro.governors import BASELINE_SIX
 
-from conftest import fleet_footer, write_result
+from conftest import SWEEP_CONFIG, fleet_footer, write_result
 
 
 def test_e1_energy_per_qos(benchmark, full_sweep, headline_fleet):
@@ -37,6 +37,7 @@ def test_e1_energy_per_qos(benchmark, full_sweep, headline_fleet):
         "e1_energy_per_qos",
         result.report + "\n\n" + fleet_footer(headline_fleet),
         metrics=metrics,
+        config=SWEEP_CONFIG,
     )
     for g in BASELINE_SIX:
         assert result.per_governor_improvement[g] > 0.0, g

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.experiments import e2_per_scenario
 
-from conftest import fleet_footer, write_result
+from conftest import SWEEP_CONFIG, fleet_footer, write_result
 
 DYNAMIC_GOVERNORS = ("performance", "powersave", "ondemand", "interactive")
 
@@ -30,6 +30,7 @@ def test_e2_per_scenario(benchmark, full_sweep, headline_fleet):
         "e2_per_scenario",
         result.report + "\n\n" + fleet_footer(headline_fleet),
         metrics=metrics,
+        config=SWEEP_CONFIG,
     )
     for scenario in full_sweep.scenarios():
         rl = result.cells_j[(scenario, "rl-policy")]

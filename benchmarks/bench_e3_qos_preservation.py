@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments import e3_qos_preservation
 
-from conftest import write_result
+from conftest import SWEEP_CONFIG, write_result
 
 
 def test_e3_qos_preservation(benchmark, full_sweep):
@@ -22,7 +22,8 @@ def test_e3_qos_preservation(benchmark, full_sweep):
         metrics[f"{governor}:mean_qos"] = result.mean_qos[governor]
         metrics[f"{governor}:miss_rate"] = result.miss_rate[governor]
         metrics[f"{governor}:mean_energy_j"] = result.mean_energy_j[governor]
-    write_result("e3_qos_preservation", result.report, metrics=metrics)
+    write_result("e3_qos_preservation", result.report, metrics=metrics,
+                 config=SWEEP_CONFIG)
     rl_qos = result.mean_qos["rl-policy"]
     assert rl_qos > 0.95, "RL policy compromises user satisfaction"
     assert rl_qos >= result.mean_qos["powersave"]

@@ -25,7 +25,8 @@ def test_e4_decision_latency(benchmark):
         "typical_software_s": result.typical.software_s,
         "typical_hardware_s": result.typical.hardware_s,
     }
-    write_result("e4_decision_latency", result.report, metrics=metrics)
+    write_result("e4_decision_latency", result.report, metrics=metrics,
+                 config={})
     assert abs(result.typical.speedup - PAPER_TYPICAL_SPEEDUP) < 0.05 * PAPER_TYPICAL_SPEEDUP
     assert 25.0 < result.best_case.speedup < 60.0
     assert all(row.speedup > 1.0 for row in result.rows)

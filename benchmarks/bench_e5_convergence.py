@@ -34,7 +34,7 @@ def test_e5_convergence(benchmark):
     }
     if converged_at is not None:
         metrics["converged_episode"] = float(converged_at)
-    write_result("e5_convergence", result.report, metrics=metrics)
+    write_result("e5_convergence", result.report, metrics=metrics, config={})
     late = result.tail_mean_j()
     assert late < result.start_j, (
         f"no learning: start {result.start_j:.4g}, late {late:.4g}"

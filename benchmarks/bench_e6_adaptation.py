@@ -23,7 +23,7 @@ def test_e6_adaptation(benchmark):
         metrics[f"{seg.scenario}.adapting_j"] = seg.adapting_j
         metrics[f"{seg.scenario}.ondemand_j"] = seg.ondemand_j
         metrics[f"{seg.scenario}.specialist_j"] = seg.specialist_j
-    write_result("e6_adaptation", result.report, metrics=metrics)
+    write_result("e6_adaptation", result.report, metrics=metrics, config={})
     for seg in result.segments:
         assert seg.adapting_qos > 0.9, f"{seg.scenario}: QoS collapsed while adapting"
         assert seg.adapting_j < seg.ondemand_j * 1.05, (

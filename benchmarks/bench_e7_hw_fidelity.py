@@ -21,7 +21,7 @@ def test_e7_hw_fidelity(benchmark):
         "software_qos": result.software.qos.mean_qos,
         "energy_per_qos_delta": result.energy_per_qos_delta,
     }
-    write_result("e7_hw_fidelity", result.report, metrics=metrics)
+    write_result("e7_hw_fidelity", result.report, metrics=metrics, config={})
     assert all(a > 0.85 for a in result.agreements.values()), result.agreements
     assert abs(result.hardware.qos.mean_qos - result.software.qos.mean_qos) < 0.05
     assert result.energy_per_qos_delta < 0.15

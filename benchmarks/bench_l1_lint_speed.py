@@ -1,8 +1,9 @@
 """L1 — lint driver speed: the summary cache must pay for itself.
 
-The whole-program pass (``repro check --flow``) re-parses and
-re-summarises every file it touches, so PR 8 added a content-addressed
-summary cache (``.repro/lintcache``) and a ``--jobs`` fan-out.  This
+Every ``repro check`` run re-parses and re-summarises every file it
+touches for its whole-program rules, so the driver keeps a
+content-addressed summary cache (``.repro/lintcache``) and a ``--jobs``
+fan-out.  This
 bench pins the economics: a warm cache run over ``src/`` must be
 strictly faster than the cold run that populated it, and the parallel
 uncached path must agree with the serial one finding-for-finding.
@@ -38,7 +39,7 @@ def test_l1_lint_speed(tmp_path):
     jobs = max(2, (os.cpu_count() or 2) // 2)
     parallel_s, parallel = _timed(cache=False, jobs=jobs)
 
-    # The shipping tree is flow-clean, cold or warm, serial or parallel.
+    # The shipping tree is clean, cold or warm, serial or parallel.
     assert cold.findings == []
     assert warm.findings == cold.findings
     assert parallel.findings == cold.findings
@@ -56,7 +57,7 @@ def test_l1_lint_speed(tmp_path):
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     lines = [
         f"L1: lint driver speed over src/ ({cold.files_checked} files, "
-        "flow analysis on)",
+        "whole-program rules included)",
         f"  cold (empty cache)   : {cold_s * 1e3:8.1f} ms",
         f"  warm (all hits)      : {warm_s * 1e3:8.1f} ms "
         f"({speedup:.1f}x)",
@@ -71,4 +72,5 @@ def test_l1_lint_speed(tmp_path):
             "warm_speedup": speedup,
             "parallel_uncached_s": parallel_s,
         },
+        config={"corpus": "src", "jobs": jobs},
     )

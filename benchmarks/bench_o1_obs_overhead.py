@@ -75,6 +75,7 @@ def test_o1_obs_overhead(benchmark):
             "enabled_s": enabled_s,
             "enabled_over_disabled": ratio,
         },
+        config={"duration_s": DURATION_S, "repeats": REPEATS},
     )
     # Collection is allowed to cost, but not pathologically (a loose
     # bound: CI machines are noisy).

@@ -112,6 +112,7 @@ def test_o2_context_overhead(benchmark, tmp_path):
             "correlated_s": correlated_s,
             "correlated_over_plain": ratio,
         },
+        config={"requests": N_REQUESTS, "repeats": REPEATS},
     )
     # Stamping ids and appending one JSON line per request is allowed
     # to cost, but not pathologically (loose: CI machines are noisy).

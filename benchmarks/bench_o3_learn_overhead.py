@@ -104,6 +104,8 @@ def test_o3_learn_overhead(benchmark, tmp_path):
             "ledgered_s": ledgered_s,
             "ledgered_over_plain": ratio,
         },
+        config={"episodes": EPISODES, "episode_s": EPISODE_S,
+                "repeats": REPEATS},
     )
     # Snapshotting argmax tables and appending one JSON line per
     # episode is allowed to cost, but not pathologically (loose: CI

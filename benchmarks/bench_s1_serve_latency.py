@@ -95,7 +95,8 @@ def test_s1_serve_latency(benchmark):
             f"rejected: {server.stats.rejected}",
         ]
     )
-    write_result("s1_serve_latency", report, metrics=metrics)
+    write_result("s1_serve_latency", report, metrics=metrics,
+                 config={"requests": N_REQUESTS})
     assert server.stats.served_decisions == N_REQUESTS
     assert server.stats.rejected == 0
     assert hist["count"] == N_REQUESTS

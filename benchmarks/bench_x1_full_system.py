@@ -23,7 +23,7 @@ def test_x1_full_system(benchmark):
     }
     for scenario, qos in result.rl_qos.items():
         metrics[f"{scenario}.rl_qos"] = qos
-    write_result("x1_full_system", result.report, metrics=metrics)
+    write_result("x1_full_system", result.report, metrics=metrics, config={})
     rl_mean = result.mean_j("rl-policy")
     for g in ("performance", "ondemand", "interactive"):
         gain = improvement_percent(result.mean_j(g), rl_mean)

@@ -21,7 +21,8 @@ def test_x2_seed_stability(benchmark):
         f"{g}.mean_energy_per_qos_j": m.mean
         for g, m in result.measures.items()
     }
-    write_result("x2_seed_stability", result.report, metrics=metrics)
+    write_result("x2_seed_stability", result.report, metrics=metrics,
+                 config={})
     rl = result.measures["rl-policy"]
     ondemand = result.measures["ondemand"]
     interactive = result.measures["interactive"]

@@ -62,7 +62,8 @@ def test_x3_symmetric_chip(benchmark):
         for g in GOVERNORS + ["rl-policy"]
     }
     metrics["improvement_percent"] = improvement_percent(baseline_mean, rl)
-    write_result("x3_symmetric_chip", _report(result), metrics=metrics)
+    write_result("x3_symmetric_chip", _report(result), metrics=metrics,
+                 config={})
     assert improvement_percent(baseline_mean, rl) > 10.0
     # QoS intact on every scenario.
     for scenario in result.scenarios():

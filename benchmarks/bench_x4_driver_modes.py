@@ -62,7 +62,8 @@ def test_x4_driver_modes(benchmark):
             "interrupt (", "irq_").replace(" us IRQ)", "us")
         metrics[f"{slug}.mean_latency_s"] = latency
         metrics[f"{slug}.polls_per_request"] = polls
-    write_result("x4_driver_modes", _report(results), metrics=metrics)
+    write_result("x4_driver_modes", _report(results), metrics=metrics,
+                 config={"requests": REQUESTS})
     polling = results["polling"][0]
     irq5 = results["interrupt (5 us IRQ)"][0]
     irq20 = results["interrupt (20 us IRQ)"][0]

@@ -58,7 +58,7 @@ def test_x5_demand_shift(benchmark):
         metrics[f"{slug}.rl_energy_per_qos_mj"] = rl_j
         metrics[f"{slug}.rl_qos"] = rl_qos
         metrics[f"{slug}.ondemand_energy_per_qos_mj"] = od_j
-    write_result("x5_demand_shift", _report(rows), metrics=metrics)
+    write_result("x5_demand_shift", _report(rows), metrics=metrics, config={})
     for factor, rl_j, rl_qos, od_j, _od_qos in rows:
         if factor >= 1.0:
             # At and above the trained demand the policy must stay ahead.

@@ -15,7 +15,7 @@ from repro.core.trainer import evaluate_policy, train_curriculum
 from repro.soc.presets import exynos5422
 from repro.workload.scenarios import EVALUATION_SET, get_scenario
 
-from conftest import EVAL_DURATION_S, EVAL_SEED, write_result
+from conftest import EVAL_DURATION_S, EVAL_SEED, SWEEP_CONFIG, write_result
 
 
 def _run(full_sweep):
@@ -60,7 +60,8 @@ def test_x6_generalist(benchmark, full_sweep):
         "ondemand_mean_mj": ondemand_mean,
         "min_generalist_qos": min(r[-1] for r in rows),
     }
-    write_result("x6_generalist", _report(rows), metrics=metrics)
+    write_result("x6_generalist", _report(rows), metrics=metrics,
+                 config=SWEEP_CONFIG)
     # The single policy is within 15% of six specialists on average...
     assert generalist_mean < specialist_mean * 1.15
     # ...and still clearly better than ondemand.

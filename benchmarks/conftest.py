@@ -55,8 +55,8 @@ _LEDGER_PATH = os.environ.get(LEDGER_ENV_VAR) or str(
 def write_result(
     name: str,
     text: str,
-    metrics: dict[str, float] | None = None,
-    config: Mapping[str, Any] | None = None,
+    metrics: dict[str, float] | None,
+    config: Mapping[str, Any],
 ) -> None:
     """Persist a bench's rendered table under benchmarks/results/.
 
@@ -69,7 +69,9 @@ def write_result(
             ``repro perf gate`` can test the trajectory.
         config: The settings the bench ran, stamped on the ledger
             record; ``repro perf gate`` compares samples of equal
-            config only.  Defaults to :data:`SWEEP_CONFIG`.
+            config only.  :data:`SWEEP_CONFIG` for a bench over the
+            shared sweep; ``{}`` for one that runs an experiment at its
+            built-in settings.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
@@ -78,8 +80,7 @@ def write_result(
             json.dumps(metrics, indent=2, sort_keys=True) + "\n"
         )
         record_run(
-            "bench", name, metrics,
-            SWEEP_CONFIG if config is None else config,
+            "bench", name, metrics, config,
             run_id=_BENCH_RUN_ID, path=_LEDGER_PATH,
         )
     print()

@@ -863,7 +863,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         select=args.select.split(",") if args.select else None,
         ignore=args.ignore.split(",") if args.ignore else None,
         jobs=args.jobs,
-        flow=args.flow,
         cache=not args.no_lintcache,
         cache_dir=args.lintcache_dir,
     )
@@ -893,7 +892,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             files_checked=result.files_checked,
             cache_hits=result.cache_hits,
             cache_misses=result.cache_misses,
-            flow=result.flow,
         )
     report = lint.render(
         args.format,
@@ -923,7 +921,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     result = lint.analyze_paths(
         args.paths or ["src"],
         jobs=args.jobs,
-        flow=False,
         cache=not args.no_lintcache,
         cache_dir=args.lintcache_dir,
     )
@@ -1486,10 +1483,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "baseline file and exit 0")
     check_p.add_argument("--list-rules", action="store_true",
                          help="print the rule catalogue and exit")
-    check_p.add_argument("--flow", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="run the whole-program RPL9xx rules "
-                              "(default: on; --no-flow for per-file only)")
     check_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for per-file analysis")
     check_p.add_argument("--statistics", action="store_true",

@@ -1,20 +1,22 @@
 """repro.lint — invariant-aware static analysis for this repository.
 
 The repo's correctness rests on invariants no generic linter knows
-about: bit-determinism under seeding (sim/rl/fleet), the ``_mhz`` /
-``_mw`` unit-suffix convention, integer-only fixed-point datapaths,
+about: bit-determinism under seeding (sim/rl/batch/fleet), the ``_mhz``
+/ ``_mw`` unit-suffix convention, integer-only fixed-point datapaths,
 zero-overhead-when-disabled observability probes, and the fleet's
 never-swallow-a-worker-failure exception policy.  This package encodes
-each as an AST rule with a stable ``RPLnnn`` code and gates them behind
+each as a rule with a stable ``RPLnnn`` code and gates them behind
 ``repro check``.
 
-Beyond the per-file rules, ``repro check --flow`` (the default) runs
-the whole-program RPL9xx family (:mod:`repro.lint.flow`): architecture
-layering against a declared layer DAG, interprocedural determinism
-taint from the simulation/training entry points, asyncio shared-state
-hazards, and transitive blocking calls.  Per-file analyses are
-content-addressed in ``.repro/lintcache`` so warm runs re-parse only
-edited files, and ``--jobs N`` fans cold files over a process pool.
+Most rules read one file's AST.  The rules whose hazard can sit in one
+module and matter in another run over the whole program
+(:mod:`repro.lint.flow`): wall-clock and global-RNG reads in simulation
+code or reachable from the simulation/training loop (RPL001/RPL002),
+blocking calls on the serve event loop at any call depth (RPL701),
+architecture layering against a declared layer DAG (RPL901) and asyncio
+shared-state hazards (RPL903).  Per-file analyses are content-addressed
+in ``.repro/lintcache`` so warm runs re-parse only edited files, and
+``--jobs N`` fans cold files over a process pool.
 
 Typical use::
 
@@ -22,14 +24,13 @@ Typical use::
     repro check src/ --format json           # machine report
     repro check src/ --select RPL0 --ignore RPL003
     repro check src/ --jobs 4 --statistics   # parallel + run statistics
-    repro check src/ --no-flow               # per-file rules only
     repro check src/ --write-baseline        # accept current findings
     repro check src/ --baseline lint-baseline.json   # the CI gate
     repro graph imports --format dot         # the project import graph
 
 Library API::
 
-    from repro.lint import analyze_paths, check_paths, check_source
+    from repro.lint import analyze_paths, check_source
 
     result = analyze_paths(["src/repro"], jobs=4)
     for finding in result.findings:
@@ -41,17 +42,14 @@ workflow live in ``docs/static-analysis.md``.
 """
 
 from repro.lint.baseline import Baseline, BaselineResult, filter_findings
-from repro.lint.driver import AnalysisResult, analyze_paths
+from repro.lint.driver import AnalysisResult, analyze_paths, check_source
 from repro.lint.engine import (
     LINT_ENGINE_VERSION,
-    CheckResult,
     FileResult,
     ImportMap,
     LintContext,
     Rule,
     all_rules,
-    check_paths,
-    check_source,
     iter_python_files,
     module_relpath,
     noqa_map,
@@ -73,7 +71,6 @@ __all__ = [
     "AnalysisResult",
     "Baseline",
     "BaselineResult",
-    "CheckResult",
     "FORMATS",
     "FileResult",
     "Finding",
@@ -84,7 +81,6 @@ __all__ = [
     "all_rules",
     "analyze_paths",
     "build_statistics",
-    "check_paths",
     "check_source",
     "filter_findings",
     "iter_python_files",

@@ -12,15 +12,17 @@ One run = four stages:
 2. **Selection** — cached entries hold *all* rules' findings; the run's
    ``--select``/``--ignore`` expansion filters them afterwards, which
    keeps cache entries valid across differently-selected runs.
-3. **Flow rules** — the summaries assemble into a
-   :class:`~repro.lint.flow.graphs.Project` and the RPL9xx rules run
-   over the whole program; their findings pass through the same
-   ``# noqa`` discipline via the per-file suppression maps.
+3. **Whole-program rules** — the summaries assemble into a
+   :class:`~repro.lint.flow.graphs.Project` and the rules that need
+   more than one file (determinism RPL001/002, serve-loop blocking
+   RPL701, RPL901/903) run over it; their findings pass through the
+   same ``# noqa`` discipline via the per-file suppression maps.  The
+   stage is skipped when no such rule is selected.
 4. **Suppression hygiene** — RPL910 flags ``# noqa: RPLnnn`` comments
    that suppressed nothing, now that the full finding set is known.
 
-:func:`repro.lint.engine.check_paths` delegates here, so the engine's
-public API gains ``--jobs`` parallelism without changing shape.
+:func:`analyze_paths` runs them over files on disk; :func:`check_source`
+runs them over one in-memory source, as if it were the whole program.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.engine import (
-    CheckResult,
+    FileResult,
     _guess_project_root,
     all_rules,
-    check_source,
+    check_file,
     iter_python_files,
     select_rules,
 )
@@ -56,12 +58,14 @@ _UNUSED_NOQA_RULE = "suppressions.unused-noqa"
 
 
 @dataclass
-class AnalysisResult(CheckResult):
-    """A :class:`CheckResult` plus whole-program extras."""
+class AnalysisResult:
+    """The outcome of a whole ``repro check`` run."""
 
+    findings: list[Finding]
+    suppressed: list[Finding]
+    files_checked: int
     cache_hits: int = 0
     cache_misses: int = 0
-    flow: bool = False
     project: Project | None = None
 
 
@@ -82,16 +86,22 @@ def _analyze_one(
         cached = cache.probe(key)
         if cached is not None:
             return cached, True
-    result = check_source(source, path, project_root=root)
-    summary = summarize_source(source, path)
-    analysis = CachedAnalysis(
-        findings=tuple(result.findings),
-        suppressed=tuple(result.suppressed),
-        summary=summary,
-    )
+    analysis = _analyze_source(source, path, root)
     if cache is not None:
         cache.store(key, analysis)
     return analysis, False
+
+
+def _analyze_source(
+    source: str, path: str, root: str | None
+) -> CachedAnalysis:
+    """One file's per-file findings (all rules) and its summary."""
+    result = check_file(source, path, project_root=root)
+    return CachedAnalysis(
+        findings=tuple(result.findings),
+        suppressed=tuple(result.suppressed),
+        summary=summarize_source(source, result.path),
+    )
 
 
 def _apply_summary_noqa(
@@ -119,8 +129,6 @@ def _unused_noqa_findings(
     summaries: Sequence[ModuleSummary],
     used: set[tuple[str, int, str]],
     selected: set[str],
-    *,
-    flow: bool,
 ) -> list[Finding]:
     """The raw RPL910 findings (pre-noqa) for one run.
 
@@ -143,8 +151,6 @@ def _unused_noqa_findings(
                 if code in known:
                     if code not in selected:
                         continue  # rule did not run this time
-                    if code in FLOW_CODES and not flow:
-                        continue  # flow rules did not run this time
                     if (summary.path, line, code) in used:
                         continue
                     reason = f"no {code} finding on this line"
@@ -168,6 +174,86 @@ def _unused_noqa_findings(
     return findings
 
 
+def _whole_program(
+    analyses: Sequence[CachedAnalysis], selected: set[str]
+) -> tuple[list[Finding], list[Finding], Project]:
+    """Stages 2–4 over per-file analyses: (findings, suppressed, project)."""
+    findings: list[Finding] = []
+    suppressed: list[Finding] = []
+    all_suppressed: list[Finding] = []
+    for analysis in analyses:
+        all_suppressed.extend(analysis.suppressed)
+        findings.extend(f for f in analysis.findings if f.code in selected)
+        suppressed.extend(
+            f for f in analysis.suppressed if f.code in selected
+        )
+
+    summaries = [analysis.summary for analysis in analyses]
+    project = Project(summaries)
+    by_path = {s.path: s for s in summaries}
+    flow_suppressed: list[Finding] = []
+    flow_codes = selected & FLOW_CODES
+    if flow_codes:
+        raw = check_project(project, codes=flow_codes)
+        kept, flow_suppressed = _apply_summary_noqa(raw, by_path)
+        findings.extend(kept)
+        suppressed.extend(flow_suppressed)
+
+    if _UNUSED_NOQA_CODE in selected:
+        used = {
+            (f.path, f.line, f.code)
+            for f in [*all_suppressed, *flow_suppressed]
+        }
+        raw = _unused_noqa_findings(summaries, used, selected)
+        kept, dropped = _apply_summary_noqa(raw, by_path)
+        findings.extend(kept)
+        suppressed.extend(dropped)
+
+    findings.sort()
+    suppressed.sort()
+    return findings, suppressed, project
+
+
+def check_source(
+    source: str,
+    path: str,
+    *,
+    select: Iterable[str] | None = None,
+    ignore: Iterable[str] | None = None,
+    project_root: str | Path | None = None,
+) -> FileResult:
+    """Lint one source string as if it lived at ``path``.
+
+    Every rule runs, the whole-program ones over a project holding just
+    this file: a hazard in a determinism-scope path is found, one that
+    only a call from another module would make reachable is not.  For
+    the same reason RPL910 does not run: a ``# noqa`` for a
+    whole-program finding may be used by a finding this file alone
+    cannot produce.
+
+    Args:
+        source: Python source text.
+        path: Real or virtual path; its package-relative form drives
+            rule scoping.
+        select: Optional code prefixes to report exclusively.
+        ignore: Optional code prefixes to drop.
+        project_root: Repository root for rules that cross-check other
+            files (e.g. the register map); ``None`` disables those
+            lookups and the rules fall back to their built-in defaults.
+
+    Raises:
+        LintError: On syntax errors in ``source`` or bad selectors.
+    """
+    selected = {rule.code for rule in select_rules(select, ignore)}
+    selected.discard(_UNUSED_NOQA_CODE)
+    root = str(project_root) if project_root is not None else None
+    analysis = _analyze_source(source, path, root)
+    findings, suppressed, _project = _whole_program([analysis], selected)
+    return FileResult(
+        path=analysis.summary.path, findings=findings, suppressed=suppressed
+    )
+
+
 def analyze_paths(
     paths: Iterable[str | Path],
     *,
@@ -175,7 +261,6 @@ def analyze_paths(
     ignore: Iterable[str] | None = None,
     project_root: str | Path | None = None,
     jobs: int = 1,
-    flow: bool = True,
     cache: bool = True,
     cache_dir: str | Path | None = None,
 ) -> AnalysisResult:
@@ -188,7 +273,6 @@ def analyze_paths(
         project_root: Checkout root for cross-file rule inputs; guessed
             from the first file (pyproject.toml anchor) when ``None``.
         jobs: Worker processes for per-file analysis (1 = in-process).
-        flow: Run the RPL9xx whole-program rules.
         cache: Reuse/store per-file analyses in the lint cache.
         cache_dir: Cache root override (default: ``REPRO_LINTCACHE_DIR``
             env or ``.repro/lintcache``).
@@ -215,49 +299,14 @@ def analyze_paths(
         analyses = [_analyze_one(job) for job in worker_jobs]
 
     hits = sum(1 for _, hit in analyses if hit)
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    all_suppressed: list[Finding] = []
-    summaries: list[ModuleSummary] = []
-    for analysis, _hit in analyses:
-        summaries.append(analysis.summary)
-        all_suppressed.extend(analysis.suppressed)
-        findings.extend(
-            f for f in analysis.findings if f.code in selected
-        )
-        suppressed.extend(
-            f for f in analysis.suppressed if f.code in selected
-        )
-
-    project = Project(summaries)
-    by_path = {s.path: s for s in summaries}
-    flow_suppressed: list[Finding] = []
-    if flow:
-        flow_codes = selected & FLOW_CODES
-        if flow_codes:
-            raw = check_project(project, codes=flow_codes)
-            kept, flow_suppressed = _apply_summary_noqa(raw, by_path)
-            findings.extend(kept)
-            suppressed.extend(flow_suppressed)
-
-    if _UNUSED_NOQA_CODE in selected:
-        used = {
-            (f.path, f.line, f.code)
-            for f in [*all_suppressed, *flow_suppressed]
-        }
-        raw = _unused_noqa_findings(summaries, used, selected, flow=flow)
-        kept, dropped = _apply_summary_noqa(raw, by_path)
-        findings.extend(kept)
-        suppressed.extend(dropped)
-
-    findings.sort()
-    suppressed.sort()
+    findings, suppressed, project = _whole_program(
+        [analysis for analysis, _hit in analyses], selected
+    )
     return AnalysisResult(
         findings=findings,
         suppressed=suppressed,
         files_checked=len(files),
         cache_hits=hits,
         cache_misses=len(files) - hits,
-        flow=flow,
         project=project,
     )

@@ -43,7 +43,7 @@ from repro.lint.findings import Finding
 #: Participates in every lint-cache key, so bumping it invalidates all
 #: cached per-file analyses at once — bump on any change that could
 #: alter findings or module summaries for unchanged source.
-LINT_ENGINE_VERSION = "2"
+LINT_ENGINE_VERSION = "3"
 
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
@@ -349,28 +349,29 @@ class FileResult:
     suppressed: list[Finding]
 
 
-def check_source(
+def check_file(
     source: str,
     path: str,
     *,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
     project_root: str | Path | None = None,
 ) -> FileResult:
-    """Lint one source string as if it lived at ``path``.
+    """Run every per-file rule over one source string living at ``path``.
+
+    This is one stage of an analysis, not a whole one: the rules that
+    need the whole program (RPL001/002, RPL701, RPL9xx) and RPL910 run
+    in :mod:`repro.lint.driver`, whose :func:`~repro.lint.driver.check_source`
+    is the public way to lint one string.
 
     Args:
         source: Python source text.
         path: Real or virtual path; its package-relative form drives
             rule scoping.
-        select: Optional code prefixes to run exclusively.
-        ignore: Optional code prefixes to skip.
         project_root: Repository root for rules that cross-check other
             files (e.g. the register map); ``None`` disables those
             lookups and the rules fall back to their built-in defaults.
 
     Raises:
-        LintError: On syntax errors in ``source`` or bad selectors.
+        LintError: On syntax errors in ``source``.
     """
     posix = Path(path).as_posix()
     try:
@@ -386,7 +387,7 @@ def check_source(
         imports=ImportMap(tree),
         project_root=Path(project_root) if project_root is not None else None,
     )
-    for rule_cls in select_rules(select, ignore):
+    for rule_cls in all_rules().values():
         if rule_cls.applies_to(ctx.module_path):
             rule_cls(ctx).run()
     ctx.findings.sort()
@@ -412,46 +413,6 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield p
         else:
             raise LintError(f"no such file or directory: {p}")
-
-
-@dataclass
-class CheckResult:
-    """The outcome of a whole ``repro check`` run."""
-
-    findings: list[Finding]
-    suppressed: list[Finding]
-    files_checked: int
-
-
-def check_paths(
-    paths: Iterable[str | Path],
-    *,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-    project_root: str | Path | None = None,
-    jobs: int = 1,
-) -> CheckResult:
-    """Lint every Python file under ``paths`` (per-file rules only).
-
-    ``project_root`` defaults to the common parent that contains the
-    first path — good enough for ``repro check src/`` from a checkout.
-    Delegates to the analysis driver (:mod:`repro.lint.driver`), which
-    also provides the whole-program ``--flow`` mode and the summary
-    cache; this entry point keeps the historical contract — per-file
-    rules, no cache I/O — while gaining ``jobs`` parallelism.
-    """
-    # Deferred import: the driver imports the engine.
-    from repro.lint.driver import analyze_paths
-
-    return analyze_paths(
-        paths,
-        select=select,
-        ignore=ignore,
-        project_root=project_root,
-        jobs=jobs,
-        flow=False,
-        cache=False,
-    )
 
 
 def _guess_project_root(anchor: Path) -> Path:

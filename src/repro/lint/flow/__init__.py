@@ -1,9 +1,9 @@
-"""repro.lint.flow — whole-program analysis behind ``repro check --flow``.
+"""repro.lint.flow — the whole-program half of ``repro check``.
 
-The per-file rules (RPL001–801) see one AST at a time, so a helper two
-modules away that calls ``time.time()`` on behalf of ``sim.engine.run``
-is invisible to RPL001, and nothing stops ``sim/`` from quietly
-importing ``serve/``.  This package closes that gap in three stages:
+A per-file rule sees one AST at a time, so a helper two modules away
+that calls ``time.time()`` on behalf of ``sim.engine`` would be
+invisible to it, and nothing would stop ``sim/`` from quietly importing
+``serve/``.  This package closes that gap in three stages:
 
 1. **Summaries** (:mod:`repro.lint.flow.summary`) — one compact,
    JSON-serialisable :class:`ModuleSummary` per file: imports (with
@@ -13,15 +13,15 @@ importing ``serve/``.  This package closes that gap in three stages:
 2. **Graphs** (:mod:`repro.lint.flow.graphs`) — a project import graph
    and a name-resolution-based call graph assembled from the summaries,
    with cycle detection and reachability.
-3. **Rules** (:mod:`repro.lint.flow.rules`) — the RPL9xx family run
-   over the graphs: RPL901 architecture layering (the DAG lives in
-   :mod:`repro.lint.flow.layers`), RPL902 interprocedural determinism
-   taint, RPL903 asyncio shared-state hazards, RPL904 transitive
-   blocking calls.
+3. **Rules** (:mod:`repro.lint.flow.rules`) — run over the graphs:
+   RPL001/RPL002 determinism (in the simulation code and wherever the
+   simulation loop reaches), RPL701 serve-loop blocking at any call
+   depth, RPL901 architecture layering (the DAG lives in
+   :mod:`repro.lint.flow.layers`), RPL903 asyncio shared-state hazards.
 
 Summaries are content-addressed (:mod:`repro.lint.flow.cache`) under
 ``.repro/lintcache`` — keyed by source hash + lint-engine version,
-mirroring the run cache's discipline — so a warm ``repro check --flow``
+mirroring the run cache's discipline — so a warm ``repro check``
 re-parses only edited files.
 """
 

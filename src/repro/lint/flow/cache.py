@@ -1,6 +1,6 @@
 """The content-addressed lint summary cache.
 
-``repro check --flow`` re-analyses a whole tree on every run, but a
+``repro check`` re-analyses a whole tree on every run, but a
 file's per-file findings *and* its :class:`ModuleSummary` are pure
 functions of (source text, analysis semantics, the register map RPL203
 cross-checks).  The cache exploits that exactly the way the run cache

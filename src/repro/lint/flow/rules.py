@@ -1,32 +1,35 @@
-"""The RPL9xx whole-program rule family.
+"""The whole-program rules: every rule that needs more than one AST.
 
 These rules run over an assembled :class:`~repro.lint.flow.graphs.Project`
 rather than one file's AST — the per-file engine registers them (so
 ``--select``/``--ignore``/``--list-rules`` treat them like any other
 rule) but their :meth:`~repro.lint.engine.Rule.run` is a no-op; the
-flow driver calls :func:`check_project` instead.
+analysis driver calls :func:`check_project` instead.
 
+* **RPL001 / RPL002** — determinism: a wall-clock or OS-entropy read
+  (RPL001) or a global / unseeded RNG (RPL002) anywhere in the
+  determinism scope (:data:`DETERMINISM_SCOPE`: ``sim/``, ``rl/``,
+  ``batch/``, ``fleet/worker.py``), or in any function the call graph
+  reaches from that scope or from the training entry points
+  (:data:`ENTRY_POINTS`), across module boundaries.  A hazard one or
+  more calls away carries the call chain in its message.
+* **RPL701** — an async function in ``serve/`` that blocks the event
+  loop (``time.sleep``, sync file I/O): directly, anchored at the
+  blocking call, or through one or more sync helpers (possibly in
+  other modules), anchored at the first hop of the chain.
 * **RPL901** — architecture layering: an import whose target sits in a
   *higher* layer of the declared DAG (:mod:`repro.lint.flow.layers`),
   plus module-level import cycles.  ``sim/``, ``rl/``, ``hw/``,
   ``governors/`` can never reach ``serve/``, ``fleet/`` or the CLI.
-* **RPL902** — interprocedural determinism taint: RPL001/RPL002
-  sources propagated transitively to any function reachable from
-  ``sim.engine``'s run loop or the trainer, across module boundaries
-  and *outside* the per-file determinism scope (inside it, RPL001/002
-  already own the finding).
 * **RPL903** — asyncio shared-state hazards in ``serve/``: a
   ``self.*`` attribute accessed before an ``await`` and written after
   it in the same async function, without a lock — two handler
   instances interleave exactly at awaits.
-* **RPL904** — transitive blocking calls: RPL701 made
-  interprocedural; an async handler in ``serve/`` that reaches
-  ``time.sleep`` / sync file I/O through one or more sync helpers,
-  possibly in other modules.
 
 Findings are anchored at real source positions (the offending import,
-the nondeterministic call, the first hop into a blocking chain), so
-``# noqa`` and the baseline treat them exactly like per-file findings.
+the nondeterministic call, the blocking call or the first hop into a
+blocking chain), so ``# noqa`` and the baseline treat them exactly
+like per-file findings.
 """
 
 from __future__ import annotations
@@ -37,14 +40,21 @@ from repro.lint.flow.graphs import CallGraph, ImportGraph, Project
 from repro.lint.flow.layers import layer_of
 from repro.lint.flow.summary import Hazard, ModuleSummary
 
-#: Call-graph roots for the determinism taint: the simulation run loop
-#: and the training loops the headline numbers come from.
+#: Call-graph roots for the determinism rules besides every function in
+#: :data:`DETERMINISM_SCOPE`: the simulation run loop and the training
+#: loops the headline numbers come from.
 ENTRY_POINTS: tuple[str, ...] = (
     "sim.engine.Simulator.run",
-    "sim.engine.run",
     "core.trainer.train_policy",
     "core.trainer.train_curriculum",
 )
+
+#: The code that runs inside (or feeds) simulation, where the
+#: bit-determinism contract holds: the serial engine, the learners, the
+#: batch backend that produces most experiment rows, and the fleet's
+#: per-job worker.  Every determinism hazard here is reported, and so is
+#: every hazard in a function this code calls, at any depth.
+DETERMINISM_SCOPE: tuple[str, ...] = ("sim/", "rl/", "batch/", "fleet/worker.py")
 
 
 class FlowRule(Rule):
@@ -52,7 +62,7 @@ class FlowRule(Rule):
 
     Registered in the normal rule registry for selection/catalogue
     purposes, but inert per file — subclasses implement
-    :meth:`check_project` and the flow driver invokes it once per run.
+    :meth:`check_project` and the analysis driver invokes it once per run.
     """
 
     def run(self) -> None:
@@ -66,12 +76,12 @@ class FlowRule(Rule):
 
     @classmethod
     def _finding(
-        cls, summary: ModuleSummary, line: int, message: str
+        cls, summary: ModuleSummary, line: int, message: str, col: int = 0
     ) -> Finding:
         return Finding(
             path=summary.path,
             line=line,
-            col=0,
+            col=col,
             code=cls.code,
             message=message,
             rule=cls.name,
@@ -142,62 +152,99 @@ class LayeringRule(FlowRule):
 
 @register
 class TaintRule(FlowRule):
-    """RPL902: determinism taint reachable from the sim/training loops."""
+    """RPL001: no wall-clock or OS-entropy read reaches simulated results.
 
-    code = "RPL902"
-    name = "flow.determinism-taint"
+    :class:`RngTaintRule` is the same analysis for RPL002; each reports
+    the hazards of its own code.
+    """
+
+    code = "RPL001"
+    name = "determinism.wall-clock"
     summary = (
-        "wall-clock/global-RNG call reachable from sim.engine.run or "
-        "the trainer through the call graph, outside RPL001/002's "
-        "per-file scope"
+        "wall-clock or OS-entropy read in simulation code or in a "
+        "function it or the trainer reaches; results must be a pure "
+        "function of the spec and seeds"
     )
+    scope = DETERMINISM_SCOPE
 
     @classmethod
     def check_project(
         cls, project: Project, imports: ImportGraph, calls: CallGraph
     ) -> list[Finding]:
-        from repro.lint.rules.determinism import WallClockRule
-
         roots = [
             fn_id
-            for fn_id in calls.index
-            if any(
+            for fn_id, (module, _fn) in calls.index.items()
+            if cls.applies_to(project.summaries[module].module_path)
+            or any(
                 fn_id == entry or fn_id.endswith(f".{entry}")
                 for entry in ENTRY_POINTS
             )
         ]
         parents = calls.reachable(roots)
         findings: list[Finding] = []
-        for fn_id in sorted(parents):
-            module, fn = calls.index[fn_id]
-            if not fn.nondet:
-                continue
-            summary = project.summaries[module]
-            if WallClockRule.applies_to(summary.module_path):
-                # The per-file determinism rules own this file; flow
-                # would only duplicate (or resurrect noqa'd) findings.
-                continue
-            chain = CallGraph.chain(parents, fn_id)
-            chain_text = " -> ".join(chain)
-            for hazard in fn.nondet:
-                source = (
-                    "the wall clock"
-                    if hazard.code == "RPL001"
-                    else "global/unseeded RNG state"
-                )
-                findings.append(
-                    cls._finding(
-                        summary,
-                        hazard.line,
-                        f"{hazard.origin}() depends on {source} and is "
-                        f"reachable from the simulation/training loop: "
-                        f"{chain_text} (suppressed nowhere on the way); "
-                        "simulated results must be a pure function of "
-                        "spec and seeds [propagates RPL001/002 "
-                        f"interprocedurally, via {hazard.code}]",
+        for module, summary in sorted(project.summaries.items()):
+            # (hazard, call chain from a root); import-time code has no
+            # caller, so it counts only in scope.
+            hazards: list[tuple[Hazard, list[str]]] = (
+                [(h, []) for h in summary.nondet]
+                if cls.applies_to(summary.module_path)
+                else []
+            )
+            for fn in summary.functions:
+                fn_id = f"{module}.{fn.qualname}"
+                if fn_id in parents:
+                    chain = CallGraph.chain(parents, fn_id)
+                    hazards.extend((h, chain) for h in fn.nondet)
+            for hazard, chain in hazards:
+                if hazard.code != cls.code:
+                    continue
+                message = cls._hazard_message(hazard.origin)
+                if len(chain) > 1:
+                    message += (
+                        "; reachable from the simulation/training loop: "
+                        + " -> ".join(chain)
                     )
+                findings.append(
+                    cls._finding(summary, hazard.line, message, hazard.col)
                 )
         return findings
+
+    @staticmethod
+    def _hazard_message(origin: str) -> str:
+        return (
+            f"call to {origin}() makes simulation state depend on the "
+            "wall clock; thread timestamps in from the caller instead"
+        )
+
+
+@register
+class RngTaintRule(TaintRule):
+    """RPL002: RNG must be an explicitly seeded, threaded generator."""
+
+    code = "RPL002"
+    name = "determinism.global-rng"
+    summary = (
+        "module-level random.* / numpy global RNG / unseeded "
+        "default_rng() in simulation code or in a function it or the "
+        "trainer reaches; seed and thread generators explicitly"
+    )
+
+    @staticmethod
+    def _hazard_message(origin: str) -> str:
+        if origin.startswith("random."):
+            return (
+                f"{origin}() uses the process-global stdlib RNG; pass a "
+                "seeded numpy Generator through the call chain instead"
+            )
+        if origin == "numpy.random.default_rng":
+            return (
+                "default_rng() without a seed draws OS entropy; "
+                "every generator must take an explicit seed"
+            )
+        return (
+            f"{origin}() mutates numpy's hidden global RNG state; use an "
+            "explicitly seeded Generator"
+        )
 
 
 @register
@@ -211,6 +258,7 @@ class AwaitStateRule(FlowRule):
         "it in a serve/ async function without a lock; handlers "
         "interleave at awaits"
     )
+    scope = ("serve/",)
 
     @classmethod
     def check_project(
@@ -219,7 +267,7 @@ class AwaitStateRule(FlowRule):
         findings: list[Finding] = []
         for module in sorted(project.summaries):
             summary = project.summaries[module]
-            if not summary.module_path.startswith("serve/"):
+            if not cls.applies_to(summary.module_path):
                 continue
             for fn in summary.functions:
                 for hazard in fn.await_hazards:
@@ -239,15 +287,17 @@ class AwaitStateRule(FlowRule):
 
 
 @register
-class TransitiveBlockingRule(FlowRule):
-    """RPL904: blocking I/O reached from serve handlers via sync helpers."""
+class BlockingRule(FlowRule):
+    """RPL701: no blocking call on the serve event loop, at any depth."""
 
-    code = "RPL904"
-    name = "flow.transitive-blocking"
+    code = "RPL701"
+    name = "serve.async-blocking"
     summary = (
-        "async serve/ handler reaches time.sleep or sync file I/O "
-        "through sync helpers (RPL701, made interprocedural)"
+        "async function in repro.serve reaches time.sleep or sync file "
+        "I/O, directly or through sync helpers; it stalls every queued "
+        "request"
     )
+    scope = ("serve/",)
 
     @classmethod
     def check_project(
@@ -257,11 +307,18 @@ class TransitiveBlockingRule(FlowRule):
         seen: set[tuple[str, int, str, int]] = set()
         for module in sorted(project.summaries):
             summary = project.summaries[module]
-            if not summary.module_path.startswith("serve/"):
+            if not cls.applies_to(summary.module_path):
                 continue
             for fn in summary.functions:
                 if not fn.is_async:
                     continue
+                for hazard in fn.blocking:
+                    findings.append(
+                        cls._finding(
+                            summary, hazard.line, cls._direct_message(hazard),
+                            hazard.col,
+                        )
+                    )
                 src_id = f"{module}.{fn.qualname}"
                 for first_hop in calls.callees(src_id):
                     target = calls.index.get(first_hop.dst)
@@ -295,6 +352,23 @@ class TransitiveBlockingRule(FlowRule):
                         )
                     )
         return findings
+
+    @staticmethod
+    def _direct_message(hazard: Hazard) -> str:
+        if hazard.code == "sleep":
+            return (
+                "time.sleep parks the serve event loop; use "
+                "await asyncio.sleep(...)"
+            )
+        if hazard.origin == "open":
+            return (
+                "sync open() blocks the serve event loop; move the I/O "
+                "to a thread via loop.run_in_executor"
+            )
+        return (
+            f"sync file I/O ({hazard.origin}) blocks the serve event "
+            "loop; move it to a thread via loop.run_in_executor"
+        )
 
     @classmethod
     def _find_blocking(
@@ -333,10 +407,11 @@ class TransitiveBlockingRule(FlowRule):
 
 #: The whole-program rules, in code order — the driver iterates this.
 FLOW_RULES: tuple[type[FlowRule], ...] = (
-    LayeringRule,
     TaintRule,
+    RngTaintRule,
+    BlockingRule,
+    LayeringRule,
     AwaitStateRule,
-    TransitiveBlockingRule,
 )
 
 FLOW_CODES: frozenset[str] = frozenset(rule.code for rule in FLOW_RULES)

@@ -11,7 +11,10 @@ serialise (the summary cache stores it as JSON):
   graph's edges;
 * direct nondeterminism sources (the RPL001/RPL002 origin sets) and
   blocking-I/O calls (the RPL701 origin set) per function — the taint
-  that RPL902/RPL904 propagate across module boundaries;
+  those rules propagate across module boundaries — plus the
+  nondeterminism sources that run at import time (module and class
+  bodies) on the module itself; a lambda's hazards count towards the
+  code that defines it;
 * ``self.*``-mutation vs ``await`` ordering per async method — the
   RPL903 shared-state hazards, precomputed here because they only need
   one function's statement order;
@@ -38,7 +41,7 @@ from repro.lint.engine import ImportMap, module_relpath, noqa_map
 
 #: Bumped when the summary shape (or its extraction semantics) changes;
 #: part of the cache key, so stale summaries invalidate themselves.
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 
 
 def module_name(path: str) -> str:
@@ -111,20 +114,22 @@ class CallSite:
 
 @dataclass(frozen=True)
 class Hazard:
-    """A direct nondeterminism or blocking-I/O source inside a function."""
+    """A direct nondeterminism or blocking-I/O call, at its source position."""
 
     origin: str
     line: int
     code: str
+    col: int = 0
 
     def to_mapping(self) -> dict[str, Any]:
         """The JSON-serialisable form stored in the summary cache."""
-        return {"origin": self.origin, "line": self.line, "code": self.code}
+        return {"origin": self.origin, "line": self.line, "code": self.code,
+                "col": self.col}
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "Hazard":
         return cls(origin=str(data["origin"]), line=int(data["line"]),
-                   code=str(data["code"]))
+                   code=str(data["code"]), col=int(data["col"]))
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,9 @@ class ModuleSummary:
     module: str
     imports: tuple[ImportRecord, ...] = ()
     functions: tuple[FunctionSummary, ...] = ()
+    #: nondeterminism sources outside any function (module and class
+    #: bodies, and lambdas defined there): they run at import time.
+    nondet: tuple[Hazard, ...] = ()
     #: line → None (bare noqa) or sorted codes; flow-finding suppression.
     suppressions: dict[int, list[str] | None] = field(default_factory=dict)
     #: source text of every line referenced by a record above, so flow
@@ -220,6 +228,7 @@ class ModuleSummary:
             "module": self.module,
             "imports": [i.to_mapping() for i in self.imports],
             "functions": [f.to_mapping() for f in self.functions],
+            "nondet": [h.to_mapping() for h in self.nondet],
             "suppressions": {
                 str(line): codes for line, codes in self.suppressions.items()
             },
@@ -240,6 +249,7 @@ class ModuleSummary:
             functions=tuple(
                 FunctionSummary.from_mapping(f) for f in data["functions"]
             ),
+            nondet=tuple(Hazard.from_mapping(h) for h in data["nondet"]),
             suppressions={
                 int(line): (None if codes is None else [str(c) for c in codes])
                 for line, codes in data["suppressions"].items()
@@ -252,50 +262,92 @@ class ModuleSummary:
 
 
 # ---------------------------------------------------------------------------
-# Hazard classification (shared origin sets with the per-file rules)
+# Hazard classification
 # ---------------------------------------------------------------------------
+
+#: Dotted call origins that read the wall clock or OS entropy (RPL001).
+#: ``time.perf_counter`` is absent on purpose: wall-clock *job timing*
+#: is telemetry and never reaches simulated quantities.
+_WALL_CLOCK_CALLS = {
+    "time.time",
+    "time.time_ns",
+    "time.localtime",
+    "time.gmtime",
+    "time.strftime",
+    "time.ctime",
+    "time.asctime",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+    "os.urandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+}
+
+#: numpy.random attributes that are construction, not global-state use.
+_NP_RANDOM_OK = {
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "PCG64",
+    "Philox",
+    "BitGenerator",
+}
+
+#: Dotted origins that park the event loop outright (RPL701).
+_SLEEP_ORIGINS = {"time.sleep"}
+
+#: Attribute tails that mean synchronous file I/O on the receiver (RPL701).
+_FILE_IO_ATTRS = {"read_text", "write_text", "read_bytes", "write_bytes", "open"}
+
+
+def _unseeded(node: ast.Call) -> bool:
+    """Whether a ``default_rng(...)`` call draws OS entropy (no seed)."""
+    if not node.args and not node.keywords:
+        return True
+    first = node.args[0] if node.args else None
+    if first is None:
+        for kw in node.keywords:
+            if kw.arg == "seed":
+                first = kw.value
+                break
+    return isinstance(first, ast.Constant) and first.value is None
 
 
 def _nondet_hazard(origin: str | None, node: ast.Call) -> Hazard | None:
     """Classify a resolved call as an RPL001/RPL002 source, or ``None``."""
-    from repro.lint.rules.determinism import (
-        _NP_RANDOM_OK,
-        _WALL_CLOCK_CALLS,
-        GlobalRngRule,
-    )
-
     if origin is None:
         return None
-    line = getattr(node, "lineno", 1)
+    line, col = node.lineno, node.col_offset
     if origin in _WALL_CLOCK_CALLS:
-        return Hazard(origin=origin, line=line, code="RPL001")
+        return Hazard(origin=origin, line=line, code="RPL001", col=col)
     if origin.startswith("random."):
-        return Hazard(origin=origin, line=line, code="RPL002")
+        return Hazard(origin=origin, line=line, code="RPL002", col=col)
     if origin.startswith("numpy.random."):
         attr = origin.removeprefix("numpy.random.")
         if attr == "default_rng":
-            if GlobalRngRule._unseeded(node):
-                return Hazard(origin=origin, line=line, code="RPL002")
+            if _unseeded(node):
+                return Hazard(origin=origin, line=line, code="RPL002", col=col)
             return None
         if attr not in _NP_RANDOM_OK:
-            return Hazard(origin=origin, line=line, code="RPL002")
+            return Hazard(origin=origin, line=line, code="RPL002", col=col)
     return None
 
 
 def _blocking_hazard(origin: str | None, node: ast.Call) -> Hazard | None:
     """Classify a call as a blocking operation (the RPL701 origin set)."""
-    from repro.lint.rules.asyncblocking import _FILE_IO_ATTRS, _SLEEP_ORIGINS
-
-    line = getattr(node, "lineno", 1)
+    line, col = node.lineno, node.col_offset
     if origin in _SLEEP_ORIGINS:
-        return Hazard(origin=origin or "", line=line, code="sleep")
+        return Hazard(origin=origin or "", line=line, code="sleep", col=col)
     if isinstance(node.func, ast.Name) and node.func.id == "open":
-        return Hazard(origin="open", line=line, code="file-io")
+        return Hazard(origin="open", line=line, code="file-io", col=col)
     if (
         isinstance(node.func, ast.Attribute)
         and node.func.attr in _FILE_IO_ATTRS
     ):
-        return Hazard(origin=f".{node.func.attr}", line=line, code="file-io")
+        return Hazard(origin=f".{node.func.attr}", line=line, code="file-io",
+                      col=col)
     return None
 
 
@@ -316,17 +368,23 @@ def _self_attr(node: ast.expr) -> str | None:
     return None
 
 
-def _iter_body(root: ast.AST) -> Iterator[ast.AST]:
-    """The nodes a function body executes directly (no nested defs)."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(root))
+def _iter_body(root: ast.AST) -> Iterator[tuple[ast.AST, bool]]:
+    """The nodes that run when ``root`` runs, each flagged if in a lambda.
+
+    Nested ``def`` bodies are skipped (they run only when called, and
+    get their own summary); nested class bodies run with ``root``.  A
+    lambda's body counts for ``root``'s nondeterminism but adds no call
+    edge or blocking call: handing a lambda to ``run_in_executor`` is
+    the sanctioned way off the event loop.
+    """
+    stack = [(child, False) for child in ast.iter_child_nodes(root)]
     while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
+        node, in_lambda = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+        yield node, in_lambda
+        in_lambda = in_lambda or isinstance(node, ast.Lambda)
+        stack.extend((child, in_lambda) for child in ast.iter_child_nodes(node))
 
 
 _LOCK_HINTS = ("lock", "mutex", "semaphore", "sem")
@@ -435,14 +493,16 @@ def _function_summary(
     calls: list[CallSite] = []
     nondet: list[Hazard] = []
     blocking: list[Hazard] = []
-    for node in _iter_body(fn):
+    for node, in_lambda in _iter_body(fn):
         if not isinstance(node, ast.Call):
             continue
-        line = getattr(node, "lineno", fn.lineno)
+        line = node.lineno
         origin = imports.resolve(node.func)
         hazard = _nondet_hazard(origin, node)
         if hazard is not None:
             nondet.append(hazard)
+        if in_lambda:
+            continue
         block = _blocking_hazard(origin, node)
         if block is not None:
             blocking.append(block)
@@ -547,25 +607,31 @@ def summarize_source(
     }
 
     functions: list[FunctionSummary] = []
-
-    def visit_defs(body: list[ast.stmt], prefix: str,
-                   class_name: str | None) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{stmt.name}" if prefix else stmt.name
-                functions.append(
-                    _function_summary(
-                        stmt, qualname, imports, local_defs, class_name
-                    )
+    # Every def at any depth (inside ``if``/``try`` blocks too), in
+    # source order: (node, qualname prefix, enclosing class name).
+    stack: list[tuple[ast.AST, str, str | None]] = [(tree, "", None)]
+    while stack:
+        node, prefix, class_name = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = f"{prefix}{node.name}"
+            functions.append(
+                _function_summary(
+                    node, qualname, imports, local_defs, class_name
                 )
-                # Nested defs get their own (dotted) entry so taint in a
-                # closure still lands in the index.
-                visit_defs(stmt.body, f"{qualname}.", class_name)
-            elif isinstance(stmt, ast.ClassDef):
-                cls_qual = f"{prefix}{stmt.name}" if prefix else stmt.name
-                visit_defs(stmt.body, f"{cls_qual}.", stmt.name)
-
-    visit_defs(tree.body, "", None)
+            )
+            # Nested defs get their own (dotted) entry so taint in a
+            # closure still lands in the index.
+            prefix = f"{qualname}."
+        elif isinstance(node, ast.ClassDef):
+            prefix, class_name = f"{prefix}{node.name}.", node.name
+        children = list(ast.iter_child_nodes(node))
+        stack.extend((child, prefix, class_name) for child in reversed(children))
+    module_nondet: list[Hazard] = []
+    for node, _in_lambda in _iter_body(tree):
+        if isinstance(node, ast.Call):
+            hazard = _nondet_hazard(imports.resolve(node.func), node)
+            if hazard is not None:
+                module_nondet.append(hazard)
 
     import_records = _collect_imports(tree)
     suppressions = {
@@ -583,6 +649,7 @@ def summarize_source(
     referenced.update(suppressions)
     for rec in import_records:
         referenced.add(rec.line)
+    referenced.update(h.line for h in module_nondet)
     for fn in functions:
         referenced.add(fn.line)
         referenced.update(c.line for c in fn.calls)
@@ -597,6 +664,7 @@ def summarize_source(
         module=module_name(posix_path),
         imports=tuple(import_records),
         functions=tuple(functions),
+        nondet=tuple(module_nondet),
         suppressions=suppressions,
         line_texts={line: text(line) for line in sorted(referenced)},
     )

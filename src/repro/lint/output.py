@@ -26,7 +26,6 @@ def build_statistics(
     files_checked: int = 0,
     cache_hits: int = 0,
     cache_misses: int = 0,
-    flow: bool = False,
 ) -> dict[str, object]:
     """The ``--statistics`` payload: per-rule and per-file counts plus
     how much work the run actually did (files checked, cache traffic).
@@ -38,7 +37,6 @@ def build_statistics(
         "files_checked": files_checked,
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
-        "flow": flow,
         "by_code": _by_code(findings),
         "by_path": dict(sorted(by_path.items())),
     }
@@ -81,10 +79,6 @@ def render_text(
         lines.append(
             f"  cache: {statistics['cache_hits']} hits, "
             f"{statistics['cache_misses']} misses"
-        )
-        lines.append(
-            "  flow rules: "
-            + ("on" if statistics.get("flow") else "off")
         )
         by_code = statistics.get("by_code") or {}
         if isinstance(by_code, dict) and by_code:
@@ -151,8 +145,7 @@ def render_github(
             "::notice title=repro check statistics::"
             f"files={statistics['files_checked']} "
             f"cache_hits={statistics['cache_hits']} "
-            f"cache_misses={statistics['cache_misses']} "
-            f"flow={'on' if statistics.get('flow') else 'off'}"
+            f"cache_misses={statistics['cache_misses']}"
             + (f" {codes}" if codes else "")
         )
     return "\n".join(lines)

@@ -2,7 +2,11 @@
 
 Rule code families:
 
-* ``RPL0xx`` — determinism (:mod:`repro.lint.rules.determinism`)
+* ``RPL001``/``RPL002`` — determinism: wall clock and global RNG, in
+  the simulation code and wherever the simulation loop reaches
+  (:mod:`repro.lint.flow.rules`)
+* ``RPL003`` — determinism: set iteration
+  (:mod:`repro.lint.rules.determinism`)
 * ``RPL1xx`` — unit consistency (:mod:`repro.lint.rules.units`)
 * ``RPL2xx`` — fixed-point discipline (:mod:`repro.lint.rules.fixedpoint`)
 * ``RPL3xx`` — observability overhead (:mod:`repro.lint.rules.obsguard`)
@@ -13,19 +17,17 @@ Rule code families:
   row per store (:mod:`~repro.lint.rules.perfledger`,
   :mod:`~repro.lint.rules.cachedir`, :mod:`~repro.lint.rules.opslog`,
   :mod:`~repro.lint.rules.learnlog`)
-* ``RPL7xx`` — serve-loop discipline
-  (:mod:`repro.lint.rules.asyncblocking`)
-* ``RPL90x`` — whole-program flow analysis
-  (:mod:`repro.lint.flow.rules`): architecture layering,
-  interprocedural determinism taint, asyncio shared-state hazards,
-  transitive blocking calls
+* ``RPL701`` — serve-loop discipline: blocking calls on the event
+  loop, directly or through sync helpers (:mod:`repro.lint.flow.rules`)
+* ``RPL901``/``RPL903`` — whole-program structure
+  (:mod:`repro.lint.flow.rules`): architecture layering, asyncio
+  shared-state hazards
 * ``RPL910`` — suppression hygiene
   (:mod:`repro.lint.rules.suppressions`)
 """
 
 from repro.lint.flow import rules as _flow_rules  # noqa: F401
 from repro.lint.rules import (  # noqa: F401
-    asyncblocking,
     cachedir,
     determinism,
     exceptions,

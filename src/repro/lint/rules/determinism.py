@@ -1,26 +1,22 @@
-"""Determinism rules (RPL001–RPL003).
+"""Set-iteration rule (RPL003).
 
 The headline claims only reproduce if a simulation's outputs are a pure
 function of its inputs and seeds: the fleet promises bit-identical rows
 whether a job runs serially or on a pool, and the paper's energy/QoS
-numbers are regression-tested against fixed seeds.  These rules ban the
-three ways nondeterminism has historically crept into simulators:
+numbers are regression-tested against fixed seeds.
 
-* **RPL001** — wall-clock reads (``time.time``, ``datetime.now``,
-  ``time.strftime``, ``os.urandom`` ...) inside simulation code.  Wall
-  time may steer telemetry (``time.perf_counter`` for wall-clock job
-  timing is allowed) but must never reach simulated quantities.
-* **RPL002** — global or unseeded RNG: module-level ``random.*``,
-  NumPy's legacy global state (``np.random.rand`` / ``np.random.seed``),
-  or ``np.random.default_rng()`` without an explicit seed.  RNGs must be
-  constructed from a threaded seed so every trace is replayable.
 * **RPL003** — iterating a ``set`` (literal, comprehension,
   ``set(...)`` call, or set algebra) in a ``for`` loop or comprehension.
   Set iteration order varies across processes with hash randomisation;
   wrap the set in ``sorted(...)`` to pin it.
 
-Scope: ``sim/``, ``rl/``, and ``fleet/worker.py`` — the code that runs
-inside (or feeds) simulation, where the bit-determinism contract holds.
+Scope: the determinism scope (``sim/``, ``rl/``, ``batch/``,
+``fleet/worker.py``) — the code that runs inside (or feeds) simulation,
+where the bit-determinism contract holds.  The other two determinism
+hazards, wall-clock reads (RPL001) and global or unseeded RNG (RPL002),
+also matter wherever the simulation loop reaches, so the whole-program
+pass owns them (:mod:`repro.lint.flow.rules`); set iteration is a
+property of one loop, not of reachability, and stays per file.
 """
 
 from __future__ import annotations
@@ -28,112 +24,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.engine import Rule, register
-
-_SIM_SCOPE = ("sim/", "rl/", "fleet/worker.py")
-
-#: Dotted call origins that read the wall clock or OS entropy.
-_WALL_CLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.localtime",
-    "time.gmtime",
-    "time.strftime",
-    "time.ctime",
-    "time.asctime",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-}
-
-#: numpy.random attributes that are construction, not global-state use.
-_NP_RANDOM_OK = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "PCG64",
-    "Philox",
-    "BitGenerator",
-}
-
-
-@register
-class WallClockRule(Rule):
-    """RPL001: no wall-clock or OS-entropy reads in simulation code."""
-
-    code = "RPL001"
-    name = "determinism.wall-clock"
-    summary = (
-        "simulation code must not read the wall clock or OS entropy; "
-        "results must be a pure function of the spec and seeds"
-    )
-    scope = _SIM_SCOPE
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag calls whose resolved origin reads the wall clock."""
-        origin = self.ctx.imports.resolve(node.func)
-        if origin in _WALL_CLOCK_CALLS:
-            self.report(
-                node,
-                f"call to {origin}() makes simulation state depend on the "
-                "wall clock; thread timestamps in from the caller instead",
-            )
-        self.generic_visit(node)
-
-
-@register
-class GlobalRngRule(Rule):
-    """RPL002: RNG must be an explicitly seeded, threaded generator."""
-
-    code = "RPL002"
-    name = "determinism.global-rng"
-    summary = (
-        "no module-level random.* / numpy global RNG / unseeded "
-        "default_rng(); seed and thread generators explicitly"
-    )
-    scope = _SIM_SCOPE
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag global-state RNG use and unseeded generator builds."""
-        origin = self.ctx.imports.resolve(node.func)
-        if origin is not None:
-            if origin.startswith("random."):
-                self.report(
-                    node,
-                    f"{origin}() uses the process-global stdlib RNG; pass a "
-                    "seeded numpy Generator through the call chain instead",
-                )
-            elif origin.startswith("numpy.random."):
-                attr = origin.removeprefix("numpy.random.")
-                if attr == "default_rng":
-                    if self._unseeded(node):
-                        self.report(
-                            node,
-                            "default_rng() without a seed draws OS entropy; "
-                            "every generator must take an explicit seed",
-                        )
-                elif attr not in _NP_RANDOM_OK:
-                    self.report(
-                        node,
-                        f"numpy.random.{attr}() mutates numpy's hidden global "
-                        "RNG state; use an explicitly seeded Generator",
-                    )
-        self.generic_visit(node)
-
-    @staticmethod
-    def _unseeded(node: ast.Call) -> bool:
-        if not node.args and not node.keywords:
-            return True
-        first = node.args[0] if node.args else None
-        if first is None:
-            for kw in node.keywords:
-                if kw.arg == "seed":
-                    first = kw.value
-                    break
-        return isinstance(first, ast.Constant) and first.value is None
+from repro.lint.flow.rules import DETERMINISM_SCOPE
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -164,7 +55,7 @@ class SetIterationRule(Rule):
         "iterating a set in simulation code is hash-order dependent; "
         "wrap it in sorted(...)"
     )
-    scope = _SIM_SCOPE
+    scope = DETERMINISM_SCOPE
 
     _MESSAGE = (
         "iteration order of a set depends on hash randomisation and can "

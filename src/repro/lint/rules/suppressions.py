@@ -8,7 +8,7 @@ line.  RPL910 flags such dead suppressions, the same discipline ruff's
 
 The check is necessarily a whole-run computation — "did any finding
 land on this line?" is only known after every rule (including the
-RPL9xx flow rules) has run — so the rule class here is inert per file
+whole-program ones) has run — so the rule class here is inert per file
 and the analysis driver (:mod:`repro.lint.driver`) produces the
 findings.  Ground rules, to stay honest about what the run actually
 knows:
@@ -17,9 +17,8 @@ knows:
   some other linter;
 * only codes the current run *selected* can be called unused — an
   unselected rule produced no findings by construction;
-* flow codes (RPL901–904) are exempt when ``--no-flow`` disabled them;
 * an unknown ``RPL`` code is always flagged — it can never suppress
-  anything;
+  anything (a retired code such as ``RPL902`` included);
 * ``RPL910`` itself is never flagged, and a ``# noqa: RPL910`` on the
   line suppresses the unused-suppression finding like any other;
 * a bare ``# noqa`` is left alone (it suppresses *everything*, so it

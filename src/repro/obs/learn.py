@@ -126,7 +126,7 @@ def learn_record(
     record: dict[str, Any] = {
         # The wall-clock stamp is ledger metadata, never simulation
         # state: training results are bit-identical with or without it.
-        "ts": time.time() if ts is None else float(ts),  # noqa: RPL902
+        "ts": time.time() if ts is None else float(ts),  # noqa: RPL001
         "episode": int(episode),
         "scenario": scenario,
         "reward": float(reward),

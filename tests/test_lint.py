@@ -15,7 +15,7 @@ from repro.lint import (
     Finding,
     ImportMap,
     all_rules,
-    check_paths,
+    analyze_paths,
     check_source,
     filter_findings,
     iter_python_files,
@@ -94,7 +94,7 @@ class TestSelection:
             "RPL001", "RPL002", "RPL003", "RPL101", "RPL102",
             "RPL201", "RPL202", "RPL203", "RPL301", "RPL401", "RPL402",
             "RPL501", "RPL601", "RPL701", "RPL801", "RPL802",
-            "RPL901", "RPL902", "RPL903", "RPL904", "RPL910",
+            "RPL901", "RPL903", "RPL910",
         }
         assert set(all_rules()) == expected
 
@@ -722,7 +722,9 @@ class TestServeDiscipline:
         assert codes(r) == []
 
     def test_serve_package_is_clean(self):
-        result = check_paths([SRC / "repro" / "serve"], select=["RPL701"])
+        result = analyze_paths(
+            [SRC / "repro" / "serve"], select=["RPL701"], cache=False
+        )
         assert result.findings == []
 
     def test_catalogue_lists_rpl701(self):
@@ -1197,7 +1199,7 @@ class TestCheckCli:
 
 class TestRepoGate:
     def test_src_tree_clean_against_committed_baseline(self):
-        result = check_paths([SRC], project_root=REPO_ROOT)
+        result = analyze_paths([SRC], project_root=REPO_ROOT, cache=False)
         baseline_path = REPO_ROOT / "lint-baseline.json"
         findings = result.findings
         if baseline_path.is_file():
@@ -1234,6 +1236,26 @@ class TestRepoGate:
             "fleet/worker.py", "time.perf_counter()", "time.time()"
         )
         assert "RPL001" in codes(r)
+
+    def test_wall_clock_in_batch_backend_is_caught(self):
+        r = self._mutated(
+            "batch/engine.py",
+            "    scheduler = HMPScheduler()\n\n    opps",
+            "    scheduler = HMPScheduler()\n    started = time.time()\n\n    opps",
+        )
+        assert [(f.code, f.line_text.strip()) for f in r.findings] == [
+            ("RPL001", "started = time.time()")
+        ]
+
+    def test_global_rng_in_batch_trainer_is_caught(self):
+        r = self._mutated(
+            "batch/rl.py",
+            "    first = jobs[0]\n",
+            "    noise = np.random.rand()\n    first = jobs[0]\n",
+        )
+        assert [(f.code, f.line_text.strip()) for f in r.findings] == [
+            ("RPL002", "noise = np.random.rand()")
+        ]
 
     def test_renaming_metric_back_is_caught(self):
         r = self._mutated(

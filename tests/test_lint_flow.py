@@ -1,4 +1,4 @@
-"""Whole-program analysis: summaries, graphs, RPL9xx rules, cache, CLI."""
+"""Whole-program analysis: summaries, graphs, flow rules, cache, CLI."""
 
 from __future__ import annotations
 
@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import analyze_paths, check_paths
+from repro.lint import analyze_paths, check_source
 from repro.lint.baseline import Baseline, filter_findings
+from repro.lint.engine import LINT_ENGINE_VERSION
 from repro.lint.flow import (
     CallGraph,
     ImportGraph,
     Project,
     SummaryCache,
     CachedAnalysis,
+    SUMMARY_SCHEMA,
     extra_inputs_digest,
     layer_of,
     module_name,
@@ -131,6 +133,57 @@ class TestModuleSummary:
         assert fn.is_async
         assert [h.attr for h in fn.await_hazards] == ["count"]
 
+    def test_import_time_and_lambda_hazards_carried(self):
+        s = summarize_source(
+            textwrap.dedent(
+                """
+                import random
+                import time
+
+                START = time.time()
+
+                class Clock:
+                    EPOCH = time.time()
+
+                    def jitter(self, xs):
+                        return sorted(xs, key=lambda x: random.random())
+
+                KEY = lambda: random.random()
+                """
+            ),
+            "sim/x.py",
+        )
+        assert [(h.line, h.code) for h in sorted(s.nondet, key=lambda h: h.line)] == [
+            (5, "RPL001"), (8, "RPL001"), (13, "RPL002"),
+        ]
+        jitter = next(fn for fn in s.functions if fn.qualname == "Clock.jitter")
+        assert [(h.line, h.code) for h in jitter.nondet] == [(11, "RPL002")]
+        assert jitter.calls == tuple(
+            c for c in jitter.calls if c.target != "random.random"
+        )
+
+    def test_defs_inside_blocks_summarised(self):
+        s = summarize_source(
+            textwrap.dedent(
+                """
+                try:
+                    import fast
+                except ImportError:
+                    def f():
+                        return 1
+
+                if True:
+                    class C:
+                        def g(self):
+                            def h():
+                                return 2
+                            return h
+                """
+            ),
+            "sim/x.py",
+        )
+        assert [fn.qualname for fn in s.functions] == ["f", "C.g", "C.g.h"]
+
     def test_round_trip_mapping(self):
         s = summarize_source(
             "import time\n\n\ndef f():  # noqa: RPL001\n    return time.time()\n",
@@ -195,7 +248,7 @@ class TestGraphs:
                 "beta/y.py": "from alpha.x import f\n\ndef g():\n    return f\n",
             },
         )
-        project = analyze_paths([root], cache=False, flow=False).project
+        project = analyze_paths([root], cache=False).project
         cycles = ImportGraph(project).cycles()
         assert cycles == [["alpha.x", "beta.y"]]
 
@@ -209,7 +262,7 @@ class TestGraphs:
                 "beta/y.py": "from alpha.x import f\n\ndef g():\n    return f\n",
             },
         )
-        project = analyze_paths([root], cache=False, flow=False).project
+        project = analyze_paths([root], cache=False).project
         assert ImportGraph(project).cycles() == []
 
     def test_renderers(self, tmp_path):
@@ -289,7 +342,7 @@ class TestLayering:
 
 
 # ---------------------------------------------------------------------------
-# RPL902 — interprocedural determinism taint (the acceptance fixture)
+# RPL001/RPL002 — determinism at every call depth (the acceptance fixture)
 # ---------------------------------------------------------------------------
 
 
@@ -319,7 +372,7 @@ class TestDeterminismTaint:
 
     def test_transitive_hazard_reported_with_chain(self, tmp_path):
         r = analyze_paths([self.taint_tree(tmp_path)], cache=False)
-        taint = [f for f in r.findings if f.code == "RPL902"]
+        taint = [f for f in r.findings if f.code == "RPL001"]
         assert len(taint) == 1
         f = taint[0]
         assert f.path.endswith("util/clock.py")
@@ -328,10 +381,6 @@ class TestDeterminismTaint:
             "sim.engine.run -> util.mid.step -> util.clock.now" in f.message
         )
         assert "time.time" in f.message
-
-    def test_no_flow_disables_taint(self, tmp_path):
-        r = analyze_paths([self.taint_tree(tmp_path)], cache=False, flow=False)
-        assert [f for f in r.findings if f.code == "RPL902"] == []
 
     def test_in_scope_hazard_left_to_rpl001(self, tmp_path):
         root = write_tree(
@@ -350,8 +399,41 @@ class TestDeterminismTaint:
             },
         )
         r = analyze_paths([root], cache=False)
-        assert flow_codes(r).count("RPL001") == 1
-        assert "RPL902" not in flow_codes(r)
+        assert flow_codes(r) == ["RPL001"]
+        f = r.findings[0]
+        assert (f.path.endswith("sim/helpers.py"), f.line) == (True, 4)
+        assert "sim.engine.run -> sim.helpers.stamp" not in f.message
+
+    def test_rng_hazard_reached_from_batch_reported(self, tmp_path):
+        root = write_tree(
+            tmp_path,
+            {
+                "util/noise.py": (
+                    "import random\n\n"
+                    "def jitter():\n"
+                    "    return random.random()\n"
+                ),
+                "batch/engine.py": (
+                    "from util.noise import jitter\n\n"
+                    "def run_fixed_opp():\n"
+                    "    return jitter()\n"
+                ),
+            },
+        )
+        r = analyze_paths([root], cache=False)
+        assert flow_codes(r) == ["RPL002"]
+        f = r.findings[0]
+        assert f.path.endswith("util/noise.py") and f.line == 4
+        assert "batch.engine.run_fixed_opp -> util.noise.jitter" in f.message
+
+    def test_import_time_hazard_in_scope_only(self, tmp_path):
+        body = "import time\n\nclass Clock:\n    EPOCH = time.time()\n"
+        root = write_tree(
+            tmp_path, {"batch/clock.py": body, "util/clock.py": body}
+        )
+        r = analyze_paths([root], cache=False)
+        assert [(f.code, f.path.endswith("batch/clock.py"), f.line)
+                for f in r.findings] == [("RPL001", True, 4)]
 
     def test_unreachable_hazard_not_reported(self, tmp_path):
         root = write_tree(
@@ -364,7 +446,7 @@ class TestDeterminismTaint:
             },
         )
         r = analyze_paths([root], cache=False)
-        assert "RPL902" not in flow_codes(r)
+        assert "RPL001" not in flow_codes(r)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +521,7 @@ class TestAwaitSharedState:
 
 
 # ---------------------------------------------------------------------------
-# RPL904 — transitive blocking
+# RPL701 — blocking calls on the serve loop, through sync helpers
 # ---------------------------------------------------------------------------
 
 
@@ -464,7 +546,7 @@ class TestTransitiveBlocking:
             },
         )
         r = analyze_paths([root], cache=False)
-        assert flow_codes(r) == ["RPL904"]
+        assert flow_codes(r) == ["RPL701"]
         f = r.findings[0]
         assert f.path.endswith("serve/app.py")
         assert f.line == 5  # the load() call site, not the sleep
@@ -486,6 +568,45 @@ class TestTransitiveBlocking:
             },
         )
         assert flow_codes(analyze_paths([root], cache=False)) == []
+
+    def test_lambda_handed_to_executor_not_flagged(self, tmp_path):
+        root = write_tree(
+            tmp_path,
+            {
+                "serve/app.py": (
+                    "import asyncio\n\n"
+                    "def load(path):\n"
+                    "    return path.read_text()\n\n"
+                    "async def handle(path):\n"
+                    "    loop = asyncio.get_running_loop()\n"
+                    "    return await loop.run_in_executor(\n"
+                    "        None, lambda: load(path) + path.read_text()\n"
+                    "    )\n"
+                ),
+            },
+        )
+        assert flow_codes(analyze_paths([root], cache=False)) == []
+
+    def test_direct_and_transitive_both_reported(self, tmp_path):
+        root = write_tree(
+            tmp_path,
+            {
+                "serve/app.py": (
+                    "import time\n\n"
+                    "def pause():\n"
+                    "    time.sleep(1)\n\n"
+                    "async def handle():\n"
+                    "    time.sleep(1)\n"
+                    "    pause()\n"
+                ),
+            },
+        )
+        r = analyze_paths([root], cache=False)
+        assert [(f.code, f.line) for f in r.findings] == [
+            ("RPL701", 7), ("RPL701", 8),
+        ]
+        assert "time.sleep parks the serve event loop" in r.findings[0].message
+        assert "serve.app.handle -> serve.app.pause" in r.findings[1].message
 
     def test_sync_caller_not_flagged(self, tmp_path):
         root = write_tree(
@@ -553,15 +674,19 @@ class TestUnusedNoqa:
         )
         assert flow_codes(analyze_paths([root], cache=False)) == []
 
-    def test_flow_code_exempt_without_flow(self, tmp_path):
+    def test_unused_flow_code_flagged(self, tmp_path):
         root = write_tree(
             tmp_path,
             {"serve/x.py": "x = 1  # noqa: RPL903\n"},
         )
-        off = analyze_paths([root], cache=False, flow=False)
-        assert flow_codes(off) == []
-        on = analyze_paths([root], cache=False, flow=True)
-        assert flow_codes(on) == ["RPL910"]
+        assert flow_codes(analyze_paths([root], cache=False)) == ["RPL910"]
+
+    @pytest.mark.parametrize("retired", ["RPL902", "RPL904"])
+    def test_retired_flow_code_flagged(self, tmp_path, retired):
+        root = self.one_file(tmp_path, f"x = time.time()  # noqa: {retired}")
+        r = analyze_paths([root], cache=False)
+        assert flow_codes(r) == ["RPL910", "RPL001"]
+        assert f"{retired} is not a registered rule" in r.findings[0].message
 
     def test_unselected_code_exempt(self, tmp_path):
         root = self.one_file(
@@ -598,7 +723,7 @@ class TestSummaryCache:
         clock.write_text("def now():\n    return 0\n")
         again = analyze_paths([root], cache_dir=cache_dir)
         assert again.cache_hits == 2 and again.cache_misses == 1
-        assert "RPL902" not in flow_codes(again)
+        assert "RPL001" not in flow_codes(again)
 
     def test_engine_version_bump_invalidates_all(self, tmp_path, monkeypatch):
         root = self.taint_tree(tmp_path)
@@ -609,6 +734,36 @@ class TestSummaryCache:
         )
         again = analyze_paths([root], cache_dir=cache_dir, jobs=1)
         assert again.cache_hits == 0 and again.cache_misses == 3
+
+    def test_entry_from_before_the_schema_bump_not_reused(
+        self, tmp_path, monkeypatch
+    ):
+        # What the cache held before RPL001 moved to the whole-program
+        # pass: the per-file RPL001 finding, keyed and tagged with the
+        # old summary schema (1) and lint engine version ("2").
+        root = write_tree(
+            tmp_path, {"sim/x.py": "import time\nSTART = time.time()\n"}
+        )
+        path = root / "sim" / "x.py"
+        source = path.read_text()
+        cache_dir = tmp_path / "cache"
+        per_file = check_source(source, str(path)).findings
+        assert [f.code for f in per_file] == ["RPL001"]
+        monkeypatch.setattr("repro.lint.flow.cache.SUMMARY_SCHEMA", 1)
+        monkeypatch.setattr("repro.lint.flow.cache.LINT_ENGINE_VERSION", "2")
+        old = SummaryCache(cache_dir)
+        assert old.store(
+            SummaryCache.key(str(path), source, extra_inputs_digest(None)),
+            CachedAnalysis(
+                findings=tuple(per_file), suppressed=(),
+                summary=summarize_source(source, str(path)),
+            ),
+        )
+        monkeypatch.undo()
+        assert (SUMMARY_SCHEMA, LINT_ENGINE_VERSION) != (1, "2")
+        r = analyze_paths([root], cache_dir=cache_dir, project_root=tmp_path)
+        assert r.cache_hits == 0 and r.cache_misses == 1
+        assert flow_codes(r) == ["RPL001"]  # reported once, not twice
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = SummaryCache(tmp_path / "cache")
@@ -655,22 +810,6 @@ class TestParallelJobs:
         assert parallel.suppressed == serial.suppressed
         assert parallel.files_checked == serial.files_checked
 
-    def test_check_paths_gains_jobs_but_stays_per_file(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            {
-                "serve/server.py": "def launch():\n    return 1\n",
-                "sim/policy.py": (
-                    "from serve.server import launch\n\n"
-                    "def go():\n    return launch()\n"
-                ),
-            },
-        )
-        r = check_paths([root], jobs=2)
-        assert [f.code for f in r.findings] == []  # no flow rules here
-        flow = analyze_paths([root], cache=False)
-        assert flow_codes(flow) == ["RPL901"]
-
 
 # ---------------------------------------------------------------------------
 # Statistics output
@@ -701,7 +840,6 @@ class TestStatistics:
         assert stats["files_checked"] == 1
         assert stats["by_code"] == {"RPL001": 1}
         assert len(stats["by_path"]) == 1
-        assert stats["flow"] is True
 
     def test_github_statistics(self, tree, capsys):
         main(["check", str(tree), "--no-baseline", "--statistics",
@@ -810,5 +948,5 @@ class TestRepoGateFlow:
         assert r.findings == []
 
     def test_repo_import_graph_is_layerable(self):
-        r = analyze_paths([SRC], cache=False, flow=False)
+        r = analyze_paths([SRC], cache=False)
         assert ImportGraph(r.project).cycles() == []
