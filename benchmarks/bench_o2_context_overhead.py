@@ -8,14 +8,15 @@ attribute check and the serve path must match the pre-correlation
 numbers; with correlation active, ids must never change a decision —
 who asked is not allowed to affect what is computed.  This bench pins
 both: bit-identical decisions between the plain and correlated loops,
-and a sane bound on the cost of stamping ids and writing records.
+and a sane bound on the cost of stamping ids and writing records.  The
+plain and correlated rounds alternate (:func:`conftest.best_of_pair`),
+so host load that drifts during the bench reaches both sides alike.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-import time
 
 from repro.core.trainer import train_policy
 from repro.obs import OPS_LOG, OpsLogger
@@ -24,7 +25,7 @@ from repro.serve.protocol import observation_from_mapping
 from repro.soc.presets import tiny_test_chip
 from repro.workload.scenarios import get_scenario
 
-from conftest import write_result
+from conftest import best_of_pair, write_result
 
 N_REQUESTS = 500
 REPEATS = 3
@@ -35,24 +36,29 @@ _POLICIES = train_policy(
 ).policies
 
 
-def _serve_round(ops_log: OpsLogger | None) -> tuple[list[int], float]:
-    """One closed serve loop; returns (decisions, wall seconds)."""
-    server = PolicyServer(
-        _POLICIES, tiny_test_chip(), ServeConfig(workers=2),
-        ops_log=ops_log,
-    )
-    cluster = server.chip.cluster_names[0]
-    requests = [
+def _requests() -> list[DecisionRequest]:
+    """The closed loop's requests, parsed once outside the timed rounds."""
+    chip = tiny_test_chip()
+    cluster = chip.cluster_names[0]
+    return [
         DecisionRequest(
             observation=observation_from_mapping(
-                {"cluster": cluster, "utilization": (i % 10) / 10},
-                server.chip,
+                {"cluster": cluster, "utilization": (i % 10) / 10}, chip,
             ),
             request_id=f"r{i}",
         )
         for i in range(N_REQUESTS)
     ]
 
+
+def _serve_round(
+    ops_log: OpsLogger | None, requests: list[DecisionRequest]
+) -> list[int]:
+    """One closed serve loop on a fresh server; returns the decisions."""
+    server = PolicyServer(
+        _POLICIES, tiny_test_chip(), ServeConfig(workers=2),
+        ops_log=ops_log,
+    )
     decisions: list[int] = []
 
     async def run() -> None:
@@ -62,31 +68,26 @@ def _serve_round(ops_log: OpsLogger | None) -> tuple[list[int], float]:
             decisions.append(reply.opp_index)
         await server.shutdown()
 
-    start = time.perf_counter()
     asyncio.run(run())
-    return decisions, time.perf_counter() - start
-
-
-def _best_of(repeats: int, ops_log: OpsLogger | None) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        best = min(best, _serve_round(ops_log)[1])
-    return best
+    return decisions
 
 
 def test_o2_context_overhead(benchmark, tmp_path):
-    baseline, _ = benchmark.pedantic(
-        lambda: _serve_round(None), rounds=1, iterations=1
+    requests = _requests()
+    baseline = benchmark.pedantic(
+        _serve_round, args=(None, requests), rounds=1, iterations=1
     )
 
-    plain_s = _best_of(REPEATS, None)
     ops_log = OpsLogger(tmp_path / "bench-o2-ops.jsonl")
-    correlated, _ = _serve_round(ops_log)
-    correlated_s = _best_of(REPEATS, ops_log)
+    (plain_s, plain), (correlated_s, correlated) = best_of_pair(
+        REPEATS,
+        lambda: _serve_round(None, requests),
+        lambda: _serve_round(ops_log, requests),
+    )
 
     # Correlation must not change a single decision.
     assert correlated == baseline
-    assert _serve_round(None)[0] == baseline
+    assert plain == baseline
 
     records = OPS_LOG.read(ops_log.path)
     decision_records = [r for r in records if r["kind"] == "decision"]
@@ -115,5 +116,6 @@ def test_o2_context_overhead(benchmark, tmp_path):
         config={"requests": N_REQUESTS, "repeats": REPEATS},
     )
     # Stamping ids and appending one JSON line per request is allowed
-    # to cost, but not pathologically (loose: CI machines are noisy).
-    assert ratio < 10.0
+    # to cost, but not pathologically (loose: CI machines are noisy; a
+    # 2-core host reads about 2x).
+    assert ratio < 5.0

@@ -11,7 +11,8 @@ pins the two halves of that promise:
 * every rollout's evaluation result matches the serial trainer with
   ``==`` (no tolerance) — energy, QoS report, switch counts — and
 * the lock-step path is at least 5x faster wall-clock, each side
-  timed as the fastest of five runs.
+  timed as the fastest of five runs, the two sides alternating
+  (:func:`conftest.best_of_pair`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.batch import run_batch
 from repro.fleet.spec import JobSpec
 from repro.fleet.worker import simulate_spec
 
-from conftest import best_of, write_result
+from conftest import best_of_pair, write_result
 
 N_ROLLOUTS = 32
 TRAIN_EPISODES = 3
@@ -48,10 +49,10 @@ def _specs() -> list[JobSpec]:
 def test_x8_rl_batch_speedup(benchmark):
     specs = _specs()
 
-    serial_s, serial = best_of(
-        REPEATS, lambda: [simulate_spec(spec) for spec in specs])
-    batch_s, batch = benchmark.pedantic(
-        best_of, args=(REPEATS, lambda: run_batch(specs)),
+    (serial_s, serial), (batch_s, batch) = benchmark.pedantic(
+        best_of_pair,
+        args=(REPEATS, lambda: [simulate_spec(spec) for spec in specs],
+              lambda: run_batch(specs)),
         rounds=1, iterations=1)
 
     # Bit-identity first: a fast wrong answer is worthless.

@@ -13,7 +13,8 @@ and pins the two halves of that promise:
   :func:`~repro.fleet.worker.simulate_spec` with ``==`` on every field
   (no tolerance), and
 * the batch backend is at least 2x faster wall-clock, each side timed
-  as the fastest of :data:`REPEATS` runs over the same rollouts.
+  as the fastest of :data:`REPEATS` runs over the same rollouts, the
+  two sides alternating (:func:`conftest.best_of_pair`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.fleet.spec import JobSpec
 from repro.fleet.worker import simulate_spec
 from repro.workload.scenarios import EVALUATION_SET
 
-from conftest import best_of, write_result
+from conftest import best_of_pair, write_result
 
 SEEDS = (100, 200)
 DURATION_S = 4.0
@@ -49,10 +50,10 @@ def test_x9_governor_batch_speedup(benchmark):
     specs = _specs()
     assert len(specs) == N_ROLLOUTS
 
-    serial_s, serial = best_of(
-        REPEATS, lambda: [simulate_spec(spec) for spec in specs])
-    batch_s, batch = benchmark.pedantic(
-        best_of, args=(REPEATS, lambda: run_batch(specs)),
+    (serial_s, serial), (batch_s, batch) = benchmark.pedantic(
+        best_of_pair,
+        args=(REPEATS, lambda: [simulate_spec(spec) for spec in specs],
+              lambda: run_batch(specs)),
         rounds=1, iterations=1)
 
     # Bit-identity first: a fast wrong answer is worthless.

@@ -41,6 +41,7 @@ SWEEP_CONFIG = {"duration_s": EVAL_DURATION_S, "episodes": TRAIN_EPISODES,
                 "seed": EVAL_SEED}
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 # All benches of one pytest invocation share a ledger run id, so
 # ``repro perf gate`` sees them as one "current" run.  The ledger is
@@ -87,19 +88,27 @@ def write_result(
     print(text)
 
 
-def best_of(repeats: int, fn: Callable[[], T]) -> tuple[float, T]:
-    """Wall seconds of the fastest of ``repeats`` calls of ``fn``, and
-    the last call's result.
+def best_of_pair(
+    repeats: int, first: Callable[[], T], second: Callable[[], U]
+) -> tuple[tuple[float, T], tuple[float, U]]:
+    """Wall seconds of the fastest of ``repeats`` calls of each of two
+    functions, each with its last call's result.
 
     One timing of a sub-second run is mostly host noise; the fastest of
-    several is the run's cost with the least noise in it.
+    several is the run's cost with the least noise in it.  The two sides
+    alternate, and the order flips every round, so host load that
+    drifts during the bench reaches both sides alike instead of skewing
+    their ratio.
     """
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+    fns: tuple[Callable[[], Any], Callable[[], Any]] = (first, second)
+    best = [float("inf"), float("inf")]
+    results: list[Any] = [None, None]
+    for round_ in range(repeats):
+        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            results[side] = fns[side]()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return (best[0], results[0]), (best[1], results[1])
 
 
 @pytest.fixture(scope="session")

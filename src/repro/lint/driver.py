@@ -39,6 +39,7 @@ from repro.lint.engine import (
     all_rules,
     check_file,
     iter_python_files,
+    parse_source,
     select_rules,
 )
 from repro.lint.findings import Finding
@@ -95,12 +96,15 @@ def _analyze_one(
 def _analyze_source(
     source: str, path: str, root: str | None
 ) -> CachedAnalysis:
-    """One file's per-file findings (all rules) and its summary."""
-    result = check_file(source, path, project_root=root)
+    """One file's per-file findings (all rules) and its summary, both
+    from one parse."""
+    posix = Path(path).as_posix()
+    tree = parse_source(source, posix)
+    result = check_file(source, posix, tree, project_root=root)
     return CachedAnalysis(
         findings=tuple(result.findings),
         suppressed=tuple(result.suppressed),
-        summary=summarize_source(source, result.path),
+        summary=summarize_source(source, posix, tree=tree),
     )
 
 

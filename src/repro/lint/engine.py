@@ -349,9 +349,22 @@ class FileResult:
     suppressed: list[Finding]
 
 
+def parse_source(source: str, path: str) -> ast.Module:
+    """Parse one file's source for linting.
+
+    Raises:
+        LintError: On syntax errors in ``source``.
+    """
+    try:
+        return ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise LintError(f"cannot parse {path}: {exc}") from exc
+
+
 def check_file(
     source: str,
     path: str,
+    tree: ast.Module,
     *,
     project_root: str | Path | None = None,
 ) -> FileResult:
@@ -366,18 +379,13 @@ def check_file(
         source: Python source text.
         path: Real or virtual path; its package-relative form drives
             rule scoping.
+        tree: ``source`` parsed by :func:`parse_source`; the driver
+            reuses the same tree for the file's summary.
         project_root: Repository root for rules that cross-check other
             files (e.g. the register map); ``None`` disables those
             lookups and the rules fall back to their built-in defaults.
-
-    Raises:
-        LintError: On syntax errors in ``source``.
     """
     posix = Path(path).as_posix()
-    try:
-        tree = ast.parse(source, filename=posix)
-    except SyntaxError as exc:
-        raise LintError(f"cannot parse {posix}: {exc}") from exc
     _link_parents(tree)
     ctx = LintContext(
         path=posix,

@@ -28,11 +28,10 @@ the usual ``OBS.enabled`` / ``if tracer`` guards.
 
 from __future__ import annotations
 
-import uuid
-from contextlib import contextmanager
-from contextvars import ContextVar
+import os
+from contextvars import ContextVar, Token
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ObsError
 
@@ -84,8 +83,9 @@ _CURRENT: ContextVar[TraceContext | None] = ContextVar(
 
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-char trace id (random, not derived from time)."""
-    return uuid.uuid4().hex[:16]
+    """A fresh trace id: 16 random lowercase hex characters (64 bits
+    from the OS entropy source, not derived from time)."""
+    return os.urandom(8).hex()
 
 
 def current_context() -> TraceContext | None:
@@ -93,22 +93,30 @@ def current_context() -> TraceContext | None:
     return _CURRENT.get()
 
 
-@contextmanager
-def bind(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
+class bind:
     """Install ``ctx`` for the scope of the ``with`` block.
 
     ``bind(None)`` is a no-op passthrough, so call sites can bind
     unconditionally without paying for a contextvar set/reset on the
-    uncorrelated path.
+    uncorrelated path.  A small class rather than a generator-based
+    context manager: the served decision path binds once per request.
     """
-    if ctx is None:
-        yield None
-        return
-    token = _CURRENT.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _CURRENT.reset(token)
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: TraceContext | None) -> None:
+        self._ctx = ctx
+        self._token: Token[TraceContext | None] | None = None
+
+    def __enter__(self) -> TraceContext | None:
+        if self._ctx is not None:
+            self._token = _CURRENT.set(self._ctx)
+        return self._ctx
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._token is not None:
+            _CURRENT.reset(self._token)
+            self._token = None
 
 
 def trace_args(ctx: TraceContext | None = None) -> dict[str, str]:

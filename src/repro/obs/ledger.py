@@ -17,6 +17,7 @@ config loaders (:func:`read_json_object`).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable
@@ -25,6 +26,14 @@ from repro.errors import ObsError, ReproError
 
 #: The ``--format`` values :func:`render` understands.
 FORMATS = ("text", "json", "github")
+
+#: Encodes every appended record; the bytes equal
+#: ``json.dumps(mapping, sort_keys=True)``, which would build a fresh
+#: encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+#: Append-only, created on first use; no handle outlives one append.
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 def _as_is(mapping: dict[str, Any]) -> Any:
@@ -69,27 +78,35 @@ class LedgerKind:
     def append(self, path: Path, record: Any) -> dict[str, Any]:
         """Validate one record and append it as one sorted-key JSON line.
 
-        One ``open("a")`` plus one ``write`` per record is the
-        durability contract: a crash can lose at most the line being
+        Each append opens the file with ``O_APPEND``, writes the encoded
+        line (looping on a short write) and closes it again, so no
+        handle is held between records and a rotated file is picked up
+        by the next append.  A crash can lose at most the line being
         written.  Returns the stored mapping.  The parent directory must
         exist.
 
         Raises:
             ReproError: ``self.error`` when required fields are missing
                 or the record is not JSON-serialisable.
+            OSError: When the file cannot be opened or written.
         """
         mapping = self.encode(record)
         missing = [f for f in self.fields if f not in mapping]
         if missing:
             raise self.error(f"{self.noun} missing fields {missing}")
         try:
-            line = json.dumps(mapping, sort_keys=True)
+            line = _ENCODER.encode(mapping)
         except (TypeError, ValueError) as exc:
             raise self.error(
                 f"{self.noun} is not JSON-serialisable: {exc}"
             ) from exc
-        with path.open("a") as fh:
-            fh.write(line + "\n")
+        data = memoryview(f"{line}\n".encode())
+        fd = os.open(path, _APPEND_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         return mapping
 
     def read(self, path: str | Path) -> LedgerRead:

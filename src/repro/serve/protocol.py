@@ -34,12 +34,12 @@ remote queue backend can ship them without new serialisation code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Union
 
 from repro.errors import ServeError
 from repro.fleet.spec import JobSpec
-from repro.sim.telemetry import ClusterObservation, initial_observation
+from repro.sim.telemetry import ClusterObservation, initial_fields
 from repro.soc.chip import Chip
 
 #: Reasons a request can be rejected instead of answered.
@@ -51,6 +51,8 @@ REJECT_ERROR = "error"
 _INT_OBS_FIELDS = {
     "opp_index", "n_opps", "queue_jobs", "deadline_misses", "completions"
 }
+#: Every :class:`ClusterObservation` field; a client may send no other.
+_OBS_FIELDS = frozenset(f.name for f in fields(ClusterObservation))
 
 
 @dataclass(frozen=True)
@@ -227,41 +229,35 @@ def observation_from_mapping(
         ServeError: On unknown keys, a missing cluster, or missing
             fields when no chip provides defaults.
     """
-    known = {f.name for f in fields(ClusterObservation)}
-    unknown = set(data) - known
-    if unknown:
+    if not _OBS_FIELDS.issuperset(data):
         raise ServeError(
-            f"unknown observation fields {sorted(unknown)}; "
-            f"known: {sorted(known)}"
+            f"unknown observation fields {sorted(set(data) - _OBS_FIELDS)}; "
+            f"known: {sorted(_OBS_FIELDS)}"
         )
     if "cluster" not in data:
         raise ServeError("an observation needs a 'cluster' name")
     name = str(data["cluster"])
+    base: dict[str, Any]
     if chip is not None:
         if name not in chip.cluster_names:
             raise ServeError(
                 f"unknown cluster {name!r}; chip has {list(chip.cluster_names)}"
             )
         cluster = chip.cluster(name)
-        base = asdict(
-            initial_observation(
-                name,
-                cluster.opp_index,
-                len(cluster.spec.opp_table),
-                cluster.freq_hz,
-                cluster.spec.opp_table.max_freq_hz,
-                0.01,
-            )
+        table = cluster.spec.opp_table
+        base = initial_fields(
+            name, cluster.opp_index, len(table), cluster.freq_hz,
+            table.max_freq_hz, 0.01,
         )
     else:
-        missing = known - set(data) - {"temp_c"}
+        missing = _OBS_FIELDS - set(data) - {"temp_c"}
         if missing:
             raise ServeError(
                 f"observation missing fields {sorted(missing)} "
                 "(pass a chip for defaults, or send them all)"
             )
         base = {"temp_c": None}
-    merged: dict[str, Any] = {**base, **dict(data)}
+    merged = {**base, **data}
     for key, value in merged.items():
         if key == "cluster" or value is None:
             continue
@@ -320,13 +316,20 @@ def request_from_mapping(
 
 
 def reply_to_mapping(reply: Reply) -> dict[str, Any]:
-    """The JSON-serialisable form of a reply, tagged with its kind."""
+    """The JSON-serialisable form of a reply, tagged with its kind.
+
+    A reply is a flat frozen dataclass, so ``vars`` lists its fields in
+    declaration order, as ``asdict`` would, without the deep copy; the
+    two dict-valued fields are copied so the mapping shares nothing
+    with the reply.
+    """
     if isinstance(reply, DecisionReply):
-        return {"kind": "decision", **asdict(reply)}
+        return {"kind": "decision", **vars(reply)}
     if isinstance(reply, SimulationReply):
-        return {"kind": "simulation", **asdict(reply)}
+        return {"kind": "simulation", **vars(reply)}
     if isinstance(reply, HealthReply):
-        return {"kind": "health", **asdict(reply)}
+        return {"kind": "health", **vars(reply),
+                "indicators": dict(reply.indicators)}
     if isinstance(reply, StatsReply):
-        return {"kind": "stats", **asdict(reply)}
-    return {"kind": "rejection", **asdict(reply)}
+        return {"kind": "stats", **vars(reply), "stats": dict(reply.stats)}
+    return {"kind": "rejection", **vars(reply)}

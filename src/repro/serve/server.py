@@ -50,12 +50,12 @@ import asyncio
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.policy import RLPowerManagementPolicy
 from repro.errors import ReproError, ServeError, ServeOverloaded
 from repro.obs import OBS
 from repro.obs.context import TraceContext, bind, new_trace_id
+from repro.obs.opslog import OpsLogger, ops_record
 from repro.obs.runtime import SlidingWindow, health_indicators
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import (
@@ -80,9 +80,6 @@ from repro.serve.queue import InProcessQueue, QueueBackend
 from repro.serve.session import DecisionSession
 from repro.soc.chip import Chip
 from repro.soc.presets import PRESETS
-
-if TYPE_CHECKING:
-    from repro.obs.opslog import OpsLogger
 
 log = logging.getLogger("repro.serve")
 
@@ -171,7 +168,7 @@ class PolicyServer:
         chip: Chip,
         config: ServeConfig | None = None,
         queue: QueueBackend | None = None,
-        ops_log: "OpsLogger | None" = None,
+        ops_log: OpsLogger | None = None,
         drift: DriftMonitor | None = None,
     ) -> None:
         self.config = config or ServeConfig()
@@ -203,7 +200,7 @@ class PolicyServer:
         chip: Chip | str = "exynos5422",
         config: ServeConfig | None = None,
         queue: QueueBackend | None = None,
-        ops_log: "OpsLogger | None" = None,
+        ops_log: OpsLogger | None = None,
         drift_reference: str | Path | None = None,
     ) -> "PolicyServer":
         """Boot a server from a saved checkpoint directory.
@@ -610,14 +607,13 @@ class PolicyServer:
         """Append one structured ops record, when a logger is attached.
 
         A no-op without one — the record constructor never runs, so the
-        unlogged path pays a single attribute check.  The append itself
-        is a buffered line write (sub-millisecond); latency-critical
-        deployments can point the log at tmpfs.
+        unlogged path pays a single attribute check.  The append is one
+        ``open``/``write``/``close`` of the encoded line
+        (:meth:`repro.obs.ledger.LedgerKind.append`); no file handle is
+        held between requests.
         """
         if self._ops is None:
             return
-        from repro.obs.opslog import ops_record
-
         if kind is None:
             kind = (
                 "decision"

@@ -8,6 +8,7 @@ gets to peek at the trace or the future.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,39 @@ class ClusterObservation:
         return self.max_core_utilization * (self.freq_hz / self.max_freq_hz)
 
 
+def initial_fields(
+    cluster: str,
+    opp_index: int,
+    n_opps: int,
+    freq_hz: float,
+    max_freq_hz: float,
+    interval_s: float,
+) -> dict[str, Any]:
+    """The fields of :func:`initial_observation` as a plain dict, in
+    declaration order (the serve protocol merges client fields into it).
+    """
+    return {
+        "cluster": cluster,
+        "time_s": 0.0,
+        "interval_s": interval_s,
+        "opp_index": opp_index,
+        "n_opps": n_opps,
+        "freq_hz": freq_hz,
+        "max_freq_hz": max_freq_hz,
+        "utilization": 0.0,
+        "max_core_utilization": 0.0,
+        "queue_work": 0.0,
+        "queue_jobs": 0,
+        "arrived_work": 0.0,
+        "completed_work": 0.0,
+        "deadline_misses": 0,
+        "completions": 0,
+        "qos_slack": 1.0,
+        "energy_j": 0.0,
+        "temp_c": None,
+    }
+
+
 def initial_observation(
     cluster: str,
     opp_index: int,
@@ -80,21 +114,7 @@ def initial_observation(
 ) -> ClusterObservation:
     """The all-quiet observation used before the first interval completes."""
     return ClusterObservation(
-        cluster=cluster,
-        time_s=0.0,
-        interval_s=interval_s,
-        opp_index=opp_index,
-        n_opps=n_opps,
-        freq_hz=freq_hz,
-        max_freq_hz=max_freq_hz,
-        utilization=0.0,
-        max_core_utilization=0.0,
-        queue_work=0.0,
-        queue_jobs=0,
-        arrived_work=0.0,
-        completed_work=0.0,
-        deadline_misses=0,
-        completions=0,
-        qos_slack=1.0,
-        energy_j=0.0,
+        **initial_fields(
+            cluster, opp_index, n_opps, freq_hz, max_freq_hz, interval_s
+        )
     )

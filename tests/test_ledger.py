@@ -1,23 +1,28 @@
 """The shared JSONL ledger primitive behind the perf, ops and learn logs.
 
-Two contracts are pinned here for all three kinds at once:
+Three contracts are pinned here for all three kinds at once:
 
 * a crash mid-append leaves a torn final line, and the reader skips and
   counts it instead of refusing the whole file — while a garbled line
   anywhere else still raises;
 * the committed ledgers read back and write out through their writers
-  unchanged, byte for byte where the file was written by the writer.
+  unchanged, byte for byte where the file was written by the writer;
+* an append writes exactly ``json.dumps(mapping, sort_keys=True)`` and
+  a newline, all of it even when the OS takes it in pieces, and needs
+  the parent directory to exist.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
-from repro.obs import LEARN_LOG, OPS_LOG, LearnRecorder, OpsLogger
+from repro.obs import LEARN_LOG, OPS_LOG, LearnRecorder, OpsLogger, ops_record
 from repro.perf import PERF_LEDGER
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -124,3 +129,62 @@ def test_committed_ledgers_round_trip_through_their_writers(name, tmp_path):
     assert read(copy) == records
     if byte_identical:
         assert copy.read_bytes() == fixture.read_bytes()
+
+
+#: kind -> (ledger kind, committed file its records come from)
+APPENDERS = {
+    "perf": (PERF_LEDGER, REPO_ROOT / "perf-baseline.jsonl"),
+    "ops": (OPS_LOG, DATA / "ops-log-fixture.jsonl"),
+    "learn": (LEARN_LOG, DATA / "learn-log-fixture.jsonl"),
+}
+
+
+def _append_cases(kind: str) -> tuple:
+    ledger, fixture = APPENDERS[kind]
+    records = list(ledger.read(fixture))
+    if kind == "ops":
+        # Non-ASCII text is escaped, so the bytes do not hang on a locale.
+        records.append(ops_record(kind="decision", outcome="ok",
+                                  latency_s=1e-4, request_id="r-\u00e9\u2603",
+                                  detail="caf\u00e9"))
+    return ledger, records
+
+
+@pytest.mark.parametrize("kind", sorted(APPENDERS))
+def test_append_writes_one_sorted_key_json_line(kind, tmp_path):
+    ledger, records = _append_cases(kind)
+    path = tmp_path / "ledger.jsonl"
+    expected = b""
+    for record in records:
+        stored = ledger.append(path, record)
+        assert stored == ledger.encode(record)
+        expected += (json.dumps(stored, sort_keys=True) + "\n").encode()
+        assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("kind", sorted(APPENDERS))
+def test_append_finishes_a_short_write(kind, tmp_path, monkeypatch):
+    ledger, records = _append_cases(kind)
+    real_write = os.write
+    calls = []
+
+    def short_write(fd: int, data: bytes) -> int:
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    path = tmp_path / "ledger.jsonl"
+    monkeypatch.setattr(os, "write", short_write)
+    ledger.append(path, records[0])
+    monkeypatch.undo()
+    line = (json.dumps(ledger.encode(records[0]), sort_keys=True) + "\n")
+    assert path.read_bytes() == line.encode()
+    assert len(calls) == -(-len(line) // 7)
+
+
+@pytest.mark.parametrize("kind", sorted(APPENDERS))
+def test_append_needs_the_parent_directory(kind, tmp_path):
+    ledger, records = _append_cases(kind)
+    path = tmp_path / "missing" / "ledger.jsonl"
+    with pytest.raises(FileNotFoundError):
+        ledger.append(path, records[0])
+    assert not path.parent.exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -109,7 +110,7 @@ class TestTraceContext:
     def test_new_trace_id_is_16_hex_and_distinct(self):
         ids = {new_trace_id() for _ in range(32)}
         assert len(ids) == 32
-        assert all(len(i) == 16 and int(i, 16) >= 0 for i in ids)
+        assert all(re.fullmatch("[0-9a-f]{16}", i) for i in ids)
 
     def test_bind_scopes_the_current_context(self):
         assert current_context() is None

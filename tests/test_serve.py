@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+from dataclasses import asdict, fields
+from typing import Any, Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.checkpoint import load_policies, save_policies
@@ -20,6 +23,7 @@ from repro.serve import (
     REJECT_SHUTDOWN,
     DecisionReply,
     DecisionRequest,
+    HealthReply,
     InProcessQueue,
     PolicyServer,
     QueueBackend,
@@ -27,12 +31,15 @@ from repro.serve import (
     ServeConfig,
     SimulationReply,
     SimulationRequest,
+    StatsReply,
     observation_from_mapping,
     reply_to_mapping,
     request_from_mapping,
     serve_once,
 )
-from repro.soc.presets import tiny_test_chip
+from repro.sim.telemetry import ClusterObservation, initial_observation
+from repro.soc.chip import Chip
+from repro.soc.presets import exynos5422, tiny_test_chip
 from test_trainer import tiny_scenario
 
 
@@ -138,6 +145,152 @@ class TestProtocol:
             data = json.loads(json.dumps(reply_to_mapping(reply)))
             assert data["request_id"] == reply.request_id
             assert data["kind"] in ("decision", "simulation", "rejection")
+
+
+# The parse and encode paths are hand-tuned; these properties pin them to
+# the plain dataclass-based definitions they replace.
+
+_INT_FIELDS = {
+    "opp_index", "n_opps", "queue_jobs", "deadline_misses", "completions"
+}
+_FIELD_NAMES = [f.name for f in fields(ClusterObservation)]
+_CHIPS = {"none": None, "tiny": tiny_test_chip(), "exynos": exynos5422()}
+
+
+def _reference_observation(
+    data: Mapping[str, Any], chip: Chip | None = None
+) -> ClusterObservation:
+    """The parse as first written, on ``fields`` and ``asdict``."""
+    known = {f.name for f in fields(ClusterObservation)}
+    unknown = set(data) - known
+    if unknown:
+        raise ServeError(
+            f"unknown observation fields {sorted(unknown)}; "
+            f"known: {sorted(known)}"
+        )
+    if "cluster" not in data:
+        raise ServeError("an observation needs a 'cluster' name")
+    name = str(data["cluster"])
+    if chip is not None:
+        if name not in chip.cluster_names:
+            raise ServeError(
+                f"unknown cluster {name!r}; chip has {list(chip.cluster_names)}"
+            )
+        cluster = chip.cluster(name)
+        base = asdict(
+            initial_observation(
+                name,
+                cluster.opp_index,
+                len(cluster.spec.opp_table),
+                cluster.freq_hz,
+                cluster.spec.opp_table.max_freq_hz,
+                0.01,
+            )
+        )
+    else:
+        missing = known - set(data) - {"temp_c"}
+        if missing:
+            raise ServeError(
+                f"observation missing fields {sorted(missing)} "
+                "(pass a chip for defaults, or send them all)"
+            )
+        base = {"temp_c": None}
+    merged: dict[str, Any] = {**base, **dict(data)}
+    for key, value in merged.items():
+        if key == "cluster" or value is None:
+            continue
+        merged[key] = int(value) if key in _INT_FIELDS else float(value)
+    merged["cluster"] = name
+    return ClusterObservation(**merged)
+
+
+def _outcome(fn: Any, *args: Any) -> tuple[str, Any]:
+    """What a call returned, field by field with types, or what it raised."""
+    try:
+        obs = fn(*args)
+    except Exception as exc:  # the error itself is what gets compared
+        return "raised", (type(exc), str(exc))
+    return "returned", [(k, type(v), v) for k, v in vars(obs).items()]
+
+
+_numbers = st.one_of(
+    st.integers(-5, 10**6),
+    st.floats(allow_nan=False, width=32),
+    st.sampled_from(["3", "0.25", "1e3", "bad", ""]),
+)
+
+
+@st.composite
+def _observation_cases(draw: Any) -> tuple[str, dict[str, Any], int]:
+    chip = draw(st.sampled_from(sorted(_CHIPS)))
+    names = ["cpu", "big", "LITTLE", "nope"]
+    if _CHIPS[chip] is not None:
+        names = list(_CHIPS[chip].cluster_names) + ["nope"]
+    data: dict[str, Any] = {}
+    if draw(st.booleans()) or draw(st.booleans()):
+        data["cluster"] = draw(st.sampled_from(names))
+    full = draw(st.booleans())
+    for name in _FIELD_NAMES[1:]:
+        if full or draw(st.booleans()):
+            data[name] = (
+                draw(st.one_of(st.none(), _numbers))
+                if name == "temp_c"
+                else draw(_numbers)
+            )
+    if draw(st.integers(0, 9)) == 0:
+        data["bogus"] = 1
+    return chip, draw(st.permutations(list(data.items()))), draw(
+        st.integers(0, 20)
+    )
+
+
+_replies = st.one_of(
+    st.builds(DecisionReply, st.text(), st.text(), st.integers(),
+              st.floats(), st.text()),
+    st.builds(SimulationReply, st.text(), st.text(), st.floats(),
+              st.floats(), st.floats(), st.floats(), st.floats(), st.text()),
+    st.builds(HealthReply, st.text(), st.sampled_from(["ok", "stopped"]),
+              st.integers(0), st.integers(0), st.integers(0), st.integers(0),
+              st.dictionaries(st.text(), st.one_of(st.none(), st.floats())),
+              st.text()),
+    st.builds(StatsReply, st.text(),
+              st.dictionaries(st.text(), st.integers()), st.text()),
+    st.builds(Rejection, st.text(), st.text(), st.text(), st.text()),
+)
+_REPLY_KINDS = {
+    DecisionReply: "decision",
+    SimulationReply: "simulation",
+    HealthReply: "health",
+    StatsReply: "stats",
+    Rejection: "rejection",
+}
+
+
+class TestProtocolProperties:
+    @settings(max_examples=300)
+    @given(_observation_cases())
+    def test_observation_matches_the_asdict_reference(self, case):
+        chip_name, items, opp = case
+        chip = _CHIPS[chip_name]
+        data = dict(items)
+        if chip is not None:
+            # Defaults come from each cluster's current operating point.
+            for cluster in chip:
+                cluster.set_opp_index(opp % len(cluster.spec.opp_table))
+        assert _outcome(observation_from_mapping, data, chip) == _outcome(
+            _reference_observation, data, chip
+        )
+
+    @given(_replies)
+    def test_reply_mapping_matches_asdict(self, reply):
+        mapping = reply_to_mapping(reply)
+        expected = {"kind": _REPLY_KINDS[type(reply)], **asdict(reply)}
+        assert list(mapping) == list(expected)
+        assert json.dumps(mapping) == json.dumps(expected)
+        # Nested dicts are copies: editing the mapping leaves the reply be.
+        for key in ("indicators", "stats"):
+            if key in mapping:
+                assert mapping[key] is not getattr(reply, key)
 
 
 # ---------------------------------------------------------------------------
