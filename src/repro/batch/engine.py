@@ -38,9 +38,9 @@ pass.  Only RL groups share one, and only with at least two members
 (lock-step training only pays for itself across lanes).  Rollouts no
 fast path can express — other governors, checkpoints, singleton RL
 jobs, full-system substrates, metric/trace collection, or any run under
-an active observability session (which must see real engine spans) —
-run on the reference simulator, so ``run_batch`` accepts arbitrary job
-lists and is *always* exact.
+an active observability session (which must see the engine's run span
+and phase counters) — run on the reference simulator, so ``run_batch``
+accepts arbitrary job lists and is *always* exact.
 """
 
 from __future__ import annotations
@@ -394,8 +394,8 @@ class BatchEngine:
 
         The one planner: :meth:`run` and :meth:`units` both start here.
         """
-        # An active observability session must see real engine spans
-        # and counters, which only the serial engine emits.
+        # An active observability session must see the engine's run
+        # span and phase counters, which only the serial engine emits.
         if OBS.enabled:
             return [False] * len(self.specs)
         fast = [

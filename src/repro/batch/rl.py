@@ -57,8 +57,8 @@ policy object shared with another lane, policies that do not match its
 clusters — raises :class:`~repro.errors.SimulationError` naming it.
 Observability plays no part in the routing: a multi-lane call under an
 active session still runs lock-step and emits the ``rl.episode``
-instants but no engine spans (``BatchEngine.plan`` keeps such sessions
-on the serial engine).
+instants but no engine run span or phase counters
+(``BatchEngine.plan`` keeps such sessions on the serial engine).
 """
 
 from __future__ import annotations

@@ -590,12 +590,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.workload.trace import Trace
 
     if args.from_trace:
-        # Offline re-profiling: phase breakdown straight from a saved
-        # trace file (Chrome or JSONL), no simulation run.
-        spans = obs.load_spans(args.from_trace)
+        # Offline re-profiling: phase breakdown straight from the metrics
+        # saved in a trace file (Chrome or JSONL), no simulation run.
         print(
             obs.format_breakdown(
-                obs.phase_breakdown(spans),
+                obs.phase_breakdown(obs.load_snapshot(args.from_trace)),
                 title=f"engine phase breakdown ({args.from_trace})",
             )
         )
@@ -615,7 +614,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(
         obs.format_breakdown(
-            obs.phase_breakdown(session.tracer.spans),
+            obs.phase_breakdown(session.metrics.snapshot()),
             title=(
                 f"engine phase breakdown ({governor_name}, "
                 f"{trace.duration_s:.1f} s simulated)"
@@ -1315,7 +1314,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="alias for --progress none")
     fleet_p.add_argument("--trace", default=None, metavar="FILE",
                          help="write a parent-process Chrome trace "
-                              "(full engine spans with --jobs 1)")
+                              "(engine run spans and phase counters "
+                              "with --jobs 1)")
     fleet_p.add_argument("--metrics", default=None, metavar="FILE",
                          help="collect per-job metric snapshots and write "
                               "the grid-wide merge as Prometheus text")

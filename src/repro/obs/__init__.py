@@ -15,7 +15,7 @@ Typical use::
     with obs.capture() as session:
         Simulator(chip, trace, governors).run()
     obs.write_chrome_trace("trace.json", session.tracer, session.metrics)
-    print(obs.format_breakdown(obs.phase_breakdown(session.tracer.spans)))
+    print(obs.format_breakdown(obs.phase_breakdown(session.metrics.snapshot())))
 
 Module map:
 
@@ -24,7 +24,7 @@ Module map:
   behind a ``MetricsRegistry``; ``merge_snapshots`` for fleet grids
 * :mod:`repro.obs.export`  — Chrome ``trace_event`` JSON, JSONL,
   Prometheus text
-* :mod:`repro.obs.profile` — ``engine.phase.*`` time breakdowns
+* :mod:`repro.obs.profile` — ``engine.phase.*`` counter time breakdowns
 * :mod:`repro.obs.context` — ``TraceContext`` request correlation
 * :mod:`repro.obs.ledger`  — the shared JSONL ledger primitive
   (``LedgerKind``), ``gate`` and ``render`` for every ledger report
@@ -53,13 +53,12 @@ from repro.obs.export import (
     EPOCH_METADATA_NAME,
     chrome_trace,
     load_chrome_trace,
-    load_spans,
+    load_snapshot,
     merge_trace_files,
     merge_traces,
     prometheus_text,
     read_jsonl,
     span_tree,
-    spans_from_chrome,
     trace_lanes,
     validate_chrome_trace,
     write_chrome_trace,
@@ -266,7 +265,7 @@ __all__ = [
     "load_chrome_trace",
     "load_convergence_spec",
     "load_slo_config",
-    "load_spans",
+    "load_snapshot",
     "merge_snapshots",
     "merge_trace_files",
     "merge_traces",
@@ -279,7 +278,6 @@ __all__ = [
     "render",
     "slos_from_mapping",
     "span_tree",
-    "spans_from_chrome",
     "spec_from_mapping",
     "summarize_learning",
     "summarize_ops",

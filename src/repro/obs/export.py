@@ -300,56 +300,39 @@ def trace_lanes(data: Mapping[str, Any]) -> list[int]:
     )
 
 
-def spans_from_chrome(data: Mapping[str, Any]) -> list[SpanRecord]:
-    """Reconstruct span records from a Chrome trace's complete events.
+def load_snapshot(path: str | Path) -> dict[str, Any]:
+    """The metrics snapshot saved in a trace file, Chrome or JSONL format.
 
-    Only ``"ph": "X"`` events carry durations; uids are synthesised in
-    event order and the parent/depth structure is not recovered (the
-    JSONL format is the lossless one).  Good enough for offline
-    re-profiling: :func:`repro.obs.profile.phase_breakdown` needs only
-    names and durations.
-    """
-    spans: list[SpanRecord] = []
-    for k, event in enumerate(data.get("traceEvents", [])):
-        if event.get("ph") != "X":
-            continue
-        spans.append(
-            SpanRecord(
-                uid=k,
-                parent_uid=None,
-                name=str(event.get("name", "")),
-                cat=str(event.get("cat", "default")),
-                start_us=float(event.get("ts", 0.0)),
-                dur_us=float(event.get("dur", 0.0)),
-                depth=0,
-                args=dict(event.get("args", {})),
-            )
-        )
-    return spans
-
-
-def load_spans(path: str | Path) -> list[SpanRecord]:
-    """Span records from a saved trace file, Chrome or JSONL format.
-
-    Sniffs the format: a JSON object with ``traceEvents`` is a Chrome
-    trace (spans reconstructed from its complete events), anything else
-    is treated as a :func:`write_jsonl` dump.
+    Sniffs the format.  A JSON object with ``traceEvents`` is a Chrome
+    trace: its ``"C"`` counter events are summed by name across every
+    event and pid, so a merged fleet trace yields grid-wide totals, and
+    come back as the snapshot's ``counters`` (the events do not say
+    which metric was a gauge).  Anything else is read as a
+    :func:`write_jsonl` dump and yields its ``metrics`` line, or an
+    empty snapshot without one.
 
     Raises:
         ObsError: When the file parses as neither format.
     """
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError:
             data = None
         if isinstance(data, dict) and "traceEvents" in data:
             validate_chrome_trace(data)
-            return spans_from_chrome(data)
-    spans, _instants, _metrics = read_jsonl(path)
-    return spans
+            counters: dict[str, float] = {}
+            for event in data["traceEvents"]:
+                if event["ph"] != "C":
+                    continue
+                value = event.get("args", {}).get("value")
+                if isinstance(value, (int, float)):
+                    name = str(event["name"])
+                    counters[name] = counters.get(name, 0.0) + value
+            return {"counters": counters}
+    _spans, _instants, snapshot = read_jsonl(path)
+    return snapshot or {}
 
 
 # -- JSONL ----------------------------------------------------------------

@@ -1,59 +1,52 @@
-"""Per-phase wall-clock breakdown of a traced run.
+"""Per-phase wall-clock breakdown of engine runs.
 
-Aggregates the engine's ``engine.phase.*`` spans (or any name prefix)
-into per-phase statistics — the "where does simulation time go" table
-behind ``repro profile`` and the CI timing baseline.
+Reads the engine's ``engine.phase.*_s`` counters (and ``sim.intervals``)
+out of a metrics snapshot — the "where does simulation time go" table
+behind ``repro profile`` and the CI timing baseline.  The counters are
+per-run accumulators, so a snapshot merged across fleet jobs
+(:func:`repro.obs.metrics.merge_snapshots`) profiles the whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-from repro.obs.trace import SpanRecord
+from typing import Any, Iterable, Mapping
 
 
 @dataclass(frozen=True)
 class PhaseStat:
-    """Aggregate timing of one span name.
+    """Accumulated timing of one engine phase.
 
     Attributes:
-        name: Span name.
-        count: Completed spans.
-        total_us / mean_us / min_us / max_us: Duration statistics.
+        name: Phase name (``"engine.phase.drain"``).
+        count: Engine intervals the phase ran in.
+        total_us / mean_us: Total time, and its mean per interval.
     """
 
     name: str
     count: int
     total_us: float
     mean_us: float
-    min_us: float
-    max_us: float
 
 
-def phase_breakdown(
-    spans: Iterable[SpanRecord], prefix: str = "engine.phase."
-) -> list[PhaseStat]:
-    """Per-name timing statistics of spans matching ``prefix``.
+def phase_breakdown(snapshot: Mapping[str, Any]) -> list[PhaseStat]:
+    """Per-phase timing from a metrics snapshot's engine counters.
 
-    An empty prefix aggregates every span.  Results are sorted by total
-    time, descending, so the hottest phase leads.
+    Results are sorted by total time, descending, so the hottest phase
+    leads; a snapshot without phase counters gives an empty list.
     """
-    totals: dict[str, list[float]] = {}
-    for s in spans:
-        if s.name.startswith(prefix):
-            totals.setdefault(s.name, []).append(s.dur_us)
+    counters = snapshot.get("counters", {})
+    intervals = int(counters.get("sim.intervals", 0))
     stats = [
         PhaseStat(
-            name=name,
-            count=len(durs),
-            total_us=sum(durs),
-            mean_us=sum(durs) / len(durs),
-            min_us=min(durs),
-            max_us=max(durs),
+            name=name[: -len("_s")],
+            count=intervals,
+            total_us=seconds * 1e6,
+            mean_us=seconds * 1e6 / intervals if intervals else 0.0,
         )
-        for name, durs in totals.items()
+        for name, seconds in counters.items()
+        if name.startswith("engine.phase.")
     ]
     stats.sort(key=lambda p: -p.total_us)
     return stats
@@ -65,16 +58,16 @@ def format_breakdown(
     """Render phase statistics as an aligned text table."""
     stats = list(stats)
     if not stats:
-        return f"{title}\n  (no spans recorded)"
+        return f"{title}\n  (no engine phase counters recorded)"
     grand = sum(p.total_us for p in stats) or math.inf
     header = (
         f"{'phase':<28s} {'count':>7s} {'total [ms]':>11s} "
-        f"{'mean [us]':>10s} {'max [us]':>10s} {'share':>7s}"
+        f"{'mean [us]':>10s} {'share':>7s}"
     )
     lines = [title, header, "-" * len(header)]
     for p in stats:
         lines.append(
             f"{p.name:<28s} {p.count:>7d} {p.total_us / 1e3:>11.3f} "
-            f"{p.mean_us:>10.2f} {p.max_us:>10.2f} {p.total_us / grand:>6.1%}"
+            f"{p.mean_us:>10.2f} {p.total_us / grand:>6.1%}"
         )
     return "\n".join(lines)

@@ -195,16 +195,21 @@ _NULL_CONTEXT = _NullContext()
 
 
 class NullTracer:
-    """The do-nothing tracer installed while observability is off.
+    """The do-nothing tracer installed while observability is off, and
+    by metrics-only sessions.
 
-    Every method is a no-op and ``enabled`` is ``False``, so hot-path
-    probes can guard with a single truthiness/attribute check and
-    library code can call the tracer unconditionally without branching.
+    Every method is a no-op, ``enabled`` is ``False`` and the tracer
+    itself is falsy, so hot-path probes can guard with a single
+    truthiness/attribute check and library code can call the tracer
+    unconditionally without branching.
     """
 
     enabled = False
     spans: tuple[SpanRecord, ...] = ()
     instants: tuple[InstantRecord, ...] = ()
+
+    def __bool__(self) -> bool:
+        return False
 
     def begin(self, name: str, cat: str = "default", **args: Any) -> None:
         """No-op; returns ``None`` (which is falsy, like the tracer)."""

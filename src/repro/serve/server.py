@@ -183,7 +183,9 @@ class PolicyServer:
         )
         self._sessions: dict[str, DecisionSession] = {}
         self._workers: list["asyncio.Task[None]"] = []
-        self._pending: set["asyncio.Future[Reply]"] = set()
+        # Unanswered queued requests, so shutdown can reject each one
+        # under its own ids.
+        self._pending: dict["asyncio.Future[Reply]", Request] = {}
         self._accepting = False
         self._ops = ops_log
         self.drift = drift
@@ -287,14 +289,11 @@ class PolicyServer:
         # task, after every worker has been cancelled and awaited — no
         # concurrent mutator of _workers can exist at this point.
         self._workers = []  # noqa: RPL903
-        for future in list(self._pending):
+        for future, request in list(self._pending.items()):
             if not future.done():
-                future.set_result(
-                    Rejection(
-                        request_id="",
-                        reason=REJECT_SHUTDOWN,
-                        detail="server shut down before the request was served",
-                    )
+                self._reject(
+                    future, request, REJECT_SHUTDOWN,
+                    "server shut down before the request was served",
                 )
         self._pending.clear()
         log.info(
@@ -381,8 +380,8 @@ class PolicyServer:
         except ServeOverloaded as exc:
             self._reject(future, request, REJECT_OVERLOADED, str(exc))
             return future
-        self._pending.add(future)
-        future.add_done_callback(self._pending.discard)
+        self._pending[future] = request
+        future.add_done_callback(self._forget)
         if OBS.enabled:
             OBS.metrics.counter("serve.requests").inc()
             OBS.metrics.gauge("serve.queue_depth").set(self._queue.depth())
@@ -395,6 +394,10 @@ class PolicyServer:
                     depth=self._queue.depth(),
                 )
         return future
+
+    def _forget(self, future: "asyncio.Future[Reply]") -> None:
+        """Drop an answered request from :attr:`_pending`."""
+        self._pending.pop(future, None)
 
     async def request(self, request: Request) -> Reply:
         """Submit and wait for the reply (the one-call client path)."""

@@ -218,10 +218,14 @@ class Simulator:
         queues = [lane.queues[name] for name in names]
         cutoff = lane.cutoff
 
-        # Observability probes: `tracer` is None unless a session is
-        # active, so the disabled path costs one local truthiness check
-        # per probe and the simulated numbers are untouched either way.
-        tracer = OBS.tracer if OBS.enabled else None
+        # Observability probes: `clock` is False and `tracer` is None
+        # unless a session is active, so the disabled path costs one
+        # local truthiness check per probe and the simulated numbers are
+        # untouched either way.  While enabled, the five phases' wall
+        # times add up in local ints and reach the registry once, at
+        # run end, as the `engine.phase.*_s` counters.
+        clock = OBS.enabled
+        tracer = OBS.tracer if clock else None
         decision_hist = (
             OBS.metrics.histogram(
                 "sim.decision_latency_s", DECISION_LATENCY_BUCKETS
@@ -238,14 +242,13 @@ class Simulator:
             if tracer
             else None
         )
+        governor_ns = schedule_ns = drain_ns = power_ns = observe_ns = 0
 
         for step in range(n_steps):
             t0 = step * dt
             t1 = t0 + dt
-            if tracer:
-                interval_span = tracer.begin("engine.interval", cat="engine",
-                                             step=step)
-                phase_span = tracer.begin("engine.phase.governor", cat="engine")
+            if clock:
+                ns0 = time.perf_counter_ns()
 
             # 1. Governor decisions from last interval's observation.
             stall_s = [0.0] * len(clusters)
@@ -289,15 +292,15 @@ class Simulator:
                                 tables[i][before].voltage_v,
                                 cluster.voltage_v,
                             )
-            if tracer:
-                tracer.end(phase_span)
-                phase_span = tracer.begin("engine.phase.schedule", cat="engine")
+            if clock:
+                ns1 = time.perf_counter_ns()
+                governor_ns += ns1 - ns0
 
             # 3. Release arrivals and place them.
             arrived = lane.admit(step, t0, self.scheduler, chip)
-            if tracer:
-                tracer.end(phase_span)
-                phase_span = tracer.begin("engine.phase.drain", cat="engine")
+            if clock:
+                ns2 = time.perf_counter_ns()
+                schedule_ns += ns2 - ns1
 
             # 4+5. Drain run queues (a transitioning cluster stalls
             # first) and abandon hopelessly late jobs (dropped frames).
@@ -311,10 +314,9 @@ class Simulator:
                 )
                 drained.append((completed, completions, misses))
                 cluster.record_interval(cursors, dt)
-            if tracer:
-                tracer.end(phase_span)
-                phase_span = tracer.begin("engine.phase.power_thermal",
-                                          cat="engine")
+            if clock:
+                ns3 = time.perf_counter_ns()
+                drain_ns += ns3 - ns2
 
             # 6. Power, energy, thermals (C-state selection feeds the
             # per-core idle-power discount).  The chip sum adds clusters
@@ -355,9 +357,9 @@ class Simulator:
                     {name: e / dt for name, e in zip(names, cluster_energy)},
                     dt,
                 )
-            if tracer:
-                tracer.end(phase_span)
-                phase_span = tracer.begin("engine.phase.observe", cat="engine")
+            if clock:
+                ns4 = time.perf_counter_ns()
+                power_ns += ns4 - ns3
 
             # 7. Publish observations.
             for i in indices:
@@ -403,9 +405,8 @@ class Simulator:
                         queue_jobs=sum(len(q) for q in queues),
                     )
                 )
-            if tracer:
-                tracer.end(phase_span)
-                tracer.end(interval_span)
+            if clock:
+                observe_ns += time.perf_counter_ns() - ns4
 
         all_jobs = lane.all_jobs()
         if self.qos_classes is not None:
@@ -431,6 +432,11 @@ class Simulator:
             m.counter("sim.simulated_s").inc(n_steps * dt)
             m.gauge("sim.last_mean_qos").set(qos.mean_qos)
             m.gauge("sim.last_deadline_miss_rate").set(qos.deadline_miss_rate)
+            m.counter("engine.phase.governor_s").inc(governor_ns / 1e9)
+            m.counter("engine.phase.schedule_s").inc(schedule_ns / 1e9)
+            m.counter("engine.phase.drain_s").inc(drain_ns / 1e9)
+            m.counter("engine.phase.power_thermal_s").inc(power_ns / 1e9)
+            m.counter("engine.phase.observe_s").inc(observe_ns / 1e9)
         return SimulationResult(
             governor=governor_name,
             trace_name=self.trace.name,

@@ -255,19 +255,84 @@ class TestObservabilityCLI:
         assert "engine.phase.governor" in stdout
         assert out.is_file()
 
+    @staticmethod
+    def _phase_rows(stdout: str) -> list[str]:
+        """The breakdown table's rows, without the run-specific title."""
+        lines = stdout.splitlines()
+        start = next(
+            k for k, line in enumerate(lines)
+            if line.startswith("engine phase breakdown")
+        )
+        rows = [line for line in lines[start + 1:]
+                if line.startswith(("phase ", "---", "engine.phase."))]
+        assert sum(r.startswith("engine.phase.") for r in rows) == 5
+        return rows
+
     def test_profile_from_saved_trace(self, capsys, tmp_path):
-        """Offline re-profiling: no simulation, just the saved spans."""
+        """Offline re-profiling: no simulation, just the saved counters,
+        printing the live run's rows."""
         out = tmp_path / "prof.json"
         assert main([
             "profile", "--chip", "tiny", "--scenario", "idle",
             "--duration", "2.0", "--trace-out", str(out),
         ]) == 0
-        capsys.readouterr()
+        live = self._phase_rows(capsys.readouterr().out)
         code = main(["profile", "--from-trace", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "engine phase breakdown" in stdout
-        assert "engine.phase.governor" in stdout
+        assert self._phase_rows(stdout) == live
+
+    def test_profile_from_jsonl_trace(self, capsys, tmp_path):
+        from repro import obs
+        from repro.governors import create
+        from repro.sim.engine import Simulator
+        from repro.soc.presets import tiny_test_chip
+        from repro.workload.scenarios import get_scenario
+
+        trace = get_scenario("idle").trace(2.0, seed=0)
+        with obs.capture() as session:
+            Simulator(tiny_test_chip(), trace,
+                      lambda cluster: create("ondemand")).run()
+        live = obs.format_breakdown(
+            obs.phase_breakdown(session.metrics.snapshot()),
+            title="engine phase breakdown",
+        )
+        path = obs.write_jsonl(tmp_path / "t.jsonl", session.tracer,
+                               session.metrics)
+        assert main(["profile", "--from-trace", str(path)]) == 0
+        assert self._phase_rows(capsys.readouterr().out) == \
+            self._phase_rows(live)
+
+    def test_profile_from_merged_fleet_trace(self, capsys, tmp_path):
+        """A two-job merged fleet trace profiles the whole grid: the
+        rows equal the breakdown of the jobs' merged metric snapshots."""
+        from repro import obs
+        from repro.fleet import (
+            FleetSpec,
+            merge_job_metrics,
+            run_fleet,
+            trace_paths,
+        )
+
+        spec = FleetSpec(scenarios=("idle",),
+                         governors=("ondemand", "powersave"), seeds=(1,),
+                         chips=("tiny",), duration_s=1.0,
+                         trace_dir=str(tmp_path / "traces"))
+        result = run_fleet(spec, jobs=2)
+        assert len(result.successes) == 2
+        merged = tmp_path / "merged.json"
+        obs.merge_trace_files(trace_paths(result.successes), out=merged)
+        live = obs.format_breakdown(
+            obs.phase_breakdown(merge_job_metrics(result.successes)),
+            title="engine phase breakdown",
+        )
+        assert main(["profile", "--from-trace", str(merged)]) == 0
+        rows = self._phase_rows(capsys.readouterr().out)
+        assert rows == self._phase_rows(live)
+        intervals = 2 * 100  # two 1 s jobs at the 10 ms interval
+        assert all(f" {intervals} " in r for r in rows
+                   if r.startswith("engine.phase."))
 
     def test_trace_without_scenario_or_merge_is_error(self, capsys):
         code = main(["trace"])

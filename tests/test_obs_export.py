@@ -16,13 +16,12 @@ from repro.obs import (
     capture,
     chrome_trace,
     load_chrome_trace,
-    load_spans,
+    load_snapshot,
     merge_trace_files,
     merge_traces,
     prometheus_text,
     read_jsonl,
     span_tree,
-    spans_from_chrome,
     trace_lanes,
     validate_chrome_trace,
     write_chrome_trace,
@@ -55,23 +54,22 @@ def _sample_tracer_and_metrics():
 
 
 class TestChromeTrace:
-    def test_engine_round_trip_has_phases_per_interval(self, tmp_path):
-        """The acceptance check: a written trace parses back into >= 4
-        distinct engine phase spans *per interval*."""
+    def test_engine_round_trip_has_phase_counters(self, tmp_path):
+        """A written engine trace parses back into one run span and the
+        five phase-time counters, whatever the run length."""
         session = _traced_run()
         path = write_chrome_trace(tmp_path / "t.json", session.tracer,
                                   session.metrics)
         data = load_chrome_trace(path)  # validates the schema
         events = data["traceEvents"]
-        intervals = [e for e in events
-                     if e["ph"] == "X" and e["name"] == "engine.interval"]
-        assert intervals
-        phase_names = {e["name"] for e in events
-                       if e["ph"] == "X" and e["name"].startswith("engine.phase.")}
-        assert len(phase_names) >= 4
-        for name in phase_names:
-            count = sum(1 for e in events if e.get("name") == name)
-            assert count == len(intervals)
+        assert [e["name"] for e in events if e["ph"] == "X"] == ["engine.run"]
+        phase_counters = {e["name"] for e in events
+                          if e["ph"] == "C"
+                          and e["name"].startswith("engine.phase.")}
+        assert phase_counters == {
+            f"engine.phase.{phase}_s" for phase in
+            ("governor", "schedule", "drain", "power_thermal", "observe")
+        }
 
     def test_rl_convergence_events_per_episode(self, tmp_path):
         episodes = 2
@@ -141,9 +139,8 @@ class TestJsonl:
             [i.name for i in session.tracer.instants]
         assert snapshot["counters"]["sim.runs"] == 1.0
         tree = span_tree(spans)
-        root = tree[None][0]
-        assert root.name == "engine.run"
-        assert all(s.name == "engine.interval" for s in tree[root.uid])
+        assert [s.name for s in tree[None]] == ["engine.run"]
+        assert set(tree) == {None}  # no per-interval children
 
     def test_malformed_lines_raise(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -301,30 +298,39 @@ class TestTraceMerge:
         assert trace_lanes(reloaded) == [1, 2]
 
 
-class TestLoadSpans:
+class TestLoadSnapshot:
     def test_sniffs_chrome_format(self, tmp_path):
         tracer, metrics = _sample_tracer_and_metrics()
         path = write_chrome_trace(tmp_path / "t.json", tracer, metrics)
-        spans = load_spans(path)
-        assert [s.name for s in spans] == [s.name for s in tracer.spans]
-        assert [s.dur_us for s in spans] == [s.dur_us for s in tracer.spans]
+        # Counters and gauges both travel as "C" events.
+        assert load_snapshot(path) == {"counters": {"jobs": 3.0, "qos": 0.9}}
 
     def test_sniffs_jsonl_format(self, tmp_path):
         tracer, metrics = _sample_tracer_and_metrics()
         path = write_jsonl(tmp_path / "t.jsonl", tracer, metrics)
-        assert load_spans(path) == tracer.spans
+        assert load_snapshot(path) == metrics.snapshot()
+        bare = write_jsonl(tmp_path / "bare.jsonl", tracer)
+        assert load_snapshot(bare) == {}
 
-    def test_spans_from_chrome_skips_non_complete_events(self):
+    def test_chrome_counters_sum_across_pids(self, tmp_path):
+        """A merged fleet trace profiles the whole grid: every "C" event
+        of a name adds up, whatever its pid; spans and instants do not
+        count."""
         tracer, metrics = _sample_tracer_and_metrics()
-        data = chrome_trace(tracer, metrics)
-        spans = spans_from_chrome(data)
-        assert len(spans) == 3  # instants and counter events dropped
+        merged = merge_traces([
+            chrome_trace(tracer, metrics, pid=1),
+            chrome_trace(tracer, metrics, pid=2),
+            chrome_trace(tracer, metrics, pid=2),
+        ])
+        path = tmp_path / "merged.json"
+        path.write_text(json.dumps(merged))
+        assert load_snapshot(path) == {"counters": {"jobs": 9.0, "qos": 2.7}}
 
     def test_garbage_raises(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("neither format")
         with pytest.raises(ObsError):
-            load_spans(bad)
+            load_snapshot(bad)
 
     def test_epoch_metadata_name_is_stable(self):
         # Saved traces embed this name; renaming it orphans old files.

@@ -49,10 +49,12 @@ from repro.obs import (
 from repro.obs.export import write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
+    REJECT_SHUTDOWN,
     DecisionRequest,
     HealthReply,
     HealthRequest,
     PolicyServer,
+    Rejection,
     ServeConfig,
     SimulationRequest,
     StatsReply,
@@ -648,6 +650,37 @@ class TestServerCorrelation:
         )
         assert all(r["kind"] == "decision" for r in records)
         assert all(r["trace_id"] for r in records)
+
+    def test_shutdown_rejects_pending_under_their_own_ids(
+        self, trained, tmp_path
+    ):
+        ops_log = OpsLogger(tmp_path / "ops.jsonl")
+        server = make_server(trained, workers=1, queue_size=16,
+                             ops_log=ops_log)
+
+        async def run():
+            await server.start()
+            futures = [
+                server.submit(DecisionRequest(
+                    observation=obs_for(server.chip), request_id=f"r{i}"
+                ))
+                for i in range(4)
+            ]
+            await server.shutdown(drain=False)
+            return [await f for f in futures]
+
+        replies = asyncio.run(run())
+        rejected = [r for r in replies if isinstance(r, Rejection)]
+        assert rejected
+        assert all(r.reason == REJECT_SHUTDOWN for r in rejected)
+        assert sorted(r.request_id for r in replies) == ["r0", "r1", "r2", "r3"]
+        assert all(len(r.trace_id) == 16 for r in rejected)
+        assert len({r.trace_id for r in replies}) == 4
+        assert server.stats.rejected_shutdown == len(rejected)
+        records = [r for r in OPS_LOG.read(ops_log.path)
+                   if r["outcome"] == "rejected:shutdown"]
+        assert sorted((r["request_id"], r["trace_id"]) for r in records) == \
+            sorted((r.request_id, r.trace_id) for r in rejected)
 
     def test_health_and_stats_bypass_the_queue(self, trained):
         # queue_size=1 with a queue already full: health/stats answer
