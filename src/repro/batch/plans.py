@@ -27,8 +27,9 @@ interval across all rollouts — instead of one serial training loop per
 job.
 
 Everything else — other governors (``schedutil``, ``scenario-aware``),
-checkpoints, full-system substrates — runs through the reference
-:class:`repro.sim.engine.Simulator` unchanged.
+checkpoints, full-system substrates, per-job trace files — runs through
+the reference :class:`repro.sim.engine.Simulator` unchanged.  Whether a
+run is observed plays no part: the plan depends on the specs alone.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ def _plain_substrate(spec: JobSpec) -> bool:
     """Whether the job runs on the plain simulation substrate.
 
     Every fast path needs it: full-system extras (thermals, idle states,
-    transition costs) change the per-interval coupling, per-execution
-    artefacts (metric snapshots, trace files) need real engine spans,
-    and an in-memory ``chip_obj`` has no preset to rebuild from.
+    transition costs) change the per-interval coupling, a per-job trace
+    file (``trace_dir``) holds the serial engine's ``engine.run`` span
+    and ``governor.decide`` instants, and an in-memory ``chip_obj`` has
+    no preset to rebuild from.  Metric collection does not matter: every
+    path publishes the same ``sim.*`` counters.
     """
     return (
         not spec.full_system
-        and not spec.collect_metrics
         and spec.trace_dir is None
         and spec.chip_obj is None
     )

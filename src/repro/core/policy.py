@@ -40,6 +40,9 @@ class RLPowerManagementPolicy(Governor):
     """
 
     name = "rl-policy"
+    #: The learner :meth:`_make_agent` builds; subclasses swap the TD
+    #: rule here.
+    agent_type: type = QLearningAgent
 
     def __init__(self, config: PolicyConfig | None = None, online: bool = True):
         super().__init__()
@@ -99,8 +102,8 @@ class RLPowerManagementPolicy(Governor):
         self.episodes += 1
 
     def _make_agent(self, n_states: int) -> QLearningAgent:
-        """Build the learner; subclasses swap the TD rule here."""
-        return QLearningAgent(
+        """Build the learner of :attr:`agent_type`."""
+        return self.agent_type(
             n_states=n_states,
             n_actions=self.config.n_actions,
             alpha=self.config.alpha,
@@ -187,16 +190,7 @@ class DoubleQPowerManagementPolicy(RLPowerManagementPolicy):
     """
 
     name = "rl-policy-doubleq"
-
-    def _make_agent(self, n_states: int) -> DoubleQAgent:
-        return DoubleQAgent(
-            n_states=n_states,
-            n_actions=self.config.n_actions,
-            alpha=self.config.alpha,
-            gamma=self.config.gamma,
-            epsilon=self.config.epsilon,
-            seed=self.config.seed,
-        )
+    agent_type = DoubleQAgent
 
 
 class SarsaPowerManagementPolicy(RLPowerManagementPolicy):
@@ -208,16 +202,7 @@ class SarsaPowerManagementPolicy(RLPowerManagementPolicy):
     """
 
     name = "rl-policy-sarsa"
-
-    def _make_agent(self, n_states: int) -> SarsaAgent:
-        return SarsaAgent(
-            n_states=n_states,
-            n_actions=self.config.n_actions,
-            alpha=self.config.alpha,
-            gamma=self.config.gamma,
-            epsilon=self.config.epsilon,
-            seed=self.config.seed,
-        )
+    agent_type = SarsaAgent
 
     def decide(self, obs: ClusterObservation) -> int:
         if self.featurizer is None or self.agent is None or self.reward_config is None:

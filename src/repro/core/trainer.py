@@ -61,12 +61,6 @@ class TrainingResult:
     policies: dict[str, RLPowerManagementPolicy]
     history: list[EpisodeRecord] = field(default_factory=list)
 
-    @property
-    def final_energy_per_qos(self) -> float:
-        if not self.history:
-            raise PolicyError("no training episodes recorded")
-        return self.history[-1].energy_per_qos_j
-
 
 def make_policies(
     chip: Chip, config: PolicyConfig | None = None

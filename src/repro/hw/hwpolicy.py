@@ -92,14 +92,7 @@ class HardwareRLPolicy(Governor):
                 f"cluster; cannot re-bind to {n_opps} OPPs"
             )
         if self.featurizer is None:
-            self.featurizer = StateFeaturizer(self.config, n_opps)
-            self.datapath = QLearningDatapath(
-                n_states=self.featurizer.n_states,
-                n_actions=self.config.n_actions,
-                qformat=self.qformat,
-                alpha_shift=self.alpha_shift,
-                gamma=self.config.gamma,
-            )
+            self._bind(n_opps)
         top = cluster.spec.opp_table[cluster.spec.opp_table.max_index]
         self.reward_config = RewardConfig(
             energy_scale_j=default_energy_scale(
@@ -173,15 +166,19 @@ class HardwareRLPolicy(Governor):
             raise PolicyError("software policy has not been trained")
         if self.featurizer is None or self.datapath is None:
             # Mirror the software policy's geometry before a first reset.
-            self.featurizer = StateFeaturizer(self.config, policy.featurizer.n_opps)
-            self.datapath = QLearningDatapath(
-                n_states=self.featurizer.n_states,
-                n_actions=self.config.n_actions,
-                qformat=self.qformat,
-                alpha_shift=self.alpha_shift,
-                gamma=self.config.gamma,
-            )
+            self._bind(policy.featurizer.n_opps)
         self.datapath.load_float_table(policy.agent.table)
+
+    def _bind(self, n_opps: int) -> None:
+        """A fresh featurizer and datapath for an ``n_opps`` cluster."""
+        self.featurizer = StateFeaturizer(self.config, n_opps)
+        self.datapath = QLearningDatapath(
+            n_states=self.featurizer.n_states,
+            n_actions=self.config.n_actions,
+            qformat=self.qformat,
+            alpha_shift=self.alpha_shift,
+            gamma=self.config.gamma,
+        )
 
     @property
     def mean_decision_latency_s(self) -> float:

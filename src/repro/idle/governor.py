@@ -78,10 +78,6 @@ class MenuIdleGovernor:
         selection = self.selections.get(core_id, 0)
         return self.table[selection].power_fraction
 
-    def state_name(self, core_id: str) -> str:
-        """Current C-state name for a core."""
-        return self.table[self.selections.get(core_id, 0)].name
-
     def reset(self) -> None:
         """Forget all prediction and selection state."""
         self._predicted.clear()

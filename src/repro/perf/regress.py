@@ -13,6 +13,10 @@ classifies the shift:
   on three samples is theatre; a straight relative comparison against
   the threshold is honest about what little the data supports.
 
+A key's baseline is its newest regime (:func:`newest_regime`): the rows
+of the last commit that recorded at least five, so rows from before a
+speed change do not dilute it.
+
 Metric *polarity* (whether bigger is better) is inferred from the name —
 ``qos`` / ``speedup`` / throughput-ish metrics count up, everything else
 (energy, latency, failures) counts down — and can be overridden per
@@ -21,6 +25,7 @@ metric.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
@@ -247,6 +252,29 @@ def _relative_shift(baseline_median: float, current_median: float) -> float:
     return (current_median - baseline_median) / denom
 
 
+def newest_regime(
+    records: Iterable[RunRecord], min_rows: int = MIN_BOOTSTRAP_SAMPLES
+) -> list[RunRecord]:
+    """Per record key, the rows of the newest commit with enough of them.
+
+    A baseline ledger gains rows after every speed change, so pooling
+    all rows of a key mixes regimes and hides a change undone.  Per key
+    this keeps the rows of the last-appended ``git_sha`` that has at
+    least ``min_rows`` of them, or every row of the key if no commit
+    has that many.
+    """
+    by_key: dict[str, list[RunRecord]] = {}
+    for record in records:
+        by_key.setdefault(record.key(), []).append(record)
+    kept: list[RunRecord] = []
+    for rows in by_key.values():
+        counts = Counter(r.git_sha for r in rows)
+        newest_first = dict.fromkeys(r.git_sha for r in reversed(rows))
+        sha = next((s for s in newest_first if counts[s] >= min_rows), None)
+        kept.extend(rows if sha is None else [r for r in rows if r.git_sha == sha])
+    return kept
+
+
 def compare_records(
     baseline: Iterable[RunRecord],
     current: Iterable[RunRecord],
@@ -260,7 +288,8 @@ def compare_records(
     """Classify every metric's shift between two record sets.
 
     Args:
-        baseline: Reference records (the history or another ledger).
+        baseline: Reference records (the history or another ledger);
+            each key keeps only its :func:`newest_regime` rows.
         current: Records under test.
         threshold: Relative shift below which a change is noise.
         confidence: Bootstrap CI level (n ≥ 5 per side only).
@@ -276,7 +305,7 @@ def compare_records(
         raise PerfError(f"confidence must be in (0, 1): {confidence}")
     if threshold < 0.0:
         raise PerfError(f"threshold cannot be negative: {threshold}")
-    base_samples = group_samples(baseline)
+    base_samples = group_samples(newest_regime(baseline))
     cur_samples = group_samples(current)
     if not base_samples and not cur_samples:
         raise PerfError("nothing to compare: both record sets are empty")

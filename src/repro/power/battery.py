@@ -41,11 +41,6 @@ class Battery:
         self.drained_j = min(self.capacity_j, self.drained_j + energy_j / self.efficiency)
 
     @property
-    def state_of_charge(self) -> float:
-        """Remaining charge fraction in [0, 1]."""
-        return 1.0 - self.drained_j / self.capacity_j
-
-    @property
     def empty(self) -> bool:
         return self.drained_j >= self.capacity_j
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.power.model import PowerBreakdown
@@ -22,7 +22,6 @@ class EnergyMeter:
     uncore_j: float = 0.0
     elapsed_s: float = 0.0
     samples: int = 0
-    _peak_power_w: float = field(default=0.0, repr=False)
 
     def record(self, power: PowerBreakdown, interval_s: float) -> None:
         """Add one interval's energy.
@@ -38,7 +37,6 @@ class EnergyMeter:
         self.uncore_j += power.uncore_w * interval_s
         self.elapsed_s += interval_s
         self.samples += 1
-        self._peak_power_w = max(self._peak_power_w, power.total_w)
 
     @property
     def total_j(self) -> float:
@@ -50,11 +48,6 @@ class EnergyMeter:
         """Mean power over all recorded time; 0 before any sample."""
         return self.total_j / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
-    @property
-    def peak_power_w(self) -> float:
-        """Highest single-interval average power observed."""
-        return self._peak_power_w
-
     def reset(self) -> None:
         """Clear all accumulators."""
         self.dynamic_j = 0.0
@@ -62,4 +55,3 @@ class EnergyMeter:
         self.uncore_j = 0.0
         self.elapsed_s = 0.0
         self.samples = 0
-        self._peak_power_w = 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.qos.metrics import QoSReport, soft_qos
+from repro.qos.metrics import QoSReport, evaluate_jobs
 from repro.workload.task import Job
 
 
@@ -94,42 +94,4 @@ def evaluate_jobs_weighted(
         A :class:`~repro.qos.metrics.QoSReport` whose ``mean_qos`` is the
         weighted mean; the count fields remain unweighted.
     """
-    if grace_factor <= 0:
-        raise ConfigurationError(f"grace factor must be positive: {grace_factor}")
-    n_units = 0
-    n_completed = 0
-    n_on_time = 0
-    n_dropped = 0
-    weighted_sum = 0.0
-    weight_total = 0.0
-    lateness_sum = 0.0
-    n_late = 0
-    for job in jobs:
-        weight = classes.weight_of(job.unit.kind)
-        n_units += 1
-        weight_total += weight
-        if not job.done:
-            n_dropped += 1
-            continue
-        n_completed += 1
-        lateness = job.lateness_s()
-        q = soft_qos(lateness, grace_factor * job.unit.slack_s)
-        weighted_sum += weight * q
-        if lateness <= 0:
-            n_on_time += 1
-        else:
-            n_late += 1
-            lateness_sum += lateness
-            if q == 0.0:
-                n_dropped += 1
-    if n_units == 0:
-        return QoSReport(0, 0, 0, 0, 1.0, 0.0, 0.0)
-    return QoSReport(
-        n_units=n_units,
-        n_completed=n_completed,
-        n_on_time=n_on_time,
-        n_dropped=n_dropped,
-        mean_qos=weighted_sum / weight_total if weight_total else 0.0,
-        deadline_miss_rate=1.0 - n_on_time / n_units,
-        mean_lateness_s=lateness_sum / n_late if n_late else 0.0,
-    )
+    return evaluate_jobs(jobs, grace_factor, weight_of=classes.weight_of)

@@ -9,7 +9,7 @@ drop).  Scenario QoS is the mean per-unit QoS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError
 from repro.workload.task import Job
@@ -64,7 +64,11 @@ class QoSReport:
             raise ConfigurationError(f"mean QoS out of range: {self.mean_qos}")
 
 
-def evaluate_jobs(jobs: Iterable[Job], grace_factor: float = 2.0) -> QoSReport:
+def evaluate_jobs(
+    jobs: Iterable[Job],
+    grace_factor: float = 2.0,
+    weight_of: Callable[[str], float] | None = None,
+) -> QoSReport:
     """Score a collection of jobs.
 
     Args:
@@ -73,6 +77,8 @@ def evaluate_jobs(jobs: Iterable[Job], grace_factor: float = 2.0) -> QoSReport:
         grace_factor: Grace window as a multiple of each unit's own slack
             (deadline minus release), so fast-paced units are judged on a
             proportionally tighter scale.
+        weight_of: Weight of a unit kind in ``mean_qos``; every unit
+            weighs 1 when omitted.  The count fields stay unweighted.
 
     Returns:
         A :class:`QoSReport`.
@@ -84,10 +90,13 @@ def evaluate_jobs(jobs: Iterable[Job], grace_factor: float = 2.0) -> QoSReport:
     n_on_time = 0
     n_dropped = 0
     qos_sum = 0.0
+    weight_total = 0.0
     lateness_sum = 0.0
     n_late = 0
     for job in jobs:
+        weight = 1.0 if weight_of is None else weight_of(job.unit.kind)
         n_units += 1
+        weight_total += weight
         if not job.done:
             n_dropped += 1
             continue
@@ -95,7 +104,7 @@ def evaluate_jobs(jobs: Iterable[Job], grace_factor: float = 2.0) -> QoSReport:
         lateness = job.lateness_s()
         grace = grace_factor * job.unit.slack_s
         q = soft_qos(lateness, grace)
-        qos_sum += q
+        qos_sum += weight * q
         if lateness <= 0:
             n_on_time += 1
         else:
@@ -110,7 +119,7 @@ def evaluate_jobs(jobs: Iterable[Job], grace_factor: float = 2.0) -> QoSReport:
         n_completed=n_completed,
         n_on_time=n_on_time,
         n_dropped=n_dropped,
-        mean_qos=qos_sum / n_units,
+        mean_qos=qos_sum / weight_total,
         deadline_miss_rate=1.0 - n_on_time / n_units,
         mean_lateness_s=lateness_sum / n_late if n_late else 0.0,
     )

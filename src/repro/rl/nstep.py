@@ -19,17 +19,16 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import PolicyError
-from repro.rl.exploration import EpsilonGreedy, EpsilonSchedule
-from repro.rl.qtable import QTable
-from repro.rl.stats import TDErrorStats
+from repro.rl.exploration import EpsilonSchedule
+from repro.rl.qlearning import TabularAgent
 
 
-class NStepQAgent:
+class NStepQAgent(TabularAgent):
     """Tabular n-step Q-learning with epsilon-greedy behaviour.
 
     Args:
         n_states / n_actions / alpha / gamma / epsilon / seed /
-        initial_q: As for :class:`repro.rl.qlearning.QLearningAgent`.
+        initial_q: As for :class:`repro.rl.qlearning.TabularAgent`.
         n_steps: Window length (1 reduces exactly to one-step
             Q-learning).
     """
@@ -45,45 +44,14 @@ class NStepQAgent:
         seed: int = 0,
         initial_q: float = 0.0,
     ):
-        if not 0.0 < alpha <= 1.0:
-            raise PolicyError(f"alpha must be in (0, 1]: {alpha}")
-        if not 0.0 <= gamma < 1.0:
-            raise PolicyError(f"gamma must be in [0, 1): {gamma}")
+        super().__init__(n_states, n_actions, alpha, gamma, epsilon, seed,
+                         initial_q)
         if n_steps < 1:
             raise PolicyError(f"n_steps must be >= 1: {n_steps}")
-        self.alpha = alpha
-        self.gamma = gamma
         self.n_steps = n_steps
-        self.table = QTable(n_states, n_actions, initial_value=initial_q)
-        self.explorer = EpsilonGreedy(
-            epsilon or EpsilonSchedule(), n_actions, seed=seed
-        )
         # Pending (state, action, reward) transitions awaiting their
         # n-step return.
         self._window: deque[tuple[int, int, float]] = deque()
-        self.updates = 0
-        self.td_stats = TDErrorStats()
-
-    @property
-    def epsilon(self) -> float:
-        """The behaviour policy's current exploration probability."""
-        return self.explorer.epsilon
-
-    @property
-    def n_states(self) -> int:
-        return self.table.n_states
-
-    @property
-    def n_actions(self) -> int:
-        return self.table.n_actions
-
-    def act(self, state: int) -> int:
-        """Epsilon-greedy action."""
-        return self.explorer.select(self.table.row(state))
-
-    def act_greedy(self, state: int) -> int:
-        """Pure-exploitation action."""
-        return self.table.argmax(state)
 
     def update(self, state: int, action: int, reward: float, next_state: int) -> float:
         """Feed one transition; applies the n-step update for the oldest

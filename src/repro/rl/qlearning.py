@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import PolicyError
 from repro.rl.exploration import EpsilonGreedy, EpsilonSchedule
 from repro.rl.qtable import QTable
 from repro.rl.stats import TDErrorStats
 
 
-class QLearningAgent:
-    """Tabular Q-learning with epsilon-greedy behaviour.
+class TabularAgent:
+    """What every single-table learner shares: checked hyperparameters,
+    one Q-table, epsilon-greedy behaviour and TD-error statistics.
 
-    The update is the standard Watkins rule
-
-        Q(s, a) += alpha * (r + gamma * max_a' Q(s', a') - Q(s, a))
-
-    which is exactly what the hardware datapath in :mod:`repro.hw`
-    implements in fixed point.
+    Subclasses add the update rule.
 
     Args:
         n_states: Flat state count.
@@ -75,6 +69,18 @@ class QLearningAgent:
         """Pure-exploitation action (used for evaluation runs)."""
         return self.table.argmax(state)
 
+
+class QLearningAgent(TabularAgent):
+    """Tabular Q-learning with epsilon-greedy behaviour.
+
+    The update is the standard Watkins rule
+
+        Q(s, a) += alpha * (r + gamma * max_a' Q(s', a') - Q(s, a))
+
+    which is exactly what the hardware datapath in :mod:`repro.hw`
+    implements in fixed point.  Args as for :class:`TabularAgent`.
+    """
+
     def update(self, state: int, action: int, reward: float, next_state: int) -> float:
         """Apply one Q-learning update.
 
@@ -88,25 +94,3 @@ class QLearningAgent:
         self.updates += 1
         self.td_stats.push(td_error)
         return td_error
-
-    def update_many(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-    ) -> np.ndarray:
-        """Apply a batch of updates, bit-identical to looping
-        :meth:`update` over the tuples in order (see
-        :meth:`repro.rl.qtable.QTable.td_update_many`).
-
-        Returns:
-            The per-update TD errors (before scaling by alpha).
-        """
-        td = self.table.td_update_many(
-            states, actions, rewards, next_states, self.alpha, self.gamma
-        )
-        self.updates += int(td.size)
-        for err in td:
-            self.td_stats.push(float(err))
-        return td

@@ -95,11 +95,6 @@ class QTable:
         self._check(state)
         return int(self.values[state].argmax())
 
-    def argmax_many(self, states: "np.ndarray | list[int]") -> np.ndarray:
-        """Greedy actions for a batch of states (lowest index wins ties,
-        matching :meth:`argmax` element for element)."""
-        return np.argmax(self.rows(states), axis=1)
-
     def max(self, state: int) -> float:
         """The greedy action's value for ``state``."""
         self._check(state)

@@ -7,64 +7,17 @@ slightly more conservative near QoS cliffs.
 
 from __future__ import annotations
 
-from repro.errors import PolicyError
-from repro.rl.exploration import EpsilonGreedy, EpsilonSchedule
-from repro.rl.qtable import QTable
-from repro.rl.stats import TDErrorStats
+from repro.rl.qlearning import TabularAgent
 
 
-class SarsaAgent:
+class SarsaAgent(TabularAgent):
     """Tabular SARSA with epsilon-greedy behaviour.
 
     Update rule: ``Q(s,a) += alpha * (r + gamma * Q(s', a') - Q(s,a))``
     where ``a'`` is the action the agent will take in ``s'``.
 
-    Args mirror :class:`repro.rl.qlearning.QLearningAgent`.
+    Args as for :class:`repro.rl.qlearning.TabularAgent`.
     """
-
-    def __init__(
-        self,
-        n_states: int,
-        n_actions: int,
-        alpha: float = 0.2,
-        gamma: float = 0.9,
-        epsilon: EpsilonSchedule | None = None,
-        seed: int = 0,
-        initial_q: float = 0.0,
-    ):
-        if not 0.0 < alpha <= 1.0:
-            raise PolicyError(f"alpha must be in (0, 1]: {alpha}")
-        if not 0.0 <= gamma < 1.0:
-            raise PolicyError(f"gamma must be in [0, 1): {gamma}")
-        self.alpha = alpha
-        self.gamma = gamma
-        self.table = QTable(n_states, n_actions, initial_value=initial_q)
-        self.explorer = EpsilonGreedy(
-            epsilon or EpsilonSchedule(), n_actions, seed=seed
-        )
-        self.updates = 0
-        self.td_stats = TDErrorStats()
-
-    @property
-    def n_actions(self) -> int:
-        return self.table.n_actions
-
-    @property
-    def n_states(self) -> int:
-        return self.table.n_states
-
-    @property
-    def epsilon(self) -> float:
-        """The behaviour policy's current exploration probability."""
-        return self.explorer.epsilon
-
-    def act(self, state: int) -> int:
-        """Epsilon-greedy action for ``state``."""
-        return self.explorer.select(self.table.row(state))
-
-    def act_greedy(self, state: int) -> int:
-        """Pure-exploitation action."""
-        return self.table.argmax(state)
 
     def update(
         self, state: int, action: int, reward: float, next_state: int, next_action: int

@@ -70,6 +70,35 @@ histogram — log-ish spacing from 100 ns to 10 ms, bracketing both a
 table lookup and a full RL forward pass."""
 
 
+PHASES = ("governor", "schedule", "drain", "power_thermal", "observe")
+"""The engine's timed phases, each published as an
+``engine.phase.<name>_s`` counter."""
+
+
+def publish_run(result: SimulationResult, phase_ns: Mapping[str, float]) -> None:
+    """Add one finished run to the active registry, if any.
+
+    The one place the ``sim.*`` counters are published, for the serial
+    engine, the batch fast paths and every lock-step lane alike, so
+    their deterministic counters agree by construction: each is a field
+    of ``result`` (``sim.jobs`` is the QoS report's unit count, one per
+    trace unit).  ``phase_ns`` holds wall nanoseconds per timed phase
+    of :data:`PHASES`; a path passes only the phases it has.
+    """
+    if OBS.enabled:
+        m = OBS.metrics
+        m.counter("sim.runs").inc()
+        m.counter("sim.intervals").inc(result.intervals)
+        m.counter("sim.opp_switches").inc(result.opp_switches)
+        m.counter("sim.jobs").inc(result.qos.n_units)
+        m.counter("sim.energy_j").inc(result.total_energy_j)
+        m.counter("sim.simulated_s").inc(result.duration_s)
+        m.gauge("sim.last_mean_qos").set(result.qos.mean_qos)
+        m.gauge("sim.last_deadline_miss_rate").set(result.qos.deadline_miss_rate)
+        for phase, ns in phase_ns.items():
+            m.counter(f"engine.phase.{phase}_s").inc(ns / 1e9)
+
+
 class Simulator:
     """Runs one workload trace under one power-management policy.
 
@@ -408,36 +437,17 @@ class Simulator:
             if clock:
                 observe_ns += time.perf_counter_ns() - ns4
 
-        all_jobs = lane.all_jobs()
-        if self.qos_classes is not None:
-            from repro.qos.classes import evaluate_jobs_weighted
-
-            qos = evaluate_jobs_weighted(
-                all_jobs, self.qos_classes, grace_factor=self.grace_factor
-            )
-        else:
-            qos = evaluate_jobs(all_jobs, grace_factor=self.grace_factor)
+        classes = self.qos_classes
+        qos = evaluate_jobs(
+            lane.all_jobs(), grace_factor=self.grace_factor,
+            weight_of=classes.weight_of if classes is not None else None,
+        )
         governor_name = "+".join(
             sorted({g.name for g in self.governors.values()})
         )
         if tracer:
             tracer.end(run_span)
-        if OBS.enabled:
-            m = OBS.metrics
-            m.counter("sim.runs").inc()
-            m.counter("sim.intervals").inc(n_steps)
-            m.counter("sim.opp_switches").inc(opp_switches)
-            m.counter("sim.jobs").inc(len(all_jobs))
-            m.counter("sim.energy_j").inc(meter.total_j)
-            m.counter("sim.simulated_s").inc(n_steps * dt)
-            m.gauge("sim.last_mean_qos").set(qos.mean_qos)
-            m.gauge("sim.last_deadline_miss_rate").set(qos.deadline_miss_rate)
-            m.counter("engine.phase.governor_s").inc(governor_ns / 1e9)
-            m.counter("engine.phase.schedule_s").inc(schedule_ns / 1e9)
-            m.counter("engine.phase.drain_s").inc(drain_ns / 1e9)
-            m.counter("engine.phase.power_thermal_s").inc(power_ns / 1e9)
-            m.counter("engine.phase.observe_s").inc(observe_ns / 1e9)
-        return SimulationResult(
+        result = SimulationResult(
             governor=governor_name,
             trace_name=self.trace.name,
             duration_s=n_steps * dt,
@@ -451,3 +461,8 @@ class Simulator:
             samples=samples,
             observations=obs_log if self.record_observations else {},
         )
+        if clock:
+            publish_run(result, dict(zip(PHASES, (
+                governor_ns, schedule_ns, drain_ns, power_ns, observe_ns,
+            ))))
+        return result

@@ -9,7 +9,7 @@ but they convert (frequency, utilisation) into executed cycles and power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
@@ -80,7 +80,6 @@ class CoreState:
     utilization: float = 0.0
     busy_cycles: float = 0.0
     idle: bool = True
-    _peak_utilization: float = field(default=0.0, repr=False)
 
     def record_interval(self, used_cycles: float, freq_hz: float, interval_s: float) -> None:
         """Account one simulated interval of execution.
@@ -95,17 +94,11 @@ class CoreState:
         """
         record_cores((self,), (used_cycles,), freq_hz, interval_s)
 
-    @property
-    def peak_utilization(self) -> float:
-        """Highest interval utilisation observed since reset."""
-        return self._peak_utilization
-
     def reset(self) -> None:
         """Clear all runtime counters back to the post-construction state."""
         self.utilization = 0.0
         self.busy_cycles = 0.0
         self.idle = True
-        self._peak_utilization = 0.0
 
 
 def record_cores(
@@ -136,12 +129,9 @@ def record_cores(
             )
         if used > available:
             used = available
-        util = used / available if available > 0 else 0.0
-        core.utilization = util
+        core.utilization = used / available if available > 0 else 0.0
         core.busy_cycles += used
         core.idle = used == 0
-        if util > core._peak_utilization:
-            core._peak_utilization = util
 
 
 # Published-order-of-magnitude parameters for Cortex-A15 / Cortex-A7 class

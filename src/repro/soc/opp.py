@@ -104,11 +104,6 @@ class OPPTable:
         return self._points
 
     @property
-    def frequencies_hz(self) -> tuple[float, ...]:
-        """All frequencies in hertz, ascending."""
-        return self._freqs
-
-    @property
     def min_freq_hz(self) -> float:
         return self._freqs[0]
 

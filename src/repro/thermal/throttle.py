@@ -37,10 +37,6 @@ class ThermalThrottle:
         if self.step_opps < 1:
             raise ConfigurationError(f"step_opps must be >= 1: {self.step_opps}")
 
-    def throttle_level(self, cluster_name: str) -> int:
-        """Current number of throttle steps applied to a cluster."""
-        return self._levels.get(cluster_name, 0)
-
     def apply(self, cluster: Cluster, thermal: ThermalModel) -> int:
         """Update the throttle level and cap the cluster's OPP.
 

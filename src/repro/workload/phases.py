@@ -123,10 +123,6 @@ class PhaseMachine:
     def __len__(self) -> int:
         return len(self.phases)
 
-    def phase_names(self) -> list[str]:
-        """Phase names in declaration order."""
-        return [p.name for p in self.phases]
-
     def walk(self, rng: np.random.Generator, duration_s: float):
         """Yield ``(phase, start_s, end_s)`` segments covering ``duration_s``.
 

@@ -75,7 +75,7 @@ class TestPlans:
         assert not is_vectorisable(replace(base, governor="ondemand"))
         assert not is_vectorisable(replace(base, governor="rl-policy"))
         assert not is_vectorisable(replace(base, full_system=True))
-        assert not is_vectorisable(replace(base, collect_metrics=True))
+        assert is_vectorisable(replace(base, collect_metrics=True))
         assert not is_vectorisable(replace(base, trace_dir="/tmp/t"))
 
     def test_plan_mixed_governors(self):
@@ -139,16 +139,15 @@ class TestBitIdentity:
         for spec, batch in zip(specs, run_batch(specs)):
             _assert_bit_identical(simulate_spec(spec), batch)
 
-    def test_obs_session_disables_vectorisation(self):
-        """With observability on, the serial engine must run (it owns
-        the spans/counters); the plan degrades rather than dropping
-        telemetry."""
+    def test_obs_session_keeps_the_plan(self):
+        """The plan is a pure function of the specs: an observability
+        session changes neither it nor the numbers."""
         from repro.obs import capture
 
         specs = [JobSpec(scenario="idle", governor="performance",
                          duration_s=1.0)]
         with capture(trace=False):
-            assert BatchEngine(specs).plan() == [False]
+            assert BatchEngine(specs).plan() == [True]
             batch = run_batch(specs)
         _assert_bit_identical(simulate_spec(specs[0]), batch[0])
 
@@ -174,7 +173,7 @@ class TestGovernorPass:
         for governor in ("schedutil", "performance", "rl-policy"):
             assert not is_reactive(replace(base, governor=governor))
         assert not is_reactive(replace(base, full_system=True))
-        assert not is_reactive(replace(base, collect_metrics=True))
+        assert is_reactive(replace(base, collect_metrics=True))
         assert not is_reactive(replace(base, trace_dir="/tmp/t"))
         assert not is_reactive(replace(base, policy_config=PolicyConfig()))
 
@@ -309,11 +308,11 @@ class TestGovernorPass:
         assert not result.failures
         assert len(result.successes) == spec.n_jobs
 
-    def test_obs_session_keeps_governors_serial(self):
+    def test_obs_session_keeps_the_governor_pass(self):
         from repro.obs import capture
 
         specs = [JobSpec(scenario="idle", governor=governor, chip="tiny",
                          duration_s=0.5) for governor in REACTIVE]
         with capture(trace=False):
-            assert BatchEngine(specs).plan() == [False] * len(specs)
+            assert BatchEngine(specs).plan() == [True] * len(specs)
             assert BatchEngine(specs).units() == [[0], [1], [2]]

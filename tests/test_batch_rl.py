@@ -121,7 +121,6 @@ class TestRoutingPredicates:
         base = JobSpec(scenario="idle", governor="rl-policy")
         assert not is_rl_vectorisable(replace(base, governor="ondemand"))
         assert not is_rl_vectorisable(replace(base, full_system=True))
-        assert not is_rl_vectorisable(replace(base, collect_metrics=True))
         assert not is_rl_vectorisable(replace(base, trace_dir="/tmp/t"))
         assert not is_rl_vectorisable(
             replace(base, chip_obj=tiny_test_chip())
@@ -133,6 +132,10 @@ class TestRoutingPredicates:
             replace(base, policy_config=PolicyConfig(seed=3))
         )
         assert is_rl_vectorisable(replace(base, learn_log_dir="/tmp/l"))
+
+    def test_rl_vectorisable_allows_metric_collection(self):
+        base = JobSpec(scenario="idle", governor="rl-policy")
+        assert is_rl_vectorisable(replace(base, collect_metrics=True))
 
     def test_group_key_ignores_seeds_but_not_geometry(self):
         a = JobSpec(scenario="idle", governor="rl-policy", seed=1,
@@ -173,12 +176,11 @@ class TestRoutingPredicates:
         assert BatchEngine(specs).units(workers=2) == [
             [0], [1], [3], [2, 4]]
         assert BatchEngine(specs).units(workers=3) == [[i] for i in range(5)]
-        # A serial plan (under an observability session) leaves every
-        # job a unit of one.
+        # An observability session changes no unit.
         from repro.obs import capture
 
         with capture():
-            assert BatchEngine(specs).units() == [[i] for i in range(5)]
+            assert BatchEngine(specs).units() == [[1], [3], [0, 2, 4]]
 
     def test_units_deal_a_group_evenly(self):
         specs = [JobSpec(scenario="idle", governor="rl-policy", seed=i,
@@ -445,10 +447,11 @@ class TestTdUpdateMany:
             a.update(int(s), int(ac), float(r), int(ns))
             for s, ac, r, ns in zip(states, actions, rewards, next_states)
         ])
-        td_batch = b.update_many(states, actions, rewards, next_states)
+        td_batch = b.table.td_update_many(
+            states, actions, rewards, next_states, b.alpha, b.gamma
+        )
         assert np.array_equal(td_serial, td_batch)
         assert np.array_equal(a.table.values, b.table.values)
-        assert a.updates == b.updates
 
 
 class TestQTableRoundTrip:

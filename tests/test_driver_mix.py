@@ -101,7 +101,7 @@ class TestMixScenarios:
         mix = mix_scenarios({"gaming": 1.0, "audio_playback": 1.0})
         machine = mix.machine()
         # Phases from both components, namespaced.
-        names = machine.phase_names()
+        names = [p.name for p in machine.phases]
         assert any(n.startswith("gaming/") for n in names)
         assert any(n.startswith("audio_playback/") for n in names)
 

@@ -703,7 +703,7 @@ class TestUnits:
     def test_raising_chunk_reruns_members_singly(self, monkeypatch):
         import repro.batch.engine
 
-        def explode(specs):
+        def explode(specs, sessions):
             raise RuntimeError("lock-step runner broke")
 
         monkeypatch.setattr(repro.batch.engine, "_run_rl_group", explode)
@@ -714,7 +714,7 @@ class TestUnits:
     def test_overrunning_chunk_reruns_members_singly(self, monkeypatch):
         import repro.batch.engine
 
-        def hang(specs):
+        def hang(specs, sessions):
             time.sleep(60.0)
 
         monkeypatch.setattr(repro.batch.engine, "_run_rl_group", hang)
@@ -732,7 +732,7 @@ class TestUnits:
 
         import repro.batch.engine
 
-        def die(specs):
+        def die(specs, sessions):
             os._exit(1)
 
         monkeypatch.setattr(repro.batch.engine, "_run_rl_group", die)
@@ -777,7 +777,7 @@ class TestUnits:
         fixed_opp = repro.batch.engine.run_fixed_opp
         chunk_ran = tmp_path / "chunk-ran"
 
-        def explode(specs):
+        def explode(specs, sessions):
             chunk_ran.write_text("ran")
             raise RuntimeError("lock-step runner broke")
 

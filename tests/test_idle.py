@@ -67,14 +67,14 @@ class TestMenuIdleGovernor:
         gov = MenuIdleGovernor()
         for _ in range(20):
             gov.observe("c0", idle_s=0.01, interval_s=0.01)
-        assert gov.state_name("c0") == "cluster-off"
+        assert gov.table[gov.selections["c0"]].name == "cluster-off"
         assert gov.power_fraction("c0") == pytest.approx(0.05)
 
     def test_busy_core_stays_shallow(self):
         gov = MenuIdleGovernor()
         for _ in range(20):
             gov.observe("c0", idle_s=0.00001, interval_s=0.01)
-        assert gov.state_name("c0") == "WFI"
+        assert gov.table[gov.selections["c0"]].name == "WFI"
 
     def test_activity_resets_idle_run(self):
         gov = MenuIdleGovernor()
@@ -104,7 +104,7 @@ class TestMenuIdleGovernor:
         gov = MenuIdleGovernor(latency_limit_s=100e-6)
         for _ in range(30):
             gov.observe("c0", 0.01, 0.01)
-        assert gov.state_name("c0") == "core-off"  # cluster-off vetoed
+        assert gov.table[gov.selections["c0"]].name == "core-off"  # cluster-off vetoed
 
 
 class TestPowerModelIdleScales:

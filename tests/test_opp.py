@@ -38,7 +38,7 @@ class TestOPPTable:
         table = OPPTable(
             [OperatingPoint(1e9, 1.0), OperatingPoint(2e8, 0.9)]
         )
-        assert table.frequencies_hz == (2e8, 1e9)
+        assert [p.freq_hz for p in table] == [2e8, 1e9]
 
     def test_rejects_empty(self):
         with pytest.raises(OPPError):

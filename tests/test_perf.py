@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,9 @@ from repro.perf import (
     split_latest,
 )
 from repro.perf.ledger import LEDGER_ENV_VAR
+from repro.perf.regress import newest_regime
+
+BASELINE = Path(__file__).resolve().parent.parent / "perf-baseline.jsonl"
 
 
 def _record(run_id="r1", name="idle", metrics=None, config=None, kind="run"):
@@ -282,6 +287,46 @@ class TestCompare:
             compare_records(baseline, baseline, threshold=-0.1)
         with pytest.raises(PerfError, match="confidence"):
             compare_records(baseline, baseline, confidence=1.5)
+
+
+def _at(sha, records):
+    return [replace(r, git_sha=sha) for r in records]
+
+
+class TestBaselineRegimes:
+    """The baseline of a key is its newest commit with >= 5 rows."""
+
+    def test_newest_commit_with_five_rows_wins(self):
+        old = _at("old", _sampled("a", [2.0] * 5))
+        new = _at("new", _sampled("b", [1.0] * 5))
+        stray = _at("stray", _sampled("c", [9.0] * 2))
+        assert newest_regime(old + new + stray) == new
+        # The change undone now shows against the new regime.
+        (v,) = compare_records(old + new + stray,
+                               _sampled("d", [2.0] * 5)).verdicts
+        assert v.status == "regressed"
+
+    def test_too_few_rows_everywhere_pools_them_all(self):
+        rows = _at("x", _sampled("a", [1.0] * 3)) + _at(
+            "y", _sampled("b", [1.0] * 4))
+        assert newest_regime(rows) == rows
+
+    def _o1(self, sha):
+        rows = [r for r in PERF_LEDGER.read(BASELINE)
+                if r.name == "o1_obs_overhead" and r.git_sha == sha]
+        assert len(rows) == 5
+        return rows
+
+    def _o1_status(self, sha):
+        comparison = compare_records(PERF_LEDGER.read(BASELINE), self._o1(sha))
+        return {v.metric: v.status for v in comparison.verdicts
+                if "o1_obs_overhead" in v.key}["enabled_over_disabled"]
+
+    def test_per_interval_span_regime_regresses(self):
+        assert self._o1_status("72633d7") == "regressed"
+
+    def test_phase_counter_regime_is_unchanged(self):
+        assert self._o1_status("11f3a61") == "unchanged"
 
 
 class TestRendering:

@@ -136,13 +136,6 @@ class TestEnergyMeter:
         meter.record(PowerBreakdown(0.0, 0.0), 0.01)
         assert meter.average_power_w == pytest.approx(1.0)
 
-    def test_peak_power(self):
-        meter = EnergyMeter()
-        meter.record(PowerBreakdown(2.0, 0.0), 0.01)
-        meter.record(PowerBreakdown(5.0, 0.0), 0.01)
-        meter.record(PowerBreakdown(1.0, 0.0), 0.01)
-        assert meter.peak_power_w == pytest.approx(5.0)
-
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ConfigurationError):
             EnergyMeter().record(PowerBreakdown(1.0, 0.0), 0.0)
@@ -168,23 +161,23 @@ class TestEnergyMeter:
 
 class TestBattery:
     def test_full_at_start(self):
-        assert Battery().state_of_charge == pytest.approx(1.0)
+        assert Battery().drained_j == 0.0
 
     def test_drain_reduces_charge(self):
         battery = Battery(capacity_j=100.0, efficiency=1.0)
         battery.drain(25.0)
-        assert battery.state_of_charge == pytest.approx(0.75)
+        assert battery.drained_j == pytest.approx(25.0)
 
     def test_efficiency_inflates_drain(self):
         battery = Battery(capacity_j=100.0, efficiency=0.5)
         battery.drain(25.0)
-        assert battery.state_of_charge == pytest.approx(0.5)
+        assert battery.drained_j == pytest.approx(50.0)
 
     def test_clamps_at_empty(self):
         battery = Battery(capacity_j=10.0, efficiency=1.0)
         battery.drain(100.0)
         assert battery.empty
-        assert battery.state_of_charge == pytest.approx(0.0)
+        assert battery.drained_j == pytest.approx(10.0)
 
     def test_runtime_estimate(self):
         battery = Battery(capacity_j=100.0, efficiency=1.0)

@@ -144,13 +144,6 @@ class TestQTableBatchReads:
         block[:] = -1.0
         assert table.get(0, 0) == 0.0
 
-    def test_argmax_many_matches_argmax(self):
-        table = self._table()
-        states = list(range(4)) + [2, 0]
-        assert table.argmax_many(states).tolist() == [
-            table.argmax(s) for s in states
-        ]
-
     def test_bad_states_rejected(self):
         table = self._table()
         with pytest.raises(PolicyError, match="out of range"):
@@ -163,4 +156,3 @@ class TestQTableBatchReads:
     def test_empty_batch(self):
         table = self._table()
         assert table.rows([]).shape == (0, 3)
-        assert table.argmax_many([]).shape == (0,)

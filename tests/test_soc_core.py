@@ -79,19 +79,13 @@ class TestCoreState:
         with pytest.raises(ConfigurationError):
             self.make().record_interval(-1.0, 1e9, 0.01)
 
-    def test_peak_utilization_tracks_max(self):
-        state = self.make()
-        state.record_interval(8e6, 1e9, 0.01)
-        state.record_interval(2e6, 1e9, 0.01)
-        assert state.peak_utilization == pytest.approx(0.8)
-
     def test_reset_clears_everything(self):
         state = self.make()
         state.record_interval(5e6, 1e9, 0.01)
         state.reset()
         assert state.idle
         assert state.busy_cycles == 0.0
-        assert state.peak_utilization == 0.0
+        assert state.utilization == 0.0
 
     def test_zero_frequency_gives_zero_utilization(self):
         state = self.make()

@@ -96,54 +96,52 @@ class TestThrottle:
         model._temps["cpu"] = temp
         return model
 
+    def capped(self, throttle, cluster, temp):
+        """The OPP the throttle leaves after a governor asks for the top."""
+        cluster.set_opp_index(cluster.spec.opp_table.max_index)
+        return throttle.apply(cluster, self.hot_model(temp))
+
     def test_no_throttle_below_trip(self):
         cluster = self.cluster()
         throttle = ThermalThrottle(trip_c=85.0)
         throttle.apply(cluster, self.hot_model(60.0))
         assert cluster.opp_index == 3
-        assert throttle.throttle_level("cpu") == 0
 
     def test_throttle_engages_above_trip(self):
         cluster = self.cluster()
         throttle = ThermalThrottle(trip_c=85.0)
         throttle.apply(cluster, self.hot_model(90.0))
         assert cluster.opp_index == 2
-        assert throttle.throttle_level("cpu") == 1
 
     def test_throttle_steps_accumulate(self):
         cluster = self.cluster()
         throttle = ThermalThrottle(trip_c=85.0)
-        model = self.hot_model(95.0)
-        for _ in range(3):
-            throttle.apply(cluster, model)
-        assert cluster.opp_index == 0
-        assert throttle.throttle_level("cpu") == 3
+        assert [self.capped(throttle, cluster, 95.0) for _ in range(3)] == [
+            2, 1, 0]
 
     def test_throttle_releases_with_hysteresis(self):
         cluster = self.cluster()
         throttle = ThermalThrottle(trip_c=85.0, hysteresis_c=5.0)
-        throttle.apply(cluster, self.hot_model(90.0))
+        assert self.capped(throttle, cluster, 90.0) == 2
         # Inside the hysteresis band: the level holds.
-        throttle.apply(cluster, self.hot_model(82.0))
-        assert throttle.throttle_level("cpu") == 1
+        assert self.capped(throttle, cluster, 82.0) == 2
         # Below trip - hysteresis: one step released.
-        throttle.apply(cluster, self.hot_model(75.0))
-        assert throttle.throttle_level("cpu") == 0
+        assert self.capped(throttle, cluster, 75.0) == 3
 
     def test_level_never_exceeds_table(self):
         cluster = self.cluster()
         throttle = ThermalThrottle(trip_c=85.0)
-        model = self.hot_model(120.0)
         for _ in range(20):
-            throttle.apply(cluster, model)
-        assert throttle.throttle_level("cpu") <= cluster.spec.opp_table.max_index
+            assert self.capped(throttle, cluster, 120.0) >= 0
+        # Twenty steps deep, one cool interval releases a step at once.
+        assert self.capped(throttle, cluster, 60.0) == 1
 
     def test_reset(self):
         cluster = self.cluster()
         throttle = ThermalThrottle()
         throttle.apply(cluster, self.hot_model(95.0))
         throttle.reset()
-        assert throttle.throttle_level("cpu") == 0
+        assert self.capped(throttle, cluster, 60.0) == 3
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigurationError):

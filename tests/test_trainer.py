@@ -77,12 +77,6 @@ class TestTrainPolicy:
         with pytest.raises(PolicyError):
             train_policy(tiny_test_chip(), tiny_scenario(), episodes=0)
 
-    def test_final_energy_per_qos(self):
-        chip = tiny_test_chip()
-        result = train_policy(chip, tiny_scenario(), episodes=2,
-                              episode_duration_s=2.0)
-        assert result.final_energy_per_qos == result.history[-1].energy_per_qos_j
-
 
 class TestTrainCurriculum:
     def scenarios(self):
