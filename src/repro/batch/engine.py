@@ -13,11 +13,12 @@ or hoist what the serial engine recomputes around it:
   :data:`~repro.batch.plans.REACTIVE_GOVERNORS`: every cluster calls
   its real governor's ``decide`` on a four-field observation updated in
   place, and the drain cursors and OPP of each interval are logged.
-* Groups of ``rl-policy`` jobs sharing a chip preset, state geometry
-  and episode plan (:func:`~repro.batch.plans.rl_group_key`) train
-  lock-step through :func:`repro.batch.rl.train_policy_batch` — one
-  NumPy op per interval across all rollouts — and evaluate greedily
-  through :func:`repro.batch.rl.evaluate_policies_batch`.
+* ``rl-policy`` jobs train through
+  :func:`repro.batch.rl.train_policy_batch` and evaluate greedily
+  through :func:`repro.batch.rl.evaluate_policies_batch`; jobs sharing
+  a chip preset, state geometry and episode plan
+  (:func:`~repro.batch.plans.rl_group_key`) train lock-step — one NumPy
+  op per interval across all rollouts.
 
 The first two take ``(spec, chip, trace)`` and price power once, after
 the loop, vectorised along the interval axis from the logged cursors
@@ -32,14 +33,12 @@ as a *sequence of elementwise adds* (the serial left-associated ``+=``
 order) and energy integrates interval products in a plain Python loop —
 ``np.sum`` uses pairwise summation, which rounds differently.
 
-:meth:`BatchEngine.plan` and :meth:`BatchEngine.units` are the one
-place that decides which path runs each job and which jobs share a
-pass, from the specs alone.  Only RL groups share one, and only with at
-least two members (lock-step training only pays for itself across
-lanes).  Rollouts no fast path can express — other governors,
-checkpoints, singleton RL jobs, full-system substrates, per-job trace
-files — run on the reference simulator, so ``run_batch`` accepts
-arbitrary job lists and is *always* exact.
+:meth:`BatchEngine.plan` decides which path runs each job, from that
+job's spec alone, and :meth:`BatchEngine.units` which RL jobs share a
+pass.  Rollouts no fast path can express — other governors,
+checkpoints, full-system substrates, per-job trace files — run on the
+reference simulator, so ``run_batch`` accepts arbitrary job lists and
+is *always* exact.
 
 Observed runs take the same paths: each publishes its run's ``sim.*``
 counters and the ``engine.phase.*_s`` counters it has through
@@ -439,20 +438,16 @@ class BatchEngine:
     def plan(self) -> list[bool]:
         """Per spec, whether a fast path will run it.
 
-        The one planner: :meth:`run` and :meth:`units` both start here.
-        A pure function of the specs: an observability session changes
-        nothing, since every path publishes the same counters.
+        The one planner: :meth:`run` and :meth:`units` both start
+        here.  A function of each spec alone: neither the other specs
+        nor an observability session change a spec's path, since every
+        path publishes the same counters.
         """
-        fast = [
-            is_vectorisable(spec) or is_reactive(spec) for spec in self.specs
+        return [
+            is_vectorisable(spec) or is_reactive(spec)
+            or is_rl_vectorisable(spec)
+            for spec in self.specs
         ]
-        for group in _rl_groups(self.specs):
-            # Lock-step training only pays for itself across lanes; a
-            # lone RL job runs the identical serial trainer.
-            if len(group) >= 2:
-                for i in group:
-                    fast[i] = True
-        return fast
 
     def units(self, workers: int = 1) -> list[list[int]]:
         """Split the specs into units of work: single jobs and chunks.
@@ -469,8 +464,7 @@ class BatchEngine:
             workers: Processes that will run the units side by side.
                 Each RL group is dealt into at most this many slices, as
                 even as possible, so a pool keeps its lock-step jobs in
-                parallel; a slice of one is a single job (a lone RL job
-                trains serially, exactly like one lane).
+                parallel; a slice of one is a single job.
 
         Returns:
             Lists of spec indices; every index appears in exactly one
@@ -480,9 +474,7 @@ class BatchEngine:
 
     def _units(self, plan: list[bool], workers: int) -> list[list[int]]:
         chunks: list[list[int]] = []
-        for group in _rl_groups(self.specs):
-            if not plan[group[0]]:
-                continue
+        for group in _rl_groups(self.specs, plan):
             n, parts = len(group), min(workers, len(group))
             for k in range(parts):
                 part = group[k * n // parts:(k + 1) * n // parts]
@@ -526,13 +518,13 @@ def _sessions(
     return sessions
 
 
-def _rl_groups(specs: Sequence[JobSpec]) -> list[list[int]]:
-    """Indices of the RL-vectorisable specs, grouped by
-    :func:`~repro.batch.plans.rl_group_key` in order of first
+def _rl_groups(specs: Sequence[JobSpec], plan: list[bool]) -> list[list[int]]:
+    """Indices of the ``rl-policy`` specs the plan sends to a fast path,
+    grouped by :func:`~repro.batch.plans.rl_group_key` in order of first
     appearance."""
     groups: dict[Hashable, list[int]] = {}
-    for i, spec in enumerate(specs):
-        if is_rl_vectorisable(spec):
+    for i, (spec, fast) in enumerate(zip(specs, plan)):
+        if fast and spec.is_rl:
             groups.setdefault(rl_group_key(spec), []).append(i)
     return list(groups.values())
 
@@ -559,34 +551,18 @@ def _run_unit(
 def _run_rl_group(
     specs: Sequence[JobSpec], sessions: Sequence[ObsSession | None]
 ) -> list[SimulationResult]:
-    """Train one RL group lock-step, then evaluate each lane greedily.
+    """Train RL jobs together, then evaluate each lane greedily.
 
     Reproduces :func:`repro.fleet.worker.simulate_spec` per spec — fresh
-    chip, per-job learning ledger, one power model shared between a
-    job's training and its evaluation — with the training and evaluation
-    loops batched across the group.
+    chip, and the spec's training job
+    (:func:`repro.fleet.worker._train_job`) whose power model its
+    evaluation shares — with the training and evaluation loops batched
+    across the group (one job trains and evaluates serially).
     """
-    from repro.batch.rl import (
-        RLTrainJob,
-        evaluate_policies_batch,
-        train_policy_batch,
-    )
-    from repro.fleet.worker import _build_chip, _job_learn_recorder
+    from repro.batch.rl import evaluate_policies_batch, train_policy_batch
+    from repro.fleet.worker import _build_chip, _train_job
 
-    jobs = [
-        RLTrainJob(
-            chip=_build_chip(spec),
-            scenario=get_scenario(spec.scenario),
-            episodes=spec.train_episodes,
-            episode_duration_s=spec.train_episode_s or spec.duration_s,
-            base_seed=spec.train_base_seed,
-            config=spec.policy_config,
-            interval_s=spec.interval_s,
-            power_model=PowerModel(),
-            recorder=_job_learn_recorder(spec),
-        )
-        for spec in specs
-    ]
+    jobs = [_train_job(spec, _build_chip(spec), PowerModel()) for spec in specs]
     trained = train_policy_batch(jobs, sessions)
     traces = [
         get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)

@@ -42,15 +42,18 @@ float.  Three mechanisms carry that guarantee:
 
 Episode boundaries run the *real* per-lane ``chip.reset()`` and
 ``policy.reset(cluster)`` calls, so episode counters, TD-window resets,
-and reward normalisation are materialised on the policy objects, and the
-trainer's own bookkeeping helpers produce the ledger and history records.
+and reward normalisation are materialised on the policy objects, and
+training runs the serial trainer's own episode loop,
+:func:`repro.core.trainer.train_lanes`, over
+:meth:`_LockstepRunner.run_episode`.
 
 Which jobs share a lock-step pass is decided once, by
 :meth:`repro.batch.engine.BatchEngine.units`; the two entry points run
 exactly the lanes they are given.  One lane runs the serial
 :func:`repro.core.trainer.train_policy` /
-:func:`repro.core.trainer.evaluate_policy` (cheaper at N=1); two or
-more run one :class:`_LockstepRunner`.  A lane the lock step cannot
+:func:`repro.core.trainer.evaluate_policy`, the cheaper engine at N=1:
+this lane count is the one routing choice made here.  Two or more run
+one :class:`_LockstepRunner`.  A lane the lock step cannot
 express — a subclassed policy or agent (SARSA acts before updating;
 double-Q flips a coin per update), a non-default power model, a chip or
 policy object shared with another lane, policies that do not match its
@@ -67,29 +70,23 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.batch.engine import _result, _sessions
-from repro.core.config import PolicyConfig
 from repro.core.policy import RLPowerManagementPolicy
 from repro.core.state import StateFeaturizer
 from repro.core.trainer import (
-    EpisodeRecord,
+    RLTrainJob,
     TrainingResult,
-    _emit_episode_obs,
-    _episode_record,
-    _greedy_snapshot,
-    _policy_churn,
-    _record_episode,
     evaluate_policy,
     frozen_policies,
     make_policies,
+    train_lanes,
     train_policy,
 )
-from repro.errors import PolicyError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import OBS, ObsSession, use
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
@@ -109,31 +106,7 @@ from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
 from repro.soc.cluster import Cluster
-from repro.workload.scenarios import Scenario
 from repro.workload.trace import Trace
-
-if TYPE_CHECKING:
-    from repro.obs.learn import LearnRecorder
-
-
-@dataclass
-class RLTrainJob:
-    """One RL training job, mirroring :func:`train_policy`'s signature.
-
-    Every job trains fresh policies (:func:`make_policies`); they come
-    back on the job's :class:`TrainingResult`.
-    """
-
-    chip: Chip
-    scenario: Scenario
-    episodes: int = 12
-    episode_duration_s: float = 30.0
-    base_seed: int = 0
-    config: PolicyConfig | None = None
-    interval_s: float = 0.01
-    power_model: PowerModel | None = None
-    recorder: "LearnRecorder | None" = None
-
 
 def _check_lanes(
     chips: Sequence[Chip],
@@ -576,7 +549,13 @@ class _ClusterVec:
 
 
 class _LockstepRunner:
-    """Advances N (chip, policies) lanes through episodes together."""
+    """Advances N (chip, policies) lanes through episodes together.
+
+    The lanes are packed into vectors at the first episode, not before:
+    that is when serial training first binds a fresh policy's agent, so
+    a trainer's pre-training greedy snapshots see what serially they
+    would.
+    """
 
     def __init__(
         self,
@@ -590,13 +569,17 @@ class _LockstepRunner:
             raise SimulationError(f"interval must be positive: {interval_s}")
         self.n = len(chips)
         self.sessions = _sessions(sessions, self.n)
-        names = chips[0].cluster_names
         self.chips = list(chips)
         self.policies_by_lane = list(policies_by_lane)
+        self.power_models = [pm or PowerModel() for pm in power_models]
         self.dt = interval_s
         # One scheduler per lane: each ranks its own chip once.
         self.schedulers = [HMPScheduler() for _ in chips]
-        self.cluster_names = names
+        self.cluster_names = self.chips[0].cluster_names
+        self.vecs: list[_ClusterVec] = []
+
+    def _bind(self) -> None:
+        """Bind every policy and pack the lanes into vectors."""
         # Pre-bind exactly what the first reset() would build, so the
         # population tables exist before the first episode.  The objects
         # are identical to reset()'s (construction consumes no RNG), and
@@ -609,7 +592,7 @@ class _LockstepRunner:
                         p.config, len(cluster.spec.opp_table)
                     )
                     p.agent = p._make_agent(p.featurizer.n_states)
-        models = [pm or PowerModel() for pm in power_models]
+        models = self.power_models
         self.uncore_w = np.array([m.uncore_w for m in models])
         idle_activity = np.array([[m.dynamic.idle_activity] for m in models])
         # Same-shaped clusters share one vector (lanes all have lane 0's
@@ -629,7 +612,7 @@ class _LockstepRunner:
         # (vector, rows) per cluster in chip order, for the chip sums.
         self.cluster_rows = [
             (v, vec.rows(name))
-            for name in names
+            for name in self.cluster_names
             for v, vec in enumerate(self.vecs)
             if name in vec.names
         ]
@@ -651,6 +634,8 @@ class _LockstepRunner:
                 f"{sorted(set(steps))}"
             )
 
+        if not self.vecs:
+            self._bind()
         # Real per-lane resets — episode counters, TD windows, reward
         # normalisation, featurizer clears — the serial run()'s preamble.
         for chip, policies in zip(self.chips, self.policies_by_lane):
@@ -753,12 +738,9 @@ def train_policy_batch(
     The caller decides which jobs train together; this runs exactly the
     lanes it is given.  A single job runs the serial
     :func:`train_policy` (lock-step overhead only pays across lanes);
-    two or more train through one lock-step pass, bit-identical to
-    training each serially.  The per-lane bookkeeping — history
-    records, ledger rows, churn snapshots — is the serial loop body
-    verbatim, including taking the pre-training greedy snapshot
-    *before* the runner binds fresh agents (a fresh lane therefore
-    reports 0.0 churn after its first episode, exactly as serially).
+    two or more run the trainer's episode loop
+    (:func:`repro.core.trainer.train_lanes`) over one lock-step pass,
+    bit-identical to training each serially.
 
     Args:
         jobs: The lanes to train.
@@ -776,16 +758,7 @@ def train_policy_batch(
     """
     if len(jobs) <= 1:
         with use(sessions[0] if sessions else None):
-            return [
-                train_policy(
-                    job.chip, job.scenario, episodes=job.episodes,
-                    episode_duration_s=job.episode_duration_s,
-                    base_seed=job.base_seed, config=job.config,
-                    interval_s=job.interval_s, power_model=job.power_model,
-                    recorder=job.recorder,
-                )
-                for job in jobs
-            ]
+            return [train_policy(**vars(job)) for job in jobs]
     first = jobs[0]
     plan = (first.interval_s, first.episodes, first.episode_duration_s)
     for k, job in enumerate(jobs):
@@ -794,55 +767,17 @@ def train_policy_batch(
                 f"lock-step lane {k} disagrees with lane 0 on interval or "
                 "episode plan"
             )
-    if first.episodes < 1:
-        raise PolicyError(f"need at least one episode: {first.episodes}")
     chips = [job.chip for job in jobs]
     policies_by_lane = [make_policies(job.chip, job.config) for job in jobs]
     models = [job.power_model for job in jobs]
     _check_lanes(chips, policies_by_lane, models)
-
-    prev_greedy = [
-        _greedy_snapshot(policies) if job.recorder is not None else None
-        for job, policies in zip(jobs, policies_by_lane)
-    ]
     runner = _LockstepRunner(chips, policies_by_lane, models, first.interval_s,
                              sessions)
-    histories: list[list[EpisodeRecord]] = [[] for _ in jobs]
-    reward_before = [
-        sum(p.cumulative_reward for p in policies.values())
-        for policies in policies_by_lane
-    ]
     try:
-        for episode in range(first.episodes):
-            traces = [
-                job.scenario.trace(
-                    job.episode_duration_s, seed=job.base_seed + episode
-                )
-                for job in jobs
-            ]
-            episode_results = runner.run_episode(traces, online=True)
-            for k, (job, policies) in enumerate(zip(jobs, policies_by_lane)):
-                record = _episode_record(
-                    episode, episode_results[k], policies, reward_before[k],
-                )
-                reward_before[k] += record.reward
-                histories[k].append(record)
-                with use(runner.sessions[k]):
-                    _emit_episode_obs(record)
-                if job.recorder is not None and prev_greedy[k] is not None:
-                    greedy = _greedy_snapshot(policies)
-                    _record_episode(
-                        job.recorder, record, policies, job.scenario.name,
-                        churn=_policy_churn(prev_greedy[k], greedy),
-                        episode_offset=0,
-                    )
-                    prev_greedy[k] = greedy
+        return train_lanes(jobs, policies_by_lane, runner.run_episode,
+                           runner.sessions)
     finally:
         runner.detach()
-    return [
-        TrainingResult(policies=policies, history=history)
-        for policies, history in zip(policies_by_lane, histories)
-    ]
 
 
 def evaluate_policies_batch(

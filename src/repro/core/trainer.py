@@ -3,6 +3,9 @@
 The paper's policy learns online; for reproducible tables we train it
 over a fixed number of episodes of a scenario (each episode a fresh
 seeded trace) and then evaluate greedily on a held-out seed.
+:func:`train_lanes` is the one episode loop: :func:`train_policy` runs
+it over one lane on the serial engine, and
+:func:`repro.batch.rl.train_policy_batch` over N lock-step lanes.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import PolicyConfig
 from repro.core.policy import RLPowerManagementPolicy
 from repro.errors import PolicyError
+from repro.obs import OBS, ObsSession, use
 from repro.obs.learn import LearnRecorder, learn_record
 from repro.power.model import PowerModel
 from repro.rl.stats import TDErrorStats
@@ -78,6 +82,27 @@ def make_policies(
     return policies
 
 
+@dataclass
+class RLTrainJob:
+    """One training job: :func:`train_policy`'s arguments for fresh
+    policies (:func:`make_policies`), under the same names."""
+
+    chip: Chip
+    scenario: Scenario
+    episodes: int = 12
+    episode_duration_s: float = 30.0
+    base_seed: int = 0
+    config: PolicyConfig | None = None
+    interval_s: float = 0.01
+    power_model: PowerModel | None = None
+    recorder: LearnRecorder | None = None
+
+
+RunEpisode = Callable[[list[Trace], bool], list[SimulationResult]]
+"""Runs one episode of every lane, given each lane's trace and whether
+the policies learn; returns one result per lane."""
+
+
 def train_policy(
     chip: Chip,
     scenario: Scenario,
@@ -115,38 +140,95 @@ def train_policy(
     Returns:
         A :class:`TrainingResult` with the per-episode learning curve.
     """
-    if episodes < 1:
-        raise PolicyError(f"need at least one episode: {episodes}")
     policies = policies or make_policies(chip, config)
     missing = set(chip.cluster_names) - set(policies)
     if missing:
         raise PolicyError(f"no policy for clusters: {sorted(missing)}")
     power_model = power_model or PowerModel()
 
-    prev_greedy: dict[str, np.ndarray] | None = None
-    if recorder is not None:
-        prev_greedy = _greedy_snapshot(policies)
-    history: list[EpisodeRecord] = []
-    reward_before = sum(p.cumulative_reward for p in policies.values())
+    def run_episode(traces: list[Trace], online: bool) -> list[SimulationResult]:
+        return [
+            Simulator(chip, trace, policies, power_model=power_model,
+                      interval_s=interval_s).run()
+            for trace in traces
+        ]
+
+    job = RLTrainJob(chip, scenario, episodes, episode_duration_s, base_seed,
+                     config, interval_s, power_model, recorder)
+    [result] = train_lanes([job], [policies], run_episode,
+                           episode_offset=episode_offset)
+    return result
+
+
+def train_lanes(
+    jobs: Sequence[RLTrainJob],
+    policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
+    run_episode: RunEpisode,
+    sessions: Sequence[ObsSession | None] | None = None,
+    episode_offset: int = 0,
+) -> list[TrainingResult]:
+    """The episode loop every trainer shares: one lane serially, or N
+    lanes lock-step (:func:`repro.batch.rl.train_policy_batch`).
+
+    Per episode it draws each lane's trace, has ``run_episode`` run them
+    all, and keeps each lane's books: its history record and reward
+    delta, its ``rl.*`` metrics and ``rl.episode`` instant (under its
+    own session), and its ledger row with the greedy-action churn.  The
+    greedy snapshots start before the first ``run_episode`` call, so a
+    lane whose agents that call binds reports 0.0 churn after its first
+    episode.
+
+    Args:
+        jobs: The lanes; all run ``jobs[0].episodes`` episodes.
+        policies_by_lane: Per lane, the policies being trained.
+        run_episode: Runs one online episode of every lane.
+        sessions: Per lane, the observability session that receives its
+            episode metrics (``None``: the active one).
+        episode_offset: Added to the ledger's ``episode`` field.
+
+    Raises:
+        PolicyError: On fewer than one episode.
+    """
+    episodes = jobs[0].episodes
+    if episodes < 1:
+        raise PolicyError(f"need at least one episode: {episodes}")
+    sessions = list(sessions or [None] * len(jobs))
+    prev_greedy = [
+        _greedy_snapshot(policies) if job.recorder is not None else None
+        for job, policies in zip(jobs, policies_by_lane)
+    ]
+    reward_before = [
+        sum(p.cumulative_reward for p in policies.values())
+        for policies in policies_by_lane
+    ]
+    histories: list[list[EpisodeRecord]] = [[] for _ in jobs]
     for episode in range(episodes):
-        trace = scenario.trace(episode_duration_s, seed=base_seed + episode)
-        sim = Simulator(
-            chip, trace, policies, power_model=power_model, interval_s=interval_s
-        )
-        result = sim.run()
-        record = _episode_record(episode, result, policies, reward_before)
-        reward_before += record.reward
-        history.append(record)
-        _emit_episode_obs(record)
-        if recorder is not None and prev_greedy is not None:
-            greedy = _greedy_snapshot(policies)
-            _record_episode(
-                recorder, record, policies, scenario.name,
-                churn=_policy_churn(prev_greedy, greedy),
-                episode_offset=episode_offset,
-            )
-            prev_greedy = greedy
-    return TrainingResult(policies=policies, history=history)
+        traces = [
+            job.scenario.trace(job.episode_duration_s,
+                               seed=job.base_seed + episode)
+            for job in jobs
+        ]
+        results = run_episode(traces, True)
+        for k, (job, policies) in enumerate(zip(jobs, policies_by_lane)):
+            record = _episode_record(episode, results[k], policies,
+                                     reward_before[k])
+            reward_before[k] += record.reward
+            histories[k].append(record)
+            with use(sessions[k]):
+                _emit_episode_obs(record)
+            before = prev_greedy[k]
+            if job.recorder is not None and before is not None:
+                greedy = _greedy_snapshot(policies)
+                _record_episode(
+                    job.recorder, record, policies, job.scenario.name,
+                    churn=_policy_churn(before, greedy),
+                    episode_offset=episode_offset,
+                )
+                prev_greedy[k] = greedy
+    return [
+        TrainingResult(policies=policies, history=history)
+        for policies, history in zip(policies_by_lane, histories)
+    ]
 
 
 def _greedy_snapshot(
@@ -245,8 +327,6 @@ def _episode_record(
 
 def _emit_episode_obs(record: EpisodeRecord) -> None:
     """Publish one episode's convergence metrics when observability is on."""
-    from repro.obs import OBS
-
     if not OBS.enabled:
         return
     m = OBS.metrics

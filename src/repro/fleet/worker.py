@@ -16,9 +16,11 @@ poison the executor.
 Both kinds of unit run through :mod:`repro.batch`: a single job as a
 batch of one inside :func:`execute_job` (so a table-free governor takes
 the fixed-OPP fast path and a reactive one the governor pass), an RL
-chunk as one lock-step batch.  A ``collect_metrics`` job gets its own
-observability session either way; a chunk hands one per member to the
-batch, so each member's snapshot holds only its own counters.
+chunk as one lock-step batch.  Every job, chunk members included,
+runs with its ``trace_context`` bound, and a ``collect_metrics`` job
+gets its own observability session and ``fleet.job`` span
+(:func:`_job_scope`); a chunk hands each member's session to the batch,
+so each member's snapshot holds only its own counters.
 :func:`simulate_spec` stays the serial reference both are held to.
 """
 
@@ -29,11 +31,13 @@ import signal
 import threading
 import time
 import traceback
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
+    from repro.core.trainer import RLTrainJob
     from repro.obs import ObsSession
     from repro.obs.learn import LearnRecorder
 
@@ -205,30 +209,40 @@ def _job_file(directory: str, spec: JobSpec, suffix: str) -> Path:
     return Path(directory) / f"{safe_id}-pid{os.getpid()}{suffix}"
 
 
+def _train_job(
+    spec: JobSpec, chip: Chip, power_model: PowerModel
+) -> "RLTrainJob":
+    """The RL training job a plain-substrate spec asks for; the job's
+    evaluation shares ``power_model``."""
+    from repro.core.trainer import RLTrainJob
+
+    return RLTrainJob(
+        chip=chip,
+        scenario=get_scenario(spec.scenario),
+        episodes=spec.train_episodes,
+        episode_duration_s=spec.train_episode_s or spec.duration_s,
+        base_seed=spec.train_base_seed,
+        config=spec.policy_config,
+        interval_s=spec.interval_s,
+        power_model=power_model,
+        recorder=_job_learn_recorder(spec),
+    )
+
+
 def _run_rl(
     spec: JobSpec, chip: Chip, eval_trace: Trace, power_model: PowerModel
 ) -> SimulationResult:
     """Train the proposed policy on the job's scenario, evaluate greedily."""
     from repro.core.trainer import frozen_policies, make_policies, train_policy
 
-    scenario = get_scenario(spec.scenario)
-    episode_s = spec.train_episode_s or spec.duration_s
     if not spec.full_system:
-        training = train_policy(
-            chip,
-            scenario,
-            episodes=spec.train_episodes,
-            episode_duration_s=episode_s,
-            base_seed=spec.train_base_seed,
-            config=spec.policy_config,
-            interval_s=spec.interval_s,
-            power_model=power_model,
-            recorder=_job_learn_recorder(spec),
-        )
-        policies = training.policies
+        job = _train_job(spec, chip, power_model)
+        policies = train_policy(**vars(job)).policies
     else:
         # X1-style: the policy learns inside the full-system simulator,
         # so it experiences C-states, transition stalls and throttling.
+        scenario = get_scenario(spec.scenario)
+        episode_s = spec.train_episode_s or spec.duration_s
         policies = make_policies(chip, spec.policy_config)
         for episode in range(spec.train_episodes):
             ep_trace = scenario.trace(
@@ -279,17 +293,28 @@ def execute_job(spec: JobSpec) -> JobMeasurement:
             :class:`JobFailure`).
     """
     from repro.obs import use
+
+    session = _job_session(spec)
+    with _job_scope(spec, session), use(session):
+        measurement = _execute_job_inner(spec)
+    return _observed(spec, measurement, session)
+
+
+@contextmanager
+def _job_scope(spec: JobSpec, session: "ObsSession | None") -> Iterator[None]:
+    """Re-bind the job's ``trace_context`` and, when the job has a
+    session, wrap the block in a ``fleet.job`` span on its tracer tagged
+    with the job id and trace id."""
     from repro.obs.context import bind, trace_args
 
     with bind(spec.trace_context):
-        session = _job_session(spec)
         if session is None:
-            return _execute_job_inner(spec)
-        with use(session), session.tracer.span(
+            yield
+            return
+        with session.tracer.span(
             "fleet.job", cat="fleet", job_id=spec.job_id, **trace_args()
         ):
-            measurement = _execute_job_inner(spec)
-        return _observed(spec, measurement, session)
+            yield
 
 
 def _job_session(spec: JobSpec) -> "ObsSession | None":
@@ -430,8 +455,9 @@ def run_unit(
 
     A unit of one runs ``job_fn``; a lock-step RL chunk (see
     :meth:`repro.batch.BatchEngine.units`) runs as one
-    :func:`repro.batch.run_batch` call, with each ``collect_metrics``
-    member's own session.
+    :func:`repro.batch.run_batch` call, inside every member's
+    :func:`_job_scope` and with each ``collect_metrics`` member's own
+    session.
 
     Args:
         members: The unit's ``(grid index, spec)`` pairs; the index is
@@ -460,11 +486,13 @@ def run_unit(
 
             specs = [spec for _, spec in members]
             sessions = [_job_session(spec) for spec in specs]
+            with ExitStack() as scopes:
+                for spec, session in zip(specs, sessions):
+                    scopes.enter_context(_job_scope(spec, session))
+                runs = run_batch(specs, sessions)
             measurements = [
                 _observed(spec, _measurement(spec, run), session)
-                for spec, run, session in zip(
-                    specs, run_batch(specs, sessions), sessions
-                )
+                for spec, run, session in zip(specs, runs, sessions)
             ]
     except Exception as exc:
         share = (time.perf_counter() - start) / len(members)

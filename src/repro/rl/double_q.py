@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import PolicyError
-from repro.rl.exploration import EpsilonGreedy, EpsilonSchedule
+from repro.rl.exploration import EpsilonSchedule
+from repro.rl.qlearning import TabularAgent
 from repro.rl.qtable import QTable
-from repro.rl.stats import TDErrorStats
 
 
-class DoubleQAgent:
+class DoubleQAgent(TabularAgent):
     """Tabular double Q-learning with epsilon-greedy behaviour.
 
-    Args mirror :class:`repro.rl.qlearning.QLearningAgent`; the extra
+    Args as for :class:`~repro.rl.qlearning.TabularAgent`; the extra
     RNG (seeded from ``seed``) picks which table each update writes.
     """
 
@@ -39,36 +38,12 @@ class DoubleQAgent:
         seed: int = 0,
         initial_q: float = 0.0,
     ):
-        if not 0.0 < alpha <= 1.0:
-            raise PolicyError(f"alpha must be in (0, 1]: {alpha}")
-        if not 0.0 <= gamma < 1.0:
-            raise PolicyError(f"gamma must be in [0, 1): {gamma}")
-        self.alpha = alpha
-        self.gamma = gamma
         self.table_a = QTable(n_states, n_actions, initial_value=initial_q)
         self.table_b = QTable(n_states, n_actions, initial_value=initial_q)
-        self.explorer = EpsilonGreedy(
-            epsilon or EpsilonSchedule(), n_actions, seed=seed
-        )
+        # The base's table is the buffer the halves are summed into.
+        super().__init__(n_states, n_actions, alpha, gamma, epsilon, seed,
+                         initial_q=2.0 * initial_q)
         self._coin = np.random.default_rng(seed + 0x5EED)
-        self.updates = 0
-        self.td_stats = TDErrorStats()
-        self._combined = QTable(
-            n_states, n_actions, initial_value=2.0 * initial_q
-        )
-
-    @property
-    def n_states(self) -> int:
-        return self.table_a.n_states
-
-    @property
-    def n_actions(self) -> int:
-        return self.table_a.n_actions
-
-    @property
-    def epsilon(self) -> float:
-        """The behaviour policy's current exploration probability."""
-        return self.explorer.epsilon
 
     @property
     def table(self) -> QTable:
@@ -84,6 +59,10 @@ class DoubleQAgent:
         np.add(self.table_a.values, self.table_b.values,
                out=self._combined.values)
         return self._combined
+
+    @table.setter
+    def table(self, table: QTable) -> None:
+        self._combined = table
 
     def _combined_row(self, state: int) -> np.ndarray:
         return self.table_a.row(state) + self.table_b.row(state)

@@ -104,7 +104,3 @@ class NStepQAgent(TabularAgent):
             self._apply(final_state, terminal=terminal)
             applied += 1
         return applied
-
-    def reset_window(self) -> None:
-        """Drop pending transitions without updating (episode abort)."""
-        self._window.clear()

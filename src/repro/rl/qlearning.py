@@ -9,10 +9,11 @@ from repro.rl.stats import TDErrorStats
 
 
 class TabularAgent:
-    """What every single-table learner shares: checked hyperparameters,
-    one Q-table, epsilon-greedy behaviour and TD-error statistics.
+    """What every tabular learner shares: checked hyperparameters,
+    one Q-table to act from, epsilon-greedy behaviour and TD-error
+    statistics.
 
-    Subclasses add the update rule.
+    Subclasses add the update rule (double-Q also its second table).
 
     Args:
         n_states: Flat state count.

@@ -68,11 +68,6 @@ class Chip:
         """Total core count across all clusters."""
         return sum(c.n_cores for c in self.clusters)
 
-    def total_work_available(self, interval_s: float) -> float:
-        """Capacity-weighted work the whole chip offers this interval at the
-        currently selected OPPs."""
-        return sum(c.work_available(interval_s) for c in self.clusters)
-
     def reset(self) -> None:
         """Reset every cluster's runtime state (OPPs return to the floor)."""
         for cluster in self.clusters:

@@ -112,15 +112,6 @@ class Cluster:
             )
         self._select(index)
 
-    def step_opp(self, delta: int) -> int:
-        """Move the OPP index by ``delta`` steps, clamped to the table.
-
-        Returns:
-            The new OPP index.
-        """
-        self._select(self.spec.opp_table.clamp_index(self._opp_index + delta))
-        return self._opp_index
-
     # -- capacity and accounting ----------------------------------------------
 
     @property
@@ -136,14 +127,6 @@ class Cluster:
     def work_available(self, interval_s: float) -> float:
         """Total capacity-weighted work across all cores for one interval."""
         return sum(c.spec.work_available(self.freq_hz, interval_s) for c in self.cores)
-
-    def max_work_available(self, interval_s: float) -> float:
-        """Work available if the cluster ran at its top OPP (for headroom
-        computations in the scheduler and QoS-slack features)."""
-        top = self.spec.opp_table.max_freq_hz
-        return sum(
-            c.spec.capacity * top * interval_s for c in self.cores
-        )
 
     def record_interval(self, cursors: Sequence[float], interval_s: float) -> None:
         """Account one simulated interval on every core at the current OPP.

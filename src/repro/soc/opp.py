@@ -119,17 +119,6 @@ class OPPTable:
         """Clamp an arbitrary integer to a valid OPP index."""
         return max(0, min(index, self._max_index))
 
-    def index_of(self, freq_hz: float) -> int:
-        """Return the index of an exact frequency.
-
-        Raises:
-            OPPError: If the frequency is not in the table.
-        """
-        i = bisect_left(self._freqs, freq_hz)
-        if i < len(self._freqs) and self._freqs[i] == freq_hz:
-            return i
-        raise OPPError(f"frequency {freq_hz} Hz not in OPP table")
-
     def ceil_index(self, freq_hz: float) -> int:
         """Index of the lowest OPP with frequency >= ``freq_hz``.
 

@@ -9,7 +9,6 @@ on-device recordings).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -66,10 +65,6 @@ class Trace:
         """Average demand rate in reference-cycles per second."""
         return self.total_work / self.duration_s if self.duration_s > 0 else 0.0
 
-    def released_between(self, start_s: float, end_s: float) -> list[WorkUnit]:
-        """Units with ``start_s <= release < end_s`` (simulator arrival query)."""
-        return [u for u in self.units if start_s <= u.release_s < end_s]
-
     def kinds(self) -> set[str]:
         """The set of unit kinds present in the trace."""
         return {u.kind for u in self.units}
@@ -124,34 +119,6 @@ class Trace:
                     raise WorkloadError(f"{path}:{lineno}: bad trace row: {exc}") from exc
         return cls(units=units, name=name or path.stem)
 
-    def to_json(self, path: str | Path) -> None:
-        """Write the trace as JSON (name, duration, units)."""
-        payload = {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "units": [
-                {
-                    "uid": u.uid,
-                    "release_s": u.release_s,
-                    "work": u.work,
-                    "deadline_s": u.deadline_s,
-                    "kind": u.kind,
-                    "min_parallelism": u.min_parallelism,
-                }
-                for u in self.units
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=1))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "Trace":
-        """Load a trace written by :meth:`to_json`."""
-        try:
-            payload = json.loads(Path(path).read_text())
-            units = [WorkUnit(**u) for u in payload["units"]]
-            return cls(units=units, name=payload["name"], duration_s=payload["duration_s"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise WorkloadError(f"bad trace JSON {path}: {exc}") from exc
 
 
 def concat(traces: Iterable[Trace], name: str = "concat") -> Trace:

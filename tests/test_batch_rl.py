@@ -22,6 +22,7 @@ from repro.batch import (
     is_rl_vectorisable,
     is_vectorisable,
     rl_group_key,
+    run_batch,
     train_policy_batch,
 )
 from repro.core.config import PolicyConfig
@@ -109,6 +110,22 @@ def _assert_policies_identical(a, b):
         assert pra.phase_changes == prb.phase_changes
 
 
+#: Specs across every routing input: governor, substrate, chip,
+#: per-job config and episode plan.
+_SPECS = st.builds(
+    JobSpec,
+    scenario=st.just("idle"),
+    governor=st.sampled_from(("rl-policy", "performance", "ondemand",
+                              "schedutil", "checkpoint:/nowhere")),
+    chip=st.sampled_from(("tiny", "exynos5422")),
+    seed=st.integers(0, 3),
+    train_episodes=st.integers(1, 2),
+    full_system=st.booleans(),
+    trace_dir=st.sampled_from((None, "/nowhere")),
+    policy_config=st.sampled_from((None, PolicyConfig(util_bins=3))),
+)
+
+
 class TestRoutingPredicates:
     def test_rl_spec_is_not_table_free(self):
         # The table-free predicate must keep rejecting RL jobs; they
@@ -156,12 +173,21 @@ class TestRoutingPredicates:
         lone = JobSpec(scenario="idle", governor="rl-policy", seed=9,
                        chip="tiny", train_episodes=99)
         serial = JobSpec(scenario="idle", governor="schedutil", chip="tiny")
-        plan = BatchEngine([*rl, lone, serial]).plan()
-        assert plan == [True, True, True, False, False]
+        engine = BatchEngine([*rl, lone, serial])
+        # Every plain RL job takes the RL path, the lone one too; only
+        # the matching three share a lock-step chunk.
+        assert engine.plan() == [True, True, True, True, False]
+        assert engine.units() == [[3], [4], [0, 1, 2]]
 
-    def test_plan_singleton_rl_stays_serial(self):
+    def test_plan_singleton_rl_takes_rl_path(self):
         spec = JobSpec(scenario="idle", governor="rl-policy", chip="tiny")
-        assert BatchEngine([spec]).plan() == [False]
+        assert BatchEngine([spec]).plan() == [True]
+        assert BatchEngine([spec]).units() == [[0]]
+
+    @given(specs=st.lists(_SPECS, max_size=6))
+    def test_plan_is_per_spec(self, specs):
+        alone = [fast for spec in specs for fast in BatchEngine([spec]).plan()]
+        assert BatchEngine(specs).plan() == alone
 
     def test_units_singles_first_then_chunks(self):
         rl = [JobSpec(scenario="idle", governor="rl-policy", seed=100 + i,
@@ -380,6 +406,40 @@ class TestRunBatchIntegration:
             assert strip_ts(LEARN_LOG.read(fast_file)) == strip_ts(
                 LEARN_LOG.read(serial_file)
             )
+
+
+class TestLoneRLJob:
+    """A lone RL job takes the RL path, where one lane trains and
+    evaluates serially: every result field and ledger row equals the
+    serial reference."""
+
+    @pytest.mark.parametrize("ledger", [False, True])
+    def test_run_batch_equals_simulate_spec(self, ledger, tmp_path):
+        from repro.obs.learn import LEARN_LOG
+
+        spec = JobSpec(scenario="web_browsing", governor="rl-policy",
+                       seed=5, chip="tiny", duration_s=2.0,
+                       train_episodes=2, train_base_seed=3)
+        fast_spec = serial_spec = spec
+        if ledger:
+            fast_spec = replace(spec, learn_log_dir=str(tmp_path / "fast"))
+            serial_spec = replace(spec,
+                                  learn_log_dir=str(tmp_path / "serial"))
+        assert BatchEngine([fast_spec]).plan() == [True]
+        [fast] = run_batch([fast_spec])
+        serial = simulate_spec(serial_spec)
+        for f in fields(serial):
+            assert getattr(fast, f.name) == getattr(serial, f.name), f.name
+        if ledger:
+            [fast_file] = (tmp_path / "fast").iterdir()
+            [serial_file] = (tmp_path / "serial").iterdir()
+            fast_rows, serial_rows = (
+                [{k: v for k, v in r.items() if k != "ts"}
+                 for r in LEARN_LOG.read(path)]
+                for path in (fast_file, serial_file)
+            )
+            assert len(fast_rows) == 2
+            assert fast_rows == serial_rows
 
 
 class TestFrozenPolicies:

@@ -49,11 +49,6 @@ class TestCluster:
         with pytest.raises(OPPError):
             cluster.set_opp_index(5)
 
-    @pytest.mark.parametrize("delta,expected", [(1, 1), (5, 2), (-1, 0), (-10, 0)])
-    def test_step_opp_clamps(self, delta, expected):
-        cluster = Cluster(spec())
-        assert cluster.step_opp(delta) == expected
-
     def test_cycles_available_sums_cores(self):
         cluster = Cluster(spec(n_cores=2))
         assert cluster.cycles_available(0.01) == pytest.approx(2 * 500e6 * 0.01)
@@ -63,10 +58,6 @@ class TestCluster:
         cspec = ClusterSpec("x", core, 2, make_table([1000], [1.0]))
         cluster = Cluster(cspec)
         assert cluster.work_available(0.01) == pytest.approx(2 * 2.0 * 1e9 * 0.01)
-
-    def test_max_work_available_uses_top_opp(self):
-        cluster = Cluster(spec())
-        assert cluster.max_work_available(0.01) == pytest.approx(2 * 1500e6 * 0.01)
 
     def test_utilization_aggregates(self):
         cluster = Cluster(spec(n_cores=2))
@@ -100,9 +91,6 @@ class TestClusterOPPState:
         cluster = Cluster(spec())
         for index in (2, 0, 1):
             cluster.set_opp_index(index)
-            assert_opp_consistent(cluster)
-        for delta in (1, 5, -1, -10, 2):
-            cluster.step_opp(delta)
             assert_opp_consistent(cluster)
         cluster.reset()
         assert cluster.opp_index == 0
@@ -200,10 +188,6 @@ class TestChip:
 
     def test_cluster_names_order(self, duo_chip):
         assert duo_chip.cluster_names == ["big", "little"]
-
-    def test_total_work_available(self, duo_chip):
-        expected = sum(c.work_available(0.01) for c in duo_chip)
-        assert duo_chip.total_work_available(0.01) == pytest.approx(expected)
 
     def test_reset_resets_all_clusters(self, duo_chip):
         for cluster in duo_chip:

@@ -7,6 +7,7 @@ import shutil
 import tempfile
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import SweepResult, SweepRow, sweep
+from repro.batch import BatchEngine
 from repro.cache import RunCache
 from repro.core.config import PolicyConfig
 from repro.core.trainer import evaluate_policy, make_policies, train_policy
@@ -700,24 +702,27 @@ class TestUnits:
         assert _rows(result) == _rows(run_fleet(self._rl_grid(),
                                                  job_fn=_per_job))
 
-    def test_raising_chunk_reruns_members_singly(self, monkeypatch):
-        import repro.batch.engine
+    # A fault in the lock-step runner breaks only chunks: a job rerun
+    # singly trains its one lane on the serial engine.
 
-        def explode(specs, sessions):
+    def test_raising_chunk_reruns_members_singly(self, monkeypatch):
+        from repro.batch.rl import _LockstepRunner
+
+        def explode(runner, traces, online):
             raise RuntimeError("lock-step runner broke")
 
-        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", explode)
+        monkeypatch.setattr(_LockstepRunner, "run_episode", explode)
         log = EventLog()
         result = run_fleet(self._rl_grid(), jobs=1, on_event=log)
         self._assert_rerun_singly(result, log)
 
     def test_overrunning_chunk_reruns_members_singly(self, monkeypatch):
-        import repro.batch.engine
+        from repro.batch.rl import _LockstepRunner
 
-        def hang(specs, sessions):
+        def hang(runner, traces, online):
             time.sleep(60.0)
 
-        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", hang)
+        monkeypatch.setattr(_LockstepRunner, "run_episode", hang)
         log = EventLog()
         start = time.perf_counter()
         # The chunk's budget is 2 x 0.3 s; each single rerun gets 0.3 s.
@@ -726,6 +731,31 @@ class TestUnits:
         assert time.perf_counter() - start < 10.0
         self._assert_rerun_singly(result, log)
 
+
+    def test_every_job_gets_one_fleet_job_span(self):
+        from repro.obs import capture
+        from repro.obs.context import TraceContext
+
+        grid = FleetSpec(
+            scenarios=("idle", "audio_playback"), governors=("powersave",
+                                                          "ondemand"),
+            seeds=(1, 2), chips=("tiny",), include_rl=True,
+            collect_metrics=True, **FAST,
+        ).expand()
+        specs = [
+            replace(spec, trace_context=TraceContext(trace_id=f"{i:016x}"))
+            for i, spec in enumerate(grid)
+        ]
+        assert any(len(unit) >= 2 for unit in BatchEngine(specs).units())
+        with capture() as session:
+            result = run_fleet(specs, jobs=1)
+        assert not result.failures
+        spans = [s for s in session.tracer.spans if s.name == "fleet.job"]
+        assert sorted(
+            (s.args["job_id"], s.args["trace_id"]) for s in spans
+        ) == sorted(
+            (spec.job_id, spec.trace_context.trace_id) for spec in specs
+        )
 
     def test_dead_chunk_worker_fails_its_members(self, monkeypatch):
         import os
@@ -773,15 +803,16 @@ class TestUnits:
 
     def test_event_order(self, monkeypatch, tmp_path):
         import repro.batch.engine
+        from repro.batch.rl import _LockstepRunner
 
         fixed_opp = repro.batch.engine.run_fixed_opp
         chunk_ran = tmp_path / "chunk-ran"
 
-        def explode(specs, sessions):
+        def explode(runner, traces, online):
             chunk_ran.write_text("ran")
             raise RuntimeError("lock-step runner broke")
 
-        monkeypatch.setattr(repro.batch.engine, "_run_rl_group", explode)
+        monkeypatch.setattr(_LockstepRunner, "run_episode", explode)
         specs = [
             JobSpec(scenario="idle", governor="powersave", seed=1,
                     chip="tiny", **FAST),

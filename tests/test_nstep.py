@@ -48,13 +48,6 @@ class TestNStepMechanics:
         assert applied == 2
         assert agent.updates == 2
 
-    def test_reset_window_discards(self):
-        agent = NStepQAgent(4, 1, n_steps=4)
-        agent.update(0, 0, -1.0, 1)
-        agent.reset_window()
-        assert agent.flush(0) == 0
-        assert agent.table.get(0, 0) == 0.0
-
     def test_validation(self):
         with pytest.raises(PolicyError):
             NStepQAgent(2, 2, n_steps=0)

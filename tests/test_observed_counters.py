@@ -98,6 +98,19 @@ def test_generated_observed_jobs_publish_serial_counters(
     _assert_fleet_matches_serial([base, *rl])
 
 
+def test_lone_rl_job_publishes_serial_counters():
+    spec = JobSpec(scenario="audio_playback", governor="rl-policy", seed=4,
+                   chip="tiny", duration_s=1.0, train_episodes=2,
+                   collect_metrics=True)
+    assert BatchEngine([spec]).plan() == [True]
+    with capture(trace=False) as session:
+        run_batch([spec])
+    snapshot = session.metrics.snapshot()
+    # Two training episodes and one evaluation.
+    assert snapshot["counters"]["sim.runs"] == 3.0
+    assert _deterministic(snapshot) == _deterministic(_serial_snapshot(spec))
+
+
 def test_chunk_members_get_only_their_own_counters():
     specs = [
         JobSpec(scenario="idle", governor="rl-policy", seed=seed,

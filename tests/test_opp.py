@@ -73,13 +73,6 @@ class TestOPPTable:
         assert table.max_freq_hz == 1400e6
         assert table.max_index == 3
 
-    def test_index_of_exact(self):
-        assert self.table().index_of(600e6) == 1
-
-    def test_index_of_missing_raises(self):
-        with pytest.raises(OPPError, match="not in OPP table"):
-            self.table().index_of(601e6)
-
     @pytest.mark.parametrize(
         "freq_mhz,expected",
         [(100, 0), (200, 0), (201, 1), (600, 1), (1000, 2), (1399, 3), (1400, 3), (9999, 3)],

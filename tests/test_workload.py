@@ -224,14 +224,6 @@ class TestTrace:
         assert trace.total_work == pytest.approx(4e6)
         assert trace.mean_demand_rate == pytest.approx(2e6)
 
-    def test_released_between(self):
-        trace = Trace(
-            units=[unit(uid=i, release=0.1 * i, deadline=0.1 * i + 0.05) for i in range(5)],
-            duration_s=1.0,
-        )
-        hits = trace.released_between(0.1, 0.3)
-        assert [u.uid for u in hits] == [1, 2]
-
     def test_kinds(self):
         trace = Trace(units=[unit(uid=0, kind="a"), unit(uid=1, release=0.1, kind="b")])
         assert trace.kinds() == {"a", "b"}
@@ -264,22 +256,6 @@ class TestTrace:
         )
         with pytest.raises(WorkloadError, match="bad trace row"):
             Trace.from_csv(path)
-
-    def test_json_roundtrip(self, tmp_path):
-        trace = Trace(units=[unit(uid=0), unit(uid=1, release=0.2, parallelism=2)],
-                      name="j", duration_s=1.0)
-        path = tmp_path / "trace.json"
-        trace.to_json(path)
-        back = Trace.from_json(path)
-        assert back.name == "j"
-        assert back.duration_s == 1.0
-        assert list(back) == list(trace)
-
-    def test_json_garbage(self, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        with pytest.raises(WorkloadError):
-            Trace.from_json(path)
 
     def test_concat_offsets_times_and_renumbers(self):
         t1 = Trace(units=[unit(uid=0)], duration_s=1.0)
