@@ -27,11 +27,14 @@ float.  Three mechanisms carry that guarantee:
 
 * **RNG-order contract.**  Each lane keeps its own exploration
   generator.  :meth:`repro.rl.exploration.EpsilonGreedy.plan_draws`
-  pre-consumes one episode's draws in exactly the order
-  :meth:`~repro.rl.exploration.EpsilonGreedy.select` would — a greedy
-  step costs one uniform draw, an explore step that draw plus one
-  ``integers`` draw — so the generator and the schedule counter end the
-  episode in the precise state serial training leaves them.
+  plans one episode's draws by replaying the raw PCG64 words that
+  :meth:`~repro.rl.exploration.EpsilonGreedy.select` would consume — a
+  greedy step one word for ``random()``, an explore step that plus a
+  32-bit half-word (or more, on rejection) for numpy's bounded
+  ``integers`` draw — so the generator, its buffered half-word and the
+  schedule counter end the episode in the precise state serial
+  training leaves them.  The epsilon trajectory is computed once per
+  episode and shared across rows.
 
 * **Serial accumulation order.**  Core power
   (:func:`repro.sim.interval.core_power` along the lane axis), core and
@@ -327,9 +330,18 @@ class _ClusterVec:
             agent.table.values = agent.table.values.copy()
 
     def begin_episode(
-        self, lanes: Sequence[Lane], online: bool, n_steps: int
+        self,
+        lanes: Sequence[Lane],
+        online: bool,
+        n_steps: int,
+        trajectories: dict,
     ) -> None:
-        """Load per-episode vectors from the freshly reset policies."""
+        """Load per-episode vectors from the freshly reset policies.
+
+        ``trajectories`` is the episode's epsilon memo, shared by every
+        vector's explorers (see
+        :meth:`~repro.rl.exploration.EpsilonGreedy.plan_draws`).
+        """
         policies = self.policies
         n = len(policies)
         self.queues = [lane.queues[name] for name in self.names for lane in lanes]
@@ -380,7 +392,9 @@ class _ClusterVec:
             explore = np.empty((n_steps, n), dtype=bool)
             rand = np.empty((n_steps, n), dtype=np.intp)
             for r, explorer in enumerate(self.explorers):
-                explore[:, r], rand[:, r], _ = explorer.plan_draws(n_steps)
+                explore[:, r], rand[:, r], _ = explorer.plan_draws(
+                    n_steps, trajectories
+                )
             self.explore = explore
             self.rand = rand
 
@@ -645,8 +659,9 @@ class _LockstepRunner:
         lanes = [
             Lane(tr, self.cluster_names, dt, n_steps) for tr in traces
         ]
+        trajectories: dict = {}
         for vec in self.vecs:
-            vec.begin_episode(lanes, online, n_steps)
+            vec.begin_episode(lanes, online, n_steps, trajectories)
         # Per step, the lanes whose admit() releases work.
         admitting: list[list[int]] = [[] for _ in range(n_steps)]
         for k, lane in enumerate(lanes):

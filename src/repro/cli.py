@@ -956,19 +956,22 @@ def _read_log(read, path, **kwargs) -> list:
 
 
 def _gate_tail(report, args: argparse.Namespace, label: str,
-               noun: str) -> int:
+               noun: str, blocking: tuple = ()) -> int:
     """Print a report in ``--format``, gate it, and return the exit
-    code; under ``--warn-only`` failures are counted on stderr."""
+    code; under ``--warn-only`` failures are counted on stderr, and the
+    ``blocking`` ones still fail."""
     from repro.obs import gate, render
 
     print(render(report, args.format, getattr(args, "verbose", False)))
-    result = gate(report, warn_only=args.warn_only)
-    if report.failures and args.warn_only:
+    result = gate(report, warn_only=args.warn_only, blocking=blocking)
+    advisory = len(report.failures) - len(blocking)
+    if advisory and args.warn_only:
         print(
-            f"{label}: {len(report.failures)} {noun} "
-            "(warn-only, not failing)",
+            f"{label}: {advisory} {noun} (warn-only, not failing)",
             file=sys.stderr,
         )
+    if blocking:
+        print(f"{label}: {len(blocking)} blocking {noun}", file=sys.stderr)
     return result.exit_code
 
 
@@ -1082,7 +1085,11 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
         confidence=args.confidence,
         polarity_overrides=_polarity_overrides(args),
     )
-    return _gate_tail(comparison, args, "perf gate", "regression(s)")
+    block = args.block.split(",") if args.block else ()
+    return _gate_tail(
+        comparison, args, "perf gate", "regression(s)",
+        comparison.regressions_in(block),
+    )
 
 
 def _cmd_ops_tail(args: argparse.Namespace) -> int:
@@ -1313,9 +1320,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument("--quiet", action="store_true",
                          help="alias for --progress none")
     fleet_p.add_argument("--trace", default=None, metavar="FILE",
-                         help="write a parent-process Chrome trace "
-                              "(engine run spans and phase counters "
-                              "with --jobs 1)")
+                         help="write a parent-process Chrome trace; "
+                              "with --jobs 1 it holds a fleet.job span "
+                              "per job and the phase counters, and "
+                              "engine.run spans for serial-engine jobs "
+                              "only")
     fleet_p.add_argument("--metrics", default=None, metavar="FILE",
                          help="collect per-job metric snapshots and write "
                               "the grid-wide merge as Prometheus text")
@@ -1614,6 +1623,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf_gate_p.add_argument(
         "--warn-only", action="store_true",
         help="report regressions but exit 0 (CI bring-up mode)",
+    )
+    perf_gate_p.add_argument(
+        "--block", default=None, metavar="METRIC[,METRIC]",
+        help="comma-separated metrics whose regressions fail the gate "
+             "even under --warn-only",
     )
     perf_gate_p.set_defaults(func=_cmd_perf_gate)
 

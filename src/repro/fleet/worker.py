@@ -17,10 +17,10 @@ Both kinds of unit run through :mod:`repro.batch`: a single job as a
 batch of one inside :func:`execute_job` (so a table-free governor takes
 the fixed-OPP fast path and a reactive one the governor pass), an RL
 chunk as one lock-step batch.  Every job, chunk members included,
-runs with its ``trace_context`` bound, and a ``collect_metrics`` job
-gets its own observability session and ``fleet.job`` span
-(:func:`_job_scope`); a chunk hands each member's session to the batch,
-so each member's snapshot holds only its own counters.
+runs with its ``trace_context`` bound inside a ``fleet.job`` span
+(:func:`_job_scope`), and a ``collect_metrics`` job gets its own
+observability session; a chunk hands each member's session to the
+batch, so each member's snapshot holds only its own counters.
 :func:`simulate_spec` stays the serial reference both are held to.
 """
 
@@ -283,9 +283,9 @@ def execute_job(spec: JobSpec) -> JobMeasurement:
 
     When the spec carries a ``trace_context``, it is re-bound here —
     contextvars do not cross executor threads or process pools, so this
-    is the explicit hand-off point — and a ``fleet.job`` span wraps the
-    traced execution, tagging the whole job subtree with the
-    originating trace_id.
+    is the explicit hand-off point.  A ``fleet.job`` span, on the job's
+    session or else the active tracer, wraps the execution, tagging the
+    whole job subtree with the originating trace_id.
 
     Raises:
         ReproError: For unknown chips/scenarios/governors; any simulation
@@ -302,19 +302,17 @@ def execute_job(spec: JobSpec) -> JobMeasurement:
 
 @contextmanager
 def _job_scope(spec: JobSpec, session: "ObsSession | None") -> Iterator[None]:
-    """Re-bind the job's ``trace_context`` and, when the job has a
-    session, wrap the block in a ``fleet.job`` span on its tracer tagged
-    with the job id and trace id."""
+    """Re-bind the job's ``trace_context`` and wrap the block in a
+    ``fleet.job`` span tagged with the job id and trace id, on the job
+    session's tracer or else the active one."""
+    from repro.obs import OBS
     from repro.obs.context import bind, trace_args
 
-    with bind(spec.trace_context):
-        if session is None:
-            yield
-            return
-        with session.tracer.span(
-            "fleet.job", cat="fleet", job_id=spec.job_id, **trace_args()
-        ):
-            yield
+    tracer = OBS.tracer if session is None else session.tracer
+    with bind(spec.trace_context), tracer.span(
+        "fleet.job", cat="fleet", job_id=spec.job_id, **trace_args()
+    ):
+        yield
 
 
 def _job_session(spec: JobSpec) -> "ObsSession | None":

@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from repro.errors import ObsError, ReproError
 
@@ -211,13 +211,19 @@ class GateResult:
     warn_only: bool = False
 
 
-def gate(report: GateReport, warn_only: bool = False) -> GateResult:
+def gate(
+    report: GateReport,
+    warn_only: bool = False,
+    blocking: Sequence[Any] = (),
+) -> GateResult:
     """Turn a report into an exit code (0 pass, 1 when anything failed).
 
     ``warn_only`` reports failures but forces exit 0 — the CI bring-up
-    mode while a baseline accumulates samples.
+    mode while a baseline accumulates samples.  ``blocking`` failures
+    fail the gate even so: the ones a caller will not let pass, such as
+    machine-independent ratios while wall times stay advisory.
     """
-    failed = bool(report.failures) and not warn_only
+    failed = bool(blocking) or (bool(report.failures) and not warn_only)
     return GateResult(
         report=report, exit_code=1 if failed else 0, warn_only=warn_only
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Iterable, Mapping, Sequence
+from typing import Any, ClassVar, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,6 +153,10 @@ class PerfComparison(GateReport):
     @property
     def improvements(self) -> tuple[MetricVerdict, ...]:
         return tuple(v for v in self.verdicts if v.status == "improved")
+
+    def regressions_in(self, metrics: Collection[str]) -> tuple[MetricVerdict, ...]:
+        """The regressions of the named metrics (under any key)."""
+        return tuple(v for v in self.failures if v.metric in metrics)
 
     def text_lines(self, verbose: bool = False) -> list[str]:
         """Regressions and improvements, then the per-status counts.

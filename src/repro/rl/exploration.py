@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Hashable
 
 import numpy as np
 
 from repro.errors import PolicyError
+
+#: Most actions :class:`EpsilonGreedy` takes: up to ``2**32``,
+#: ``Generator.integers(n)`` makes the 32-bit bounded draw that
+#: :meth:`EpsilonGreedy.plan_draws` replays; above, a 64-bit one.
+MAX_ACTIONS = 2**32
+#: The low 32-bit half of a 64-bit word.
+_LOW32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -72,17 +81,24 @@ class EpsilonGreedy:
 
     Args:
         schedule: The epsilon schedule.
-        n_actions: Size of the action set.
+        n_actions: Size of the action set, 1 to :data:`MAX_ACTIONS`.
         seed: RNG seed for reproducible exploration.
+
+    Raises:
+        PolicyError: If ``n_actions`` is out of that range.
     """
 
     def __init__(self, schedule: EpsilonSchedule, n_actions: int, seed: int = 0):
         if n_actions < 1:
             raise PolicyError(f"need at least one action: {n_actions}")
+        if n_actions > MAX_ACTIONS:
+            raise PolicyError(f"at most {MAX_ACTIONS} actions: {n_actions}")
         self.schedule = schedule
         self.n_actions = n_actions
         self._rng = np.random.default_rng(seed)
         self._step = 0
+        # plan_draws reads ahead on this copy of _rng's bit generator.
+        self._probe: np.random.PCG64 | None = None
 
     @property
     def step(self) -> int:
@@ -111,7 +127,9 @@ class EpsilonGreedy:
         return int(np.asarray(q_row).argmax())
 
     def plan_draws(
-        self, n_steps: int
+        self,
+        n_steps: int,
+        trajectories: "dict[Hashable, tuple[np.ndarray, list[int]]] | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Pre-consume the next ``n_steps`` decisions' random draws.
 
@@ -122,6 +140,30 @@ class EpsilonGreedy:
         state ``n_steps`` serial selections would have left them.  The
         caller (the lock-step batch trainer) then only needs the Q-row
         argmax for the steps where ``explore`` is False.
+
+        The draws are decoded from raw PCG64 words, read from a probe
+        generator set to this one's state, as numpy makes them:
+
+        * ``random()`` is a word's top 53 bits, ``(w >> 11) * 2**-53``.
+          Both factors are exact, so ``random() < eps`` is compared as
+          ``w < ceil(eps * 2**53) << 11`` on the integer word.
+        * ``integers(n)`` is Lemire's bounded draw ``(x * n) >> 32`` on
+          a 32-bit half-word ``x``, redrawn while ``(x * n) mod 2**32 <
+          (2**32 - n) % n``.  Half-words come from a fresh word low half
+          first; the high half waits in the state's ``has_uint32`` /
+          ``uinteger`` buffer for the next ``integers`` call, which
+          ``random()`` never reads.  ``integers(1)`` draws nothing.
+
+        The generator is then advanced by the words used and its buffer
+        written back.
+
+        Args:
+            n_steps: Decisions to plan.
+            trajectories: Optional memo of epsilon trajectories keyed by
+                ``(schedule, first step, n_steps)``, shared by explorers
+                planned together (one lock-step episode) so that each
+                distinct trajectory is computed once.  Its epsilon
+                arrays are read-only.
 
         Returns:
             ``(explore, random_actions, epsilons)`` — a boolean mask of
@@ -134,24 +176,75 @@ class EpsilonGreedy:
         """
         if n_steps < 0:
             raise PolicyError(f"n_steps must be non-negative: {n_steps}")
+        epsilons, limits = self._trajectory(n_steps, trajectories)
+        bitgen = self._rng.bit_generator
+        state = bitgen.state
+        if self._probe is None:
+            self._probe = np.random.PCG64(0)
+        probe = self._probe
+        probe.state = state
+        # The most words n_steps decisions take with no draw rejected:
+        # one per step, and one per two explore steps.  Each rejected
+        # draw takes one half-word more, so it tops the list up by one.
+        words = probe.random_raw(n_steps + (n_steps + 1) // 2).tolist()
+        n = self.n_actions
+        threshold = (MAX_ACTIONS - n) % n
+        has, buf = state["has_uint32"], state["uinteger"]
+        used = 0
+        explore = bytearray(n_steps)
+        actions = [0] * n_steps
+        for t, limit in enumerate(limits):
+            word = words[used]
+            used += 1
+            if word >= limit:
+                continue
+            explore[t] = 1
+            if n == 1:
+                continue
+            while True:
+                if has:
+                    x, has = buf, 0
+                else:
+                    word = words[used]
+                    used += 1
+                    x, buf, has = word & _LOW32, word >> 32, 1
+                m = x * n
+                if m & _LOW32 >= threshold:
+                    break
+                words += probe.random_raw(1).tolist()
+            actions[t] = m >> 32
+        bitgen.random_raw(used, output=False)
+        if (has, buf) != (state["has_uint32"], state["uinteger"]):
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = has, buf
+            bitgen.state = state
+        self._step += n_steps
+        return (
+            np.frombuffer(explore, dtype=bool),
+            np.array(actions, dtype=np.intp),
+            epsilons,
+        )
+
+    def _trajectory(
+        self,
+        n_steps: int,
+        trajectories: "dict[Hashable, tuple[np.ndarray, list[int]]] | None",
+    ) -> "tuple[np.ndarray, list[int]]":
+        """The next ``n_steps`` epsilons and their word limits, from
+        ``trajectories`` when it holds them."""
+        key = (self.schedule, self._step, n_steps)
+        if trajectories is not None and key in trajectories:
+            return trajectories[key]
         epsilons = self.schedule.values(
             np.arange(self._step, self._step + n_steps)
         )
-        uniform = self._rng.random
-        integers = self._rng.integers
-        n_actions = self.n_actions
-        steps: list[int] = []
-        actions: list[int] = []
-        for t, eps in enumerate(epsilons.tolist()):
-            if uniform() < eps:
-                steps.append(t)
-                actions.append(integers(n_actions))
-        explore = np.zeros(n_steps, dtype=bool)
-        explore[steps] = True
-        random_actions = np.zeros(n_steps, dtype=np.intp)
-        random_actions[steps] = actions
-        self._step += n_steps
-        return explore, random_actions, epsilons
+        limits = [
+            math.ceil(e) << 11 for e in (epsilons * 2.0**53).tolist()
+        ]
+        if trajectories is not None:
+            epsilons.flags.writeable = False
+            trajectories[key] = (epsilons, limits)
+        return epsilons, limits
 
     def reset(self, *, keep_schedule: bool = False) -> None:
         """Reset the decision counter (and thus epsilon) back to the

@@ -42,23 +42,27 @@ class TraceGenerator:
             raise WorkloadError(f"duration must be positive: {duration_s}")
         rng = np.random.default_rng(self.seed)
         units: list[WorkUnit] = []
-        uid = 0
         for phase, start, end in self.machine.walk(rng, duration_s):
             if not phase.emits:
                 continue
+            # A segment's releases first, then its works in one draw:
+            # the walk's own draws fall between segments, so the stream
+            # order is that of one draw per unit.
+            releases: list[float] = []
             t = start
             while t < end and t < duration_s:
-                work = phase.sample_work(rng)
+                releases.append(t)
+                t += phase.period_s
+            works = phase.sample_works(rng, len(releases)).tolist()
+            for release, work in zip(releases, works):
                 units.append(
                     WorkUnit(
-                        uid=uid,
-                        release_s=t,
+                        uid=len(units),
+                        release_s=release,
                         work=work,
-                        deadline_s=t + phase.deadline_factor * phase.period_s,
+                        deadline_s=release + phase.deadline_factor * phase.period_s,
                         kind=phase.name,
                         min_parallelism=phase.parallelism,
                     )
                 )
-                uid += 1
-                t += phase.period_s
         return Trace(units=units, name=name, duration_s=duration_s)

@@ -454,29 +454,101 @@ class TestFrozenPolicies:
         assert {name: p.online for name, p in policies.items()} == saved
 
 
-class TestPlanDraws:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=1000),
-        n_steps=st.integers(min_value=0, max_value=64),
-        start=st.sampled_from([0.0, 0.3, 0.9]),
-        decay=st.sampled_from([0.9, 0.999, 1.0]),
-    )
-    def test_replays_select_exactly(self, seed, n_steps, start, decay):
-        schedule = EpsilonSchedule(start=start, decay=decay, floor=0.0)
-        reference = EpsilonGreedy(schedule, 5, seed=seed)
-        planned = EpsilonGreedy(schedule, 5, seed=seed)
+class _WideRow:
+    """A Q-row of ``n`` entries without their memory: ``select()`` reads
+    only its length and, on a greedy step, its argmax (1)."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array([0.0, 1.0])
+
+
+def _row(n_actions: int):
+    return (np.arange(n_actions, dtype=float) if n_actions <= 16
+            else _WideRow(n_actions))
+
+
+#: Action counts the replay must decode as numpy does: integers(1) draws
+#: nothing, 2**31 + 1 rejects about half its draws, 2**32 is the widest
+#: 32-bit bounded draw.
+ACTION_COUNTS = [1, 2, 5, 9, 2**31 + 1, 2**32]
+
+
+def _assert_replays(schedule, n_actions, seed, pre, plans, post):
+    """``pre`` select() calls, then back-to-back plans of ``plans``
+    steps, then ``post`` select() calls, against select() throughout;
+    the whole generator state (buffered half-word included) must agree
+    after every plan."""
+    reference = EpsilonGreedy(schedule, n_actions, seed=seed)
+    planned = EpsilonGreedy(schedule, n_actions, seed=seed)
+    row = _row(n_actions)
+    for _ in range(pre):
+        assert planned.select(row) == reference.select(row)
+    for n_steps in plans:
         explore, random_actions, epsilons = planned.plan_draws(n_steps)
-        q_row = np.array([0.0, 3.0, 1.0, 3.0, -1.0])
+        assert len(explore) == len(random_actions) == len(epsilons) == n_steps
+        greedy = int(np.asarray(row).argmax())
         for t in range(n_steps):
             assert epsilons[t] == reference.epsilon
-            chosen = reference.select(q_row)
-            expected = (int(random_actions[t]) if explore[t]
-                        else int(np.argmax(q_row)))
-            assert chosen == expected
+            expected = int(random_actions[t]) if explore[t] else greedy
+            assert reference.select(row) == expected
         assert planned.step == reference.step
-        # The generators end in the same state: next draws agree.
-        assert planned._rng.random() == reference._rng.random()
+        assert (planned._rng.bit_generator.state
+                == reference._rng.bit_generator.state)
+    for _ in range(post):
+        assert planned.select(row) == reference.select(row)
+    assert planned._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+class TestPlanDraws:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=1000),
+        n_actions=st.sampled_from(ACTION_COUNTS),
+        pre=st.integers(min_value=0, max_value=3),
+        plans=st.lists(st.integers(min_value=0, max_value=64),
+                       min_size=1, max_size=3),
+        post=st.integers(min_value=0, max_value=5),
+        start=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        decay=st.sampled_from([0.9, 0.999, 1.0]),
+    )
+    def test_replays_select_exactly(
+        self, seed, n_actions, pre, plans, post, start, decay
+    ):
+        schedule = EpsilonSchedule(start=start, decay=decay, floor=0.0)
+        _assert_replays(schedule, n_actions, seed, pre, plans, post)
+
+    @pytest.mark.parametrize("n_actions", ACTION_COUNTS)
+    @pytest.mark.parametrize("schedule", [
+        EpsilonSchedule(start=0.6, decay=1.0, floor=0.0),
+        EpsilonSchedule(start=0.5, decay=0.99, floor=0.0),
+        EpsilonSchedule(),
+    ], ids=["constant", "decaying", "default"])
+    def test_replays_every_action_count(self, n_actions, schedule):
+        _assert_replays(schedule, n_actions, seed=n_actions % 97, pre=1,
+                        plans=[0, 1, 250, 250], post=5)
+
+    def test_rejects_more_actions_than_a_32_bit_draw(self):
+        EpsilonGreedy(EpsilonSchedule(), 2**32)
+        with pytest.raises(PolicyError, match="at most"):
+            EpsilonGreedy(EpsilonSchedule(), 2**32 + 1)
+
+    def test_trajectory_memo_is_shared(self):
+        schedule = EpsilonSchedule(start=0.7, decay=0.99, floor=0.05)
+        memo: dict = {}
+        lone = EpsilonGreedy(schedule, 5, seed=3)
+        shared = [EpsilonGreedy(schedule, 5, seed=s) for s in (3, 4)]
+        plans = [e.plan_draws(40, memo) for e in shared]
+        assert len(memo) == 1
+        assert plans[0][2] is plans[1][2]
+        assert not plans[0][2].flags.writeable
+        for got, want in zip(plans[0], lone.plan_draws(40)):
+            assert got.tolist() == want.tolist()
 
     def test_values_matches_scalar_value(self):
         schedule = EpsilonSchedule(start=0.7, decay=0.995, floor=0.05)

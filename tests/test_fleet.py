@@ -757,6 +757,25 @@ class TestUnits:
             (spec.job_id, spec.trace_context.trace_id) for spec in specs
         )
 
+    def test_unobserved_jobs_get_fleet_job_spans(self):
+        # No job has a session of its own: the spans go to the active
+        # tracer, as `repro fleet --trace --jobs 1` without --metrics.
+        from repro.obs import capture
+
+        specs = FleetSpec(
+            scenarios=("idle",), governors=("powersave", "ondemand"),
+            seeds=(1, 2), chips=("tiny",), include_rl=True, **FAST,
+        ).expand()
+        assert len(specs) == 6
+        assert any(len(unit) >= 2 for unit in BatchEngine(specs).units())
+        with capture() as session:
+            result = run_fleet(specs, jobs=1)
+        assert not result.failures
+        spans = [s for s in session.tracer.spans if s.name == "fleet.job"]
+        assert sorted(s.args["job_id"] for s in spans) == sorted(
+            spec.job_id for spec in specs
+        )
+
     def test_dead_chunk_worker_fails_its_members(self, monkeypatch):
         import os
 

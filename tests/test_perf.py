@@ -374,6 +374,13 @@ class TestGate:
         result = gate(comparison, warn_only=True)
         assert result.exit_code == 0 and result.warn_only
 
+    def test_blocking_failures_fail_under_warn_only(self):
+        comparison = compare_records(_sampled("b", [1.0]), _sampled("c", [2.0]))
+        blocking = comparison.regressions_in(["latency_s"])
+        assert blocking == comparison.failures
+        assert gate(comparison, warn_only=True, blocking=blocking).exit_code == 1
+        assert comparison.regressions_in(["other"]) == ()
+
 
 class TestPerfCli:
     def _write_run(self, path, run_id, latency_s):
@@ -417,6 +424,22 @@ class TestPerfCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "REGRESSED" in captured.out
+
+    def test_gate_block_fails_on_named_metrics_only(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        for run_id, speedup, wall_s in (("b0", 5.0, 1.0), ("slow", 2.0, 2.0)):
+            record_run(
+                "bench", "x8_rl_batch_speedup",
+                {"speedup": speedup, "batch_s": wall_s}, {},
+                run_id=run_id, path=path,
+            )
+        args = ["perf", "gate", "--warn-only", "--ledger", str(path)]
+        assert main(args + ["--block", "speedup"]) == 1
+        err = capsys.readouterr().err
+        assert "1 regression(s) (warn-only, not failing)" in err
+        assert "1 blocking regression(s)" in err
+        assert main(args + ["--block", "enabled_over_disabled,other"]) == 0
+        assert main(args) == 0
 
     def test_gate_against_baseline_ledger(self, tmp_path):
         baseline = tmp_path / "baseline.jsonl"

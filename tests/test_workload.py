@@ -1,5 +1,7 @@
 """Work units, jobs, phases, generation, and trace I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.workload.generator import TraceGenerator
 from repro.workload.phases import PhaseMachine, PhaseSpec
+from repro.workload.scenarios import SCENARIOS
 from repro.workload.task import Job, WorkUnit
 from repro.workload.trace import Trace, concat
 
@@ -99,13 +102,21 @@ class TestPhaseSpec:
     def test_sample_work_zero_cv_is_deterministic(self):
         p = PhaseSpec("p", 0.02, 1e6, 0.0, 1.0, 1.0)
         rng = np.random.default_rng(0)
-        assert p.sample_work(rng) == 1e6
+        assert p.sample_works(rng, 3).tolist() == [1e6] * 3
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_sample_work_mean_matches(self):
         p = PhaseSpec("p", 0.02, 1e6, 0.3, 1.0, 1.0)
         rng = np.random.default_rng(0)
-        samples = [p.sample_work(rng) for _ in range(20000)]
+        samples = p.sample_works(rng, 20000)
         assert np.mean(samples) == pytest.approx(1e6, rel=0.02)
+
+    def test_sample_works_equals_single_draws(self):
+        p = PhaseSpec("p", 0.02, 1e6, 0.3, 1.0, 1.0)
+        bulk, single = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [p.sample_works(single, 1)[0] for _ in range(50)]
+        assert p.sample_works(bulk, 50).tolist() == singles
+        assert bulk.random() == single.random()
 
     def test_sample_dwell_respects_floor(self):
         p = PhaseSpec("p", 0.02, 1e6, 0.0, 1.0, dwell_mean_s=0.5, dwell_min_s=0.3)
@@ -138,8 +149,11 @@ class TestPhaseMachine:
 
     def test_rejects_non_stochastic_rows(self):
         phases = [PhaseSpec("a", 0.02, 1e6, 0.0, 1.0, 1.0)]
-        with pytest.raises(WorkloadError, match="sum to 1"):
-            PhaseMachine(phases, [[0.5]])
+        for row in ([0.5], [float("nan")], [float("inf")], [1.0 + 2e-5]):
+            with pytest.raises(WorkloadError, match="sum to 1"):
+                PhaseMachine(phases, [row])
+        # The tolerance is np.allclose's: 1e-9 absolute plus 1e-5 relative.
+        PhaseMachine(phases, [[1.0 + 1e-5]])
 
     def test_rejects_shape_mismatch(self):
         phases = [PhaseSpec("a", 0.02, 1e6, 0.0, 1.0, 1.0)]
@@ -196,6 +210,43 @@ class TestTraceGenerator:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(WorkloadError):
             TraceGenerator(self.machine()).generate(0.0)
+
+
+#: SHA-256 over every unit of each scenario's traces at TRACE_SEEDS x
+#: TRACE_DURATIONS, recorded when each unit drew its own work: drawing a
+#: segment's works at once must leave every trace bit-identical.
+TRACE_SEEDS = (0, 7, 31337)
+TRACE_DURATIONS = (2.5, 20.0)
+TRACE_DIGESTS = {
+    "web_browsing": "2cd646e3b6bd5cae8dc1e4c7dd80c2e61b733ef4dfeff63ca0611dd8e5669c67",
+    "video_playback": "78b5a121b65db2d1b92271f1d1aa4b986b32d6b1094ca438883b933c07bd42ef",
+    "gaming": "7c0d5e895f690b1855e18e23d6b9b0055733dc996657ada227b0e4e7e881ea70",
+    "app_launch": "dd08ef0ef5b8a910cc4a63e48bee24c6934f1a3e93c622692eb8932b68121df0",
+    "audio_playback": "39657c1ab72e2b59f96625a122c331fea856aa55673443947ccec64b6f4e291f",
+    "camera_preview": "9e4ad7f044cbc1a5945359cd08128881991c6bff29d24984c2ac0baf734ecbd6",
+    "idle": "b9b40b13c37179d9107577cc8f078dc7ba8d986cacc03bdfc2b976709c187af0",
+    "social_media": "861d4c2e54f2a97f6c4539509cca30a2cb4212f131bb98c17011208072a77049",
+    "video_call": "5ac70ce991a68bafca87d604be580605a31ec665892fc92694298eff4c9969ff",
+    "mixed_daily": "34ba6fa3d76d816ea75b762b5bef4f631512e0de803dd5fbb6e6901573286254",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_scenario_traces_are_pinned(name):
+    digest = hashlib.sha256()
+    for seed in TRACE_SEEDS:
+        for duration in TRACE_DURATIONS:
+            for u in SCENARIOS[name].trace(duration, seed=seed).units:
+                digest.update(
+                    f"{u.uid} {u.release_s.hex()} {u.work.hex()} "
+                    f"{u.deadline_s.hex()} {u.kind} {u.min_parallelism}\n"
+                    .encode()
+                )
+    assert digest.hexdigest() == TRACE_DIGESTS[name]
+
+
+def test_every_scenario_is_pinned():
+    assert sorted(TRACE_DIGESTS) == sorted(SCENARIOS)
 
 
 class TestTrace:
