@@ -154,12 +154,14 @@ class QTable:
         ga = _per_update(gamma, n)
         if n == 0:
             return np.empty(0)
+        # Read as unsigned, a negative index is larger than any valid
+        # one, so one max per array checks both ends of the range.
         if (
-            int(s.min()) < 0 or int(s.max()) >= self.n_states
-            or int(ns.min()) < 0 or int(ns.max()) >= self.n_states
+            s.view(np.uintp).max() >= self.n_states
+            or ns.view(np.uintp).max() >= self.n_states
         ):
             raise PolicyError(f"state out of range [0, {self.n_states})")
-        if int(a.min()) < 0 or int(a.max()) >= self.n_actions:
+        if a.view(np.uintp).max() >= self.n_actions:
             raise PolicyError(f"action out of range [0, {self.n_actions})")
 
         # Fast path: every written row is distinct and no update reads a

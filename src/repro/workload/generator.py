@@ -54,15 +54,10 @@ class TraceGenerator:
                 releases.append(t)
                 t += phase.period_s
             works = phase.sample_works(rng, len(releases)).tolist()
-            for release, work in zip(releases, works):
-                units.append(
-                    WorkUnit(
-                        uid=len(units),
-                        release_s=release,
-                        work=work,
-                        deadline_s=release + phase.deadline_factor * phase.period_s,
-                        kind=phase.name,
-                        min_parallelism=phase.parallelism,
-                    )
-                )
+            span = phase.deadline_factor * phase.period_s
+            units += WorkUnit.batch(
+                len(units), releases, works,
+                [release + span for release in releases],
+                kind=phase.name, min_parallelism=phase.parallelism,
+            )
         return Trace(units=units, name=name, duration_s=duration_s)

@@ -19,11 +19,11 @@ from repro.errors import SimulationError
 from repro.sim.interval import (
     GRACE_FACTOR,
     Lane,
-    column_sum,
     drain,
     edf_key,
     n_intervals,
     queue_slack,
+    sequential_sum,
 )
 from repro.sim.scheduler import HMPScheduler, PinnedScheduler, Scheduler
 from repro.soc.chip import Chip
@@ -346,7 +346,39 @@ class TestHelpers:
         assert n_intervals(0.0, 0.01) == 1
         assert n_intervals(1.0, 0.3) == 4
 
-    def test_column_sum_is_sequential(self):
+    def test_sequential_sum_is_sequential(self):
         terms = np.array([[1e16, 1.0, -1e16, 1.0]])
         # ((1e16 + 1) - 1e16) + 1 == 1.0 in sequential order.
-        assert column_sum(terms).tolist() == [((1e16 + 1.0) - 1e16) + 1.0]
+        assert sequential_sum(terms).tolist() == [((1e16 + 1.0) - 1e16) + 1.0]
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_sequential_sum_is_the_serial_fold(self, axis):
+        # 64 terms per sum over twelve decades: the pairwise order of
+        # np.sum rounds differently on these, the serial += loop not.
+        rng = np.random.default_rng(3)
+        terms = rng.standard_normal((64, 2, 3)) * 10.0 ** rng.integers(
+            -6, 6, (64, 2, 3)
+        )
+        runs = [terms[:, i, j] for i in range(2) for j in range(3)]
+        if axis == -1:
+            terms = np.ascontiguousarray(np.moveaxis(terms, 0, -1))
+
+        def fold(xs):
+            total = 0.0
+            for x in xs.tolist():
+                total += x
+            return total
+
+        expected = [fold(run) for run in runs]
+        assert sequential_sum(terms, axis=axis).ravel().tolist() == expected
+        assert [
+            float(np.sum(np.ascontiguousarray(run))) for run in runs
+        ] != expected
+        out = np.empty((2, 3))
+        assert sequential_sum(terms, axis=axis, out=out) is out
+        assert out.ravel().tolist() == expected
+
+    def test_sequential_sum_starts_from_zero(self):
+        # 0.0 + (-0.0) is +0.0: the serial loops start from 0.0.
+        [total] = sequential_sum(np.array([[-0.0, -0.0]])).tolist()
+        assert math.copysign(1.0, total) == 1.0

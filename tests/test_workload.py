@@ -1,6 +1,7 @@
 """Work units, jobs, phases, generation, and trace I/O."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -37,6 +38,44 @@ class TestWorkUnit:
     def test_rejects_zero_parallelism(self):
         with pytest.raises(WorkloadError):
             unit(parallelism=0)
+
+    def test_batch_equals_constructed_units(self):
+        releases = [0.0, 0.02, 0.04]
+        works = [1e6, 2.5e6, float("nan")]
+        deadlines = [0.03, 0.05, 0.07]
+        batch = WorkUnit.batch(7, releases, works, deadlines, "frame", 2)
+        built = [
+            WorkUnit(7 + i, r, w, d, "frame", 2)
+            for i, (r, w, d) in enumerate(zip(releases, works, deadlines))
+        ]
+        # NaN work passes the serial check, so compare it apart.
+        assert batch[:2] == built[:2]
+        assert [repr(u) for u in batch] == [repr(u) for u in built]
+        assert [hash(u) for u in batch[:2]] == [hash(u) for u in built[:2]]
+        assert pickle.dumps(batch) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(batch))[:2] == built[:2]
+        with pytest.raises(AttributeError):
+            batch[0].work = 1.0
+        assert WorkUnit.batch(0, [], [], []) == []
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("works", [1e6, 0.0, -1.0], "work unit 4: work must be positive"),
+            ("releases", [0.0, -0.5, 0.02],
+             "work unit 4: negative release time"),
+            ("deadlines", [0.03, 0.01, 0.0],
+             "work unit 4: deadline 0.01 not after release 0.01"),
+            ("min_parallelism", 0,
+             "work unit 3: min_parallelism must be >= 1"),
+        ],
+    )
+    def test_batch_raises_for_the_first_bad_unit(self, field, value, message):
+        kw = dict(releases=[0.0, 0.01, 0.02], works=[1e6, 1e6, 1e6],
+                  deadlines=[0.03, 0.04, 0.05], min_parallelism=1)
+        kw[field] = value
+        with pytest.raises(WorkloadError, match=f"^{message}"):
+            WorkUnit.batch(3, **kw)
 
 
 class TestJob:
