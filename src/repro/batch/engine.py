@@ -539,8 +539,8 @@ def _run_rl_group(
     Reproduces :func:`repro.fleet.worker.simulate_spec` per spec — fresh
     chip, and the spec's training job
     (:func:`repro.fleet.worker._train_job`) whose power model its
-    evaluation shares — with the training and evaluation loops batched
-    across the group (one job trains and evaluates serially).
+    evaluation shares — with the training and evaluation loops run
+    lock-step across the group, a group of one included.
     """
     from repro.batch.rl import evaluate_policies_batch, train_policy_batch
     from repro.fleet.worker import _build_chip, _train_job

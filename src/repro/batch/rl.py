@@ -63,11 +63,8 @@ training runs the serial trainer's own episode loop,
 
 Which jobs share a lock-step pass is decided once, by
 :meth:`repro.batch.engine.BatchEngine.units`; the two entry points run
-exactly the lanes they are given.  One lane runs the serial
-:func:`repro.core.trainer.train_policy` /
-:func:`repro.core.trainer.evaluate_policy`, the cheaper engine at N=1:
-this lane count is the one routing choice made here.  Two or more run
-one :class:`_LockstepRunner`.  A lane the lock step cannot
+exactly the lanes they are given, one lane or many, through one
+:class:`_LockstepRunner`.  A lane the lock step cannot
 express — a subclassed policy or agent (SARSA acts before updating;
 double-Q flips a coin per update), a non-default power model, a chip or
 policy object shared with another lane, policies that do not match its
@@ -91,14 +88,15 @@ import numpy as np
 from repro.batch.engine import _result, _sessions
 from repro.core.policy import RLPowerManagementPolicy
 from repro.core.state import StateFeaturizer
+# perfbench patches evaluate_policy and train_policy by name here.
 from repro.core.trainer import (
     RLTrainJob,
     TrainingResult,
-    evaluate_policy,
+    evaluate_policy,  # noqa: F401
     frozen_policies,
     make_policies,
     train_lanes,
-    train_policy,
+    train_policy,  # noqa: F401
 )
 from repro.errors import SimulationError
 from repro.obs import OBS, ObsSession, use
@@ -844,14 +842,13 @@ def train_policy_batch(
     jobs: Sequence[RLTrainJob],
     sessions: Sequence[ObsSession | None] | None = None,
 ) -> list[TrainingResult]:
-    """Train the given RL jobs: one serially, two or more lock-step.
+    """Train the given RL jobs lock-step.
 
     The caller decides which jobs train together; this runs exactly the
-    lanes it is given.  A single job runs the serial
-    :func:`train_policy` (lock-step overhead only pays across lanes);
-    two or more run the trainer's episode loop
+    lanes it is given, one or many: the trainer's episode loop
     (:func:`repro.core.trainer.train_lanes`) over one lock-step pass,
-    bit-identical to training each serially.
+    bit-identical to training each with
+    :func:`repro.core.trainer.train_policy`.
 
     Args:
         jobs: The lanes to train.
@@ -860,16 +857,15 @@ def train_policy_batch(
 
     Returns:
         One :class:`TrainingResult` per job, in job order, holding the
-        job's freshly made and trained policies.
+        job's freshly made and trained policies (``[]`` for no jobs).
 
     Raises:
         SimulationError: If the jobs disagree on interval or episode
             plan, or a lane cannot run lock-step (:func:`_check_lanes`).
         PolicyError: On fewer than one episode.
     """
-    if len(jobs) <= 1:
-        with use(sessions[0] if sessions else None):
-            return [train_policy(**vars(job)) for job in jobs]
+    if not jobs:
+        return []
     first = jobs[0]
     plan = (first.interval_s, first.episodes, first.episode_duration_s)
     for k, job in enumerate(jobs):
@@ -899,14 +895,13 @@ def evaluate_policies_batch(
     power_models: Sequence[PowerModel | None] | None = None,
     sessions: Sequence[ObsSession | None] | None = None,
 ) -> list[SimulationResult]:
-    """Evaluate the given trained lanes greedily: one serially, two or
-    more lock-step.
+    """Evaluate the given trained lanes greedily, lock-step.
 
     The batched counterpart of
     :func:`repro.core.trainer.evaluate_policy`: every lane's policies
     are frozen (online flags restored afterwards) and run greedily over
-    its trace.  A single lane runs :func:`evaluate_policy`; two or more
-    share one lock-step pass, bit-identically.  ``sessions`` routes each
+    its trace, all lanes (one or many) in one lock-step pass,
+    bit-identically.  No lanes give ``[]``.  ``sessions`` routes each
     lane's metrics as in :func:`train_policy_batch`.
 
     Raises:
@@ -923,12 +918,8 @@ def evaluate_policies_batch(
             f"power model per chip: {len(policies_by_lane)} policies/"
             f"{len(traces)} traces/{len(models)} models for {n} chips"
         )
-    if n <= 1:
-        with use(sessions[0] if sessions else None):
-            return [
-                evaluate_policy(chip, pol, tr, interval_s=interval_s, power_model=pm)
-                for chip, pol, tr, pm in zip(chips, policies_by_lane, traces, models)
-            ]
+    if not n:
+        return []
     with ExitStack() as stack:
         for policies in policies_by_lane:
             stack.enter_context(frozen_policies(policies))

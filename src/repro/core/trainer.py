@@ -4,8 +4,9 @@ The paper's policy learns online; for reproducible tables we train it
 over a fixed number of episodes of a scenario (each episode a fresh
 seeded trace) and then evaluate greedily on a held-out seed.
 :func:`train_lanes` is the one episode loop: :func:`train_policy` runs
-it over one lane on the serial engine, and
-:func:`repro.batch.rl.train_policy_batch` over N lock-step lanes.
+it over one lane on the serial engine, the bit-identity reference, and
+:func:`repro.batch.rl.train_policy_batch` over lock-step lanes, one or
+many.
 """
 
 from __future__ import annotations
@@ -167,8 +168,9 @@ def train_lanes(
     sessions: Sequence[ObsSession | None] | None = None,
     episode_offset: int = 0,
 ) -> list[TrainingResult]:
-    """The episode loop every trainer shares: one lane serially, or N
-    lanes lock-step (:func:`repro.batch.rl.train_policy_batch`).
+    """The episode loop every trainer shares: one lane on the serial
+    engine (:func:`train_policy`), or lock-step lanes, one or many
+    (:func:`repro.batch.rl.train_policy_batch`).
 
     Per episode it draws each lane's trace, has ``run_episode`` run them
     all, and keeps each lane's books: its history record and reward

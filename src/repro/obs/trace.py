@@ -165,11 +165,6 @@ class Tracer:
         """
         return self._t0
 
-    @property
-    def open_depth(self) -> int:
-        """How many spans are currently open (0 when balanced)."""
-        return len(self._stack)
-
     def span_names(self) -> list[str]:
         """Distinct completed-span names, first-seen order."""
         seen: dict[str, None] = {}
@@ -231,11 +226,6 @@ class NullTracer:
     def epoch_s(self) -> float:
         """Always 0.0 — the null tracer has no timeline."""
         return 0.0
-
-    @property
-    def open_depth(self) -> int:
-        """Always 0 — nothing ever opens."""
-        return 0
 
     def span_names(self) -> list[str]:
         """Always empty."""

@@ -280,6 +280,9 @@ class TestTrainBatchBitIdentity:
         with pytest.raises(SimulationError, match="lane 1 disagrees"):
             train_policy_batch(jobs)
 
+    def test_no_jobs_train_nothing(self):
+        assert train_policy_batch([]) == []
+
     def test_zero_episodes_rejected_like_train_policy(self):
         for seeds in ([0], [0, 1]):
             with pytest.raises(PolicyError, match="at least one episode"):
@@ -293,7 +296,7 @@ class TestTrainBatchBitIdentity:
     @settings(max_examples=8, deadline=None)
     @given(
         seeds=st.lists(st.integers(min_value=0, max_value=200),
-                       min_size=2, max_size=4, unique=True),
+                       min_size=1, max_size=4, unique=True),
         episodes=st.integers(min_value=1, max_value=3),
         alpha=st.sampled_from([0.1, 0.3, 0.7]),
         gamma=st.sampled_from([0.0, 0.5, 0.9]),
@@ -337,6 +340,9 @@ class TestEvaluateBatch:
         with pytest.raises(SimulationError):
             evaluate_policies_batch([tiny_test_chip()], [], [])
 
+    def test_no_lanes_evaluate_nothing(self):
+        assert evaluate_policies_batch([], [], []) == []
+
     def test_one_lane_equals_evaluate_policy(self):
         [trained] = train_policy_batch(_jobs([3]))
         trace = tiny_scenario().trace(2.0, seed=77)
@@ -363,6 +369,10 @@ class TestEvaluateBatch:
         sarsa = {name: SarsaPowerManagementPolicy(PolicyConfig())
                  for name in chip.cluster_names}
         trace = tiny_scenario().trace(1.0, seed=5)
+        # A lone lane runs lock-step too, so it is refused alike.
+        with pytest.raises(SimulationError,
+                           match="lane 0 has a SarsaPowerManagementPolicy"):
+            evaluate_policies_batch([chip], [sarsa], [trace])
         with pytest.raises(SimulationError,
                            match="lane 1 has a SarsaPowerManagementPolicy"):
             evaluate_policies_batch(
@@ -437,18 +447,25 @@ class TestCapacityGuard:
         monkeypatch.setattr(engine, "drain", faulty)
         with pytest.raises(ConfigurationError, match=message) as serial:
             _train_serially(_jobs([0]))
-        # Twin lanes fail at the same interval; lane 0's row comes first.
-        with pytest.raises(ConfigurationError) as batched:
-            train_policy_batch(_jobs([0, 0]))
-        assert str(batched.value) == str(serial.value)
+        # A lone lane fails as serially; twin lanes fail at the same
+        # interval, and lane 0's row comes first.
+        for seeds in ([0], [0, 0]):
+            with pytest.raises(ConfigurationError) as batched:
+                train_policy_batch(_jobs(seeds))
+            assert str(batched.value) == str(serial.value), seeds
 
-        chips = [tiny_test_chip(), tiny_test_chip()]
         trace = tiny_scenario().trace(1.0, seed=5)
-        with pytest.raises(ConfigurationError, match=message):
-            evaluate_policies_batch(
-                chips, [make_policies(chip) for chip in chips],
-                [trace, trace],
-            )
+        chip = tiny_test_chip()
+        with pytest.raises(ConfigurationError, match=message) as serial:
+            evaluate_policy(chip, make_policies(chip), trace)
+        for n in (1, 2):
+            chips = [tiny_test_chip() for _ in range(n)]
+            with pytest.raises(ConfigurationError) as batched:
+                evaluate_policies_batch(
+                    chips, [make_policies(chip) for chip in chips],
+                    [trace] * n,
+                )
+            assert str(batched.value) == str(serial.value), n
 
 
 class TestRunBatchIntegration:
@@ -498,8 +515,8 @@ class TestRunBatchIntegration:
 
 
 class TestLoneRLJob:
-    """A lone RL job takes the RL path, where one lane trains and
-    evaluates serially: every result field and ledger row equals the
+    """A lone RL job takes the RL path, where its one lane trains and
+    evaluates lock-step: every result field and ledger row equals the
     serial reference."""
 
     @pytest.mark.parametrize("ledger", [False, True])
@@ -529,6 +546,25 @@ class TestLoneRLJob:
             )
             assert len(fast_rows) == 2
             assert fast_rows == serial_rows
+
+    def test_never_reaches_serial_engine(self, monkeypatch):
+        from repro.fleet import run_fleet
+        from repro.sim.engine import Simulator
+
+        spec = JobSpec(scenario="audio_playback", governor="rl-policy",
+                       seed=1, chip="tiny", duration_s=1.0,
+                       train_episodes=2, train_episode_s=1.0)
+        expected = simulate_spec(spec)
+
+        def refuse(self):
+            raise AssertionError("Simulator.run reached")
+
+        monkeypatch.setattr(Simulator, "run", refuse)
+        assert run_batch([spec]) == [expected]
+        result = run_fleet([spec], jobs=1)
+        assert not result.failures
+        [success] = result.successes
+        assert success.energy_j == expected.total_energy_j
 
 
 class TestFrozenPolicies:

@@ -702,14 +702,18 @@ class TestUnits:
         assert _rows(result) == _rows(run_fleet(self._rl_grid(),
                                                  job_fn=_per_job))
 
-    # A fault in the lock-step runner breaks only chunks: a job rerun
-    # singly trains its one lane on the serial engine.
+    # A fault that breaks only multi-lane lock-step passes fails the
+    # chunk; each member rerun singly runs a one-lane pass and succeeds.
 
     def test_raising_chunk_reruns_members_singly(self, monkeypatch):
         from repro.batch.rl import _LockstepRunner
 
+        real = _LockstepRunner.run_episode
+
         def explode(runner, traces, online):
-            raise RuntimeError("lock-step runner broke")
+            if runner.n > 1:
+                raise RuntimeError("lock-step runner broke")
+            return real(runner, traces, online)
 
         monkeypatch.setattr(_LockstepRunner, "run_episode", explode)
         log = EventLog()
@@ -719,8 +723,12 @@ class TestUnits:
     def test_overrunning_chunk_reruns_members_singly(self, monkeypatch):
         from repro.batch.rl import _LockstepRunner
 
+        real = _LockstepRunner.run_episode
+
         def hang(runner, traces, online):
-            time.sleep(60.0)
+            if runner.n > 1:
+                time.sleep(60.0)
+            return real(runner, traces, online)
 
         monkeypatch.setattr(_LockstepRunner, "run_episode", hang)
         log = EventLog()
@@ -803,8 +811,8 @@ class TestUnits:
         assert log.count(JobRetried) == 0
 
     # The pinned jobs=1 event order: a flaky job retried once, a job
-    # failing for good, and an RL chunk of four whose lock-step call
-    # raises, so its members rerun singly.
+    # failing for good, and an RL chunk of four whose multi-lane
+    # lock-step call raises, so its members rerun singly.
     EVENT_ORDER = [
         ("FleetStarted", None),
         ("JobQueued", 0), ("JobFailed", 0), ("JobRetried", 0),
@@ -825,11 +833,14 @@ class TestUnits:
         from repro.batch.rl import _LockstepRunner
 
         fixed_opp = repro.batch.engine.run_fixed_opp
+        real = _LockstepRunner.run_episode
         chunk_ran = tmp_path / "chunk-ran"
 
         def explode(runner, traces, online):
-            chunk_ran.write_text("ran")
-            raise RuntimeError("lock-step runner broke")
+            if runner.n > 1:
+                chunk_ran.write_text("ran")
+                raise RuntimeError("lock-step runner broke")
+            return real(runner, traces, online)
 
         monkeypatch.setattr(_LockstepRunner, "run_episode", explode)
         specs = [

@@ -40,7 +40,11 @@ class TestTracer:
         assert b.parent_uid == a.uid and b.depth == 1
         assert c.parent_uid == a.uid
         assert b.cat == "inner" and b.args == {"k": 1}
-        assert t.open_depth == 0
+        # Balanced: once a fresh span closes, no span is open.
+        handle = t.begin("d")
+        t.end(handle)
+        with pytest.raises(ObsError, match="no span is open"):
+            t.end(handle)
 
     def test_timestamps_are_relative_microseconds(self):
         t = Tracer()
@@ -82,7 +86,7 @@ class TestTracer:
         n.end(None)
         with n.span("x"):
             n.instant("y")
-        assert n.span_names() == [] and n.open_depth == 0
+        assert n.span_names() == []
         assert n.spans == () and n.instants == ()
 
 
