@@ -10,28 +10,24 @@ measurement noise).
 from __future__ import annotations
 
 from repro.analysis.pareto import FrontierPoint, frontier_table, pareto_frontier
-from repro.core.trainer import evaluate_policy, train_policy
-from repro.governors import create
+from repro.batch import run_batch
+from repro.fleet import RL_POLICY, JobSpec
 from repro.governors.base import available
-from repro.sim.engine import Simulator
-from repro.soc.presets import exynos5422
-from repro.workload.scenarios import get_scenario
 
 from conftest import write_result
 
 
 def _run():
-    chip = exynos5422()
-    scenario = get_scenario("gaming")
-    trace = scenario.trace(20.0, seed=100)
-    points = []
-    for name in available():
-        run = Simulator(chip, trace, lambda c, n=name: create(n)).run()
-        points.append(FrontierPoint(name, run.total_energy_j, run.qos.mean_qos))
-    training = train_policy(chip, scenario, episodes=16, episode_duration_s=20.0)
-    rl = evaluate_policy(chip, training.policies, trace)
-    points.append(FrontierPoint("rl-policy", rl.total_energy_j, rl.qos.mean_qos))
-    return points
+    # Every governor plus the RL policy (which trains 16 episodes of
+    # 20 s) on the gaming evaluation trace, through the batch backend.
+    specs = [
+        JobSpec("gaming", name, seed=100, duration_s=20.0, train_episodes=16)
+        for name in [*available(), RL_POLICY]
+    ]
+    return [
+        FrontierPoint(spec.governor, run.total_energy_j, run.qos.mean_qos)
+        for spec, run in zip(specs, run_batch(specs))
+    ]
 
 
 def test_a7_pareto(benchmark):

@@ -1,24 +1,25 @@
 """A1/A2/A3 — design-choice ablations: state features, reward weight,
-and TD learner."""
+and TD learner.  Each ``rl-policy`` variant is a job spec on the batch
+backend; A3's SARSA and double-Q, which the lock-step runner refuses,
+train on the serial engine."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Type
 
 from repro.analysis.tables import format_table
+from repro.batch import run_batch
 from repro.core.config import PolicyConfig
 from repro.core.policy import (
     DoubleQPowerManagementPolicy,
-    RLPowerManagementPolicy,
     SarsaPowerManagementPolicy,
 )
 from repro.core.trainer import evaluate_policy, train_policy
+from repro.fleet import RL_POLICY, JobSpec
 from repro.governors.userspace import UserspaceGovernor
 from repro.sim.engine import Simulator
 from repro.sim.result import SimulationResult
-from repro.soc.chip import Chip
 from repro.soc.presets import exynos5422
 from repro.workload.scenarios import get_scenario
 
@@ -30,6 +31,23 @@ DEFAULT_STATE_VARIANTS: dict[str, PolicyConfig] = {
     "util-only": PolicyConfig(trend_bins=1, slack_bins=1, opp_bins=1),
 }
 """The A1 feature-knockout configurations."""
+
+
+def _rl_runs(
+    configs: list[PolicyConfig | None],
+    scenario_name: str,
+    train_episodes: int,
+    episode_duration_s: float,
+    eval_seed: int,
+) -> list[SimulationResult]:
+    """One greedy evaluation per config of a policy trained on
+    ``scenario_name`` (episode ``k`` on trace seed ``k``), in order."""
+    return run_batch([
+        JobSpec(scenario_name, RL_POLICY, seed=eval_seed,
+                duration_s=episode_duration_s, train_episodes=train_episodes,
+                policy_config=config)
+        for config in configs
+    ])
 
 
 @dataclass(frozen=True)
@@ -46,20 +64,13 @@ def a1_state_ablation(
     train_episodes: int = 14,
     episode_duration_s: float = 15.0,
     eval_seed: int = 100,
-    chip: Chip | None = None,
 ) -> A1Result:
     """Retrain with individual state features disabled."""
     variants = variants or DEFAULT_STATE_VARIANTS
-    chip = chip or exynos5422()
-    scenario = get_scenario(scenario_name)
-    trace = scenario.trace(episode_duration_s, seed=eval_seed)
-    results: dict[str, SimulationResult] = {}
-    for name, config in variants.items():
-        training = train_policy(
-            chip, scenario, episodes=train_episodes,
-            episode_duration_s=episode_duration_s, config=config,
-        )
-        results[name] = evaluate_policy(chip, training.policies, trace)
+    results = dict(zip(variants, _rl_runs(
+        list(variants.values()), scenario_name, train_episodes,
+        episode_duration_s, eval_seed,
+    )))
     report = format_table(
         ["state variant", "energy [J]", "QoS", "E/QoS [mJ/unit]"],
         [
@@ -85,21 +96,13 @@ def a2_reward_sweep(
     train_episodes: int = 14,
     episode_duration_s: float = 15.0,
     eval_seed: int = 100,
-    chip: Chip | None = None,
 ) -> A2Result:
     """Sweep the QoS weight of the reward."""
     lambdas = lambdas if lambdas is not None else [0.0, 0.25, 1.0, 4.0, 16.0]
-    chip = chip or exynos5422()
-    scenario = get_scenario(scenario_name)
-    trace = scenario.trace(episode_duration_s, seed=eval_seed)
-    results: dict[float, SimulationResult] = {}
-    for lam in lambdas:
-        training = train_policy(
-            chip, scenario, episodes=train_episodes,
-            episode_duration_s=episode_duration_s,
-            config=PolicyConfig(lambda_qos=lam),
-        )
-        results[lam] = evaluate_policy(chip, training.policies, trace)
+    results = dict(zip(lambdas, _rl_runs(
+        [PolicyConfig(lambda_qos=lam) for lam in lambdas], scenario_name,
+        train_episodes, episode_duration_s, eval_seed,
+    )))
     report = format_table(
         ["lambda_qos", "energy [J]", "QoS", "miss [%]", "E/QoS [mJ/unit]"],
         [
@@ -119,23 +122,6 @@ class A3Result:
     report: str
     learners: dict[str, SimulationResult]
     oracle: SimulationResult
-
-
-def _train_learner(
-    policy_cls: Type[RLPowerManagementPolicy],
-    scenario_name: str,
-    episodes: int,
-    episode_s: float,
-) -> tuple[Chip, dict[str, RLPowerManagementPolicy]]:
-    chip = exynos5422()
-    scenario = get_scenario(scenario_name)
-    policies = {
-        name: policy_cls(PolicyConfig(seed=1000 * i))
-        for i, name in enumerate(chip.cluster_names)
-    }
-    for episode in range(episodes):
-        Simulator(chip, scenario.trace(episode_s, seed=episode), policies).run()
-    return chip, policies
 
 
 def static_oracle(trace, opp_stride: int = 2) -> SimulationResult:
@@ -170,18 +156,26 @@ def a3_learner_ablation(
     eval_seed: int = 100,
 ) -> A3Result:
     """Q-learning vs SARSA vs double Q vs the static oracle."""
-    trace = get_scenario(scenario_name).trace(episode_duration_s, seed=eval_seed)
-
-    learners: dict[str, SimulationResult] = {}
+    scenario = get_scenario(scenario_name)
+    trace = scenario.trace(episode_duration_s, seed=eval_seed)
+    [q_run] = _rl_runs(
+        [None], scenario_name, train_episodes, episode_duration_s, eval_seed
+    )
+    learners = {"Q-learning (paper)": q_run}
+    chip = exynos5422()
     for label, cls in [
-        ("Q-learning (paper)", RLPowerManagementPolicy),
         ("SARSA", SarsaPowerManagementPolicy),
         ("double Q-learning", DoubleQPowerManagementPolicy),
     ]:
-        chip, policies = _train_learner(
-            cls, scenario_name, train_episodes, episode_duration_s
+        training = train_policy(
+            chip, scenario, episodes=train_episodes,
+            episode_duration_s=episode_duration_s,
+            policies={
+                name: cls(PolicyConfig(seed=1000 * i))
+                for i, name in enumerate(chip.cluster_names)
+            },
         )
-        learners[label] = evaluate_policy(chip, policies, trace)
+        learners[label] = evaluate_policy(chip, training.policies, trace)
     oracle = static_oracle(trace)
 
     rows = [

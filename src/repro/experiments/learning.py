@@ -8,14 +8,15 @@ from typing import Sequence
 from repro.analysis.plot import sparkline
 from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
+from repro.batch import RLTrainJob, run_batch, train_policy_batch
 from repro.core.config import PolicyConfig
 from repro.core.trainer import evaluate_policy, make_policies, train_policy
-from repro.governors import create
+from repro.fleet import JobSpec
 from repro.obs.learn import ConvergenceSpec, LearnRecorder, plateau_episode
 from repro.sim.engine import Simulator
 from repro.sim.result import SimulationResult
 from repro.soc.chip import Chip
-from repro.soc.presets import exynos5422
+from repro.soc.presets import PRESETS, exynos5422
 from repro.workload.scenarios import get_scenario
 
 #: The detector settings matching E5's historical tail heuristic: the
@@ -157,40 +158,44 @@ def e6_adaptation(
     train_episodes: int = 12,
     train_episode_s: float = 15.0,
     eval_seed: int = 100,
-    chip: Chip | None = None,
+    chip: str = "exynos5422",
     recorder: LearnRecorder | None = None,
 ) -> E6Result:
     """A policy trained on the first segment's scenario keeps learning
     online as the device moves through the remaining segments; each
     segment is compared against a per-scenario specialist and ondemand.
 
-    A ``recorder`` ledgers the travelling policy's training episodes
-    (the specialists trained per segment stay out of the ledger — they
-    are baselines, not the learner under study).
+    The travelling policy and the specialists train lock-step, one
+    ``chip`` preset instance per lane; the evaluations learn online, so
+    they run on :class:`~repro.sim.engine.Simulator`.  A ``recorder``
+    ledgers the travelling policy's training episodes only.
     """
     segments = segments or ["gaming", "video_playback", "web_browsing"]
-    chip = chip or exynos5422()
-    travelling = train_policy(
-        chip, get_scenario(segments[0]), episodes=train_episodes,
-        episode_duration_s=train_episode_s, recorder=recorder,
-    ).policies
-
+    jobs = [
+        RLTrainJob(PRESETS[chip](), get_scenario(name), episodes=train_episodes,
+                   episode_duration_s=train_episode_s,
+                   recorder=None if k else recorder)
+        for k, name in enumerate([segments[0], *segments])
+    ]
+    travelling, *specialists = train_policy_batch(jobs)
+    ondemand = run_batch([
+        JobSpec(name, "ondemand", seed=eval_seed, chip=chip,
+                duration_s=segment_duration_s)
+        for name in segments
+    ])
     out: list[E6Segment] = []
-    for name in segments:
+    for name, job, trained, baseline in zip(
+        segments, jobs[1:], specialists, ondemand
+    ):
         trace = get_scenario(name).trace(segment_duration_s, seed=eval_seed)
-        adapted = Simulator(chip, trace, travelling).run()
-        specialist_policies = train_policy(
-            chip, get_scenario(name), episodes=train_episodes,
-            episode_duration_s=train_episode_s,
-        ).policies
-        specialist = Simulator(chip, trace, specialist_policies).run()
-        ondemand = Simulator(chip, trace, lambda c: create("ondemand")).run()
+        adapted = Simulator(jobs[0].chip, trace, travelling.policies).run()
+        specialist = Simulator(job.chip, trace, trained.policies).run()
         out.append(
             E6Segment(
                 scenario=name,
                 adapting_j=adapted.energy_per_qos_j,
                 specialist_j=specialist.energy_per_qos_j,
-                ondemand_j=ondemand.energy_per_qos_j,
+                ondemand_j=baseline.energy_per_qos_j,
                 adapting_qos=adapted.qos.mean_qos,
             )
         )

@@ -4,6 +4,7 @@ scale and produces coherent, typed results."""
 import pytest
 
 from repro.core.config import PolicyConfig
+from repro.core.trainer import evaluate_policy, train_policy
 from repro.experiments import (
     a1_state_ablation,
     a2_reward_sweep,
@@ -20,6 +21,7 @@ from repro.experiments import (
     x2_seed_stability,
 )
 from repro.hw.fixed_point import QFormat
+from repro.soc.presets import exynos5422
 from repro.workload.scenarios import get_scenario
 
 # One small sweep shared by the headline-view tests.
@@ -113,6 +115,17 @@ class TestHardwareExperiments:
         assert all(rtl == ana for _, rtl, ana in result.rtl_checks)
 
 
+def _serial_rl(config: PolicyConfig):
+    """The serial reference of one small A1/A2 variant: train on
+    ``audio_playback`` for 2 x 3 s, then evaluate greedily on seed 100."""
+    chip = exynos5422()
+    scenario = get_scenario("audio_playback")
+    training = train_policy(chip, scenario, episodes=2, episode_duration_s=3.0,
+                            config=config)
+    return evaluate_policy(chip, training.policies,
+                           scenario.trace(3.0, seed=100))
+
+
 class TestAblationExperiments:
     def test_a1_small(self):
         variants = {
@@ -124,6 +137,9 @@ class TestAblationExperiments:
             train_episodes=2, episode_duration_s=3.0,
         )
         assert set(result.results) == {"full", "util-only"}
+        assert result.results == {
+            name: _serial_rl(config) for name, config in variants.items()
+        }
 
     def test_a2_small(self):
         result = a2_reward_sweep(
@@ -131,6 +147,9 @@ class TestAblationExperiments:
             train_episodes=2, episode_duration_s=3.0,
         )
         assert set(result.results) == {0.0, 1.0}
+        assert result.results == {
+            lam: _serial_rl(PolicyConfig(lambda_qos=lam)) for lam in (0.0, 1.0)
+        }
 
     def test_static_oracle_beats_nothing_fancy(self):
         trace = get_scenario("audio_playback").trace(3.0, seed=5)

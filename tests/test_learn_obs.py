@@ -24,9 +24,11 @@ from repro.core.trainer import train_curriculum, train_policy
 from repro.errors import ObsError, PolicyError
 from repro.experiments.learning import (
     E5_CONVERGENCE,
+    E6Segment,
     e5_convergence_episode,
     e6_adaptation,
 )
+from repro.governors import create
 from repro.obs import (
     DEFAULT_CONVERGENCE,
     FORMATS,
@@ -47,6 +49,7 @@ from repro.obs import (
     summarize_learning,
 )
 from repro.rl.stats import TDErrorStats
+from repro.sim.engine import Simulator
 from repro.soc.presets import tiny_test_chip
 from repro.workload.scenarios import get_scenario
 
@@ -533,10 +536,28 @@ class TestLearningEdgeCases:
         result = e6_adaptation(
             segments=["audio_playback"], segment_duration_s=2.0,
             train_episodes=1, train_episode_s=2.0,
-            chip=tiny_test_chip(), recorder=recorder,
+            chip="tiny", recorder=recorder,
         )
         assert len(result.segments) == 1
         assert result.segments[0].scenario == "audio_playback"
+        # The serial reference: train both policies on one chip, then
+        # run the segment on the serial engine.
+        chip = tiny_test_chip()
+        scenario = get_scenario("audio_playback")
+        trace = scenario.trace(2.0, seed=100)
+        runs = []
+        for _ in ("travelling", "specialist"):
+            policies = train_policy(
+                chip, scenario, episodes=1, episode_duration_s=2.0
+            ).policies
+            runs.append(Simulator(chip, trace, policies).run())
+        adapted, specialist = runs
+        ondemand = Simulator(chip, trace, lambda c: create("ondemand")).run()
+        assert result.segments[0] == E6Segment(
+            "audio_playback", adapted.energy_per_qos_j,
+            specialist.energy_per_qos_j, ondemand.energy_per_qos_j,
+            adapted.qos.mean_qos,
+        )
         # Only the travelling policy ledgers; its one episode is there.
         records = LEARN_LOG.read(recorder.path)
         assert [r["episode"] for r in records] == [0]
