@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Sequence
 
@@ -27,12 +29,16 @@ from repro.errors import ObsError, ReproError
 #: The ``--format`` values :func:`render` understands.
 FORMATS = ("text", "json", "github")
 
-#: Encodes every appended record; the bytes equal
+#: Encodes every record the flat layout cannot; the bytes equal
 #: ``json.dumps(mapping, sort_keys=True)``, which would build a fresh
 #: encoder per call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
-#: Append-only, created on first use; no handle outlives one append.
+#: A kind caches at most this many key layouts, so a writer with
+#: ever-new key sets cannot grow the cache without bound.
+_MAX_LAYOUTS = 256
+
+#: Append-only, created on first use; no handle outlives one write.
 _APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
@@ -74,39 +80,105 @@ class LedgerKind:
     fields: tuple[str, ...] = ()
     encode: Callable[[Any], dict[str, Any]] = dict
     decode: Callable[[dict[str, Any]], Any] = _as_is
+    #: Key tuple (in insertion order) -> the keys sorted, each with its
+    #: encoded ``"key": `` prefix.  One writer's records share a few key
+    #: tuples, so the cache stays small.
+    _layouts: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def append(self, path: Path, record: Any) -> dict[str, Any]:
-        """Validate one record and append it as one sorted-key JSON line.
+    def sorted_json(self, mapping: dict[Any, Any]) -> str:
+        """``json.dumps(mapping, sort_keys=True)``, faster for flat records.
 
-        Each append opens the file with ``O_APPEND``, writes the encoded
-        line (looping on a short write) and closes it again, so no
-        handle is held between records and a rotated file is picked up
-        by the next append.  A crash can lose at most the line being
-        written.  Returns the stored mapping.  The parent directory must
-        exist.
+        A flat record has only ``str`` keys and values of exact type
+        ``str``, ``int`` or finite ``float``.  It is encoded through a
+        sorted key layout cached per key tuple: strings through
+        ``encode_basestring_ascii``, ints through ``int.__repr__`` and
+        floats through ``float.__repr__``, as the C encoder does.
+        Anything else (bools, ``None``, NaN and infinities, subclasses,
+        nested values, non-``str`` keys) goes through the shared
+        encoder, which also raises what ``json.dumps`` would.
+        """
+        keys = tuple(mapping)
+        layout = self._layouts.get(keys)
+        if layout is None:
+            if not all(type(key) is str for key in keys):
+                return _ENCODER.encode(mapping)
+            layout = tuple(
+                (key, f"{encode_basestring_ascii(key)}: ")
+                for key in sorted(keys)
+            )
+            if len(self._layouts) < _MAX_LAYOUTS:
+                self._layouts[keys] = layout
+        parts: list[str] = []
+        for key, prefix in layout:
+            value = mapping[key]
+            kind = type(value)
+            if kind is str:
+                parts.append(prefix + encode_basestring_ascii(value))
+            elif kind is int:
+                parts.append(prefix + int.__repr__(value))
+            elif kind is float and isfinite(value):
+                parts.append(prefix + float.__repr__(value))
+            else:
+                return _ENCODER.encode(mapping)
+        return "{" + ", ".join(parts) + "}"
+
+    def line(self, record: Any) -> tuple[dict[str, Any], str]:
+        """Validate and encode one record without writing it.
+
+        Returns the stored mapping and its line: sorted-key JSON, equal
+        to ``json.dumps(mapping, sort_keys=True)``, plus a newline.
 
         Raises:
             ReproError: ``self.error`` when required fields are missing
                 or the record is not JSON-serialisable.
-            OSError: When the file cannot be opened or written.
         """
         mapping = self.encode(record)
         missing = [f for f in self.fields if f not in mapping]
         if missing:
             raise self.error(f"{self.noun} missing fields {missing}")
         try:
-            line = _ENCODER.encode(mapping)
+            text = self.sorted_json(mapping)
         except (TypeError, ValueError) as exc:
             raise self.error(
                 f"{self.noun} is not JSON-serialisable: {exc}"
             ) from exc
-        data = memoryview(f"{line}\n".encode())
+        return mapping, f"{text}\n"
+
+    @staticmethod
+    def write(path: Path, text: str) -> None:
+        """Append encoded lines with one open, one write and one close.
+
+        The file is opened with ``O_APPEND``, the bytes are written
+        (looping on a short write) and it is closed again, so no handle
+        is held between writes and a rotated file is picked up by the
+        next one.  The parent directory must exist.
+
+        Raises:
+            OSError: When the file cannot be opened or written.
+        """
+        data = memoryview(text.encode())
         fd = os.open(path, _APPEND_FLAGS, 0o666)
         try:
             while data:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
+
+    def append(self, path: Path, record: Any) -> dict[str, Any]:
+        """Validate one record and append it as one sorted-key JSON line.
+
+        :meth:`line` then :meth:`write`: a crash can lose at most the
+        line being written.  Returns the stored mapping.
+
+        Raises:
+            ReproError: ``self.error`` when required fields are missing
+                or the record is not JSON-serialisable.
+            OSError: When the file cannot be opened or written.
+        """
+        mapping, text = self.line(record)
+        self.write(path, text)
         return mapping
 
     def read(self, path: str | Path) -> LedgerRead:

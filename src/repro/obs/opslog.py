@@ -40,6 +40,8 @@ allowed and preserved; the required seven always exist.
 
 from __future__ import annotations
 
+import logging
+import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -48,7 +50,11 @@ from repro.errors import ObsError
 from repro.obs.ledger import LedgerKind, LedgerRead
 
 if TYPE_CHECKING:
+    import asyncio
+
     from repro.fleet.events import FleetEvent
+
+log = logging.getLogger("repro.obs")
 
 #: Every ops record carries at least these keys.
 OPS_RECORD_FIELDS = (
@@ -112,19 +118,52 @@ def ops_record(
     return record
 
 
+def _running_loop() -> "asyncio.AbstractEventLoop | None":
+    """The event loop running in this thread, if any.
+
+    Without :mod:`asyncio` imported no loop can be running; importing it
+    here would add tens of milliseconds to every CLI start-up.
+    """
+    aio = sys.modules.get("asyncio")
+    if aio is None:
+        return None
+    loop: "asyncio.AbstractEventLoop | None" = aio._get_running_loop()
+    return loop
+
+
 class OpsLogger:
     """Append-only JSONL writer — the sole blessed ops-log producer.
 
-    One logger owns one file; every :meth:`log` call validates the
-    record against the schema and appends one line, so a crash can lose
-    at most the line being written and the log stays greppable while
-    the service runs.
+    One logger owns one file.  Every :meth:`log` call validates and
+    encodes the record at once, so a bad record raises at the call.
+    Where it is written depends on the thread:
+
+    * Off an event loop (the fleet, the CLI, executor threads) the line
+      is appended before :meth:`log` returns, and an ``OSError`` from
+      the write reaches the caller.
+    * On a running event loop the line joins the current loop turn's
+      lines; the turn's first line schedules one :meth:`flush` with
+      ``loop.call_soon``, which appends them all with one
+      ``open``/``write``/``close``.  A reply resolved after its record
+      was logged runs its callbacks after that flush, so a crash can
+      lose at most the current turn's lines, and none of their replies
+      has been delivered.  A flush that cannot write drops its lines,
+      counts them in :attr:`lost` and logs a warning, so a broken log
+      never stops the service.
+
+    No handle is held between writes, so a rotated file is picked up by
+    the next one.  :attr:`written` counts the lines that reached the
+    file.  One logger serves one event loop at a time.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.written = 0
+        self.lost = 0
+        self._lines: list[str] = []
+        # The loop whose turn scheduled the pending flush, or None.
+        self._loop: asyncio.AbstractEventLoop | None = None
 
     def log(self, record: Mapping[str, Any]) -> dict[str, Any]:
         """Validate and append one record; returns the stored form.
@@ -132,10 +171,44 @@ class OpsLogger:
         Raises:
             ObsError: When required fields are missing or the record is
                 not JSON-serialisable.
+            OSError: Off an event loop, when the file cannot be written.
         """
-        stored = OPS_LOG.append(self.path, record)
-        self.written += 1
+        stored, line = OPS_LOG.line(record)
+        loop = _running_loop()
+        if loop is None:
+            OPS_LOG.write(self.path, line)
+            self.written += 1
+            return stored
+        if self._loop is not loop:
+            # The turn's first line.  Lines a stopped loop never flushed
+            # are still queued, ahead of this one, and go out with it.
+            self._loop = loop
+            loop.call_soon(self.flush)
+        self._lines.append(line)
         return stored
+
+    def flush(self) -> None:
+        """Write the pending lines with one append.
+
+        Scheduled by the first line of a loop turn; also called by
+        :meth:`repro.serve.PolicyServer.shutdown`.  A failed write drops
+        the lines into :attr:`lost` and logs a warning instead of
+        raising.
+        """
+        lines, self._lines = self._lines, []
+        self._loop = None
+        if not lines:
+            return
+        try:
+            OPS_LOG.write(self.path, "".join(lines))
+        except OSError as exc:
+            self.lost += len(lines)
+            log.warning(
+                "ops log: dropped %d record(s), cannot write %s: %s",
+                len(lines), self.path, exc,
+            )
+            return
+        self.written += len(lines)
 
 
 def job_record_from_event(event: "FleetEvent") -> dict[str, Any] | None:

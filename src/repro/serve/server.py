@@ -296,6 +296,9 @@ class PolicyServer:
                     "server shut down before the request was served",
                 )
         self._pending.clear()
+        if self._ops is not None:
+            # The shutdown rejections' records are on disk on return.
+            self._ops.flush()
         log.info(
             "serve: shutdown complete (%d served, %d rejected)",
             self.stats.served, self.stats.rejected,
@@ -476,11 +479,13 @@ class PolicyServer:
                 queue_wait_s=queue_wait_s,
             )
             return
+        # Only tracer probes and the drift monitor read the bound
+        # context, so it is built only when one of them can run.
         ctx = (
             TraceContext(
                 trace_id=request.trace_id, request_id=request.request_id
             )
-            if request.trace_id
+            if request.trace_id and (OBS.enabled or self.drift is not None)
             else None
         )
         try:
@@ -610,10 +615,16 @@ class PolicyServer:
         """Append one structured ops record, when a logger is attached.
 
         A no-op without one — the record constructor never runs, so the
-        unlogged path pays a single attribute check.  The append is one
-        ``open``/``write``/``close`` of the encoded line
-        (:meth:`repro.obs.ledger.LedgerKind.append`); no file handle is
-        held between requests.
+        unlogged path pays a single attribute check.  On the event loop
+        :meth:`OpsLogger.log <repro.obs.opslog.OpsLogger.log>` encodes the
+        record and queues its line; the loop turn's lines are written by
+        one flush scheduled ahead of the reply's callbacks, because every
+        call here comes before the ``set_result`` it records.  A future
+        that ``submit`` resolves at once (health, stats, overload and
+        shutdown rejections) can be read by an ``await`` before that
+        flush runs.  A flush that cannot write counts the lines in
+        :attr:`OpsLogger.lost <repro.obs.opslog.OpsLogger.lost>` instead
+        of failing the request.
         """
         if self._ops is None:
             return

@@ -9,20 +9,26 @@ Three contracts are pinned here for all three kinds at once:
   unchanged, byte for byte where the file was written by the writer;
 * an append writes exactly ``json.dumps(mapping, sort_keys=True)`` and
   a newline, all of it even when the OS takes it in pieces, and needs
-  the parent directory to exist.
+  the parent directory to exist; the flat-record encoder behind it
+  equals ``json.dumps`` on generated mappings, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import ReproError
 from repro.obs import LEARN_LOG, OPS_LOG, LearnRecorder, OpsLogger, ops_record
+from repro.obs.ledger import LedgerKind
 from repro.perf import PERF_LEDGER
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -191,3 +197,96 @@ def test_append_needs_the_parent_directory(kind, tmp_path):
     with pytest.raises(FileNotFoundError):
         ledger.append(path, records[0])
     assert not path.parent.exists()
+
+
+# -- the flat-record encoder ------------------------------------------------
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+#: Values the flat layout encodes itself.
+_flat = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+)
+
+#: Scalars that send a record to the shared encoder.
+_odd_scalars = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.none(),
+    st.builds(_Str, st.text()),
+    st.builds(_Int, st.integers()),
+    st.builds(_Float, st.floats()),
+)
+
+_nested = st.recursive(
+    st.one_of(_flat, _odd_scalars),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+#: Values that send a record to the shared encoder.
+_odd = st.one_of(
+    _odd_scalars,
+    st.lists(_nested, max_size=3),
+    st.dictionaries(st.text(), _nested, max_size=3),
+)
+
+
+@st.composite
+def _records(draw: Any) -> dict:
+    """A flat record, half the time with one odd value added."""
+    record = draw(st.dictionaries(st.text(), _flat, max_size=8))
+    if draw(st.booleans()):
+        return {**record, draw(st.text()): draw(_odd)}
+    return record
+
+
+#: Flat records, and mappings with non-``str`` keys of one or of mixed
+#: types (``json.dumps`` sorts the former and refuses the latter).
+_mappings = st.one_of(
+    _records(),
+    st.dictionaries(
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                  st.builds(_Str, st.text()), st.text()),
+        _flat, min_size=1, max_size=4,
+    ),
+)
+
+
+def _encoded(encode: Any, mapping: dict) -> tuple[str, Any]:
+    """What an encoder returned, or the type of what it raised."""
+    try:
+        return "returned", encode(mapping)
+    except (TypeError, ValueError) as exc:
+        return "raised", type(exc)
+
+
+_KIND = LedgerKind(noun="record", unreadable="cannot read", error=ReproError)
+
+
+@settings(max_examples=400)
+@given(_mappings)
+def test_sorted_json_equals_json_dumps(mapping):
+    expected = _encoded(lambda m: json.dumps(m, sort_keys=True), mapping)
+    # The second call reads the key layout the first one cached.
+    assert _encoded(_KIND.sorted_json, mapping) == expected
+    assert _encoded(_KIND.sorted_json, mapping) == expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
 from pathlib import Path
 from typing import Any
@@ -199,6 +200,94 @@ class TestOpsLogger:
         record = ops_record("decision", "ok", 0.0, ts=0.0, chip=object())
         with pytest.raises(ObsError, match="serialisable"):
             logger.log(record)
+
+    def test_off_loop_record_is_on_disk_when_log_returns(self, tmp_path):
+        logger = OpsLogger(tmp_path / "ops.jsonl")
+        stored = logger.log(ops_record("job", "ok", 1.5, ts=3.0))
+        [record] = OPS_LOG.read(logger.path)
+        assert record == stored
+        assert logger.written == 1
+
+    def test_off_loop_write_failure_reaches_the_caller(self, tmp_path):
+        logger = OpsLogger(tmp_path)  # a directory: every open fails
+        with pytest.raises(IsADirectoryError):
+            logger.log(ops_record("job", "ok", 0.0, ts=0.0))
+        assert logger.written == 0
+
+    def test_one_loop_turn_is_one_write_in_log_order(
+        self, tmp_path, monkeypatch
+    ):
+        logger = OpsLogger(tmp_path / "ops.jsonl")
+        records = [
+            ops_record("decision", "ok", 1e-5 * i, ts=float(i),
+                       request_id=f"r{i}")
+            for i in range(8)
+        ]
+        real_write = os.write
+        writes: list[int] = []
+
+        def counted_write(fd: int, data: bytes) -> int:
+            writes.append(len(data))
+            return real_write(fd, data)
+
+        async def run() -> tuple[bool, int]:
+            monkeypatch.setattr(os, "write", counted_write)
+            for record in records:
+                logger.log(record)
+            queued = not logger.path.exists()
+            await asyncio.sleep(0)
+            monkeypatch.undo()
+            return queued, logger.written
+
+        queued, written = asyncio.run(run())
+        assert queued
+        assert written == 8 and len(writes) == 1
+        assert list(OPS_LOG.read(logger.path)) == records
+
+    def test_lines_of_a_stopped_loop_go_out_with_the_next_turn(
+        self, tmp_path
+    ):
+        logger = OpsLogger(tmp_path / "ops.jsonl")
+        first = ops_record("decision", "ok", 0.0, ts=1.0, request_id="a")
+        second = ops_record("decision", "ok", 0.0, ts=2.0, request_id="b")
+        loop = asyncio.new_event_loop()
+        try:
+            # stop() ends the loop after this batch: the flush never runs.
+            loop.call_soon(lambda: (logger.log(first), loop.stop()))
+            loop.run_forever()
+        finally:
+            loop.close()
+        assert not logger.path.exists()
+
+        async def run() -> None:
+            logger.log(second)
+            await asyncio.sleep(0)
+
+        asyncio.run(run())
+        assert list(OPS_LOG.read(logger.path)) == [first, second]
+
+    def test_executor_thread_record_is_written_directly(
+        self, tmp_path, monkeypatch
+    ):
+        logger = OpsLogger(tmp_path / "ops.jsonl")
+        flushes: list[None] = []
+        monkeypatch.setattr(logger, "flush", lambda: flushes.append(None))
+        record = ops_record("simulation", "ok", 0.2, ts=1.0)
+
+        def in_thread() -> str:
+            logger.log(record)
+            return logger.path.read_text()
+
+        async def run() -> str:
+            text = await asyncio.get_running_loop().run_in_executor(
+                None, in_thread
+            )
+            await asyncio.sleep(0)
+            return text
+
+        text = asyncio.run(run())
+        assert [json.loads(text)] == [record]
+        assert flushes == [] and logger.written == 1
 
 
 class TestJobRecordFromEvent:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from dataclasses import asdict, fields
 from typing import Any, Mapping
@@ -16,6 +17,7 @@ from repro.core.checkpoint import load_policies, save_policies
 from repro.core.trainer import train_policy
 from repro.errors import PolicyError, ServeError, ServeOverloaded
 from repro.fleet.spec import JobSpec
+from repro.obs import OPS_LOG, OpsLogger
 from repro.serve import (
     REJECT_DEADLINE,
     REJECT_ERROR,
@@ -37,6 +39,7 @@ from repro.serve import (
     request_from_mapping,
     serve_once,
 )
+from repro.serve.session import DecisionSession
 from repro.sim.telemetry import ClusterObservation, initial_observation
 from repro.soc.chip import Chip
 from repro.soc.presets import exynos5422, tiny_test_chip
@@ -495,6 +498,94 @@ class TestServer:
         replies = asyncio.run(run())
         assert all(isinstance(r, Rejection) for r in replies)
         assert all(r.reason == REJECT_SHUTDOWN for r in replies)
+
+    def test_reply_callbacks_find_their_ops_record_on_disk(
+        self, trained, tmp_path
+    ):
+        chip, policies = trained
+        ops_log = OpsLogger(tmp_path / "ops.jsonl")
+        server = PolicyServer(policies, tiny_test_chip(),
+                              ServeConfig(workers=2), ops_log=ops_log)
+        seen: dict[str, bool] = {}
+
+        def check(request_id: str, future: Any) -> None:
+            on_disk = {r["request_id"] for r in OPS_LOG.read(ops_log.path)}
+            seen[request_id] = request_id in on_disk
+
+        async def run() -> None:
+            await server.start()
+            futures = []
+            for i in range(12):
+                future = server.submit(DecisionRequest(
+                    observation=obs_for(server.chip, utilization=i / 12),
+                    request_id=f"r{i}",
+                ))
+                future.add_done_callback(functools.partial(check, f"r{i}"))
+                futures.append(future)
+            await asyncio.gather(*futures)
+            await server.shutdown()
+
+        asyncio.run(run())
+        assert seen == {f"r{i}": True for i in range(12)}
+
+    def test_shutdown_without_drain_flushes_rejection_records(
+        self, trained, tmp_path
+    ):
+        chip, policies = trained
+        ops_log = OpsLogger(tmp_path / "ops.jsonl")
+        server = PolicyServer(policies, tiny_test_chip(),
+                              ServeConfig(workers=1, queue_size=16),
+                              ops_log=ops_log)
+
+        async def run() -> list[str]:
+            await server.start()
+            futures = [
+                server.submit(DecisionRequest(
+                    observation=obs_for(server.chip), request_id=f"r{i}"
+                ))
+                for i in range(6)
+            ]
+            await server.shutdown(drain=False)
+            # Read before anything else can run on the loop.
+            on_disk = [r["request_id"] for r in OPS_LOG.read(ops_log.path)
+                       if r["outcome"] == f"rejected:{REJECT_SHUTDOWN}"]
+            replies = [await f for f in futures]
+            assert all(isinstance(r, Rejection) for r in replies)
+            return on_disk
+
+        assert sorted(asyncio.run(run())) == [f"r{i}" for i in range(6)]
+        assert server.stats.rejected_shutdown == 6
+
+    def test_unwritable_ops_log_loses_records_not_replies(
+        self, trained, tmp_path
+    ):
+        chip, policies = trained
+        ops_log = OpsLogger(tmp_path)  # a directory: every flush fails
+        server = PolicyServer(policies, tiny_test_chip(),
+                              ServeConfig(workers=2), ops_log=ops_log)
+        observations = [
+            obs_for(server.chip, utilization=(i % 7) / 7) for i in range(20)
+        ]
+
+        async def run() -> tuple[list[Any], bool]:
+            await server.start()
+            futures = [
+                server.submit(DecisionRequest(observation=o,
+                                              request_id=f"r{i}"))
+                for i, o in enumerate(observations)
+            ]
+            replies = await asyncio.wait_for(asyncio.gather(*futures), 10.0)
+            alive = not any(w.done() for w in server._workers)
+            await server.shutdown()
+            return replies, alive
+
+        replies, alive = asyncio.run(run())
+        offline = DecisionSession(policies, tiny_test_chip())
+        assert [r.opp_index for r in replies] == [
+            offline.decide(o) for o in observations
+        ]
+        assert alive
+        assert ops_log.lost == 20 and ops_log.written == 0
 
     def test_submit_after_shutdown_rejected(self, trained):
         server = make_server(trained, workers=1)
