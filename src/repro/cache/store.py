@@ -21,7 +21,9 @@ Entries are one JSON file per key under the cache root
 environment variable or an explicit path).  Writes are atomic
 (temp-file + rename) and **must** go through :meth:`RunCache.store` —
 lint rule RPL601 flags ad-hoc writes under a cache directory, mirroring
-the perf ledger's RPL501 discipline.
+the perf ledger's RPL501 discipline.  Each entry carries a sha256 of
+its canonical ``measurement`` block, so an edited, truncated or
+byte-flipped entry reads as a miss, never as different numbers.
 
 Jobs whose results depend on more than the serialisable spec — a
 ``chip_obj`` escape hatch, a ``policy_config`` override, metric
@@ -50,7 +52,7 @@ DEFAULT_CACHE_DIR = ".repro/cache"
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 """Environment variable overriding the default cache root."""
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 """Bumped when the entry file shape changes incompatibly."""
 
 #: The measurement fields persisted per entry (all floats).
@@ -68,6 +70,12 @@ def resolve_cache_dir(path: str | Path | None = None) -> Path:
     if path is not None:
         return Path(path)
     return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR))
+
+
+def _sha256_json(value: object) -> str:
+    """The sha256 hex digest of a value's canonical JSON."""
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def cacheable(spec: JobSpec) -> bool:
@@ -101,13 +109,11 @@ def cache_key(spec: JobSpec) -> str:
             f"job {spec.job_id} is not cacheable (chip_obj/policy_config/"
             "collect_metrics/trace_dir make its result run-specific)"
         )
-    payload = {
+    return _sha256_json({
         "schema": CACHE_SCHEMA_VERSION,
         "engine_version": ENGINE_VERSION,
         "spec": spec.to_mapping(),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    })
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,9 @@ class RunCache:
         """
         if not cacheable(spec):
             return False
+        fields = {
+            name: getattr(measurement, name) for name in _MEASUREMENT_FIELDS
+        }
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": cache_key(spec),
@@ -195,10 +204,8 @@ class RunCache:
             "job_id": spec.job_id,
             "created_s": time.time(),
             "spec": spec.to_mapping(),
-            "measurement": {
-                name: getattr(measurement, name)
-                for name in _MEASUREMENT_FIELDS
-            },
+            "measurement": fields,
+            "digest": _sha256_json(fields),
         }
         path = self.path_for(entry["key"])
         tmp = path.with_suffix(".tmp")
@@ -215,8 +222,8 @@ class RunCache:
     def _read_entry(self, path: Path) -> JobMeasurement | None:
         """Parse one entry file; any defect is a miss, never an error."""
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
         if not isinstance(data, dict):
             return None
@@ -226,6 +233,8 @@ class RunCache:
             return None
         fields = data.get("measurement")
         if not isinstance(fields, dict):
+            return None
+        if data.get("digest") != _sha256_json(fields):
             return None
         try:
             return JobMeasurement(
@@ -241,9 +250,9 @@ class RunCache:
         entries: list[CacheEntry] = []
         for path in sorted(self.root.glob("*.json")):
             try:
-                data = json.loads(path.read_text())
+                data = json.loads(path.read_text(encoding="utf-8"))
                 size = path.stat().st_size
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError):
                 continue
             if not isinstance(data, dict):
                 continue

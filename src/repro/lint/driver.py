@@ -2,22 +2,23 @@
 
 One run = four stages:
 
-1. **Per-file analysis** — each file is parsed once; every registered
-   per-file rule runs on it and a :class:`ModuleSummary` is extracted
-   from the same tree.  Results are content-addressed in the lint cache
+1. **Per-file analysis** — each file is parsed, tokenised and
+   import-mapped once, into one :class:`~repro.lint.engine.LintContext`
+   that every per-file rule and the :class:`ModuleSummary` read.  The
+   raw findings and the summary are content-addressed in the lint cache
    (:mod:`repro.lint.flow.cache`), so an unchanged file costs one
    sha256 and one JSON read.  With ``jobs > 1`` the cold files fan out
    over a process pool; output order stays deterministic because the
    pool maps over the sorted file list.
-2. **Selection** — cached entries hold *all* rules' findings; the run's
-   ``--select``/``--ignore`` expansion filters them afterwards, which
-   keeps cache entries valid across differently-selected runs.
+2. **Suppression and selection** — each summary's ``# noqa`` map splits
+   the per-file findings into kept and suppressed, and the run's
+   ``--select``/``--ignore`` expansion filters both, which keeps cache
+   entries valid across differently-selected runs.
 3. **Whole-program rules** — the summaries assemble into a
    :class:`~repro.lint.flow.graphs.Project` and the rules that need
    more than one file (determinism RPL001/002, serve-loop blocking
-   RPL701, RPL901/903) run over it; their findings pass through the
-   same ``# noqa`` discipline via the per-file suppression maps.  The
-   stage is skipped when no such rule is selected.
+   RPL701, RPL901/903) run over it; their findings go through the same
+   ``# noqa`` step.  The stage is skipped when no such rule is selected.
 4. **Suppression hygiene** — RPL910 flags ``# noqa: RPLnnn`` comments
    that suppressed nothing, now that the full finding set is known.
 
@@ -27,19 +28,19 @@ runs them over one in-memory source, as if it were the whole program.
 
 from __future__ import annotations
 
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.engine import (
+    _CODE_RE,
     FileResult,
     _guess_project_root,
     all_rules,
     check_file,
+    file_context,
     iter_python_files,
-    parse_source,
     select_rules,
 )
 from repro.lint.findings import Finding
@@ -50,12 +51,9 @@ from repro.lint.flow.cache import (
 )
 from repro.lint.flow.graphs import Project
 from repro.lint.flow.rules import FLOW_CODES, check_project
-from repro.lint.flow.summary import ModuleSummary, summarize_source
-
-_RPL_CODE_RE = re.compile(r"^RPL[0-9]{3}$")
+from repro.lint.flow.summary import ModuleSummary, summarize_context
 
 _UNUSED_NOQA_CODE = "RPL910"
-_UNUSED_NOQA_RULE = "suppressions.unused-noqa"
 
 
 @dataclass
@@ -96,36 +94,23 @@ def _analyze_one(
 def _analyze_source(
     source: str, path: str, root: str | None
 ) -> CachedAnalysis:
-    """One file's per-file findings (all rules) and its summary, both
-    from one parse."""
-    posix = Path(path).as_posix()
-    tree = parse_source(source, posix)
-    result = check_file(source, posix, tree, project_root=root)
-    return CachedAnalysis(
-        findings=tuple(result.findings),
-        suppressed=tuple(result.suppressed),
-        summary=summarize_source(source, posix, tree=tree),
-    )
+    """One file's raw per-file findings (all rules) and its summary, both
+    from one context."""
+    ctx = file_context(source, Path(path).as_posix(), project_root=root)
+    findings = tuple(check_file(ctx))
+    return CachedAnalysis(findings=findings, summary=summarize_context(ctx))
 
 
-def _apply_summary_noqa(
-    findings: Iterable[Finding],
-    by_path: dict[str, ModuleSummary],
+def _apply_noqa(
+    pairs: Iterable[tuple[Finding, ModuleSummary | None]],
 ) -> tuple[list[Finding], list[Finding]]:
-    """Split findings into (kept, suppressed) via the summaries' noqa maps."""
+    """Split findings into (kept, suppressed) by the ``# noqa`` map of
+    the summary paired with each (``None``: no suppressions)."""
     kept: list[Finding] = []
     suppressed: list[Finding] = []
-    for f in findings:
-        summary = by_path.get(f.path)
-        codes = (
-            summary.suppressions.get(f.line, "absent")
-            if summary is not None
-            else "absent"
-        )
-        if codes is None or (codes != "absent" and f.code in codes):
-            suppressed.append(f)
-        else:
-            kept.append(f)
+    for f, summary in pairs:
+        codes = summary.suppressions.get(f.line, ()) if summary is not None else ()
+        (suppressed if codes is None or f.code in codes else kept).append(f)
     return kept, suppressed
 
 
@@ -140,7 +125,7 @@ def _unused_noqa_findings(
     consumed.  The exemptions are documented on
     :class:`repro.lint.rules.suppressions.UnusedSuppressionRule`.
     """
-    known = set(all_rules())
+    known = all_rules()
     findings: list[Finding] = []
     for summary in summaries:
         for line in sorted(summary.suppressions):
@@ -150,7 +135,7 @@ def _unused_noqa_findings(
             for code in codes:
                 if code == _UNUSED_NOQA_CODE:
                     continue
-                if not _RPL_CODE_RE.match(code):
+                if not _CODE_RE.match(code):
                     continue  # some other linter's code
                 if code in known:
                     if code not in selected:
@@ -171,7 +156,7 @@ def _unused_noqa_findings(
                             f"`# noqa: {code}` (dead suppressions hide "
                             "future violations)"
                         ),
-                        rule=_UNUSED_NOQA_RULE,
+                        rule=known[_UNUSED_NOQA_CODE].name,
                         line_text=summary.line_text(line),
                     )
                 )
@@ -182,15 +167,13 @@ def _whole_program(
     analyses: Sequence[CachedAnalysis], selected: set[str]
 ) -> tuple[list[Finding], list[Finding], Project]:
     """Stages 2–4 over per-file analyses: (findings, suppressed, project)."""
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    all_suppressed: list[Finding] = []
-    for analysis in analyses:
-        all_suppressed.extend(analysis.suppressed)
-        findings.extend(f for f in analysis.findings if f.code in selected)
-        suppressed.extend(
-            f for f in analysis.suppressed if f.code in selected
-        )
+    # Every suppressed per-file finding, selected or not, counts
+    # towards RPL910's "used" set.
+    kept, file_suppressed = _apply_noqa(
+        [(f, a.summary) for a in analyses for f in a.findings]
+    )
+    findings = [f for f in kept if f.code in selected]
+    suppressed = [f for f in file_suppressed if f.code in selected]
 
     summaries = [analysis.summary for analysis in analyses]
     project = Project(summaries)
@@ -199,17 +182,21 @@ def _whole_program(
     flow_codes = selected & FLOW_CODES
     if flow_codes:
         raw = check_project(project, codes=flow_codes)
-        kept, flow_suppressed = _apply_summary_noqa(raw, by_path)
+        kept, flow_suppressed = _apply_noqa(
+            [(f, by_path.get(f.path)) for f in raw]
+        )
         findings.extend(kept)
         suppressed.extend(flow_suppressed)
 
     if _UNUSED_NOQA_CODE in selected:
         used = {
             (f.path, f.line, f.code)
-            for f in [*all_suppressed, *flow_suppressed]
+            for f in [*file_suppressed, *flow_suppressed]
         }
         raw = _unused_noqa_findings(summaries, used, selected)
-        kept, dropped = _apply_summary_noqa(raw, by_path)
+        kept, dropped = _apply_noqa(
+            [(f, by_path.get(f.path)) for f in raw]
+        )
         findings.extend(kept)
         suppressed.extend(dropped)
 

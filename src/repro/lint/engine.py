@@ -1,11 +1,13 @@
 """The AST visitor framework behind ``repro check``.
 
-The engine parses each Python file once, annotates the tree with parent
-links, builds an import map, and runs every registered :class:`Rule`
-that applies to the file's package-relative path.  Rules are
+The engine builds one :class:`LintContext` per file
+(:func:`file_context`): the tree with parent links, the import map and
+the ``# noqa`` map.  :func:`check_file` runs every registered
+:class:`Rule` that applies to the file's package-relative path over it,
+and the module summary reads the same context.  Rules are
 :class:`ast.NodeVisitor` subclasses that call :meth:`Rule.report`;
 ``# noqa`` comments (bare, or code-qualified like ``# noqa: RPL001``)
-suppress findings on their line.
+suppress findings on their line, applied once per run by the driver.
 
 Rule registration::
 
@@ -33,6 +35,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -43,7 +46,7 @@ from repro.lint.findings import Finding
 #: Participates in every lint-cache key, so bumping it invalidates all
 #: cached per-file analyses at once — bump on any change that could
 #: alter findings or module summaries for unchanged source.
-LINT_ENGINE_VERSION = "3"
+LINT_ENGINE_VERSION = "4"
 
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
@@ -131,9 +134,12 @@ class LintContext:
     imports: ImportMap
     project_root: Path | None = None
     findings: list[Finding] = field(default_factory=list)
+    #: Per-line ``# noqa`` codes (:func:`noqa_map` of ``source``).
+    noqa: dict[int, set[str] | None] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def lines(self) -> list[str]:
+        """The source split into lines (computed once)."""
         return self.source.splitlines()
 
     def line_text(self, line: int) -> str:
@@ -312,23 +318,6 @@ def noqa_map(source: str) -> dict[int, set[str] | None]:
         return out
 
 
-def _apply_noqa(
-    findings: list[Finding], suppressions: dict[int, set[str] | None]
-) -> tuple[list[Finding], list[Finding]]:
-    kept: list[Finding] = []
-    suppressed: list[Finding] = []
-    _missing = object()
-    for f in findings:
-        codes = suppressions.get(f.line, _missing)
-        if codes is _missing:
-            kept.append(f)
-        elif codes is None or f.code in codes:  # type: ignore[operator]
-            suppressed.append(f)
-        else:
-            kept.append(f)
-    return kept, suppressed
-
-
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
@@ -361,46 +350,51 @@ def parse_source(source: str, path: str) -> ast.Module:
         raise LintError(f"cannot parse {path}: {exc}") from exc
 
 
-def check_file(
-    source: str,
-    path: str,
-    tree: ast.Module,
-    *,
-    project_root: str | Path | None = None,
-) -> FileResult:
-    """Run every per-file rule over one source string living at ``path``.
-
-    This is one stage of an analysis, not a whole one: the rules that
-    need the whole program (RPL001/002, RPL701, RPL9xx) and RPL910 run
-    in :mod:`repro.lint.driver`, whose :func:`~repro.lint.driver.check_source`
-    is the public way to lint one string.
+def file_context(
+    source: str, path: str, *, project_root: str | Path | None = None
+) -> LintContext:
+    """The one per-file context that the rules and the summary read:
+    ``source`` parsed, its parents linked, its import map and ``# noqa``
+    map built, each once.
 
     Args:
         source: Python source text.
-        path: Real or virtual path; its package-relative form drives
-            rule scoping.
-        tree: ``source`` parsed by :func:`parse_source`; the driver
-            reuses the same tree for the file's summary.
+        path: Real or virtual path, as findings should report it; its
+            package-relative form drives rule scoping.
         project_root: Repository root for rules that cross-check other
             files (e.g. the register map); ``None`` disables those
             lookups and the rules fall back to their built-in defaults.
+
+    Raises:
+        LintError: On syntax errors in ``source``.
     """
-    posix = Path(path).as_posix()
+    tree = parse_source(source, path)
     _link_parents(tree)
-    ctx = LintContext(
-        path=posix,
-        module_path=module_relpath(posix),
+    return LintContext(
+        path=path,
+        module_path=module_relpath(path),
         source=source,
         tree=tree,
         imports=ImportMap(tree),
         project_root=Path(project_root) if project_root is not None else None,
+        noqa=noqa_map(source),
     )
+
+
+def check_file(ctx: LintContext) -> list[Finding]:
+    """Run every per-file rule over one file's context: raw, sorted findings.
+
+    This is one stage of an analysis, not a whole one: ``# noqa``
+    suppression, the rules that need the whole program (RPL001/002,
+    RPL701, RPL9xx) and RPL910 run in :mod:`repro.lint.driver`, whose
+    :func:`~repro.lint.driver.check_source` is the public way to lint
+    one string.
+    """
     for rule_cls in all_rules().values():
         if rule_cls.applies_to(ctx.module_path):
             rule_cls(ctx).run()
     ctx.findings.sort()
-    kept, suppressed = _apply_noqa(ctx.findings, noqa_map(source))
-    return FileResult(path=posix, findings=kept, suppressed=suppressed)
+    return ctx.findings
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -421,6 +415,25 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield p
         else:
             raise LintError(f"no such file or directory: {p}")
+
+
+def register_map_path(project_root: str | Path | None) -> Path | None:
+    """The checkout's ``hw/registers.py`` (what RPL203 reads), or ``None``.
+
+    Tries the ``src/`` layout, the flat package layout and a bare
+    ``hw/`` tree, in that order.
+    """
+    if project_root is None:
+        return None
+    root = Path(project_root)
+    for candidate in (
+        root / "src" / "repro" / "hw" / "registers.py",
+        root / "repro" / "hw" / "registers.py",
+        root / "hw" / "registers.py",
+    ):
+        if candidate.is_file():
+            return candidate
+    return None
 
 
 def _guess_project_root(anchor: Path) -> Path:

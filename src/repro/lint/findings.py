@@ -63,30 +63,3 @@ class Finding:
             "message": self.message,
             "rule": self.rule,
         }
-
-    def to_cache_mapping(self) -> dict[str, object]:
-        """Lossless representation for the lint summary cache.
-
-        Unlike :meth:`to_mapping` (the user-facing JSON row), this keeps
-        ``line_text`` so a cache hit can still fingerprint against the
-        baseline.
-        """
-        return {**self.to_mapping(), "line_text": self.line_text}
-
-    @classmethod
-    def from_mapping(cls, data: dict[str, object]) -> Finding:
-        """Rebuild a finding from either mapping shape.
-
-        Raises:
-            KeyError, TypeError, ValueError: On malformed data — callers
-                reading untrusted cache files treat that as a miss.
-        """
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            code=str(data["code"]),
-            message=str(data["message"]),
-            rule=str(data.get("rule", "")),
-            line_text=str(data.get("line_text", "")),
-        )

@@ -18,27 +18,35 @@ input (``hw/registers.py``, read by RPL203), so editing the register
 map re-analyses the ``hw/`` tree even though those sources are
 byte-identical.
 
-Entries are one JSON file per key under ``.repro/lintcache`` (the
+Entries are one file per key under ``.repro/lintcache`` (the
 ``REPRO_LINTCACHE_DIR`` environment variable or an explicit path
-override).  Writes are atomic (temp-file + rename) and best-effort: a
-read-only filesystem degrades to cold analysis, never to failure, and
-corrupt or stale entries count as misses.
-
-Cached entries hold the findings of **all** rules (post-``noqa``); the
-driver filters by the run's ``--select``/``--ignore`` afterwards, which
-keeps entries valid across differently-selected runs.
+override): a JSON header line (schema, lint version, key and the
+sha256 of the payload) and then the canonical JSON of the analysis,
+written by the one codec (:func:`encode`/:func:`decode`, driven by the
+dataclass fields).  The payload holds the raw findings of **all**
+rules, before ``# noqa``; the driver applies the suppressions and the
+run's ``--select``/``--ignore`` afterwards, which keeps entries valid
+across differently-selected runs.  Writes are atomic (temp-file +
+rename) and best-effort: a read-only filesystem degrades to cold
+analysis, never to failure.  A stale, truncated or corrupt entry (a
+digest mismatch, or a value of the wrong type) counts as a miss, never
+as a different analysis.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from repro.lint.engine import LINT_ENGINE_VERSION
+from repro.lint.engine import LINT_ENGINE_VERSION, register_map_path
 from repro.lint.findings import Finding
 from repro.lint.flow.summary import SUMMARY_SCHEMA, ModuleSummary
 
@@ -59,55 +67,100 @@ def resolve_lintcache_dir(path: str | Path | None = None) -> Path:
 def extra_inputs_digest(project_root: str | Path | None) -> str:
     """Digest of the cross-file inputs that can change findings.
 
-    Today that is exactly the register map ``hw/registers.py`` (RPL203
-    parses ``OBS1_REWARD_BITS`` out of it at lint time); the candidate
-    locations mirror :func:`repro.lint.rules.fixedpoint._reward_field_bits`.
-    Absent file → the constant ``"none"``, matching the rule's fallback.
+    Today that is exactly the register map that
+    :func:`~repro.lint.engine.register_map_path` finds (RPL203 parses
+    ``OBS1_REWARD_BITS`` out of it at lint time).  No readable file →
+    the constant ``"none"``, matching the rule's fallback.
     """
-    if project_root is None:
+    path = register_map_path(project_root)
+    if path is None:
         return "none"
-    root = Path(project_root)
-    for candidate in (
-        root / "src" / "repro" / "hw" / "registers.py",
-        root / "repro" / "hw" / "registers.py",
-        root / "hw" / "registers.py",
-    ):
-        if candidate.is_file():
-            try:
-                content = candidate.read_bytes()
-            except OSError:
-                return "none"
-            return hashlib.sha256(content).hexdigest()
-    return "none"
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return "none"
 
 
 @dataclass(frozen=True)
 class CachedAnalysis:
-    """One file's complete analysis: findings (all rules) + summary."""
+    """One file's complete analysis: raw findings (all rules) + summary."""
 
     findings: tuple[Finding, ...]
-    suppressed: tuple[Finding, ...]
     summary: ModuleSummary
 
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in a cache entry."""
-        return {
-            "findings": [f.to_cache_mapping() for f in self.findings],
-            "suppressed": [f.to_cache_mapping() for f in self.suppressed],
-            "summary": self.summary.to_mapping(),
-        }
 
-    @classmethod
-    def from_mapping(cls, data: dict[str, Any]) -> "CachedAnalysis":
-        return cls(
-            findings=tuple(
-                Finding.from_mapping(f) for f in data["findings"]
-            ),
-            suppressed=tuple(
-                Finding.from_mapping(f) for f in data["suppressed"]
-            ),
-            summary=ModuleSummary.from_mapping(data["summary"]),
-        )
+def encode(value: Any) -> Any:
+    """The JSON form of a cached value: dataclasses become objects keyed
+    by field name, tuples and lists arrays, dict keys strings."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): encode(item) for key, item in value.items()}
+    return value
+
+
+def decode(tp: Any, data: Any) -> Any:
+    """Rebuild a ``tp`` from :func:`encode`'s output, checking every value
+    against its declared type.
+
+    Raises:
+        TypeError, ValueError: On a missing or extra key or a wrong type.
+    """
+    return _decoder(tp)(data)
+
+
+def _expect(kind: type, data: Any) -> Any:
+    if type(data) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(data).__name__}")
+    return data
+
+
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """The checking decoder of one type hint, built once per hint."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _record_decoder(tp)
+    if origin is tuple or origin is list:
+        item = _decoder(args[0])
+        build: Callable[[list[Any]], Any] = tuple if origin is tuple else list
+        return lambda data: build([item(x) for x in _expect(list, data)])
+    if origin is dict:
+        key: Callable[[Any], Any] = int if args[0] is int else _decoder(args[0])
+        value = _decoder(args[1])
+        return lambda data: {
+            key(k): value(v) for k, v in _expect(dict, data).items()
+        }
+    if origin is typing.Union or origin is types.UnionType:
+        (inner,) = (_decoder(a) for a in args if a is not type(None))
+        return lambda data: None if data is None else inner(data)
+    return functools.partial(_expect, tp)
+
+
+def _record_decoder(cls: Any) -> Callable[[Any], Any]:
+    """A dataclass from an object holding exactly its fields."""
+    hints = typing.get_type_hints(cls)
+    parts = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls)}
+
+    def record(data: Any) -> Any:
+        if _expect(dict, data).keys() != parts.keys():
+            raise TypeError(f"{cls.__name__} keys {sorted(data)}")
+        return cls(**{name: part(data[name]) for name, part in parts.items()})
+
+    return record
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class SummaryCache:
@@ -131,15 +184,13 @@ class SummaryCache:
         version, the (as-given) file path, the source digest, and the
         cross-file input digest — bump any of them and the key moves.
         """
-        payload = {
+        return _sha256(_canonical({
             "schema": SUMMARY_SCHEMA,
             "lint_version": LINT_ENGINE_VERSION,
             "path": Path(path).as_posix(),
-            "source_sha": hashlib.sha256(source.encode("utf-8")).hexdigest(),
+            "source_sha": _sha256(source),
             "extra_inputs": extra_inputs,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        }))
 
     def path_for(self, key: str) -> Path:
         """The entry file a key maps to."""
@@ -148,8 +199,9 @@ class SummaryCache:
     def probe(self, key: str) -> CachedAnalysis | None:
         """The cached analysis under ``key``, or ``None`` on a miss.
 
-        Absent, corrupt, and stale (schema/version mismatch) entries all
-        count as misses — a damaged cache degrades to recomputation.
+        Absent, corrupt (payload digest or type mismatch) and stale
+        (schema/version mismatch) entries all count as misses — a
+        damaged cache degrades to recomputation.
         """
         entry = self._read_entry(self.path_for(key))
         if entry is None:
@@ -165,17 +217,21 @@ class SummaryCache:
         directory yields ``False`` rather than an error, because lint
         results must not depend on cache health.
         """
-        entry = {
+        payload = _canonical(encode(analysis))
+        header = {
             "schema": SUMMARY_SCHEMA,
             "lint_version": LINT_ENGINE_VERSION,
             "key": key,
-            "analysis": analysis.to_mapping(),
+            "digest": _sha256(payload),
         }
         path = self.path_for(key)
         tmp = path.with_suffix(".tmp")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(entry, sort_keys=True))
+            tmp.write_text(
+                json.dumps(header, sort_keys=True) + "\n" + payload,
+                encoding="utf-8",
+            )
             os.replace(tmp, path)
         except OSError:
             return False
@@ -184,19 +240,19 @@ class SummaryCache:
     def _read_entry(self, path: Path) -> CachedAnalysis | None:
         """Parse one entry file; any defect is a miss, never an error."""
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            text = path.read_text(encoding="utf-8")
+            header_text, _, payload = text.partition("\n")
+            header = json.loads(header_text)
+        except (OSError, ValueError):
             return None
-        if not isinstance(data, dict):
-            return None
-        if data.get("schema") != SUMMARY_SCHEMA:
-            return None
-        if data.get("lint_version") != LINT_ENGINE_VERSION:
-            return None
-        payload = data.get("analysis")
-        if not isinstance(payload, dict):
+        if (
+            not isinstance(header, dict)
+            or header.get("schema") != SUMMARY_SCHEMA
+            or header.get("lint_version") != LINT_ENGINE_VERSION
+            or header.get("digest") != _sha256(payload)
+        ):
             return None
         try:
-            return CachedAnalysis.from_mapping(payload)
-        except (KeyError, TypeError, ValueError):
+            return decode(CachedAnalysis, json.loads(payload))
+        except (TypeError, ValueError):
             return None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.lint.flow.summary import FunctionSummary, ModuleSummary
 
@@ -176,7 +176,8 @@ class ImportGraph:
 
         Tarjan's algorithm, iterative (lint runs inside CI's default
         recursion limit).  Only strongly-connected components with more
-        than one member (or a self-loop) count.
+        than one member count: the graph has no self-loops, because an
+        import of the importing module itself is dropped.
         """
         adj = self.adjacency(include_deferred=False)
         index: dict[str, int] = {}
@@ -220,9 +221,7 @@ class ImportGraph:
                         component.append(member)
                         if member == node:
                             break
-                    if len(component) > 1 or any(
-                        e.src == node and e.dst == node for e in self.edges
-                    ):
+                    if len(component) > 1:
                         sccs.append(sorted(component))
                 work.pop()
                 if work:
@@ -292,12 +291,16 @@ class CallGraph:
         return self._adjacency.get(src, [])
 
     def reachable(
-        self, roots: Iterable[str]
+        self,
+        roots: Iterable[str],
+        follow: Callable[[FunctionSummary], bool] | None = None,
     ) -> dict[str, tuple[str, int] | None]:
         """BFS tree from ``roots``: function id → (parent id, call line).
 
         Roots map to ``None``.  The parent pointers reconstruct the
-        shortest call chain from a root to any reachable function.
+        shortest call chain from a root to any reachable function, and
+        the dict's order is BFS discovery order.  ``follow``, when
+        given, restricts the walk to callees whose summary it accepts.
         """
         parents: dict[str, tuple[str, int] | None] = {}
         frontier: list[str] = []
@@ -311,6 +314,10 @@ class CallGraph:
                 for edge in self.callees(node):
                     if edge.dst in parents:
                         continue
+                    if follow is not None and not follow(
+                        self.index[edge.dst][1]
+                    ):
+                        continue
                     parents[edge.dst] = (node, edge.line)
                     next_frontier.append(edge.dst)
             frontier = next_frontier
@@ -322,17 +329,8 @@ class CallGraph:
     ) -> list[str]:
         """The root → ... → node path reconstructed from a BFS tree."""
         path = [node]
-        seen = {node}
-        cur = node
-        while True:
-            parent = parents.get(cur)
-            if parent is None:
-                break
-            cur = parent[0]
-            if cur in seen:  # pragma: no cover - BFS trees are acyclic
-                break
-            seen.add(cur)
-            path.append(cur)
+        while (parent := parents.get(path[-1])) is not None:
+            path.append(parent[0])
         path.reverse()
         return path
 

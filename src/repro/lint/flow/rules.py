@@ -321,13 +321,21 @@ class BlockingRule(FlowRule):
                     )
                 src_id = f"{module}.{fn.qualname}"
                 for first_hop in calls.callees(src_id):
-                    target = calls.index.get(first_hop.dst)
-                    if target is None or target[1].is_async:
+                    if calls.index[first_hop.dst][1].is_async:
                         continue
-                    hit = cls._find_blocking(calls, first_hop.dst)
-                    if hit is None:
+                    # The nearest blocking function through sync
+                    # callees: the first in BFS discovery order.
+                    parents = calls.reachable(
+                        [first_hop.dst], lambda f: not f.is_async
+                    )
+                    hazard_fn = next(
+                        (f for f in parents if calls.index[f][1].blocking),
+                        None,
+                    )
+                    if hazard_fn is None:
                         continue
-                    chain, hazard_fn, hazard = hit
+                    chain = CallGraph.chain(parents, hazard_fn)
+                    hazard = calls.index[hazard_fn][1].blocking[0]
                     key = (src_id, first_hop.line, hazard_fn, hazard.line)
                     if key in seen:
                         continue
@@ -369,40 +377,6 @@ class BlockingRule(FlowRule):
             f"sync file I/O ({hazard.origin}) blocks the serve event "
             "loop; move it to a thread via loop.run_in_executor"
         )
-
-    @classmethod
-    def _find_blocking(
-        cls, calls: CallGraph, start: str
-    ) -> tuple[list[str], str, Hazard] | None:
-        """BFS through sync callees for the nearest blocking hazard.
-
-        Returns (chain from ``start`` to the hazard's function, hazard
-        function id, hazard) or ``None``.
-        """
-        parents: dict[str, tuple[str, int] | None] = {start: None}
-        frontier = [start]
-        while frontier:
-            next_frontier: list[str] = []
-            for node in frontier:
-                entry = calls.index.get(node)
-                if entry is None:
-                    continue
-                _module, fn = entry
-                if fn.blocking:
-                    chain = CallGraph.chain(parents, node)
-                    return chain, node, fn.blocking[0]
-                for edge in calls.callees(node):
-                    target = calls.index.get(edge.dst)
-                    if (
-                        target is None
-                        or target[1].is_async
-                        or edge.dst in parents
-                    ):
-                        continue
-                    parents[edge.dst] = (node, edge.line)
-                    next_frontier.append(edge.dst)
-            frontier = next_frontier
-        return None
 
 
 #: The whole-program rules, in code order — the driver iterates this.

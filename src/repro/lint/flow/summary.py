@@ -1,8 +1,10 @@
 """Per-file analysis summaries: the unit of whole-program linting.
 
 A :class:`ModuleSummary` is everything the flow rules need to know
-about one file, extracted in a single AST pass and small enough to
-serialise (the summary cache stores it as JSON):
+about one file, extracted from the file's one
+:class:`~repro.lint.engine.LintContext` (the same tree, import map and
+``# noqa`` map the per-file rules read) and small enough to serialise
+(the summary cache stores it as JSON):
 
 * every import, with its line and whether it is *deferred* (made inside
   a function body rather than at module level) — the import graph and
@@ -35,13 +37,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
-from repro.lint.engine import ImportMap, module_relpath, noqa_map
+from repro.lint.engine import ImportMap, LintContext, file_context, module_relpath
 
 #: Bumped when the summary shape (or its extraction semantics) changes;
 #: part of the cache key, so stale summaries invalidate themselves.
-SUMMARY_SCHEMA = 2
+SUMMARY_SCHEMA = 3
 
 
 def module_name(path: str) -> str:
@@ -77,16 +79,6 @@ class ImportRecord:
     line: int
     deferred: bool
 
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in the summary cache."""
-        return {"target": self.target, "line": self.line,
-                "deferred": self.deferred}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "ImportRecord":
-        return cls(target=str(data["target"]), line=int(data["line"]),
-                   deferred=bool(data["deferred"]))
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -102,15 +94,6 @@ class CallSite:
     line: int
     kind: str
 
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in the summary cache."""
-        return {"target": self.target, "line": self.line, "kind": self.kind}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "CallSite":
-        return cls(target=str(data["target"]), line=int(data["line"]),
-                   kind=str(data["kind"]))
-
 
 @dataclass(frozen=True)
 class Hazard:
@@ -120,16 +103,6 @@ class Hazard:
     line: int
     code: str
     col: int = 0
-
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in the summary cache."""
-        return {"origin": self.origin, "line": self.line, "code": self.code,
-                "col": self.col}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "Hazard":
-        return cls(origin=str(data["origin"]), line=int(data["line"]),
-                   code=str(data["code"]), col=int(data["col"]))
 
 
 @dataclass(frozen=True)
@@ -146,17 +119,6 @@ class AwaitHazard:
     await_line: int
     first_line: int
 
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in the summary cache."""
-        return {"attr": self.attr, "write_line": self.write_line,
-                "await_line": self.await_line, "first_line": self.first_line}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "AwaitHazard":
-        return cls(attr=str(data["attr"]), write_line=int(data["write_line"]),
-                   await_line=int(data["await_line"]),
-                   first_line=int(data["first_line"]))
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -169,32 +131,6 @@ class FunctionSummary:
     nondet: tuple[Hazard, ...] = ()
     blocking: tuple[Hazard, ...] = ()
     await_hazards: tuple[AwaitHazard, ...] = ()
-
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in the summary cache."""
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "is_async": self.is_async,
-            "calls": [c.to_mapping() for c in self.calls],
-            "nondet": [h.to_mapping() for h in self.nondet],
-            "blocking": [h.to_mapping() for h in self.blocking],
-            "await_hazards": [h.to_mapping() for h in self.await_hazards],
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),
-            is_async=bool(data["is_async"]),
-            calls=tuple(CallSite.from_mapping(c) for c in data["calls"]),
-            nondet=tuple(Hazard.from_mapping(h) for h in data["nondet"]),
-            blocking=tuple(Hazard.from_mapping(h) for h in data["blocking"]),
-            await_hazards=tuple(
-                AwaitHazard.from_mapping(h) for h in data["await_hazards"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -218,47 +154,6 @@ class ModuleSummary:
     def line_text(self, line: int) -> str:
         """The stripped source text of one line (1-based), or empty."""
         return self.line_texts.get(line, "")
-
-    def to_mapping(self) -> dict[str, Any]:
-        """The JSON-serialisable form stored in the summary cache."""
-        return {
-            "schema": SUMMARY_SCHEMA,
-            "path": self.path,
-            "module_path": self.module_path,
-            "module": self.module,
-            "imports": [i.to_mapping() for i in self.imports],
-            "functions": [f.to_mapping() for f in self.functions],
-            "nondet": [h.to_mapping() for h in self.nondet],
-            "suppressions": {
-                str(line): codes for line, codes in self.suppressions.items()
-            },
-            "line_texts": {
-                str(line): text for line, text in self.line_texts.items()
-            },
-        }
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=str(data["path"]),
-            module_path=str(data["module_path"]),
-            module=str(data["module"]),
-            imports=tuple(
-                ImportRecord.from_mapping(i) for i in data["imports"]
-            ),
-            functions=tuple(
-                FunctionSummary.from_mapping(f) for f in data["functions"]
-            ),
-            nondet=tuple(Hazard.from_mapping(h) for h in data["nondet"]),
-            suppressions={
-                int(line): (None if codes is None else [str(c) for c in codes])
-                for line, codes in data["suppressions"].items()
-            },
-            line_texts={
-                int(line): str(text)
-                for line, text in data["line_texts"].items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +479,24 @@ def _collect_imports(tree: ast.Module) -> list[ImportRecord]:
     return records
 
 
-def summarize_source(
-    source: str, path: str, tree: ast.Module | None = None
-) -> ModuleSummary:
-    """Extract one file's :class:`ModuleSummary`.
+def summarize_source(source: str, path: str) -> ModuleSummary:
+    """Extract one file's :class:`ModuleSummary` from its source; the
+    real or virtual ``path`` drives the module id and scoping.
 
-    Args:
-        source: Python source text.
-        path: Real or virtual path; drives the module id and scoping.
-        tree: An already-parsed AST to reuse (the driver parses once for
-            the per-file rules and hands the tree in here).
+    Raises:
+        LintError: On syntax errors in ``source``.
     """
-    if tree is None:
-        tree = ast.parse(source, filename=path)
-    imports = ImportMap(tree)
+    return summarize_context(file_context(source, path))
+
+
+def summarize_context(ctx: LintContext) -> ModuleSummary:
+    """Extract the :class:`ModuleSummary` of one file's lint context.
+
+    The driver builds the context once and hands it to the per-file
+    rules and to this function, so each file is tokenised and
+    import-mapped once.
+    """
+    tree, imports = ctx.tree, ctx.imports
     local_defs = {
         stmt.name
         for stmt in tree.body
@@ -636,19 +535,13 @@ def summarize_source(
     import_records = _collect_imports(tree)
     suppressions = {
         line: (None if codes is None else sorted(codes))
-        for line, codes in noqa_map(source).items()
+        for line, codes in ctx.noqa.items()
     }
-
-    lines = source.splitlines()
-
-    def text(line: int) -> str:
-        return lines[line - 1] if 1 <= line <= len(lines) else ""
 
     referenced: set[int] = set()
     # noqa lines included so RPL910 findings can fingerprint themselves.
     referenced.update(suppressions)
-    for rec in import_records:
-        referenced.add(rec.line)
+    referenced.update(rec.line for rec in import_records)
     referenced.update(h.line for h in module_nondet)
     for fn in functions:
         referenced.add(fn.line)
@@ -657,7 +550,7 @@ def summarize_source(
         referenced.update(h.line for h in fn.blocking)
         referenced.update(h.write_line for h in fn.await_hazards)
 
-    posix_path = path.replace("\\", "/")
+    posix_path = ctx.path.replace("\\", "/")
     return ModuleSummary(
         path=posix_path,
         module_path=module_relpath(posix_path),
@@ -666,5 +559,5 @@ def summarize_source(
         functions=tuple(functions),
         nondet=tuple(module_nondet),
         suppressions=suppressions,
-        line_texts={line: text(line) for line in sorted(referenced)},
+        line_texts={line: ctx.line_text(line) for line in sorted(referenced)},
     )

@@ -68,27 +68,14 @@ class SetIterationRule(Rule):
             self.report(node.iter, self._MESSAGE)
         self.generic_visit(node)
 
-    def _check_comprehensions(self, node: ast.AST) -> None:
-        for gen in getattr(node, "generators", []):
+    def _visit_comprehension(
+        self, node: ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp
+    ) -> None:
+        """Flag set-sourced generators in a comprehension."""
+        for gen in node.generators:
             if _is_set_expr(gen.iter):
                 self.report(gen.iter, self._MESSAGE)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        """Flag set-sourced generators in list comprehensions."""
-        self._check_comprehensions(node)
         self.generic_visit(node)
 
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        """Flag set-sourced generators in set comprehensions."""
-        self._check_comprehensions(node)
-        self.generic_visit(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        """Flag set-sourced generators in dict comprehensions."""
-        self._check_comprehensions(node)
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        """Flag set-sourced generator expressions."""
-        self._check_comprehensions(node)
-        self.generic_visit(node)
+    visit_ListComp = visit_SetComp = _visit_comprehension
+    visit_DictComp = visit_GeneratorExp = _visit_comprehension

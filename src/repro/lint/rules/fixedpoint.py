@@ -27,7 +27,13 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.engine import LintContext, Rule, ancestors, register
+from repro.lint.engine import (
+    LintContext,
+    Rule,
+    ancestors,
+    register,
+    register_map_path,
+)
 
 _DATAPATH_SCOPE = ("hw/datapath.py", "hw/fixed_point.py")
 
@@ -141,30 +147,23 @@ def _reward_field_bits(ctx: LintContext) -> int:
     the ``OBS1_REWARD_BITS`` constant) cannot be found — e.g. when
     linting a detached fixture file.
     """
-    root = ctx.project_root
-    if root is None:
+    path = register_map_path(ctx.project_root)
+    if path is None:
         return _FALLBACK_REWARD_BITS
-    for candidate in (
-        root / "src" / "repro" / "hw" / "registers.py",
-        root / "repro" / "hw" / "registers.py",
-        root / "hw" / "registers.py",
-    ):
-        if candidate.is_file():
-            try:
-                tree = ast.parse(candidate.read_text(encoding="utf-8"))
-            except SyntaxError:
-                return _FALLBACK_REWARD_BITS
-            for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id == "OBS1_REWARD_BITS"
-                    and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, int)
-                ):
-                    return node.value.value
-            return _FALLBACK_REWARD_BITS
+    try:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+    except SyntaxError:
+        return _FALLBACK_REWARD_BITS
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "OBS1_REWARD_BITS"
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, int)
+        ):
+            return node.value.value
     return _FALLBACK_REWARD_BITS
 
 

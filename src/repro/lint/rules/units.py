@@ -171,15 +171,12 @@ class SuffixlessQuantityRule(Rule):
     )
     scope = _RETURN_PATH_SCOPE
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Check a function's name for a declared unit."""
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        """Check a (sync or async) function's name for a declared unit."""
         self._check(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Check an async function's name for a declared unit."""
-        self._check(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def _check(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         name = node.name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.soc.chip import Chip
 from repro.soc.cluster import ClusterSpec
@@ -82,3 +83,27 @@ def steady_trace() -> Trace:
         for i in range(30)
     ]
     return Trace(units=units, name="steady", duration_s=1.1)
+
+
+def damaged(data: st.DataObject, raw: bytes) -> bytes:
+    """A cache entry's bytes truncated, with one byte flipped, or with one
+    digit turned into another digit (which still parses: only a digest
+    tells the edit apart).
+
+    Positions are drawn in a fixed range and reduced modulo the length,
+    so generation does not depend on the entry's length (run-cache
+    entries carry a wall-clock stamp).
+    """
+    at = data.draw(st.integers(0, 1 << 16), label="at")
+    how = data.draw(st.sampled_from(["truncate", "flip", "digit"]), label="how")
+    if how == "truncate":
+        return raw[: at % len(raw)]
+    if how == "digit":
+        digits = [i for i, byte in enumerate(raw) if chr(byte).isdigit()]
+        i = digits[at % len(digits)]
+        step = data.draw(st.integers(1, 9), label="step")
+        new = ord("0") + (raw[i] - ord("0") + step) % 10
+    else:
+        i = at % len(raw)
+        new = raw[i] ^ data.draw(st.integers(1, 255), label="mask")
+    return raw[:i] + bytes([new]) + raw[i + 1:]

@@ -6,6 +6,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache import (
     CACHE_ENV_VAR,
@@ -26,6 +28,8 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.soc.presets import tiny_test_chip
+
+from conftest import damaged
 
 
 def _spec(**kw) -> JobSpec:
@@ -98,6 +102,33 @@ class TestStore:
         cache.store(spec, _measurement())
         cache.path_for(cache_key(spec)).write_text("{not json")
         assert cache.probe(spec) is None
+
+    def test_edited_measurement_is_a_miss(self, tmp_path):
+        cache = RunCache(tmp_path)
+        spec = _spec()
+        cache.store(spec, _measurement())
+        path = cache.path_for(cache_key(spec))
+        text = path.read_text()
+        assert '"energy_j": 1.25' in text
+        path.write_text(text.replace('"energy_j": 1.25', '"energy_j": 1.95'))
+        assert cache.probe(spec) is None
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_or_flipped_entry_never_reads_wrong(
+        self, tmp_path, data
+    ):
+        cache = RunCache(tmp_path)
+        spec, m = _spec(), _measurement()
+        assert cache.store(spec, m)
+        path = cache.path_for(cache_key(spec))
+        path.write_bytes(damaged(data, path.read_bytes()))
+        got = cache.probe(spec)
+        assert got is None or got == m
 
     def test_stale_engine_version_is_a_miss(self, tmp_path):
         cache = RunCache(tmp_path)

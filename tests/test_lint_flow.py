@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.lint import analyze_paths, check_source
 from repro.lint.baseline import Baseline, filter_findings
-from repro.lint.engine import LINT_ENGINE_VERSION
+from repro.lint.driver import _analyze_source
+from repro.lint.engine import LINT_ENGINE_VERSION, ImportMap, register_map_path
 from repro.lint.flow import (
     CallGraph,
     ImportGraph,
@@ -24,6 +28,9 @@ from repro.lint.flow import (
     module_name,
     summarize_source,
 )
+from repro.lint.flow.cache import decode, encode
+
+from conftest import damaged
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -185,12 +192,35 @@ class TestModuleSummary:
         assert [fn.qualname for fn in s.functions] == ["f", "C.g", "C.g.h"]
 
     def test_round_trip_mapping(self):
-        s = summarize_source(
-            "import time\n\n\ndef f():  # noqa: RPL001\n    return time.time()\n",
-            "sim/x.py",
-        )
-        again = type(s).from_mapping(s.to_mapping())
-        assert again == s
+        # Every file of the lint package, plus one with a per-file finding
+        # (RPL003), whose rule and line_text Finding equality skips.
+        cases = [
+            (path.read_text(encoding="utf-8"), str(path), str(REPO_ROOT))
+            for path in sorted((SRC / "repro" / "lint").rglob("*.py"))
+        ]
+        cases.append(("for x in {1, 2}:\n    pass  # noqa\n", "sim/x.py", None))
+        for source, path, root in cases:
+            analysis = _analyze_source(source, path, root)
+            payload = json.loads(json.dumps(encode(analysis)))
+            again = decode(CachedAnalysis, payload)
+            assert again == analysis, path
+            assert [(f.rule, f.line_text) for f in again.findings] == [
+                (f.rule, f.line_text) for f in analysis.findings
+            ]
+        assert [f.code for f in analysis.findings] == ["RPL003"]
+
+    def test_decode_checks_every_value(self):
+        summary = summarize_source("import time\n", "sim/x.py")
+        good = encode(summary)
+        assert decode(type(summary), good) == summary
+        wrong_type = {**good, "imports": [{**good["imports"][0], "line": "1"}]}
+        bool_for_int = {**good, "imports": [{**good["imports"][0], "line": True}]}
+        missing = {k: v for k, v in good.items() if k != "nondet"}
+        extra = {**good, "schema": 3}
+        bad_key = {**good, "line_texts": {"one": "import time"}}
+        for data in (wrong_type, bool_for_int, missing, extra, bad_key):
+            with pytest.raises((TypeError, ValueError)):
+                decode(type(summary), data)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +785,7 @@ class TestSummaryCache:
         assert old.store(
             SummaryCache.key(str(path), source, extra_inputs_digest(None)),
             CachedAnalysis(
-                findings=tuple(per_file), suppressed=(),
+                findings=tuple(per_file),
                 summary=summarize_source(source, str(path)),
             ),
         )
@@ -770,7 +800,7 @@ class TestSummaryCache:
         source = "def f():\n    return 1\n"
         key = SummaryCache.key("sim/x.py", source)
         analysis = CachedAnalysis(
-            findings=(), suppressed=(),
+            findings=(),
             summary=summarize_source(source, "sim/x.py"),
         )
         assert cache.store(key, analysis)
@@ -778,6 +808,40 @@ class TestSummaryCache:
         cache.path_for(key).write_text("{not json")
         assert cache.probe(key) is None
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_edited_value_is_a_miss(self, tmp_path):
+        cache = SummaryCache(tmp_path / "cache")
+        source = "import time\n\n\ndef f():\n    return time.time()\n"
+        key = SummaryCache.key("sim/x.py", source)
+        assert cache.store(key, _analyze_source(source, "sim/x.py", None))
+        path = cache.path_for(key)
+        text = path.read_text()
+        assert '"line":4' in text
+        path.write_text(text.replace('"line":4', '"line":3', 1))
+        assert cache.probe(key) is None
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_or_flipped_entry_never_decodes_wrong(
+        self, tmp_path, data
+    ):
+        cache = SummaryCache(tmp_path / "cache")
+        source = (
+            "import time\n\n\nasync def handle(self):  # noqa: RPL001\n"
+            "    x = self.n\n    await self.wait()\n    self.n = x + 1\n"
+            "    return time.time()\n"
+        )
+        key = SummaryCache.key("serve/x.py", source)
+        analysis = _analyze_source(source, "serve/x.py", None)
+        assert cache.store(key, analysis)
+        path = cache.path_for(key)
+        path.write_bytes(damaged(data, path.read_bytes()))
+        got = cache.probe(key)
+        assert got is None or got == analysis
 
     def test_key_depends_on_extra_inputs(self):
         a = SummaryCache.key("hw/x.py", "x = 1\n", "digest-a")
@@ -794,6 +858,61 @@ class TestSummaryCache:
         assert first != "none"
         reg.write_text("OBS1_REWARD_BITS = 12\n")
         assert extra_inputs_digest(tmp_path) != first
+
+    @pytest.mark.parametrize(
+        "layout", ["src/repro/hw", "repro/hw", "hw"]
+    )
+    def test_rule_and_digest_read_the_same_register_map(
+        self, tmp_path, layout
+    ):
+        from repro.lint.rules.fixedpoint import _reward_field_bits
+
+        # Every layout deeper in the search order holds a decoy, so a
+        # locator that skipped this layout would read 20 bits.
+        order = ["src/repro/hw", "repro/hw", "hw"]
+        for rel in order[order.index(layout):]:
+            reg = tmp_path / rel / "registers.py"
+            reg.parent.mkdir(parents=True)
+            bits = 9 if rel == layout else 20
+            reg.write_text(f"OBS1_REWARD_BITS = {bits}\n")
+        chosen = tmp_path / layout / "registers.py"
+        assert register_map_path(tmp_path) == chosen
+
+        class Ctx:
+            project_root = tmp_path
+
+        assert _reward_field_bits(Ctx) == 9
+        assert extra_inputs_digest(tmp_path) == hashlib.sha256(
+            chosen.read_bytes()
+        ).hexdigest()
+
+    def test_cold_file_tokenised_and_import_mapped_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.lint.engine as engine
+        import repro.lint.flow.summary as summary
+
+        counts = {"noqa_map": 0, "ImportMap": 0}
+        real_noqa_map = engine.noqa_map
+        real_init = ImportMap.__init__
+
+        def counting_noqa_map(source):
+            counts["noqa_map"] += 1
+            return real_noqa_map(source)
+
+        def counting_init(self, tree):
+            counts["ImportMap"] += 1
+            real_init(self, tree)
+
+        monkeypatch.setattr(engine, "noqa_map", counting_noqa_map)
+        # Also bind the name in the summary module, so a tokenise pass of
+        # its own there would still be counted.
+        monkeypatch.setattr(summary, "noqa_map", counting_noqa_map, raising=False)
+        monkeypatch.setattr(ImportMap, "__init__", counting_init)
+        root = self.taint_tree(tmp_path)
+        r = analyze_paths([root], cache_dir=tmp_path / "cache")
+        assert r.cache_misses == r.files_checked == 3
+        assert counts == {"noqa_map": 3, "ImportMap": 3}
 
 
 # ---------------------------------------------------------------------------
