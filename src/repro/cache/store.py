@@ -33,6 +33,7 @@ cacheable and bypass the cache entirely (:func:`cacheable`).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -184,9 +185,11 @@ class RunCache:
         """Persist one completed measurement; returns whether it was stored.
 
         Non-cacheable specs are skipped (``False``).  The write is
-        atomic — the entry appears fully formed or not at all — so
-        concurrent fleets racing on the same spec simply overwrite each
-        other with identical content.
+        atomic — the entry appears fully formed or not at all: each
+        writer fills its own temp file in the cache directory and
+        renames it over the entry.  Concurrent fleets racing on the same
+        spec store the same measurement, but entries differ in
+        ``created_s``; the last complete rename wins.
 
         Raises:
             CacheError: If the cache directory cannot be created or
@@ -208,11 +211,20 @@ class RunCache:
             "digest": _sha256_json(fields),
         }
         path = self.path_for(entry["key"])
-        tmp = path.with_suffix(".tmp")
+        # A name of its own per writer, ending in ".tmp" so clear()
+        # removes one a crash left behind.
+        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(entry, sort_keys=True))
-            os.replace(tmp, path)
+            out = tmp.open("x", encoding="utf-8")
+            try:
+                with out:
+                    out.write(json.dumps(entry, sort_keys=True))
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    tmp.unlink()
+                raise
         except OSError as exc:
             raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
         if OBS.enabled:

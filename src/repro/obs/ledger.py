@@ -59,6 +59,69 @@ class LedgerRead(list[Any]):
         self.torn = torn
 
 
+class KeyLayout:
+    """One record shape, compiled once: its keys and how to encode them.
+
+    Built by :meth:`LedgerKind.layout`, which caches one per key tuple.
+
+    Attributes:
+        keys: The keys, in the order :meth:`encode` takes values.
+        missing: The kind's required fields absent from ``keys``.
+        template: When every key is a ``str``, a ``%``-template of the
+            keys in sorted order, each key already JSON-encoded (a ``%``
+            in a key doubled); otherwise ``None``.
+    """
+
+    __slots__ = ("keys", "missing", "template", "_order")
+
+    def __init__(self, keys: tuple[Any, ...], fields: tuple[str, ...]) -> None:
+        present = set(keys)
+        if len(present) != len(keys):
+            raise ValueError(f"a key layout repeats a key: {keys!r}")
+        self.keys = keys
+        self.missing = tuple(f for f in fields if f not in present)
+        self.template: str | None = None
+        # Takes values from key order to sorted order.
+        self._order: tuple[int, ...] = ()
+        if all(type(key) is str for key in keys):
+            self._order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+            self.template = "{" + ", ".join(
+                encode_basestring_ascii(keys[i]).replace("%", "%%") + ": %s"
+                for i in self._order
+            ) + "}"
+
+    def encode(self, values: Sequence[Any]) -> str:
+        """``json.dumps(dict(zip(keys, values)), sort_keys=True)``, faster
+        for flat records.
+
+        A flat record has only ``str`` keys and values of exact type
+        ``str``, ``int`` or finite ``float``.  Its values fill the
+        template: strings through ``encode_basestring_ascii``, ints
+        through ``int.__repr__`` and floats through ``float.__repr__``,
+        as the C encoder does.  Anything else (bools, ``None``, NaN and
+        infinities, subclasses, nested values, non-``str`` keys) goes
+        through the shared encoder, which also raises what
+        ``json.dumps`` would.
+        """
+        template = self.template
+        if template is not None:
+            parts: list[str] = []
+            for i in self._order:
+                value = values[i]
+                kind = type(value)
+                if kind is str:
+                    parts.append(encode_basestring_ascii(value))
+                elif kind is int:
+                    parts.append(int.__repr__(value))
+                elif kind is float and isfinite(value):
+                    parts.append(float.__repr__(value))
+                else:
+                    break
+            else:
+                return template % tuple(parts)
+        return _ENCODER.encode(dict(zip(self.keys, values)))
+
+
 @dataclass(frozen=True)
 class LedgerKind:
     """How one ledger validates, encodes and decodes its records.
@@ -80,71 +143,78 @@ class LedgerKind:
     fields: tuple[str, ...] = ()
     encode: Callable[[Any], dict[str, Any]] = dict
     decode: Callable[[dict[str, Any]], Any] = _as_is
-    #: Key tuple (in insertion order) -> the keys sorted, each with its
-    #: encoded ``"key": `` prefix.  One writer's records share a few key
-    #: tuples, so the cache stays small.
-    _layouts: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = field(
+    #: Key tuple (in insertion order) -> its compiled :class:`KeyLayout`.
+    #: One writer's records share a few key tuples, so the cache stays
+    #: small.
+    _layouts: dict[tuple[Any, ...], KeyLayout] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def sorted_json(self, mapping: dict[Any, Any]) -> str:
-        """``json.dumps(mapping, sort_keys=True)``, faster for flat records.
+    def layout(self, keys: tuple[Any, ...]) -> KeyLayout:
+        """The compiled layout of one key tuple, cached on the kind.
 
-        A flat record has only ``str`` keys and values of exact type
-        ``str``, ``int`` or finite ``float``.  It is encoded through a
-        sorted key layout cached per key tuple: strings through
-        ``encode_basestring_ascii``, ints through ``int.__repr__`` and
-        floats through ``float.__repr__``, as the C encoder does.
-        Anything else (bools, ``None``, NaN and infinities, subclasses,
-        nested values, non-``str`` keys) goes through the shared
-        encoder, which also raises what ``json.dumps`` would.
+        Writers with a fixed record shape compile theirs once, at
+        import, and pass values by position to :meth:`values_line`.
+
+        Raises:
+            ValueError: When ``keys`` repeats a key.
         """
-        keys = tuple(mapping)
         layout = self._layouts.get(keys)
         if layout is None:
-            if not all(type(key) is str for key in keys):
-                return _ENCODER.encode(mapping)
-            layout = tuple(
-                (key, f"{encode_basestring_ascii(key)}: ")
-                for key in sorted(keys)
-            )
-            if len(self._layouts) < _MAX_LAYOUTS:
+            layout = KeyLayout(keys, self.fields)
+            # Only str-keyed layouts are cached: equal keys of other
+            # types (0, 0.0 and False) would share one layout but not
+            # one encoding.
+            if layout.template is not None and len(self._layouts) < _MAX_LAYOUTS:
                 self._layouts[keys] = layout
-        parts: list[str] = []
-        for key, prefix in layout:
-            value = mapping[key]
-            kind = type(value)
-            if kind is str:
-                parts.append(prefix + encode_basestring_ascii(value))
-            elif kind is int:
-                parts.append(prefix + int.__repr__(value))
-            elif kind is float and isfinite(value):
-                parts.append(prefix + float.__repr__(value))
-            else:
-                return _ENCODER.encode(mapping)
-        return "{" + ", ".join(parts) + "}"
+        return layout
+
+    def sorted_json(self, mapping: dict[Any, Any]) -> str:
+        """``json.dumps(mapping, sort_keys=True)``, through the mapping's
+        key layout (see :meth:`KeyLayout.encode`)."""
+        return self.layout(tuple(mapping)).encode(tuple(mapping.values()))
+
+    def values_line(self, layout: KeyLayout, values: Sequence[Any]) -> str:
+        """Validate and encode one record given by position.
+
+        ``values`` are in ``layout.keys`` order, and ``layout`` comes
+        from :meth:`layout`, which checked its keys against
+        :attr:`fields` once.  Returns the line: sorted-key JSON, equal
+        to ``json.dumps(dict(zip(layout.keys, values)), sort_keys=True)``,
+        plus a newline.
+
+        Raises:
+            ReproError: ``self.error`` when required fields are missing,
+                the value count differs from the key count, or a value
+                is not JSON-serialisable.
+        """
+        if layout.missing:
+            raise self.error(f"{self.noun} missing fields {list(layout.missing)}")
+        if len(values) != len(layout.keys):
+            raise self.error(
+                f"{self.noun} has {len(values)} value(s) for "
+                f"{len(layout.keys)} key(s)"
+            )
+        try:
+            return f"{layout.encode(values)}\n"
+        except (TypeError, ValueError) as exc:
+            raise self.error(
+                f"{self.noun} is not JSON-serialisable: {exc}"
+            ) from exc
 
     def line(self, record: Any) -> tuple[dict[str, Any], str]:
         """Validate and encode one record without writing it.
 
-        Returns the stored mapping and its line: sorted-key JSON, equal
-        to ``json.dumps(mapping, sort_keys=True)``, plus a newline.
+        Returns the stored mapping and its line, from :meth:`values_line`
+        over the mapping's key layout.
 
         Raises:
             ReproError: ``self.error`` when required fields are missing
                 or the record is not JSON-serialisable.
         """
         mapping = self.encode(record)
-        missing = [f for f in self.fields if f not in mapping]
-        if missing:
-            raise self.error(f"{self.noun} missing fields {missing}")
-        try:
-            text = self.sorted_json(mapping)
-        except (TypeError, ValueError) as exc:
-            raise self.error(
-                f"{self.noun} is not JSON-serialisable: {exc}"
-            ) from exc
-        return mapping, f"{text}\n"
+        layout = self.layout(tuple(mapping))
+        return mapping, self.values_line(layout, tuple(mapping.values()))
 
     @staticmethod
     def write(path: Path, text: str) -> None:

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ObsError
-from repro.obs.ledger import LedgerKind, LedgerRead
+from repro.obs.ledger import KeyLayout, LedgerKind, LedgerRead
 
 if TYPE_CHECKING:
     import asyncio
@@ -78,17 +78,33 @@ OPS_LOG = LedgerKind(
 )
 
 
-def ops_record(
-    kind: str,
-    outcome: str,
-    latency_s: float,
-    queue_wait_s: float = 0.0,
-    trace_id: str = "",
-    request_id: str = "",
-    ts: float | None = None,
-    **extra: Any,
-) -> dict[str, Any]:
-    """A schema-complete ops record (not yet written anywhere).
+#: The keys each kind of :class:`repro.serve.PolicyServer` record adds
+#: after the required seven.
+SERVED_KEYS: dict[str, tuple[str, ...]] = {
+    "decision": ("session", "cluster"),
+    "simulation": ("job_id",),
+    "health": (),
+    "stats": (),
+}
+
+#: The compiled key layout of every record the policy server logs
+#: through :meth:`OpsLogger.log_served`, by kind and by whether it
+#: carries a ``detail`` (a rejection's): the seven required fields in
+#: :func:`ops_record`'s order, the kind's :data:`SERVED_KEYS`, then
+#: ``detail``.
+_SERVED_LAYOUTS: dict[tuple[str, bool], KeyLayout] = {
+    (kind, detailed): OPS_LOG.layout(
+        OPS_RECORD_FIELDS + keys + (("detail",) if detailed else ())
+    )
+    for kind, keys in SERVED_KEYS.items()
+    for detailed in (False, True)
+}
+
+
+def _check_record(
+    kind: str, outcome: str, latency_s: float, queue_wait_s: float
+) -> None:
+    """The checks every ops record passes, however it is built.
 
     Raises:
         ObsError: On an unknown ``kind``, an empty ``outcome``, or a
@@ -105,6 +121,25 @@ def ops_record(
             f"ops record latencies cannot be negative: "
             f"latency_s={latency_s}, queue_wait_s={queue_wait_s}"
         )
+
+
+def ops_record(
+    kind: str,
+    outcome: str,
+    latency_s: float,
+    queue_wait_s: float = 0.0,
+    trace_id: str = "",
+    request_id: str = "",
+    ts: float | None = None,
+    **extra: Any,
+) -> dict[str, Any]:
+    """A schema-complete ops record (not yet written anywhere).
+
+    Raises:
+        ObsError: On an unknown ``kind``, an empty ``outcome``, or a
+            negative latency/queue wait.
+    """
+    _check_record(kind, outcome, latency_s, queue_wait_s)
     record: dict[str, Any] = {
         "ts": time.time() if ts is None else float(ts),
         "kind": kind,
@@ -134,12 +169,13 @@ def _running_loop() -> "asyncio.AbstractEventLoop | None":
 class OpsLogger:
     """Append-only JSONL writer — the sole blessed ops-log producer.
 
-    One logger owns one file.  Every :meth:`log` call validates and
-    encodes the record at once, so a bad record raises at the call.
-    Where it is written depends on the thread:
+    One logger owns one file.  Every :meth:`log` (a mapping) and
+    :meth:`log_served` (a policy-server record, by position) call
+    validates and encodes the record at once, so a bad record raises at
+    the call.  Where it is written depends on the thread:
 
     * Off an event loop (the fleet, the CLI, executor threads) the line
-      is appended before :meth:`log` returns, and an ``OSError`` from
+      is appended before the call returns, and an ``OSError`` from
       the write reaches the caller.
     * On a running event loop the line joins the current loop turn's
       lines; the turn's first line schedules one :meth:`flush` with
@@ -174,18 +210,61 @@ class OpsLogger:
             OSError: Off an event loop, when the file cannot be written.
         """
         stored, line = OPS_LOG.line(record)
+        self._emit(line)
+        return stored
+
+    def log_served(
+        self,
+        kind: str,
+        outcome: str,
+        latency_s: float,
+        queue_wait_s: float,
+        trace_id: str,
+        request_id: str,
+        extra: tuple[str, ...] = (),
+        detail: str = "",
+    ) -> None:
+        """Append one policy-server record, given by position.
+
+        The record is ``ops_record(kind, outcome, latency_s,
+        queue_wait_s, trace_id, request_id, **keys)``, where ``keys``
+        pairs the kind's :data:`SERVED_KEYS` with ``extra`` and adds
+        ``detail`` when it is not empty; its line is the same, byte for
+        byte.  No mapping is built: the values go straight into the
+        kind's compiled layout.
+
+        Raises:
+            ObsError: On what :func:`ops_record` refuses, a kind with no
+                served layout (``job``, ``drift``), or an ``extra`` that
+                does not match the kind's keys.
+            OSError: Off an event loop, when the file cannot be written.
+        """
+        _check_record(kind, outcome, latency_s, queue_wait_s)
+        layout = _SERVED_LAYOUTS.get((kind, bool(detail)))
+        if layout is None:
+            raise ObsError(f"the policy server logs no {kind!r} records")
+        values = (
+            time.time(), kind, trace_id, request_id, outcome,
+            float(latency_s), float(queue_wait_s), *extra,
+        )
+        if detail:
+            values += (detail,)
+        self._emit(OPS_LOG.values_line(layout, values))
+
+    def _emit(self, line: str) -> None:
+        """Write one encoded line now, or queue it for the loop turn's
+        flush."""
         loop = _running_loop()
         if loop is None:
             OPS_LOG.write(self.path, line)
             self.written += 1
-            return stored
+            return
         if self._loop is not loop:
             # The turn's first line.  Lines a stopped loop never flushed
             # are still queued, ahead of this one, and go out with it.
             self._loop = loop
             loop.call_soon(self.flush)
         self._lines.append(line)
-        return stored
 
     def flush(self) -> None:
         """Write the pending lines with one append.

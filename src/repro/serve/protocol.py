@@ -34,8 +34,9 @@ remote queue backend can ship them without new serialisation code.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Union
+from typing import Any, Union
 
 from repro.errors import ServeError
 from repro.fleet.spec import JobSpec

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -154,6 +155,48 @@ class TestStore:
         assert cache.clear() == 3
         assert cache.stats().entries == 0
         assert cache.probe(specs[0]) is None
+
+    def test_interleaved_stores_of_one_spec(self, tmp_path, monkeypatch):
+        # Two writers of one spec, the second storing between the first's
+        # write and its rename: each fills a temp file of its own, both
+        # renames succeed and the last one wins.
+        cache = RunCache(tmp_path)
+        spec = _spec()
+        first = _measurement()
+        second = replace(first, energy_j=2.5)
+        real_replace = os.replace
+
+        def rival_stores_first(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            assert cache.store(spec, second)
+            assert cache.probe(spec) == second
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", rival_stores_first)
+        assert cache.store(spec, first)
+        assert cache.probe(spec) == first
+        assert cache.stats().entries == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = RunCache(tmp_path)
+        spec = _spec()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "refused", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(CacheError, match="cannot write cache entry"):
+            cache.store(spec, _measurement())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clear_removes_a_stray_temp_file(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cache.store(_spec(), _measurement())
+        stray = tmp_path / f"{cache_key(_spec())}.0123456789abcdef.tmp"
+        stray.write_text("{")
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_obs_counters(self, tmp_path):
         from repro.obs import capture

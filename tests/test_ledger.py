@@ -251,12 +251,17 @@ _odd = st.one_of(
 )
 
 
+#: Keys, often built from the characters a ``%``-template or a JSON
+#: key prefix could trip on.
+_keys = st.one_of(st.text(), st.text('%s{}":, \\', max_size=6))
+
+
 @st.composite
 def _records(draw: Any) -> dict:
     """A flat record, half the time with one odd value added."""
-    record = draw(st.dictionaries(st.text(), _flat, max_size=8))
+    record = draw(st.dictionaries(_keys, _flat, max_size=8))
     if draw(st.booleans()):
-        return {**record, draw(st.text()): draw(_odd)}
+        return {**record, draw(_keys): draw(_odd)}
     return record
 
 
@@ -266,7 +271,7 @@ _mappings = st.one_of(
     _records(),
     st.dictionaries(
         st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
-                  st.builds(_Str, st.text()), st.text()),
+                  st.builds(_Str, st.text()), _keys),
         _flat, min_size=1, max_size=4,
     ),
 )
@@ -290,3 +295,27 @@ def test_sorted_json_equals_json_dumps(mapping):
     # The second call reads the key layout the first one cached.
     assert _encoded(_KIND.sorted_json, mapping) == expected
     assert _encoded(_KIND.sorted_json, mapping) == expected
+    # The positional entry: the same values, in key order, through the
+    # same layout; values_line adds the newline and wraps a refusal.
+    layout = _KIND.layout(tuple(mapping))
+    values = tuple(mapping.values())
+    assert _encoded(lambda _: layout.encode(values), mapping) == expected
+    if expected[0] == "returned":
+        assert _KIND.values_line(layout, values) == expected[1] + "\n"
+    else:
+        with pytest.raises(ReproError, match="not JSON-serialisable"):
+            _KIND.values_line(layout, values)
+
+
+def test_values_line_checks_the_layout_and_the_value_count():
+    kind = LedgerKind(noun="row", unreadable="cannot read", error=ReproError,
+                      fields=("a", "b"))
+    layout = kind.layout(("b", "a"))
+    assert layout.missing == ()
+    assert kind.values_line(layout, (2, "x")) == '{"a": "x", "b": 2}\n'
+    with pytest.raises(ReproError, match="has 1 value"):
+        kind.values_line(layout, ("x",))
+    with pytest.raises(ReproError, match=r"missing fields \['b'\]"):
+        kind.values_line(kind.layout(("a", "c")), (1, 2))
+    with pytest.raises(ValueError, match="repeats a key"):
+        kind.layout(("a", "a"))

@@ -6,6 +6,7 @@ import asyncio
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -22,6 +23,7 @@ from repro.fleet.events import (
     JobQueued,
     JobRetried,
 )
+from repro.fleet.spec import JobSpec
 from repro.obs import (
     DEFAULT_SLOS,
     FORMATS,
@@ -200,6 +202,20 @@ class TestOpsLogger:
         record = ops_record("decision", "ok", 0.0, ts=0.0, chip=object())
         with pytest.raises(ObsError, match="serialisable"):
             logger.log(record)
+
+    @pytest.mark.parametrize("args, match", [
+        (("decision", "", 0.0, 0.0, "", "", ("s", "c")), "non-empty outcome"),
+        (("decision", "ok", -1.0, 0.0, "", "", ("s", "c")), "negative"),
+        (("nope", "ok", 0.0, 0.0, "", "", ()), "unknown ops record kind"),
+        (("job", "ok", 0.0, 0.0, "", "", ()), "logs no 'job' records"),
+        (("decision", "ok", 0.0, 0.0, "", "", ("s",)), "has 8 value"),
+    ])
+    def test_log_served_refuses_bad_records(self, tmp_path, args, match):
+        logger = OpsLogger(tmp_path / "ops.jsonl")
+        with pytest.raises(ObsError, match=match):
+            logger.log_served(*args)
+        assert logger.written == 0
+        assert not logger.path.exists()
 
     def test_off_loop_record_is_on_disk_when_log_returns(self, tmp_path):
         logger = OpsLogger(tmp_path / "ops.jsonl")
@@ -743,33 +759,76 @@ class TestServerCorrelation:
     def test_shutdown_rejects_pending_under_their_own_ids(
         self, trained, tmp_path
     ):
+        # Left unanswered at shutdown: a simulation in flight on the
+        # executor, queued decisions, and one the client cancelled.
         ops_log = OpsLogger(tmp_path / "ops.jsonl")
         server = make_server(trained, workers=1, queue_size=16,
                              ops_log=ops_log)
+        spec = JobSpec(scenario="gaming", governor="ondemand", chip="tiny",
+                       duration_s=0.5, seed=7)
 
         async def run():
             await server.start()
-            futures = [
+            futures = [server.submit(
+                SimulationRequest(spec=spec, request_id="sim")
+            )]
+            for _ in range(100):
+                if server._queue.depth() == 0:
+                    break
+                await asyncio.sleep(0)
+            assert server._queue.depth() == 0  # the worker holds the job
+            futures += [
                 server.submit(DecisionRequest(
                     observation=obs_for(server.chip), request_id=f"r{i}"
                 ))
                 for i in range(4)
             ]
+            futures[-1].cancel()
             await server.shutdown(drain=False)
-            return [await f for f in futures]
+            return await asyncio.gather(*futures, return_exceptions=True)
 
         replies = asyncio.run(run())
-        rejected = [r for r in replies if isinstance(r, Rejection)]
-        assert rejected
+        assert isinstance(replies[-1], asyncio.CancelledError)
+        rejected = replies[:-1]
+        assert all(isinstance(r, Rejection) for r in rejected)
         assert all(r.reason == REJECT_SHUTDOWN for r in rejected)
-        assert sorted(r.request_id for r in replies) == ["r0", "r1", "r2", "r3"]
+        assert [r.request_id for r in rejected] == ["sim", "r0", "r1", "r2"]
         assert all(len(r.trace_id) == 16 for r in rejected)
-        assert len({r.trace_id for r in replies}) == 4
-        assert server.stats.rejected_shutdown == len(rejected)
+        assert server.stats.rejected_shutdown == 5
+        assert server._pending == {}
         records = [r for r in OPS_LOG.read(ops_log.path)
                    if r["outcome"] == "rejected:shutdown"]
-        assert sorted((r["request_id"], r["trace_id"]) for r in records) == \
-            sorted((r.request_id, r.trace_id) for r in rejected)
+        assert sorted(r["request_id"] for r in records) == \
+            ["r0", "r1", "r2", "r3", "sim"]
+        assert {(r["request_id"], r["trace_id"]) for r in records} >= \
+            {(r.request_id, r.trace_id) for r in rejected}
+        assert len({r["trace_id"] for r in records}) == 5
+        assert all(len(r["trace_id"]) == 16 for r in records)
+
+    @pytest.mark.parametrize("unstamped", [
+        DecisionRequest(
+            observation=obs_for(tiny_test_chip()), session="s9",
+            request_id="d", deadline_s=0.5,
+        ),
+        SimulationRequest(
+            spec=JobSpec(scenario="idle", governor="performance",
+                         chip="tiny", duration_s=1.0, seed=3),
+            request_id="sim", deadline_s=2.0,
+        ),
+        HealthRequest(request_id="h"),
+        StatsRequest(request_id="s"),
+    ], ids=lambda r: type(r).__name__)
+    def test_correlate_stamps_a_copy_equal_to_replace(
+        self, trained, tmp_path, unstamped
+    ):
+        server = make_server(trained, workers=1,
+                             ops_log=OpsLogger(tmp_path / "ops.jsonl"))
+        stamped = server._correlate(unstamped)
+        assert len(stamped.trace_id) == 16
+        assert type(stamped) is type(unstamped)
+        assert stamped == replace(unstamped, trace_id=stamped.trace_id)
+        sent = replace(unstamped, trace_id="feedfacecafebeef")
+        assert server._correlate(sent) is sent
 
     def test_health_and_stats_bypass_the_queue(self, trained):
         # queue_size=1 with a queue already full: health/stats answer

@@ -17,7 +17,8 @@ from repro.core.checkpoint import load_policies, save_policies
 from repro.core.trainer import train_policy
 from repro.errors import PolicyError, ServeError, ServeOverloaded
 from repro.fleet.spec import JobSpec
-from repro.obs import OPS_LOG, OpsLogger
+from repro.obs import OPS_LOG, OpsLogger, ops_record
+from repro.obs.opslog import OPS_RECORD_FIELDS
 from repro.serve import (
     REJECT_DEADLINE,
     REJECT_ERROR,
@@ -26,6 +27,7 @@ from repro.serve import (
     DecisionReply,
     DecisionRequest,
     HealthReply,
+    HealthRequest,
     InProcessQueue,
     PolicyServer,
     QueueBackend,
@@ -34,6 +36,7 @@ from repro.serve import (
     SimulationReply,
     SimulationRequest,
     StatsReply,
+    StatsRequest,
     observation_from_mapping,
     reply_to_mapping,
     request_from_mapping,
@@ -612,6 +615,91 @@ class TestServer:
         assert isinstance(reply, Rejection)
         assert reply.reason == REJECT_ERROR
         assert "no policy for cluster" in reply.detail
+
+    def test_answered_requests_leave_pending(self, trained):
+        server = make_server(trained, workers=1)
+        rogue = initial_observation("nope", 0, 4, 1e8, 1e9, 0.01)
+        requests = [
+            DecisionRequest(observation=obs_for(server.chip)),
+            DecisionRequest(observation=obs_for(server.chip), deadline_s=1e-9),
+            DecisionRequest(observation=rogue),
+        ]
+
+        async def run():
+            await server.start()
+            replies = [await server.submit(r) for r in requests]
+            pending = dict(server._pending)
+            await server.shutdown()
+            return replies, pending
+
+        replies, pending = asyncio.run(run())
+        assert isinstance(replies[0], DecisionReply)
+        assert [r.reason for r in replies[1:]] == [REJECT_DEADLINE, REJECT_ERROR]
+        assert pending == {}
+
+    def test_every_record_kind_is_the_mapping_line(self, trained, tmp_path):
+        # Each line the server logs by position equals the line of
+        # ops_record(...) over the same values, and carries its kind's keys.
+        chip, policies = trained
+        ops_log = OpsLogger(tmp_path / "ops.jsonl")
+        server = PolicyServer(policies, tiny_test_chip(),
+                              ServeConfig(workers=1, queue_size=1),
+                              ops_log=ops_log)
+        cluster = server.chip.cluster_names[0]
+        rogue = initial_observation("nope", 0, 4, 1e8, 1e9, 0.01)
+        spec = sim_spec(duration_s=0.5)
+
+        def decision(request_id: str, **kw: Any) -> DecisionRequest:
+            return DecisionRequest(observation=kw.pop("observation", obs_for(
+                server.chip)), request_id=request_id, **kw)
+
+        async def run() -> None:
+            await server.start()
+            await server.submit(decision("ok", session="s1"))
+            await server.submit(decision("late", deadline_s=1e-9))
+            await server.submit(decision("bad", observation=rogue))
+            await server.submit(SimulationRequest(spec=spec, request_id="sim"))
+            queued = server.submit(decision("queued"))
+            await server.submit(decision("over"))
+            await queued
+            await server.submit(HealthRequest(request_id="h"))
+            await server.submit(StatsRequest(request_id="s"))
+            await server.shutdown()
+            await server.submit(decision("after"))
+            await server.submit(SimulationRequest(spec=spec,
+                                                  request_id="sim-after"))
+
+        asyncio.run(run())
+        served = {"session": "default", "cluster": cluster}
+        expected = {
+            "ok": ("decision", "ok", {"session": "s1", "cluster": cluster}),
+            "late": ("decision", "rejected:deadline", served),
+            "bad": ("decision", "rejected:error",
+                    {"session": "default", "cluster": "nope"}),
+            "sim": ("simulation", "ok", {"job_id": spec.job_id}),
+            "queued": ("decision", "ok", served),
+            "over": ("decision", "rejected:overloaded", served),
+            "h": ("health", "ok", {}),
+            "s": ("stats", "ok", {}),
+            "after": ("decision", "rejected:shutdown", served),
+            "sim-after": ("simulation", "rejected:shutdown",
+                          {"job_id": spec.job_id}),
+        }
+        lines = ops_log.path.read_text().splitlines(keepends=True)
+        seen = {}
+        for line in lines:
+            record = json.loads(line)
+            assert OPS_LOG.line(ops_record(**record))[1] == line
+            kind, outcome, keys = expected[record["request_id"]]
+            assert (record["kind"], record["outcome"]) == (kind, outcome)
+            extra = {k: v for k, v in record.items()
+                     if k not in OPS_RECORD_FIELDS}
+            if outcome.startswith("rejected:"):
+                assert extra.pop("detail")
+            assert extra == keys
+            seen[record["request_id"]] = record
+        assert sorted(seen) == sorted(expected)
+        assert len(lines) == len(expected)
 
     def test_missing_cluster_policy_rejected_at_boot(self, trained):
         _, policies = trained
